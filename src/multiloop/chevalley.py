@@ -328,17 +328,19 @@ def ad_matrix(dom, alg, x):
 
 def exp_ad(dom, alg, v, check=True) -> AlgebraAutomorphism:
     """exp(ad_v) as an exact finite sum; v must be ad-nilpotent."""
-    ad = ad_matrix(dom, alg, v)
-    out = linalg.identity(dom, alg.dim)
-    term = ad
-    i = 1
-    while any(any(x for x in row) for row in term):
-        out = linalg.mat_add(out, term)
-        i += 1
-        if i > alg.dim + 1:
-            raise ChevalleyError("ad_v is not nilpotent")
-        term = linalg.mat_scale(linalg.mat_mul(dom, term, ad), Fraction(1, i))
-    return AlgebraAutomorphism(alg, dom, out, check=check)
+    ad = {}
+    for i, x in enumerate(v):
+        if not dom.nonzero(x):
+            continue
+        for j in range(alg.dim):
+            for k, c in alg.bracket_basis(i, j):
+                row = ad.setdefault(k, {})
+                row[j] = row[j] + x * c if j in row else x * c
+    try:
+        matrix = linalg.exp_nilpotent(dom, ad, linalg.identity(dom, alg.dim))
+    except ValueError:
+        raise ChevalleyError("ad_v is not nilpotent")
+    return AlgebraAutomorphism(alg, dom, matrix, check=check)
 
 
 def torus_automorphism(alg, dom, weights) -> AlgebraAutomorphism:

@@ -1,16 +1,26 @@
 """Relative root elements, unipotent factorization, commutator extraction,
 and the series factorization engine E(A((t))) = E(A[[t]]) E(A[t,1/t]).
 
-Elements are square matrices acting on a graded algebra's basis over a
-coefficient ring from the scalar tower.  An element congruent to the
-identity modulo t^N is treated as the identity by the engine; certificates
-record the precision actually achieved.
+A letter X_alpha(v) = exp(ad_v) is a sparse object: it keeps the rows of
+ad_v, which sends the piece of q-degree beta to beta + alpha, and acts on a
+matrix M as sum_i ad_v^i M / i!, one sparse row product per term
+(linalg.exp_nilpotent).  Its dense matrix is built only when a caller asks
+for .matrix.  A word is evaluated from the identity by left-applying its
+letters, last first, so no two dense matrices are ever multiplied.
+
+Coefficients come from a ring of the scalar tower.  Only exact zeros are
+skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
+their horizons reach every product and residual.  Every comparison with
+the identity goes through linalg.identity_residual, and a certificate
+records the precision it achieves, which never exceeds what the inputs
+carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .grading import (GradedLieAlgebra, RelativeGrading, GradingError,
@@ -23,7 +33,12 @@ class ElementError(ValueError):
 
 
 class PrecisionExhausted(ElementError):
-    pass
+    """A residual is certified only below the requested precision; achieved
+    is the precision that was certified."""
+
+    def __init__(self, message, achieved=None):
+        super().__init__(message)
+        self.achieved = achieved
 
 
 class RankOneComponent(ElementError):
@@ -57,6 +72,30 @@ class ElementMatrix:
         return linalg.mat_vec(self.ring, self.matrix, v)
 
 
+class RootElement:
+    """X_alpha(v) = exp(ad_v), held as the sparse rows {k: {j: entry}} of
+    ad_v; the dense matrix is built on first use of .matrix."""
+
+    precision = None
+
+    def __init__(self, ring, dim, ad):
+        self.ring = ring
+        self.dim = dim
+        self.ad = ad
+
+    def left_apply(self, M):
+        """X_alpha(v) M as a new dense matrix."""
+        return linalg.exp_nilpotent(self.ring, self.ad, M)
+
+    @cached_property
+    def matrix(self):
+        return self.left_apply(linalg.identity(self.ring, self.dim))
+
+    def mul(self, other) -> ElementMatrix:
+        return ElementMatrix(self.left_apply(other.matrix), self.ring,
+                             other.precision)
+
+
 def _pmin(a, b):
     if a is None:
         return b
@@ -69,60 +108,61 @@ def _param_is_zero(v):
     return not any(v)
 
 
-def _check_homogeneous(g: GradedLieAlgebra, alpha, v):
+def _check_homogeneous(g: GradedLieAlgebra, R, alpha, v):
     allowed = set(g.piece(qdeg=alpha))
     for i, x in enumerate(v):
-        if x and i not in allowed:
+        if R.nonzero(x) and i not in allowed:
             raise ElementError(
                 "parameter is not homogeneous of degree %s (index %d)" %
                 (alpha, i))
 
 
-def ad_matrix_graded(g: GradedLieAlgebra, R, v):
-    """ad_v over the coefficient ring, structure constants lifted from the
-    base field."""
-    d = g.dim
-    M = [[R.zero()] * d for _ in range(d)]
-    for i, xi in enumerate(v):
-        if not xi:
+def _ad_rows(g: GradedLieAlgebra, R, alpha, v):
+    """Sparse rows of ad_v over the coefficient ring for v on the alpha
+    piece, structure constants lifted from the base field."""
+    rows = {}
+    for i in g.piece(qdeg=alpha):
+        x = v[i]
+        if not R.nonzero(x):
             continue
-        for j in range(d):
+        for j in range(g.dim):
             for k, c in g.bracket_coords(i, j):
-                M[k][j] = M[k][j] + xi * R.lift(c)
-    return M
+                row = rows.setdefault(k, {})
+                term = x * R.lift(c)
+                row[j] = row[j] + term if j in row else term
+    return rows
 
 
-def root_element(rg: RelativeGrading, R, alpha, v,
-                 precision=None) -> ElementMatrix:
+def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
     """exp(ad_v) for a parameter v supported on the alpha root piece."""
     g = rg.algebra
     alpha = tuple(alpha)
     if alpha not in set(rg.roots):
         raise ElementError("%s is not a relative root" % (alpha,))
-    _check_homogeneous(g, alpha, v)
-    ad = ad_matrix_graded(g, R, v)
-    out = linalg.identity(R, g.dim)
-    term = ad
-    i = 1
-    while any(any(x for x in row) for row in term):
-        out = linalg.mat_add(out, term)
-        i += 1
-        if i > g.dim + 1:
-            raise ElementError("ad_v is not nilpotent")
-        term = linalg.mat_scale(linalg.mat_mul(R, term, ad), Fraction(1, i))
-    return ElementMatrix(out, R, precision)
+    _check_homogeneous(g, R, alpha, v)
+    return RootElement(R, g.dim, _ad_rows(g, R, alpha, v))
 
 
-def word_matrix(rg: RelativeGrading, R, word, precision=None) -> ElementMatrix:
-    out = ElementMatrix(linalg.identity(R, rg.algebra.dim), R, precision)
-    for alpha, v in word:
-        out = out.mul(root_element(rg, R, alpha, v, precision))
-    return out
+def word_matrix(rg: RelativeGrading, R, word) -> ElementMatrix:
+    """The product of a word's letters: the identity with the letters
+    left-applied, last first."""
+    M = linalg.identity(R, rg.algebra.dim)
+    for alpha, v in reversed(list(word)):
+        M = root_element(rg, R, alpha, v).left_apply(M)
+    return ElementMatrix(M, R)
 
 
 def word_inverse(word: RootElementWord) -> RootElementWord:
     letters = [(alpha, [-x for x in v]) for alpha, v in reversed(word.letters)]
     return RootElementWord(letters, word.ring_tag)
+
+
+def _require_identity(rg, R, letters, message):
+    """Raise ElementError unless the letters multiply to the identity; an
+    entry zero up to its horizon does not count against it."""
+    _, where = linalg.identity_residual(R, word_matrix(rg, R, letters).matrix)
+    if where is not None:
+        raise ElementError("%s at entry (%d,%d)" % ((message,) + where))
 
 
 # ---------------------------------------------------------------------------
@@ -243,61 +283,32 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
         if _param_is_zero(v):
             continue
         out.append((gamma, v))
-        inv = root_element(rg, R, gamma, [-x for x in v])
-        cur = linalg.mat_mul(R, inv.matrix, cur)
-    ident = linalg.identity(R, g.dim)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            d = cur[i][j] - ident[i][j]
-            if d and not _congruent_zero(d, u.precision):
-                raise ElementError(
-                    "element is not unipotent over psi: residual at "
-                    "block (%d,%d)" % (i, j))
+        cur = root_element(rg, R, gamma, [-x for x in v]).left_apply(cur)
+    _, where = linalg.identity_residual(R, cur, u.precision)
+    if where is not None:
+        raise ElementError("element is not unipotent over psi: residual at "
+                           "block (%d,%d)" % where)
     return out
-
-
-def _congruent_zero(x, precision):
-    if isinstance(x, TruncSeries):
-        if not x.coeffs:
-            return True
-        if precision is not None and x.low >= precision:
-            return True
-        return False
-    return not x
 
 
 def extract_q_maps(rg: RelativeGrading, R, alpha, v, w):
     """Corrections in X_a(v) X_a(w) = X_a(v+w) prod_{i>1} X_{ia}(q_i)."""
     alpha = tuple(alpha)
     higher = multiples_above(rg, alpha)
-    lhs = root_element(rg, R, alpha, v).mul(root_element(rg, R, alpha, w))
-    base = root_element(rg, R, alpha, [a + b for a, b in zip(v, w)])
+    # X_a(v+w)^-1 X_a(v) X_a(w)
+    rem_word = [(alpha, [-(a + b) for a, b in zip(v, w)]), (alpha, v),
+                (alpha, w)]
     if not higher:
-        if not _matrices_agree(R, lhs.matrix, base.matrix, lhs.precision):
-            raise ElementError("additivity fails for a non-multipliable root")
+        _require_identity(rg, R, rem_word,
+                          "additivity fails for a non-multipliable root")
         return []
-    inv = root_element(rg, R, alpha, [-(a + b) for a, b in zip(v, w)])
-    rem = ElementMatrix(linalg.mat_mul(R, inv.matrix, lhs.matrix), R,
-                        lhs.precision)
     f = _positivity_functional(rg, alpha, alpha)
-    corrections = unipotent_factor(rg, R, rem, higher,
-                                   keyfunc=lambda gam: (f(gam), gam))
-    # verify by rebuilding the product
-    check = base
-    for gam, q in corrections:
-        check = check.mul(root_element(rg, R, gam, q))
-    if not _matrices_agree(R, lhs.matrix, check.matrix, lhs.precision):
-        raise ElementError("correction verification failed")
+    corrections = unipotent_factor(rg, R, word_matrix(rg, R, rem_word),
+                                   higher, keyfunc=lambda gam: (f(gam), gam))
+    _require_identity(
+        rg, R, word_inverse(RootElementWord(corrections)).letters + rem_word,
+        "correction verification failed")
     return corrections
-
-
-def _matrices_agree(R, A, B, precision=None):
-    for ra, rb in zip(A, B):
-        for a, b in zip(ra, rb):
-            d = a - b
-            if d and not _congruent_zero(d, precision):
-                return False
-    return True
 
 
 def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
@@ -309,11 +320,9 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
             if all(m * a == -k * b for a, b in zip(alpha, beta)):
                 raise ElementError(
                     "opposite proportional roots %s, %s" % (alpha, beta))
-    xa = root_element(rg, R, alpha, u)
-    xb = root_element(rg, R, beta, v)
-    xai = root_element(rg, R, alpha, [-x for x in u])
-    xbi = root_element(rg, R, beta, [-x for x in v])
-    comm = xa.mul(xb).mul(xai).mul(xbi)
+    comm_word = [(alpha, u), (beta, v), (alpha, [-x for x in u]),
+                 (beta, [-x for x in v])]
+    comm = word_matrix(rg, R, comm_word)
     if alpha == beta or _proportional(alpha, beta):
         psi = sorted(set(multiples_above(rg, alpha))
                      | set(multiples_above(rg, beta)))
@@ -323,11 +332,9 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
     f = _positivity_functional(rg, alpha, beta)
     factors = unipotent_factor(rg, R, comm, psi,
                                keyfunc=lambda gam: (f(gam), gam))
-    check = ElementMatrix(linalg.identity(R, rg.algebra.dim), R, comm.precision)
-    for gam, w in factors:
-        check = check.mul(root_element(rg, R, gam, w))
-    if not _matrices_agree(R, comm.matrix, check.matrix, comm.precision):
-        raise ElementError("commutator factorization failed verification")
+    _require_identity(
+        rg, R, word_inverse(RootElementWord(factors)).letters + comm_word,
+        "commutator factorization failed verification")
     return factors
 
 
@@ -353,30 +360,27 @@ def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
     g = rg.algebra
     s = list(s)
     sinv = [R.inv(x) for x in s]
-    weight = R.one()
-    for a, x, xi in zip(alpha, s, sinv):
-        base = x if a > 0 else xi
-        for _ in range(abs(a)):
-            weight = weight * base
-    new_v = [weight * x for x in v]
+    new_v = [_character(R, alpha, s, sinv) * x for x in v]
     if verify:
-        diag = [[R.zero()] * g.dim for _ in range(g.dim)]
-        for i, e in enumerate(g.entries):
-            c = R.one()
-            for a, x, xi in zip(e.qdeg, s, sinv):
-                base = x if a > 0 else xi
-                for _ in range(abs(a)):
-                    c = c * base
-            diag[i][i] = c
-        diag_inv = [[R.zero()] * g.dim for _ in range(g.dim)]
-        for i in range(g.dim):
-            diag_inv[i][i] = R.inv(diag[i][i])
-        lhs = linalg.mat_mul(R, diag, linalg.mat_mul(
-            R, root_element(rg, R, alpha, v).matrix, diag_inv))
-        rhs = root_element(rg, R, alpha, new_v).matrix
-        if not _matrices_agree(R, lhs, rhs):
+        # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
+        diag = [_character(R, e.qdeg, s, sinv) for e in g.entries]
+        diag_inv = [R.inv(c) for c in diag]
+        conj = [[diag[i] * x * diag_inv[j] for j, x in enumerate(row)]
+                for i, row in enumerate(root_element(rg, R, alpha, v).matrix)]
+        res = root_element(rg, R, alpha, [-x for x in new_v]).left_apply(conj)
+        if linalg.identity_residual(R, res)[1] is not None:
             raise ElementError("torus conjugation identity failed")
     return (alpha, new_v)
+
+
+def _character(R, deg, s, sinv):
+    """prod_i s_i^deg_i."""
+    c = R.one()
+    for a, x, xi in zip(deg, s, sinv):
+        base = x if a > 0 else xi
+        for _ in range(abs(a)):
+            c = c * base
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +438,8 @@ def _expand_letter(rg, R, alpha, v, out):
     higher = multiples_above(rg, alpha)
     if higher:
         # X(v) = X(pos) X(nonpos) C^{-1} with C supported on multiples
-        lhs = root_element(rg, R, alpha, positive).mul(
-            root_element(rg, R, alpha, nonpos))
-        inv = root_element(rg, R, alpha, [-x for x in v])
-        rem = ElementMatrix(linalg.mat_mul(R, inv.matrix, lhs.matrix), R,
-                            lhs.precision)
+        rem = word_matrix(rg, R, [(alpha, [-x for x in v]),
+                                  (alpha, positive), (alpha, nonpos)])
         f = _positivity_functional(rg, alpha, alpha)
         for gam, q in unipotent_factor(rg, R, rem, higher,
                                        keyfunc=lambda g_: (f(g_), g_)):
@@ -493,34 +494,21 @@ def factor_loop_series(rg: RelativeGrading, R, word: RootElementWord,
     return g1w, g2w, cert
 
 
-def _verify_factorization(rg, R, word, g1w, g2w, N, dropped):
-    W = word_matrix(rg, R, word)
+def residual_word(word, g1w, g2w) -> RootElementWord:
+    """inverse(g1 g2) followed by word: one chain whose product is the
+    identity exactly when word = g1 g2."""
     combined = RootElementWord(list(g1w.letters) + list(g2w.letters))
-    inv = word_inverse(combined)
-    res = word_matrix(rg, R, inv).mul(W)
-    achieved = None
-    ok = True
-    d = rg.algebra.dim
-    for i in range(d):
-        for j in range(d):
-            x = res.matrix[i][j] - (R.one() if i == j else R.zero())
-            if isinstance(x, TruncSeries):
-                if x.coeffs:
-                    ok = False
-                    achieved = _pmin(achieved, x.low)
-                if x.prec is not None:
-                    achieved = _pmin(achieved, x.prec)
-            elif x:
-                ok = False
-                achieved = 0
-    if achieved is None:
-        return FactorizationCertificate(N, True, dropped)
-    if achieved < N:
+    return RootElementWord(word_inverse(combined).letters + list(word))
+
+
+def _verify_factorization(rg, R, word, g1w, g2w, N, dropped):
+    res = word_matrix(rg, R, residual_word(word, g1w, g2w))
+    achieved, _ = linalg.identity_residual(R, res.matrix, N)
+    if achieved is not None and achieved < N:
         raise PrecisionExhausted(
             "factorization certified only modulo t^%d < t^%d; rerun with "
-            "larger precision" % (achieved, N))
-    return FactorizationCertificate(min(N, achieved), ok or achieved >= N,
-                                    dropped)
+            "larger precision" % (achieved, N), achieved)
+    return FactorizationCertificate(N, True, dropped)
 
 
 def depth_bound(rg: RelativeGrading, M: int, n_exp) -> int:
@@ -536,21 +524,13 @@ def depth_conjugation_check(rg: RelativeGrading, R, alpha, n_exp, u, N, M,
     alpha = tuple(alpha)
     tpow = R.t(n_exp)
     param = [x * tpow for x in u]
-    x_mat = root_element(rg, R, alpha, param)
-    x_inv = root_element(rg, R, alpha, [-x for x in param])
     for beta, w in samples:
         deep = [c * R.t(N) for c in w]
-        gmat = root_element(rg, R, tuple(beta), deep)
-        conj = x_mat.mul(gmat).mul(x_inv)
-        d = rg.algebra.dim
-        for i in range(d):
-            for j in range(d):
-                x = conj.matrix[i][j] - (R.one() if i == j else R.zero())
-                if isinstance(x, TruncSeries):
-                    if x.coeffs and x.low < M:
-                        return False
-                elif x:
-                    return False
+        conj = word_matrix(rg, R, [(alpha, param), (tuple(beta), deep),
+                                   (alpha, [-x for x in param])])
+        achieved, _ = linalg.identity_residual(R, conj.matrix, M)
+        if achieved is not None and achieved < M:
+            return False
     return True
 
 

@@ -1,8 +1,9 @@
-"""Dense exact linear algebra over the scalar tower.
+"""Exact linear algebra over the scalar tower.
 
-Matrices are plain lists of row lists; the coefficient domain is passed
-explicitly.  Elimination uses first-nonzero pivoting so results are
-deterministic for a given input.
+Matrices are plain lists of row lists; the product kernel also takes
+sparse rows ({i: {j: entry}} or {i: row}).  The coefficient domain is passed
+explicitly and decides what counts as zero.  Elimination uses
+first-nonzero pivoting so results are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -15,39 +16,71 @@ def identity(dom, n):
             for i in range(n)]
 
 
-def zero_matrix(dom, n, m=None):
-    m = n if m is None else m
-    return [[dom.zero() for _ in range(m)] for _ in range(n)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
 def mat_mul(dom, A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[dom.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for p in range(k):
-            a = Ai[p]
-            if not a:
+    """The product A B over dom: the one matrix product kernel.
+
+    A is dense (a list of rows) or sparse ({i: {p: a_ip}}); B is dense or
+    sparse by rows ({p: row}, an absent row being zero).  Only exact zeros
+    are skipped, as dom.nonzero decides: an entry that is zero only up to
+    its precision horizon takes part, so that the horizon reaches the
+    product.  A sparse A gives {i: row} with just the rows that hold an
+    entry other than an exact zero; a dense A gives the dense product.
+    """
+    nonzero = dom.nonzero
+    dense = isinstance(A, list)
+    rows = enumerate(A) if dense else A.items()
+    row_of = B.get if isinstance(B, dict) else B.__getitem__
+    out = {}
+    for i, Ai in rows:
+        acc = None
+        for p, a in (enumerate(Ai) if dense else Ai.items()):
+            if not nonzero(a):
                 continue
-            Bp = B[p]
-            for j in range(m):
-                b = Bp[j]
-                if b:
-                    row[j] = row[j] + a * b
-    return out
+            Bp = row_of(p)
+            if Bp is None:
+                continue
+            if acc is None:
+                acc = [None] * len(Bp)
+            for j, b in enumerate(Bp):
+                if nonzero(b):
+                    x = acc[j]
+                    acc[j] = a * b if x is None else x + a * b
+        if acc is not None and any(nonzero(x) for x in acc if x is not None):
+            zero = dom.zero()
+            out[i] = [zero if x is None else x for x in acc]
+    if not dense:
+        return out
+    zero, m = dom.zero(), len(B[0])
+    return [out[i] if i in out else [zero] * m for i in range(len(A))]
+
+
+def exp_nilpotent(dom, N, M):
+    """exp(N) M = sum_i N^i M / i! for a nilpotent N given as sparse rows
+    {k: {j: n_kj}} and a dense M, as a new dense matrix.
+
+    Each term is the sparse product of N / i with the previous term, so the
+    cost follows the nonzero entries of N, and the sum stops at the first
+    vanishing term.  Raises ValueError when N is not nilpotent.
+    """
+    nonzero = dom.nonzero
+    out = [list(row) for row in M]
+    term, step, i = M, N, 1
+    while True:
+        term = mat_mul(dom, step, term)
+        if not term:
+            return out
+        if i >= len(M):
+            raise ValueError("matrix is not nilpotent")
+        for k, row in term.items():
+            target = out[k]
+            for j, x in enumerate(row):
+                if nonzero(x):
+                    target[j] = target[j] + x
+        i += 1
+        scale = Fraction(1, i)
+        step = {k: {j: a * scale for j, a in row.items()}
+                for k, row in N.items()}
+
 
 def mat_vec(dom, A, v):
     out = []
@@ -216,23 +249,31 @@ def smith_invariants(A):
     return invariants
 
 
-def min_valuation(A):
-    """Smallest valuation of any nonzero entry of a series matrix, or None."""
-    best = None
-    for row in A:
-        for x in row:
-            v = x.valuation()
-            if v is not None and (best is None or v < best):
-                best = v
-    return best
+def identity_residual(dom, M, N=None):
+    """Certify M against the identity: the one residual check.
 
-
-def series_matrix_congruent_identity(dom, A, prec):
-    """Does a series matrix equal the identity modulo t^prec?"""
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            d = A[i][j] - (dom.one() if i == j else dom.zero())
-            if d and d.valuation() is not None and d.valuation() < prec:
-                return False
-    return True
+    Returns (achieved, where).  achieved is the t-adic order to which
+    M - I is known to vanish: the least valuation of an entry with a
+    coefficient and the least precision horizon of an entry (an exact
+    nonzero entry over a ring without t has order 0); it is None when M - I
+    is exactly zero.  where is the first entry (i, j), in row order, with a
+    known nonzero coefficient of degree below N (of any degree when N is
+    None), or None.  Exact zeros are skipped; entries zero only up to a
+    horizon are not, so achieved never exceeds what the entries carry.
+    """
+    nonzero, t_order = dom.nonzero, dom.t_order
+    one = dom.one()
+    achieved = where = None
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if i == j:
+                x = x - one
+            if not nonzero(x):
+                continue
+            val, horizon = t_order(x)
+            for o in (val, horizon):
+                if o is not None and (achieved is None or o < achieved):
+                    achieved = o
+            if where is None and val is not None and (N is None or val < N):
+                where = (i, j)
+    return achieved, where

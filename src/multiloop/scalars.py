@@ -619,8 +619,26 @@ def ts_show(s: TruncSeries) -> str:
 
 # ---------------------------------------------------------------------------
 # domains
+#
+# Every domain says what counts as zero (``nonzero``) and how far an element
+# is known in t (``t_order``).  Only an exact zero may be skipped by a matrix
+# kernel: a series that is zero only up to its precision horizon, O(t^p),
+# must take part so that the horizon carries into the result.
 
-class DomainQ:
+class _ExactDomain:
+    """A domain without precision horizons: an element is zero exactly when
+    it is falsy, so Python truth testing is the zero test."""
+
+    nonzero = staticmethod(bool)
+
+    @staticmethod
+    def t_order(x):
+        """(valuation, horizon): an exact nonzero element has order 0 in t
+        and no horizon."""
+        return (0 if x else None), None
+
+
+class DomainQ(_ExactDomain):
     """The rationals."""
 
     name = "Q"
@@ -661,7 +679,7 @@ class DomainQ:
         return "QQ"
 
 
-class DomainCyclotomic:
+class DomainCyclotomic(_ExactDomain):
     """Q(zeta_m) on the power basis."""
 
     is_field = True
@@ -713,7 +731,7 @@ class DomainCyclotomic:
         return "DomainCyclotomic(%d)" % self.order
 
 
-class DomainLaurent:
+class DomainLaurent(_ExactDomain):
     """Laurent polynomials in nvars variables over a ground domain."""
 
     is_field = False
@@ -800,6 +818,16 @@ class DomainSeries:
 
     def t(self, deg=1):
         return TruncSeries.monomial(self.base, self.base.one(), deg)
+
+    @staticmethod
+    def nonzero(x):
+        """False only for an exact zero: no coefficients and no horizon."""
+        return bool(x.coeffs) or x.prec is not None
+
+    @staticmethod
+    def t_order(x):
+        """(valuation or None, horizon or None) of a series."""
+        return (x.low if x.coeffs else None), x.prec
 
     def lift(self, x):
         if isinstance(x, TruncSeries):

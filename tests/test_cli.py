@@ -128,3 +128,58 @@ def test_budget_exhaustion_exit_code(capsys):
     code, _, _ = run(capsys, "--budget-gamma", "1", "cocycle", "enumerate",
                      "--n", "1", "--coeff", "Z2")
     assert code == 3
+
+
+def _word_file(tmp_path, name, letters):
+    path = tmp_path / name
+    path.write_text("algebra A 2\nground Q\nword ring=series letters=%d\n%s\n"
+                    % (len(letters), "\n".join(letters)))
+    return str(path)
+
+
+def test_factor_verify_replay_respects_word_precision(capsys, tmp_path):
+    # a report made from prec-20 letters must not certify t^8 against the
+    # same word known only modulo t^5
+    letters = ["X (1,1) [(-1, %s, [1/1,2/1,3/1])]",
+               "X (-1,2) [(-2, %s, [1/1,0/1,5/1,1/1])]"]
+    w20 = _word_file(tmp_path, "w20.txt", [x % 20 for x in letters])
+    w5 = _word_file(tmp_path, "w5.txt", [x % 5 for x in letters])
+    code, out, _ = run(capsys, "--precision", "8", "factor", w20)
+    assert code == 0
+    report = tmp_path / "report.txt"
+    report.write_text(out)
+    code, _, _ = run(capsys, "--precision", "8", "factor", w5)
+    assert code == 3
+    code, out, err = run(capsys, "--precision", "8", "factor", w5,
+                         "--verify", str(report))
+    assert code == 3
+    assert "True" not in out and "modulo t^3 < t^8" in err
+
+
+def test_factor_verify_wrong_report_fails(capsys, tmp_path):
+    code, out, _ = run(capsys, "factor", str(FIXTURES / "word_three.txt"))
+    report = tmp_path / "report.txt"
+    report.write_text(out.replace("[(1, inf, [3/1])]", "[(1, inf, [4/1])]"))
+    code, out, _ = run(capsys, "factor", str(FIXTURES / "word_three.txt"),
+                       "--verify", str(report))
+    assert code == 2 and "verdict: fail" in out
+
+
+def test_factor_zero_at_precision_letter_exhausts(capsys, tmp_path):
+    # X(O(t^12)) is known only modulo t^12
+    word = _word_file(tmp_path, "w.txt", ["X (1,1) [(0, 12, [])]"])
+    code, out, err = run(capsys, "--precision", "20", "factor", word)
+    assert code == 3 and "certificate" not in out
+    assert "modulo t^12 < t^20" in err
+
+
+def test_factor_cancelling_word_exhausts(capsys, tmp_path):
+    # the prec-6 letter cancels against an exact one; exact completions of
+    # it leave a residual of valuation 6, so t^8 cannot be certified
+    word = _word_file(tmp_path, "w.txt", [
+        "X (1,1) [(-2, 6, [2/1,1/1])]",
+        "X (2,-1) [(-2, inf, [2/1])]",
+        "X (1,1) [(-2, inf, [-2/1,-1/1])]"])
+    code, out, err = run(capsys, "--precision", "8", "factor", word)
+    assert code == 3 and "certificate" not in out
+    assert "modulo t^4 < t^8" in err

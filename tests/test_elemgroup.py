@@ -8,10 +8,10 @@ from multiloop.elemgroup import (ElementError, PrecisionExhausted,
                                  RankOneComponent, RootElementWord,
                                  commutator_table, depth_bound,
                                  depth_conjugation_check, extract_q_maps,
-                                 factor_loop_series, root_element,
-                                 torus_conjugate, unipotent_factor,
-                                 word_inverse, word_matrix, word_parse,
-                                 word_show)
+                                 factor_loop_series, residual_word,
+                                 root_element, torus_conjugate,
+                                 unipotent_factor, word_inverse, word_matrix,
+                                 word_parse, word_show)
 from multiloop.grading import from_chevalley, relative_roots
 from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
                                DomainSeries, TruncSeries)
@@ -344,3 +344,134 @@ def test_factor_laurent_ground(rg_a2):
     for _, v2 in g2:
         for y in v2:
             assert y.is_polynomial()
+
+
+def _complete(x, rng):
+    """An exact series agreeing with x below its horizon, with a random
+    tail from the horizon on."""
+    if x.prec is None:
+        return x
+    low = x.low if x.coeffs else x.prec
+    known = [x.coeff(d) for d in range(low, x.prec)]
+    tail = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+    return TruncSeries(x.base, low, None, known + tail)
+
+
+def _complete_word(word, rng):
+    return RootElementWord([(alpha, [_complete(x, rng) for x in v])
+                            for alpha, v in word])
+
+
+def _finite_precision_words(rg, R, rng, count):
+    """A2 words with finite-precision letters: random words of one to three
+    letters, and X_a(s) X_b(u) X_a(-s) with the last s either the same
+    series or its known part taken as exact."""
+    roots = rg.roots
+
+    def random_root():
+        return roots[rng.randrange(len(roots))]
+
+    def param(alpha):
+        low = rng.randint(-2, 0)
+        coeffs = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 3))]
+        prec = rng.choice([None, None, 4, 6, 8, 9, 10, 12])
+        return place(rg.algebra, R, alpha, series(low, coeffs, prec))
+
+    for n in range(count):
+        if n % 3 == 0:
+            yield RootElementWord([(alpha, param(alpha)) for alpha in
+                                   (random_root()
+                                    for _ in range(rng.randint(1, 3)))])
+            continue
+        a, b = random_root(), random_root()
+        s = param(a)
+        back = [-x for x in s]
+        if n % 3 == 2:
+            back = [TruncSeries(x.base, x.low, None, x.coeffs) for x in back]
+        yield RootElementWord([(a, s), (b, param(b)), (a, back)])
+
+
+def test_certificate_sound_under_exact_completions(rg_a2):
+    """Soundness oracle: whatever exact tails complete the finite-precision
+    series of the word and of g1, g2, the residual agrees with the identity
+    to at least the certified (or exhausted-at) precision."""
+    R = DomainSeries(QQ)
+    rng = random.Random(2024)
+    N = 8
+    certified = exhausted = 0
+    for word in _finite_precision_words(rg_a2, R, rng, 40):
+        try:
+            g1, g2, _ = factor_loop_series(rg_a2, R, word, N)
+            claimed = N
+            certified += 1
+        except PrecisionExhausted as e:
+            claimed = e.achieved
+            g1, g2, _ = factor_loop_series(rg_a2, R, word, claimed)
+            exhausted += 1
+        for _ in range(3):
+            res = word_matrix(rg_a2, R, residual_word(
+                _complete_word(word, rng), _complete_word(g1, rng),
+                _complete_word(g2, rng)))
+            achieved, where = linalg.identity_residual(R, res.matrix)
+            assert achieved is None or claimed <= achieved, \
+                (word_show(rg_a2, R, word), claimed, achieved, where)
+    assert certified >= 10 and exhausted >= 10
+
+
+def test_zero_at_precision_entries_take_part():
+    # O(t^3) * 1 is O(t^3), not an exact zero: the horizon reaches the
+    # product, and the residual is known only modulo t^3
+    R = DomainSeries(QQ)
+    o3 = TruncSeries.zero_at(QQ, 3)
+    one, zero = R.one(), R.zero()
+    assert not R.nonzero(zero) and R.nonzero(o3)
+    prod = linalg.mat_mul(R, [[one, o3], [zero, one]], linalg.identity(R, 2))
+    assert prod[0][1].prec == 3
+    assert linalg.identity_residual(R, prod) == (3, None)
+    sparse = linalg.mat_mul(R, {1: {0: o3}, 0: {1: zero}},
+                            linalg.identity(R, 2))
+    assert list(sparse) == [1] and sparse[1][0].prec == 3
+
+
+def test_identity_residual_names_first_offending_entry():
+    R = DomainSeries(QQ)
+    one, zero = R.one(), R.zero()
+    m = [[one, series(5, [1], prec=9)], [series(2, [1]), one]]
+    assert linalg.identity_residual(R, m, 4) == (2, (1, 0))
+    assert linalg.identity_residual(R, m) == (2, (0, 1))
+    assert linalg.identity_residual(QQ, linalg.identity(QQ, 3)) == \
+        (None, None)
+
+
+def test_root_element_sparse_matches_dense_exp(rg_a2):
+    # X_alpha(v) applied sparsely equals the dense sum of ad_v^i / i!
+    g = rg_a2.algebra
+    rng = random.Random(12)
+    for alpha in rg_a2.roots:
+        v = place(g, QQ, alpha, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        ad = [[QQ.zero()] * g.dim for _ in range(g.dim)]
+        for i, x in enumerate(v):
+            for j in range(g.dim):
+                for k, c in g.bracket_coords(i, j):
+                    ad[k][j] += x * c
+        dense = linalg.identity(QQ, g.dim)
+        term = linalg.identity(QQ, g.dim)
+        for i in range(1, g.dim + 1):
+            term = [[x / i for x in row] for row in
+                    linalg.mat_mul(QQ, ad, term)]
+            dense = [[a + b for a, b in zip(ra, rb)]
+                     for ra, rb in zip(dense, term)]
+        assert root_element(rg_a2, QQ, alpha, v).matrix == dense
+
+
+def test_factor_zero_at_precision_letter_exhausts(rg_a2):
+    # X(O(t^12)) is known only modulo t^12: certifying t^20 would overclaim
+    R = DomainSeries(QQ)
+    alpha = rg_a2.roots[0]
+    word = RootElementWord([(alpha, place(rg_a2.algebra, R, alpha,
+                                          TruncSeries.zero_at(QQ, 12)))])
+    with pytest.raises(PrecisionExhausted) as e:
+        factor_loop_series(rg_a2, R, word, 20)
+    assert e.value.achieved == 12
+    g1, g2, cert = factor_loop_series(rg_a2, R, word, 12)
+    assert cert.precision == 12
