@@ -13,7 +13,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -22,8 +22,7 @@ from .chevalley import (build_chevalley_by_type, torus_automorphism,
                         ChevalleyError, AlgebraAutomorphism)
 from .rootsys import RootSystemError
 from .grading import (MultiloopSpec, build_multiloop, q_grading_from_cartan,
-                      relative_roots, from_chevalley, GradingError,
-                      component_rank_report)
+                      relative_roots, from_chevalley, GradingError)
 from .lietorus import lie_torus_check
 from .elemgroup import (factor_loop_series, residual_word, word_parse,
                         word_show, word_matrix, depth_bound,
@@ -34,7 +33,7 @@ from .cocycle import (trivial_group, cyclic_group, symmetric_group_3,
                       h1_enumerate, DiagonalSetup, inf_res_sequence,
                       diagonal_argument, trivial_cocycle, Cocycle,
                       is_cocycle, BudgetExceeded, CocycleError)
-from .scalars import QQ, DomainSeries, DomainLaurent, DomainCyclotomic
+from .scalars import QQ, DomainSeries, DomainLaurent
 
 
 EXIT_OK = 0

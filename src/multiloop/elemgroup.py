@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .grading import (GradedLieAlgebra, RelativeGrading, GradingError,
+from .grading import (GradedLieAlgebra, RelativeGrading,
                       irreducible_components)
-from .scalars import TruncSeries, DomainSeries, series_split
+from .scalars import TruncSeries, series_split
 
 
 class ElementError(ValueError):

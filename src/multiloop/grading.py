@@ -9,13 +9,12 @@ differing by m Z^n are canonically identified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra, AlgebraAutomorphism
-from .rootsys import (RootSystem, RootSystemError, RelativeRootData,
-                      make_relative_system)
+from .chevalley import ChevalleyAlgebra
+from .rootsys import RootSystem, RelativeRootData, make_relative_system
 from .scalars import QQ, DomainCyclotomic, Cyclotomic
 
 
@@ -391,7 +390,7 @@ def irreducible_components(system: RootSystem):
     out = []
     for group in comps.values():
         M = [[Fraction(x) for x in a] for a in group]
-        _, pivots, _ = linalg.rref(QQ, M)
+        _, pivots = linalg.rref(QQ, M)
         out.append({"roots": sorted(group), "rank": len(pivots)})
     out.sort(key=lambda c: c["roots"][0])
     return out

@@ -176,47 +176,48 @@ def check_LT4(g: GradedLieAlgebra, delta_set) -> tuple:
 
 
 def check_LT5(g: GradedLieAlgebra) -> tuple:
-    """The nonzero-root pieces must generate the whole algebra."""
+    """The nonzero-root pieces must generate the whole algebra.
+
+    The generated subalgebra is closed incrementally (de Graaf, Lie
+    Algebras: Theory and Algorithms, 1.6) in one echelon basis.  If
+    S_k = S_(k-1) + span(new_k) then [gens, S_k] lies in
+    S_k + [gens, new_k], so each round brackets the generators only with
+    the rows the last round added, and the closure is reached when a round
+    adds none.
+    """
     zero = _zero_q(g)
     dom = g.dom
-    gens = []
-    for i, e in enumerate(g.entries):
-        if e.qdeg != zero:
-            gens.append([dom.one() if t == i else dom.zero()
-                         for t in range(g.dim)])
-    span = [list(v) for v in gens]
-    frontier = [list(v) for v in gens]
-    while True:
+    basis = {i: [dom.one() if t == i else dom.zero() for t in range(g.dim)]
+             for i, e in enumerate(g.entries) if e.qdeg != zero}
+    gens = frontier = list(basis.values())
+    while frontier and len(basis) < g.dim:
         new = []
         for v in frontier:
             for u in gens:
-                w = g.bracket(u, v)
-                if any(w):
-                    new.append(w)
-        before = _span_rank(dom, span)
-        span.extend(new)
-        after = _span_rank(dom, span)
-        span = _reduce_span(dom, span)
-        if after == before:
-            break
+                row = _echelon_insert(dom, basis, g.bracket(u, v))
+                if row:
+                    new.append(row)
         frontier = new
-    if _span_rank(dom, span) == g.dim:
+    if len(basis) == g.dim:
         return True, None
-    return False, ("generated-dimension", _span_rank(dom, span), g.dim)
+    return False, ("generated-dimension", len(basis), g.dim)
 
 
-def _span_rank(dom, vs):
-    if not vs:
-        return 0
-    _, pivots, _ = linalg.rref(dom, [list(v) for v in vs])
-    return len(pivots)
-
-
-def _reduce_span(dom, vs):
-    if not vs:
-        return []
-    R, pivots, _ = linalg.rref(dom, [list(v) for v in vs])
-    return R[:len(pivots)]
+def _echelon_insert(dom, basis, w):
+    """Reduce w against the echelon basis {pivot: row}, each row 1 at its
+    pivot and 0 before it.  A nonzero remainder is normalized, added to
+    the basis and returned; None means w lies in the span."""
+    w = list(w)
+    for c in range(len(w)):
+        x = w[c]
+        if x and c in basis:
+            w = [a - x * b if b else a for a, b in zip(w, basis[c])]
+    pivot = next((c for c, x in enumerate(w) if x), None)
+    if pivot is None:
+        return None
+    inv = dom.inv(w[pivot])
+    basis[pivot] = [x * inv if x else x for x in w]
+    return basis[pivot]
 
 
 def classify_system(roots) -> str:
@@ -225,7 +226,7 @@ def classify_system(roots) -> str:
     if not roots:
         return "empty"
     M = [[Fraction(x) for x in a] for a in roots]
-    _, pivots, _ = linalg.rref(QQ, M)
+    _, pivots = linalg.rref(QQ, M)
     rank = len(pivots)
     rset = set(roots)
     reduced = all(tuple(2 * x for x in a) not in rset for a in roots)

@@ -104,13 +104,12 @@ def is_identity(dom, A):
 def rref(dom, A):
     """Reduced row echelon form over a field domain.
 
-    Returns (R, pivots, ops) where ops records the row operations as the
-    transform matrix applied on the left.
+    Returns (R, pivots): R is the reduced matrix, whose first len(pivots)
+    rows are nonzero, and pivots lists their pivot columns in order.
     """
     n = len(A)
     m = len(A[0]) if n else 0
     R = [list(row) for row in A]
-    T = identity(dom, n)
     pivots = []
     r = 0
     for c in range(m):
@@ -122,20 +121,17 @@ def rref(dom, A):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        T[r], T[pr] = T[pr], T[r]
         inv = dom.inv(R[r][c])
         R[r] = [x * inv for x in R[r]]
-        T[r] = [x * inv for x in T[r]]
         for i in range(n):
             if i != r and R[i][c]:
                 f = R[i][c]
                 R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
         pivots.append(c)
         r += 1
         if r == n:
             break
-    return R, pivots, T
+    return R, pivots
 
 
 def kernel_basis(dom, A):
@@ -145,7 +141,7 @@ def kernel_basis(dom, A):
     if n == 0:
         return [[dom.one() if i == j else dom.zero() for j in range(m)]
                 for i in range(m)]
-    R, pivots, _ = rref(dom, A)
+    R, pivots = rref(dom, A)
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
@@ -162,7 +158,7 @@ def solve(dom, A, b):
     n = len(A)
     m = len(A[0]) if n else 0
     aug = [list(row) + [b[i]] for i, row in enumerate(A)]
-    R, pivots, _ = rref(dom, aug)
+    R, pivots = rref(dom, aug)
     if m in pivots:
         return None
     x = [dom.zero()] * m
@@ -180,7 +176,7 @@ def left_inverse_coords(dom, A):
     d = len(A[0]) if n else 0
     aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]
            for i in range(n)]
-    R, pivots, _ = rref(dom, aug)
+    R, pivots = rref(dom, aug)
     if pivots[:d] != list(range(d)):
         raise ValueError("matrix is not injective")
     return [R[r][d:] for r in range(d)]
@@ -190,7 +186,7 @@ def matrix_inverse(dom, A):
     n = len(A)
     aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]
            for i in range(n)]
-    R, pivots, _ = rref(dom, aug)
+    R, pivots = rref(dom, aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [R[i][n:] for i in range(n)]

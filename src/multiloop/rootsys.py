@@ -19,8 +19,13 @@ class RootSystemError(ValueError):
 
 
 def cartan_matrix(type_label: str, rank: int):
-    """Cartan matrix with entries A[i][j] = <alpha_j, alpha_i^vee>,
-    Bourbaki numbering."""
+    """Cartan matrix with entries A[i][j] = <alpha_j, alpha_i^vee>.
+
+    A-D, F4 and G2 follow Bourbaki's numbering.  E6-E8 do not: nodes
+    1..r-1 form a chain and node r is attached to node 3 (Bourbaki's
+    alpha_2 is the branch).  Diagram permutations are read in this
+    numbering, so it is kept.
+    """
     t = type_label.upper()
     r = rank
 
@@ -60,8 +65,7 @@ def cartan_matrix(type_label: str, rank: int):
             row.append(0)
         A.append([0] * r)
         A[r - 1][r - 1] = 2
-        # node r attaches to node 3 (Bourbaki: alpha_2 is the branch node,
-        # but a chain + one branch gives the same isomorphism type)
+        # node r attaches to node 3
         A[r - 1][2] = -1
         A[2][r - 1] = -1
         return A

@@ -10,7 +10,6 @@ text serialization.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -270,16 +269,6 @@ def _qpolydivmod(num, den):
     return out, num[:dd]
 
 
-def cyclotomic_embed(r, m: int) -> Cyclotomic:
-    """The constant r inside Q(zeta_m)."""
-    return Cyclotomic.from_rational(r, m)
-
-
-def root_power(m: int, k: int) -> Cyclotomic:
-    """zeta_m^k, canonically reduced."""
-    return Cyclotomic.root(m, k)
-
-
 def cyc_show(x: Cyclotomic) -> str:
     return "[%d; %s]" % (x.order, ",".join(rat_show(c) for c in x.coeffs))
 
@@ -327,12 +316,6 @@ class LaurentPoly:
         expo = [0] * nvars
         expo[i] = 1
         return LaurentPoly(nvars, {tuple(expo): one})
-
-    def monomial_shift(self, expo) -> "LaurentPoly":
-        expo = tuple(expo)
-        return LaurentPoly(self.nvars,
-                           {tuple(a + b for a, b in zip(k, expo)): c
-                            for k, c in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -397,9 +380,6 @@ class LaurentPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_unit_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __repr__(self):
         return lp_show(self)
@@ -471,10 +451,6 @@ class TruncSeries:
     def is_polynomial(self) -> bool:
         """All stored data exact (no truncation horizon)."""
         return self.prec is None
-
-    def max_degree(self):
-        ds = self.degrees()
-        return max(ds) if ds else None
 
     # -- construction --------------------------------------------------------
 

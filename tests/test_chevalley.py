@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from multiloop.scalars import QQ
 from conftest import algebra
 
 DIMS = {("A", 1): 3, ("A", 2): 8, ("B", 2): 10, ("G", 2): 14,
-        ("A", 3): 15, ("D", 4): 28}
+        ("A", 3): 15, ("D", 4): 28, ("E", 6): 78}
 
 
 def test_dimensions():
@@ -204,3 +205,85 @@ def test_serialize_contains_constants():
     text = alg.serialize()
     assert text.startswith("chevalley A1 dim=3")
     assert "basis" in text
+
+
+# -- the Jacobi check can fail ------------------------------------------------
+
+def _jacobi_oracle(alg):
+    """The first failure of the dense check over Q: basis vectors bracketed
+    through alg.bracket, antisymmetry on each pair i < j and then Jacobi on
+    its triples i < j < k.  None when everything holds."""
+    d = alg.dim
+    e = [alg.basis_vector(QQ, i) for i in range(d)]
+
+    def br(x, y):
+        return alg.bracket(QQ, x, y)
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            bij = br(e[i], e[j])
+            if any(a + b for a, b in zip(bij, br(e[j], e[i]))):
+                return "antisymmetry fails at (%d,%d)" % (i, j)
+            for k in range(j + 1, d):
+                terms = zip(br(bij, e[k]), br(br(e[j], e[k]), e[i]),
+                            br(br(e[k], e[i]), e[j]))
+                if any(a + b + c for a, b, c in terms):
+                    return "Jacobi fails at triple (%d,%d,%d)" % (i, j, k)
+    return None
+
+
+def _corrupted(alg, keys, scale, shift=0):
+    """A copy of alg whose constants at the given table keys are c * scale
+    + shift; the table of alg itself is left alone."""
+    bad = copy.copy(alg)
+    bad.table = dict(alg.table)
+    for key in keys:
+        bad.table[key] = [(k, c * scale + shift) for k, c in alg.table[key]]
+    return bad
+
+
+def _root_root_pair(alg):
+    """The middle one, in order, of the pairs i < j of roots whose sum is a
+    root."""
+    nroots = len(alg.roots)
+    pairs = sorted((i, j) for i, j in alg.table
+                   if i < j < nroots and alg.table[(i, j)][0][0] < nroots)
+    return pairs[len(pairs) // 2]
+
+
+def _cartan_root_pair(alg):
+    """The first Cartan element h and the first root index b with
+    [h, e_b] != 0.  h comes after every root, so a triple of h and two
+    roots has h last."""
+    h = len(alg.roots)
+    return h, min(j for i, j in alg.table if i == h)
+
+
+@pytest.mark.parametrize("t,r", [("B", 3), ("G", 2)])
+@pytest.mark.parametrize("pick,scale", [(_root_root_pair, -1),
+                                        (_cartan_root_pair, 2)])
+def test_jacobi_detects_a_changed_constant(t, r, pick, scale):
+    alg = algebra(t, r)
+    i, j = pick(alg)
+    # [e_i, e_j] and [e_j, e_i] changed together: antisymmetry still holds
+    bad = _corrupted(alg, [(i, j), (j, i)], scale)
+    want = _jacobi_oracle(bad)
+    assert want.startswith("Jacobi fails")
+    with pytest.raises(ChevalleyError) as err:
+        bad._verify_jacobi()
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("t,r", [("B", 3), ("G", 2)])
+def test_jacobi_detects_broken_antisymmetry(t, r):
+    alg = algebra(t, r)
+    # [e_0, h] changed for the first Cartan h with [e_0, h] != 0, [h, e_0]
+    # kept
+    h = min(j for i, j in alg.table if i == 0 and j >= len(alg.roots))
+    bad = _corrupted(alg, [(0, h)], 1, shift=1)
+    want = _jacobi_oracle(bad)
+    assert want == "antisymmetry fails at (0,%d)" % h
+    with pytest.raises(ChevalleyError) as err:
+        bad._verify_jacobi()
+    assert str(err.value) == want
+    assert _jacobi_oracle(alg) is None

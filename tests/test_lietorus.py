@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from multiloop import linalg
 from multiloop.chevalley import torus_automorphism
 from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                MultiloopSpec, build_multiloop,
@@ -9,6 +11,7 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
 from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
                                 classify_system, lie_torus_check,
                                 pairing_from_strings)
+from multiloop.cli import _graded_from_spec, parse_spec_file
 from multiloop.scalars import QQ
 
 from conftest import algebra
@@ -135,3 +138,101 @@ def test_lt4_counterexample_on_fat_piece():
     ok, witness, _ = check_LT4(g, {(1,), (-1,)})
     assert not ok
     assert witness[0] in ("piece-dimension", "no-opposite-piece")
+
+
+# -- LT5 against a brute-force closure --------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _lt5_oracle(g):
+    """The generated subalgebra by brute force: bracket every generator with
+    every unreduced vector of the last round and recompute the rank of the
+    whole span with a full rref, until the rank stops rising.  Returns
+    (verdict, counterexample, rounds)."""
+    zero = (0,) * g.qrank
+    dom = g.dom
+
+    def rank(vs):
+        return len(linalg.rref(dom, vs)[1]) if vs else 0
+
+    gens = [[dom.one() if t == i else dom.zero() for t in range(g.dim)]
+            for i, e in enumerate(g.entries) if e.qdeg != zero]
+    span, frontier, rounds = list(gens), list(gens), 0
+    while True:
+        rounds += 1
+        new = []
+        for v in frontier:
+            for u in gens:
+                w = g.bracket(u, v)
+                if any(w):
+                    new.append(w)
+        before = rank(span)
+        span += new
+        if rank(span) == before:
+            break
+        frontier = new
+    r = rank(span)
+    if r == g.dim:
+        return True, None, rounds
+    return False, ("generated-dimension", r, g.dim), rounds
+
+
+def _graded(text):
+    alg, spec, rows, full = parse_spec_file(text, 2)
+    return _graded_from_spec(alg, spec, rows, full)
+
+
+SPECS = {path.name: path.read_text() for path in sorted(FIXTURES.glob("*.ml"))}
+SPECS["flip_m4"] = ("multiloop type=A rank=2 n=1 m=4\n"
+                    "sigma diagram 1 0\ncartan h 1 1\n")
+SPECS["torus_A2_m2"] = ("multiloop type=A rank=2 n=1 m=2\n"
+                        "sigma torus -1 1\ncartan full\n")
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_lt5_matches_brute_force_closure(name):
+    g = _graded(SPECS[name])
+    verdict, witness, _ = _lt5_oracle(g)
+    assert check_LT5(g) == (verdict, witness)
+
+
+def _hand_built(q_labels, brackets, check=True):
+    """A GradedLieAlgebra over Q with trivial lattice grading, the given
+    q-degrees and the brackets {(i, j): [(k, c)]}, antisymmetrized."""
+    n = len(q_labels)
+    entries = [GradedBasisVector((q,), (), tuple(Fraction(int(t == i))
+                                                 for t in range(n)))
+               for i, q in enumerate(q_labels)]
+    table = {}
+    for (i, j), terms in brackets.items():
+        table[(i, j)] = [(k, Fraction(c)) for k, c in terms]
+        table[(j, i)] = [(k, Fraction(-c)) for k, c in terms]
+    return GradedLieAlgebra(QQ, 0, 1, entries, table, check=check)
+
+
+def test_lt5_proper_subalgebra_of_gl2():
+    # gl2 = sl2 + centre: e, f generate h in the first round, the centre
+    # z is never reached
+    e, f, h, z = range(4)
+    g = _hand_built([2, -2, 0, 0], {(e, f): [(h, 1)], (h, e): [(e, 2)],
+                                    (h, f): [(f, -2)]})
+    verdict, witness, rounds = _lt5_oracle(g)
+    assert rounds >= 2
+    assert check_LT5(g) == (verdict, witness) == \
+        (False, ("generated-dimension", 3, 4))
+
+
+def test_lt5_closure_over_several_rounds():
+    # the filiform algebra [x, y] = z1, [x, z1] = z2, [x, z2] = z3 plus a
+    # central c.  The q labels only pick x and y as generators; they are not
+    # a grading of the table (so it is built unchecked), which makes the
+    # closure take one round per z.
+    x, y, z1, z2, z3, c = range(6)
+    g = _hand_built([1, -1, 0, 0, 0, 0],
+                    {(x, y): [(z1, 1)], (x, z1): [(z2, 1)],
+                     (x, z2): [(z3, 1)]}, check=False)
+    verdict, witness, rounds = _lt5_oracle(g)
+    assert rounds >= 4
+    assert check_LT5(g) == (verdict, witness) == \
+        (False, ("generated-dimension", 5, 6))

@@ -165,3 +165,58 @@ def test_generic_functional_positive(weights):
     f = generic_functional(sorted(weights))
     for w in weights:
         assert sum(x * y for x, y in zip(w, f)) != 0
+
+
+# -- sympy.liealgebras as an independent oracle ------------------------------
+
+SYMPY_TYPES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+               ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6),
+               ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _relabelling(A, B):
+    """A permutation p with A[i][j] == B[p[i]][p[j]] for all i, j, or None
+    (backtracking over the nodes in order)."""
+    n = len(A)
+
+    def extend(p):
+        i = len(p)
+        if i == n:
+            return p
+        for c in range(n):
+            if c not in p and all(A[i][k] == B[c][p[k]] and
+                                  A[k][i] == B[p[k]][c] for k in range(i)) \
+                    and A[i][i] == B[c][c]:
+                found = extend(p + [c])
+                if found:
+                    return found
+        return None
+
+    return extend([])
+
+
+@pytest.mark.parametrize("t,r", SYMPY_TYPES)
+def test_root_data_match_sympy(t, r):
+    """Root count, squared root lengths and Cartan matrix against sympy.
+
+    sympy's Cartan matrices of B, C and G2 are the transposes of ours (F4's
+    is not), so either orientation is accepted; the lengths are what tells
+    B from C.  sympy's E-type root lists repeat some vectors, so the roots
+    themselves are not compared.  (sympy fails on A1 and on C2.)"""
+    sympy_rs = pytest.importorskip("sympy.liealgebras.root_system")
+    sympy_cm = pytest.importorskip("sympy.liealgebras.cartan_matrix")
+    label = "%s%d" % (t, r)
+    theirs = list(sympy_rs.RootSystem(label).all_roots().values())
+    rs = build_root_system(t, r)
+    assert len(rs.roots) == len(theirs)
+
+    def scaled(lengths):
+        least = min(lengths)
+        return sorted(x / least for x in lengths)
+
+    assert scaled([rs.inner(a, a) for a in rs.roots]) == \
+        scaled([Fraction(str(sum(x * x for x in v))) for v in theirs])
+    B = sympy_cm.CartanMatrix(label).tolist()
+    A = cartan_matrix(t, r)
+    At = [list(col) for col in zip(*A)]
+    assert _relabelling(A, B) or _relabelling(At, B)
