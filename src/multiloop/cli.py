@@ -8,6 +8,7 @@ seed; timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -63,6 +64,45 @@ class SessionConfig:
     def validate(self):
         if self.precision < 2:
             raise UsageError("precision must be at least 2")
+        for name in ("conductor", "budget_gamma", "budget_coeff"):
+            if getattr(self, name) < 1:
+                raise UsageError("%s must be at least 1"
+                                 % name.replace("_", "-"))
+
+
+FORMATS = ("text", "machine")
+# SessionConfig field -> the environment variable read when its global flag
+# is not given; without either, the field keeps its default
+ENV_VARS = {"precision": "MULTILOOP_PRECISION", "seed": "MULTILOOP_SEED",
+            "conductor": "MULTILOOP_CONDUCTOR",
+            "budget_gamma": "MULTILOOP_BUDGET_GAMMA",
+            "budget_coeff": "MULTILOOP_BUDGET_COEFF",
+            "fmt": "MULTILOOP_FORMAT"}
+
+
+def session_config(args) -> SessionConfig:
+    cfg = SessionConfig()
+    for name, var in ENV_VARS.items():
+        value = getattr(args, name)
+        if value is None and var in os.environ:
+            value = _env_value(var, os.environ[var], getattr(cfg, name))
+        if value is not None:
+            setattr(cfg, name, value)
+    cfg.validate()
+    return cfg
+
+
+def _env_value(var, text, default):
+    """``text`` read as the type of ``default``."""
+    if isinstance(default, str):
+        if text not in FORMATS:
+            raise UsageError("%s=%r is not one of %s"
+                             % (var, text, ", ".join(FORMATS)))
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("%s=%r is not an integer" % (var, text)) from None
 
 
 @dataclass
@@ -89,20 +129,17 @@ class ReportBundle:
         return "\n".join(lines)
 
 
+@functools.cache
 def build_parser():
+    """The one parser of every request, built on first use."""
     p = _Parser(prog="multiloop", description=__doc__)
-    p.add_argument("--precision", type=int,
-                   default=int(os.environ.get("MULTILOOP_PRECISION", 8)))
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("MULTILOOP_SEED", 0)))
-    p.add_argument("--conductor", type=int,
-                   default=int(os.environ.get("MULTILOOP_CONDUCTOR", 2)))
-    p.add_argument("--budget-gamma", type=int,
-                   default=int(os.environ.get("MULTILOOP_BUDGET_GAMMA", 96)))
-    p.add_argument("--budget-coeff", type=int,
-                   default=int(os.environ.get("MULTILOOP_BUDGET_COEFF", 24)))
-    p.add_argument("--format", choices=["text", "machine"],
-                   default=os.environ.get("MULTILOOP_FORMAT", "text"))
+    # global flags default to None: session_config resolves them per call
+    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--conductor", type=int, default=None)
+    p.add_argument("--budget-gamma", type=int, default=None)
+    p.add_argument("--budget-coeff", type=int, default=None)
+    p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("algebra")
@@ -409,6 +446,10 @@ def _inversion_perm(A):
 
 
 def _cocycle_setup(cfg, args):
+    if args.n < 0:
+        raise UsageError("--n must be at least 0")
+    if args.discrepancy < 0:
+        raise UsageError("--discrepancy must be at least 0")
     gamma0 = _make_gamma0(args.gamma0)
     A = _make_coeff_group(args.coeff)
     m = cfg.conductor
@@ -509,11 +550,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = SessionConfig(precision=args.precision, seed=args.seed,
-                            conductor=args.conductor,
-                            budget_gamma=args.budget_gamma,
-                            budget_coeff=args.budget_coeff, fmt=args.format)
-        cfg.validate()
+        cfg = session_config(args)
         results, code = DISPATCH[args.cmd](cfg, args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

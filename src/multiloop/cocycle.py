@@ -2,7 +2,11 @@
 1-cocycles, inflation-restriction, and the finite-level diagonal argument.
 
 Everything is exhaustive: group axioms, cocycle identities, and exactness
-statements are verified by enumeration within configured budgets.
+statements are verified by enumeration within configured budgets.  Groups
+are stored as integer Cayley tables and the checks run on element
+positions, but none is shortened: associativity covers all |G|^3 triples,
+the cocycle identity all |G|^2 pairs, and the action all |G|^2 * |A|
+homomorphism conditions.
 """
 
 from __future__ import annotations
@@ -24,55 +28,66 @@ DEFAULT_BUDGET_COEFF = 24
 
 
 class FiniteGroup:
-    """Explicit finite group on hashable labels with verified axioms."""
+    """Explicit finite group on hashable labels with verified axioms.
+
+    The product is an integer Cayley table: ``rows[i][j]`` is the position
+    of ``elements[i] * elements[j]``; ``e`` is the identity's position and
+    ``inv_index`` maps each position to its inverse's.
+    """
 
     def __init__(self, elements, mult_fn, name="G", verify=True):
         self.elements = list(elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.name = name
-        self.table = {}
+        self.rows = []
         for a in self.elements:
-            for b in self.elements:
-                c = mult_fn(a, b)
-                if c not in self.index:
-                    raise CocycleError("%s is not closed under product" % name)
-                self.table[(a, b)] = c
-        self.identity = self._find_identity()
-        self.inverse = self._find_inverses()
+            row = [self.index.get(mult_fn(a, b)) for b in self.elements]
+            if None in row:
+                raise CocycleError("%s is not closed under product" % name)
+            self.rows.append(row)
+        self.e = self._find_identity()
+        self.identity = self.elements[self.e]
+        self.inv_index = self._find_inverses()
+        self.inverse = {g: self.elements[i]
+                        for g, i in zip(self.elements, self.inv_index)}
         if verify:
             self._verify_associativity()
 
     def _find_identity(self):
-        for e in self.elements:
-            if all(self.table[(e, g)] == g and self.table[(g, e)] == g
-                   for g in self.elements):
+        rows = self.rows
+        for e in range(len(rows)):
+            if rows[e] == list(range(len(rows))) and \
+                    all(row[e] == g for g, row in enumerate(rows)):
                 return e
         raise CocycleError("%s has no identity" % self.name)
 
     def _find_inverses(self):
-        inv = {}
-        for g in self.elements:
-            for h in self.elements:
-                if self.table[(g, h)] == self.identity and \
-                        self.table[(h, g)] == self.identity:
-                    inv[g] = h
-                    break
-            else:
-                raise CocycleError("%s: no inverse for %s" % (self.name, g))
+        rows, e = self.rows, self.e
+        inv = []
+        for g, row in enumerate(rows):
+            h = next((h for h, gh in enumerate(row)
+                      if gh == e and rows[h][g] == e), None)
+            if h is None:
+                raise CocycleError("%s: no inverse for %s"
+                                   % (self.name, self.elements[g]))
+            inv.append(h)
         return inv
 
     def _verify_associativity(self):
-        for a in self.elements:
-            for b in self.elements:
-                ab = self.table[(a, b)]
-                for c in self.elements:
-                    if self.table[(ab, c)] != self.table[(a, self.table[(b, c)])]:
-                        raise CocycleError(
-                            "%s: associativity fails at %s,%s,%s" %
-                            (self.name, a, b, c))
+        """(ab)c = a(bc) on every triple, one row of c at a time."""
+        rows = self.rows
+        for a, ra in enumerate(rows):
+            for b, ab in enumerate(ra):
+                if rows[ab] != list(map(ra.__getitem__, rows[b])):
+                    c = next(c for c, bc in enumerate(rows[b])
+                             if rows[ab][c] != ra[bc])
+                    el = self.elements
+                    raise CocycleError(
+                        "%s: associativity fails at %s,%s,%s" %
+                        (self.name, el[a], el[b], el[c]))
 
     def mul(self, a, b):
-        return self.table[(a, b)]
+        return self.elements[self.rows[self.index[a]][self.index[b]]]
 
     def inv(self, a):
         return self.inverse[a]
@@ -81,26 +96,26 @@ class FiniteGroup:
         return len(self.elements)
 
     def generators(self):
-        """A greedy small generating sequence."""
+        """A greedy small generating sequence, as positions."""
         gens = []
-        span = {self.identity}
-        for g in self.elements:
+        span = {self.e}
+        for g in range(len(self.rows)):
             if g in span:
                 continue
             gens.append(g)
             span = self._closure(gens)
-            if len(span) == len(self.elements):
+            if len(span) == len(self.rows):
                 break
         return gens
 
     def _closure(self, gens):
-        span = {self.identity}
-        frontier = [self.identity]
+        span = {self.e}
+        frontier = [self.e]
         while frontier:
             nxt = []
             for a in frontier:
                 for s in gens:
-                    b = self.table[(a, s)]
+                    b = self.rows[a][s]
                     if b not in span:
                         span.add(b)
                         nxt.append(b)
@@ -109,9 +124,8 @@ class FiniteGroup:
 
     def serialize(self):
         lines = ["group %s order=%d" % (self.name, len(self.elements))]
-        for a in self.elements:
-            lines.append("  " + " ".join(str(self.table[(a, b)])
-                                         for b in self.elements))
+        for row in self.rows:
+            lines.append("  " + " ".join(str(self.elements[c]) for c in row))
         return "\n".join(lines)
 
 
@@ -163,7 +177,7 @@ def cover_group(n: int, m: int, gamma0: FiniteGroup, units) -> FiniteGroup:
         t1, g1 = x
         t2, g2 = y
         u = units[g1]
-        t = tuple((a + u * b) % m for a, b in zip(t1, t2))
+        t = tuple([(a + u * b) % m for a, b in zip(t1, t2)])
         return (t, gamma0.mul(g1, g2))
 
     return FiniteGroup(elems, mul, "(Z/%d)^%d:%s" % (m, n, gamma0.name))
@@ -171,30 +185,35 @@ def cover_group(n: int, m: int, gamma0: FiniteGroup, units) -> FiniteGroup:
 
 @dataclass
 class CoefficientGroup:
-    """A finite group with an action of a cover group by automorphisms."""
+    """A finite group with an action of a cover group by automorphisms.
+
+    ``act`` is keyed by labels; ``perm[g][a]`` is the position of
+    g . a for positions g of the cover and a of A.
+    """
     A: FiniteGroup
     cover: FiniteGroup
     act: dict                      # cover element -> {a: image}
+    perm: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for g in self.cover.elements:
-            perm = self.act[g]
-            for a in self.A.elements:
-                for b in self.A.elements:
-                    if perm[self.A.mul(a, b)] != self.A.mul(perm[a], perm[b]):
-                        raise CocycleError(
-                            "action of %s is not an automorphism" % (g,))
-        e = self.cover.identity
-        for a in self.A.elements:
-            if self.act[e][a] != a:
-                raise CocycleError("identity does not act trivially")
-        for g in self.cover.elements:
-            for h in self.cover.elements:
-                gh = self.cover.mul(g, h)
-                for a in self.A.elements:
-                    if self.act[gh][a] != self.act[g][self.act[h][a]]:
-                        raise CocycleError(
-                            "action is not a homomorphism at %s,%s" % (g, h))
+        A, G = self.A, self.cover
+        self.perm = [[A.index[self.act[g][a]] for a in A.elements]
+                     for g in G.elements]
+        for g, p in zip(G.elements, self.perm):
+            for a, row in enumerate(A.rows):
+                if list(map(p.__getitem__, row)) != \
+                        list(map(A.rows[p[a]].__getitem__, p)):
+                    raise CocycleError(
+                        "action of %s is not an automorphism" % (g,))
+        if self.perm[G.e] != list(range(len(A))):
+            raise CocycleError("identity does not act trivially")
+        for g, row in enumerate(G.rows):
+            pg = self.perm[g]
+            for h, gh in enumerate(row):
+                if self.perm[gh] != list(map(pg.__getitem__, self.perm[h])):
+                    raise CocycleError(
+                        "action is not a homomorphism at %s,%s"
+                        % (G.elements[g], G.elements[h]))
 
     def apply(self, g, a):
         return self.act[g][a]
@@ -220,6 +239,14 @@ def galois_action(cover: FiniteGroup, A: FiniteGroup,
 class Cocycle:
     coeff: CoefficientGroup
     values: dict                   # cover element -> A element
+    pos: list = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        # pos[g] is the A-position of z(g) for the cover position g, so
+        # values is not changed after construction
+        if self.pos is None:
+            self.pos = [self.coeff.A.index[self.values[g]]
+                        for g in self.coeff.cover.elements]
 
     def __call__(self, g):
         return self.values[g]
@@ -231,16 +258,23 @@ class Cocycle:
         return "\n".join(lines)
 
 
+def _from_positions(coeff: CoefficientGroup, pos) -> Cocycle:
+    labels = map(coeff.A.elements.__getitem__, pos)
+    return Cocycle(coeff, dict(zip(coeff.cover.elements, labels)), pos)
+
+
 def is_cocycle(z: Cocycle):
     """Exhaustive check of z(gh) = z(g) (g . z(h)); returns (ok, witness)."""
     G = z.coeff.cover
     A = z.coeff.A
-    for g in G.elements:
-        for h in G.elements:
-            lhs = z.values[G.mul(g, h)]
-            rhs = A.mul(z.values[g], z.coeff.apply(g, z.values[h]))
-            if lhs != rhs:
-                return False, (g, h)
+    v = z.pos
+    for g, row in enumerate(G.rows):
+        lhs = list(map(v.__getitem__, row))
+        rhs = list(map(A.rows[v[g]].__getitem__,
+                       map(z.coeff.perm[g].__getitem__, v)))
+        if lhs != rhs:
+            h = next(h for h, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return False, (G.elements[g], G.elements[h])
     return True, None
 
 
@@ -251,12 +285,11 @@ def trivial_cocycle(coeff: CoefficientGroup) -> Cocycle:
 
 def twist_cocycle(z: Cocycle, a) -> Cocycle:
     """The cohomologous cocycle g -> a^{-1} z(g) (g . a)."""
-    G = z.coeff.cover
     A = z.coeff.A
-    ai = A.inv(a)
-    vals = {g: A.mul(A.mul(ai, z.values[g]), z.coeff.apply(g, a))
-            for g in G.elements}
-    return Cocycle(z.coeff, vals)
+    i = A.index[a]
+    left = A.rows[A.inv_index[i]]
+    return _from_positions(z.coeff, [A.rows[left[v]][p[i]] for v, p
+                                     in zip(z.pos, z.coeff.perm)])
 
 
 def cohomologous(z1: Cocycle, z2: Cocycle):
@@ -275,7 +308,9 @@ def h1_enumerate(coeff: CoefficientGroup,
 
     Returns (class representatives sorted, all cocycles).  Enumeration
     assigns values on a generating sequence and propagates along the Cayley
-    graph, then verifies exhaustively.
+    graph, then verifies exhaustively.  Twisting is an action of A, so the
+    twists of a cocycle are its whole class: each class is twisted once,
+    and its key is the least label tuple among them.
     """
     G = coeff.cover
     A = coeff.A
@@ -287,43 +322,48 @@ def h1_enumerate(coeff: CoefficientGroup,
                              % (len(A), budget_coeff))
     gens = G.generators()
     cocycles = []
-    for assignment in itertools.product(A.elements, repeat=len(gens)):
-        vals = _propagate(coeff, gens, assignment)
-        if vals is None:
+    for assignment in itertools.product(range(len(A)), repeat=len(gens)):
+        pos = _propagate(coeff, gens, assignment)
+        if pos is None:
             continue
-        z = Cocycle(coeff, vals)
+        z = _from_positions(coeff, pos)
         ok, _ = is_cocycle(z)
         if ok:
             cocycles.append(z)
+    keys = {}
     classes = {}
     for z in cocycles:
-        key = min(tuple(twist_cocycle(z, a).values[g] for g in G.elements)
-                  for a in A.elements)
-        classes.setdefault(key, []).append(z)
+        if tuple(z.pos) not in keys:
+            orbit = [twist_cocycle(z, a) for a in A.elements]
+            key = min(tuple(w.values.values()) for w in orbit)
+            keys.update((tuple(w.pos), key) for w in orbit)
+        classes.setdefault(keys[tuple(z.pos)], []).append(z)
     reps = [classes[k][0] for k in sorted(classes)]
     return reps, cocycles
 
 
 def _propagate(coeff, gens, assignment):
+    """Positions z(g) from the values at the generators (all positions),
+    or None when the Cayley graph gives a vertex two values."""
     G = coeff.cover
     A = coeff.A
-    vals = {G.identity: A.identity}
-    gen_vals = dict(zip(gens, assignment))
-    frontier = [G.identity]
+    vals = [None] * len(G)
+    vals[G.e] = A.e
+    frontier = [G.e]
     while frontier:
         nxt = []
         for g in frontier:
-            for s in gens:
-                gs = G.mul(g, s)
-                v = A.mul(vals[g], coeff.apply(g, gen_vals[s]))
-                if gs in vals:
-                    if vals[gs] != v:
-                        return None
-                else:
+            row, zg, pg = G.rows[g], A.rows[vals[g]], coeff.perm[g]
+            for s, x in zip(gens, assignment):
+                gs = row[s]
+                v = zg[pg[x]]
+                if vals[gs] is None:
                     vals[gs] = v
                     nxt.append(gs)
+                elif vals[gs] != v:
+                    return None
         frontier = nxt
-    if len(vals) != len(G):
+    if None in vals:
         return None
     return vals
 

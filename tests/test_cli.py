@@ -130,6 +130,47 @@ def test_budget_exhaustion_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("env, argv, message", [
+    ({}, ["--conductor", "0", "cocycle", "enumerate"],
+     "conductor must be at least 1"),
+    ({}, ["--conductor", "-2", "cocycle", "enumerate"],
+     "conductor must be at least 1"),
+    ({}, ["--budget-gamma", "-1", "cocycle", "enumerate"],
+     "budget-gamma must be at least 1"),
+    ({}, ["--budget-coeff", "0", "cocycle", "enumerate"],
+     "budget-coeff must be at least 1"),
+    ({}, ["cocycle", "enumerate", "--n", "-1"], "--n must be at least 0"),
+    ({}, ["cocycle", "diagonal", "--discrepancy", "-2"],
+     "--discrepancy must be at least 0"),
+    ({"MULTILOOP_PRECISION": "abc"}, ["algebra", "build", "A", "1"],
+     "MULTILOOP_PRECISION='abc' is not an integer"),
+    ({"MULTILOOP_CONDUCTOR": "0"}, ["cocycle", "enumerate"],
+     "conductor must be at least 1"),
+    ({"MULTILOOP_FORMAT": "xml"}, ["algebra", "build", "A", "1"],
+     "MULTILOOP_FORMAT='xml' is not one of text, machine"),
+], ids=["conductor-0", "conductor-neg", "budget-gamma-neg", "budget-coeff-0",
+        "n-neg", "discrepancy-neg", "env-precision", "env-conductor",
+        "env-format"])
+def test_bad_settings_are_usage_errors(capsys, monkeypatch, env, argv,
+                                       message):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "usage error: %s\n" % message
+    assert "Traceback" not in err
+
+
+def test_flag_overrides_environment(capsys, monkeypatch):
+    monkeypatch.setenv("MULTILOOP_PRECISION", "abc")
+    monkeypatch.setenv("MULTILOOP_CONDUCTOR", "3")
+    code, out, _ = run(capsys, "--precision", "5", "--format", "machine",
+                       "cocycle", "enumerate", "--n", "0")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["precision"] == 5 and config["conductor"] == 3
+
+
 def _word_file(tmp_path, name, letters):
     path = tmp_path / name
     path.write_text("algebra A 2\nground Q\nword ring=series letters=%d\n%s\n"

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from multiloop.cocycle import (BudgetExceeded, Cocycle, CocycleError,
@@ -9,7 +12,7 @@ from multiloop.cocycle import (BudgetExceeded, Cocycle, CocycleError,
                                power_pullback, quotient_coefficients,
                                restrict_to_subgroup, symmetric_group_3,
                                trivial_action, trivial_cocycle, trivial_group,
-                               twist_cocycle)
+                               twist_cocycle, twisted_coefficients)
 
 
 def test_group_constructors():
@@ -231,3 +234,238 @@ def test_diagonal_argument_nontrivial_eta1():
         assert 1 <= d <= setup.m
         ran += 1
     assert ran >= 2
+
+
+# ---------------------------------------------------------------------------
+# Integer Cayley tables against the label-keyed algorithms they replaced,
+# kept here as test-local oracles.
+
+def _oracle_associativity(elements, mult_fn, name):
+    table = {(a, b): mult_fn(a, b) for a in elements for b in elements}
+    for a in elements:
+        for b in elements:
+            ab = table[(a, b)]
+            for c in elements:
+                if table[(ab, c)] != table[(a, table[(b, c)])]:
+                    return "%s: associativity fails at %s,%s,%s" % (
+                        name, a, b, c)
+    return None
+
+
+def _oracle_is_cocycle(coeff, values):
+    G, A = coeff.cover, coeff.A
+    for g in G.elements:
+        for h in G.elements:
+            if values[G.mul(g, h)] != A.mul(values[g],
+                                            coeff.apply(g, values[h])):
+                return False, (g, h)
+    return True, None
+
+
+def _oracle_generators(G):
+    gens = []
+    span = {G.identity}
+    for g in G.elements:
+        if g in span:
+            continue
+        gens.append(g)
+        span, frontier = {G.identity}, {G.identity}
+        while frontier:
+            frontier = {G.mul(a, s) for a in frontier for s in gens} - span
+            span |= frontier
+        if len(span) == len(G.elements):
+            break
+    return gens
+
+
+def _oracle_propagate(coeff, gens, assignment):
+    G, A = coeff.cover, coeff.A
+    vals = {G.identity: A.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, x in zip(gens, assignment):
+                gs = G.mul(g, s)
+                v = A.mul(vals[g], coeff.apply(g, x))
+                if gs not in vals:
+                    vals[gs] = v
+                    nxt.append(gs)
+                elif vals[gs] != v:
+                    return None
+        frontier = nxt
+    return vals if len(vals) == len(G.elements) else None
+
+
+def _oracle_h1(coeff):
+    """Cocycles by label propagation; each one's class key is the least
+    label tuple over all of its twists."""
+    G, A = coeff.cover, coeff.A
+    gens = _oracle_generators(G)
+    cocycles = []
+    for assignment in itertools.product(A.elements, repeat=len(gens)):
+        vals = _oracle_propagate(coeff, gens, assignment)
+        if vals is not None and _oracle_is_cocycle(coeff, vals)[0]:
+            cocycles.append(vals)
+    classes = {}
+    for vals in cocycles:
+        key = min(tuple(A.mul(A.mul(A.inv(a), vals[g]), coeff.apply(g, a))
+                        for g in G.elements) for a in A.elements)
+        classes.setdefault(key, []).append(vals)
+    return [classes[k][0] for k in sorted(classes)], cocycles
+
+
+def _inverting(cover, gamma0, A):
+    inv = {a: A.inv(a) for a in A.elements}
+    ident = {a: a for a in A.elements}
+    return galois_action(cover, A, {g: ident if g == gamma0.identity else inv
+                                    for g in gamma0.elements})
+
+
+def _oracle_configs():
+    z2, s3 = cyclic_group(2), symmetric_group_3()
+    v4 = direct_product(cyclic_group(2), cyclic_group(2))
+    yield "Z2 on S3", trivial_action(cover_group(1, 2, trivial_group(), {}),
+                                     s3)
+    yield "Z4^2 on V4", trivial_action(
+        cover_group(2, 4, trivial_group(), {}), v4)
+    yield "Z3:Z2 inverts Z3", _inverting(
+        cover_group(1, 3, z2, {1: 2}), z2, cyclic_group(3))
+    yield "Z4^2:Z2 inverts Z4", _inverting(
+        cover_group(2, 4, z2, {1: 3}), z2, cyclic_group(4))
+    yield "Z2^2:Z2 inverts V4", _inverting(
+        cover_group(2, 2, z2, {1: 1}), z2, v4)
+    yield "order 48 on S3", trivial_action(
+        cover_group(2, 4, cyclic_group(3), {}), s3)
+    yield "Z2^3:S3 on Z2", trivial_action(cover_group(3, 2, s3, {}), z2)
+    # S3 acted on by conjugation through a nontrivial cocycle
+    coeff = trivial_action(cover_group(1, 4, trivial_group(), {}), s3)
+    eta = next(z for z in h1_enumerate(coeff)[0]
+               if set(z.values.values()) != {s3.identity})
+    yield "Z4 on S3 by conjugation", twisted_coefficients(coeff, eta)
+
+
+ORACLE_CONFIGS = [pytest.param(name, coeff, id=name)
+                  for name, coeff in _oracle_configs()]
+
+
+@pytest.mark.parametrize("name, coeff", ORACLE_CONFIGS)
+def test_h1_enumerate_matches_label_oracle(name, coeff):
+    reps, cocycles = h1_enumerate(coeff)
+    want_reps, want_cocycles = _oracle_h1(coeff)
+    assert [z.values for z in cocycles] == want_cocycles
+    assert [z.values for z in reps] == want_reps
+    if name == "order 48 on S3":
+        assert len(coeff.cover) == 48 and len(reps) > 1
+
+
+@pytest.mark.parametrize("name, coeff", ORACLE_CONFIGS)
+def test_is_cocycle_witness_matches_label_oracle(name, coeff):
+    rng = random.Random(name)
+    G, A = coeff.cover, coeff.A
+    _, cocycles = h1_enumerate(coeff)
+    broken = 0
+    for z in rng.sample(cocycles, min(4, len(cocycles))):
+        for _ in range(3):
+            vals = dict(z.values)
+            g = rng.choice(G.elements)
+            vals[g] = rng.choice([a for a in A.elements if a != vals[g]])
+            got = is_cocycle(Cocycle(coeff, vals))
+            assert got == _oracle_is_cocycle(coeff, vals)
+            broken += not got[0]
+    assert broken > 0
+
+
+def test_cayley_table_matches_product():
+    units = {0: 1, 1: 2}
+
+    def mul(x, y):
+        (t1, g1), (t2, g2) = x, y
+        return (tuple((a + units[g1] * b) % 3 for a, b in zip(t1, t2)),
+                (g1 + g2) % 2)
+
+    G = cover_group(2, 3, cyclic_group(2), units)
+    lines = ["group %s order=18" % G.name]
+    for a in G.elements:
+        for b in G.elements:
+            assert G.mul(a, b) == mul(a, b)
+        assert G.mul(a, G.inv(a)) == G.identity == G.mul(G.inv(a), a)
+        lines.append("  " + " ".join(str(mul(a, b)) for b in G.elements))
+    assert G.serialize() == "\n".join(lines)
+
+
+def _loop5(a, b):
+    """A loop of order 5 (identity 0, Latin square) that is not a group."""
+    return [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]][a][b]
+
+
+def _magma3(a, b):
+    """Identity 0, every element its own inverse, (1 1) 2 != 1 (1 2)."""
+    return [[0, 1, 2], [1, 0, 1], [2, 1, 0]][a][b]
+
+
+@pytest.mark.parametrize("mult_fn", [_loop5, _magma3])
+def test_associativity_failure_matches_label_oracle(mult_fn):
+    elements = range(5) if mult_fn is _loop5 else range(3)
+    want = _oracle_associativity(list(elements), mult_fn, "bad")
+    assert want is not None
+    with pytest.raises(CocycleError) as err:
+        FiniteGroup(elements, mult_fn, "bad")
+    assert str(err.value) == want
+    FiniteGroup(elements, mult_fn, "bad", verify=False)
+
+
+def test_associativity_failure_names_first_triple():
+    with pytest.raises(CocycleError, match=r"^bad: associativity fails at "
+                                           r"1,1,2$"):
+        FiniteGroup(range(3), _magma3, "bad")
+
+
+def test_magma_without_identity():
+    with pytest.raises(CocycleError, match=r"^bad has no identity$"):
+        FiniteGroup([0, 1], lambda a, b: 0, "bad")
+
+
+def test_element_without_inverse():
+    # multiplication mod 2: 1 is the identity and 0 has no inverse
+    with pytest.raises(CocycleError, match=r"^M: no inverse for 0$"):
+        FiniteGroup([0, 1], lambda a, b: a * b, "M")
+
+
+def test_magma_not_closed():
+    with pytest.raises(CocycleError,
+                       match=r"^Z/3\+ is not closed under product$"):
+        FiniteGroup(range(3), lambda a, b: a + b, "Z/3+")
+
+
+def test_identity_must_act_trivially():
+    A = cyclic_group(3)
+    negate = {a: (-a) % 3 for a in A.elements}
+    cov = cyclic_group(2)
+    with pytest.raises(CocycleError,
+                       match=r"^identity does not act trivially$"):
+        CoefficientGroup(A, cov, {g: negate for g in cov.elements})
+
+
+def test_action_must_be_a_homomorphism():
+    # each element acts by an automorphism of Z3, but 1 acts by negation
+    # and 2 = -1 trivially, so 1 . (2 . a) != (1 + 2) . a
+    A = cyclic_group(3)
+    ident = {a: a for a in A.elements}
+    negate = {a: (-a) % 3 for a in A.elements}
+    cov = cyclic_group(3)
+    with pytest.raises(CocycleError, match=r"^action is not a homomorphism "
+                                           r"at 1,2$"):
+        CoefficientGroup(A, cov, {0: ident, 1: negate, 2: ident})
+
+
+def test_action_must_be_by_automorphisms():
+    A = cyclic_group(3)
+    cov = cyclic_group(2)
+    double = {a: (2 * a) % 3 for a in A.elements}
+    ident = {a: a for a in A.elements}
+    CoefficientGroup(A, cov, {0: ident, 1: double})
+    with pytest.raises(CocycleError, match=r"^action of 1 is not an "
+                                           r"automorphism$"):
+        CoefficientGroup(A, cov, {0: ident, 1: {0: 0, 1: 1, 2: 1}})

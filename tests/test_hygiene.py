@@ -1,6 +1,8 @@
 """Source hygiene of the library, checked with the standard library only."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,25 @@ def test_unused_import_is_caught(tmp_path):
                       "from fractions import Fraction\n"
                       "print(system.argv, Fraction)\n")
     assert _unused_imports(module) == [(2, "os")]
+
+
+def _resolves(modname, path):
+    owner = importlib.import_module("multiloop." + modname)
+    for attr in path.split("."):
+        if not hasattr(owner, attr):
+            return False
+        owner = getattr(owner, attr)
+    return True
+
+
+def test_tracing_targets_exist():
+    """Every function the benchmark's span wrappers replace exists, so a
+    rename fails here and not only in a traced benchmark run."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = ["multiloop.%s:%s" % (mod, attr)
+               for _, mod, attr, _ in tracing.TARGETS
+               if not _resolves(mod, attr)]
+    assert tracing.TARGETS and missing == []
