@@ -2,9 +2,8 @@
 
 from fractions import Fraction
 
-from multiloop.chevalley import (build_chevalley_by_type, torus_automorphism,
-                                 diagram_automorphism)
-from multiloop.cli import _chevalley_involution
+from multiloop.chevalley import (build_chevalley_by_type, chevalley_involution,
+                                 diagram_automorphism, torus_automorphism)
 from multiloop.grading import (MultiloopSpec, build_multiloop,
                                q_grading_from_cartan)
 from multiloop.lietorus import lie_torus_check
@@ -23,7 +22,7 @@ def untwisted_sl2():
 def quaternion_sl2():
     alg = build_chevalley_by_type("A", 1)
     s1 = torus_automorphism(alg, QQ, [Fraction(-1)])
-    s2 = _chevalley_involution(alg)
+    s2 = chevalley_involution(alg)
     g = build_multiloop(MultiloopSpec(alg, [s1, s2], 2))
     return q_grading_from_cartan(g, [])
 

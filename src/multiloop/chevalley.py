@@ -7,6 +7,9 @@ constant follows from antisymmetry, N(-a,-b) = -N(a,b), and the cyclic
 identity N(a,b)/|c|^2 = N(b,c)/|a|^2 for a+b+c = 0.  Before an algebra is
 returned, antisymmetry is verified on every basis pair and the Jacobi
 identity on every basis triple, in integer arithmetic on the sparse table.
+
+`sparse_bracket` is the one bracket over a sparse structure-constant table;
+the dense `ChevalleyAlgebra.bracket` and `GradedLieAlgebra.bracket` wrap it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class ChevalleyAlgebra:
         self.dim = len(self.roots) + rs.rank
         self.root_index = {a: i for i, a in enumerate(self.roots)}
         self._pos_order = {a: i for i, a in enumerate(pos)}
+        self._len2 = {a: rs.inner(a, a) for a in self.roots}
         self._npos = {}
         self._compute_positive_constants()
         self.table = self._build_table()
@@ -65,9 +69,6 @@ class ChevalleyAlgebra:
             k += 1
             cur = _vsub(cur, a)
         return k
-
-    def _len2(self, a):
-        return self.rs.inner(a, a)
 
     def _compute_positive_constants(self):
         by_height = {}
@@ -121,10 +122,10 @@ class ChevalleyAlgebra:
             return -self._n(b, a)
         if _height(self.rs, s) > 0:
             # N(a,b) = -(|s|^2/|a|^2) N(-b, s), a positive pair summing to a
-            val = -Fraction(self._len2(s), self._len2(a)) * self._n(_vneg(b), s)
+            val = -Fraction(self._len2[s], self._len2[a]) * self._n(_vneg(b), s)
         else:
             # N(a,b) = -(|s|^2/|b|^2) N(a, -s), a positive pair summing to -b
-            val = -Fraction(self._len2(s), self._len2(b)) * self._n(a, _vneg(s))
+            val = -Fraction(self._len2[s], self._len2[b]) * self._n(a, _vneg(s))
         if val.denominator != 1:
             raise ChevalleyError("non-integral constant for %s,%s" % (a, b))
         return int(val)
@@ -132,9 +133,9 @@ class ChevalleyAlgebra:
     def coroot_coeffs(self, a):
         """a^vee as an integer combination of the simple coroots."""
         out = []
-        la = self._len2(a)
+        la = self._len2[a]
         for i, s in enumerate(self.rs.simple_roots):
-            c = Fraction(a[i]) * self._len2(s) / la
+            c = Fraction(a[i]) * self._len2[s] / la
             if c.denominator != 1:
                 raise ChevalleyError("non-integral coroot for %s" % (a,))
             out.append(int(c))
@@ -176,16 +177,11 @@ class ChevalleyAlgebra:
         return self.table.get((i, j), [])
 
     def bracket(self, dom, x, y):
-        """Bracket of coefficient vectors over any domain."""
+        """Bracket of dense coefficient vectors over any domain."""
         out = [dom.zero()] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in self.table.get((i, j), ()):
-                    out[k] = out[k] + xi * yj * c
+        for k, z in sparse_bracket(self.table, sparse_vector(x),
+                                   sparse_vector(y)).items():
+            out[k] = z
         return out
 
     def _verify_jacobi(self):
@@ -253,6 +249,27 @@ def _height(rs, a):
     return sum(a)
 
 
+def sparse_vector(v):
+    """The entries of a dense vector other than zero, as {t: v_t}."""
+    return {t: x for t, x in enumerate(v) if x}
+
+
+def sparse_bracket(table, x, y):
+    """[x, y] for sparse vectors {t: x_t} on a sparse structure-constant
+    table {(a, b): [(k, c)]}: each product x_a y_b is formed once and then
+    multiplied by the constants of [e_a, e_b].  The result is sparse too,
+    but holds a zero wherever terms cancel."""
+    out = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            terms = table.get((a, b))
+            if terms:
+                p = xa * yb
+                for k, c in terms:
+                    out[k] = out[k] + p * c if k in out else p * c
+    return out
+
+
 def build_chevalley_by_type(type_label: str, rank: int) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(build_root_system(type_label, rank))
 
@@ -272,18 +289,22 @@ class AlgebraAutomorphism:
             self.verify()
 
     def verify(self):
-        dom, alg, M = self.dom, self.alg, self.matrix
+        """[M e_i, M e_j] = M [e_i, e_j] on every basis pair, in sparse
+        columns."""
+        alg, M = self.alg, self.matrix
         d = alg.dim
-        cols = [[M[i][j] for i in range(d)] for j in range(d)]
+        zero = self.dom.zero()
+        cols = [sparse_vector([M[i][j] for i in range(d)]) for j in range(d)]
         for i in range(d):
             for j in range(d):
-                expected = [dom.zero()] * d
+                expected = {}
                 for k, c in alg.bracket_basis(i, j):
-                    for t in range(d):
-                        if cols[k][t]:
-                            expected[t] = expected[t] + cols[k][t] * c
-                actual = alg.bracket(dom, cols[i], cols[j])
-                if any(a != b for a, b in zip(actual, expected)):
+                    for t, x in cols[k].items():
+                        expected[t] = expected[t] + x * c if t in expected \
+                            else x * c
+                actual = sparse_bracket(alg.table, cols[i], cols[j])
+                if any(actual.get(t, zero) != expected.get(t, zero)
+                       for t in actual.keys() | expected.keys()):
                     raise ChevalleyError(
                         "bracket not preserved on basis pair (%d,%d)" % (i, j))
 
@@ -453,6 +474,21 @@ def _extend_diagram(alg, perm, signs):
         return AlgebraAutomorphism(alg, dom, M, check=True)
     except ChevalleyError:
         return None
+
+
+def chevalley_involution(alg) -> AlgebraAutomorphism:
+    """The Chevalley involution e_a -> -e_(-a), h -> -h."""
+    d = alg.dim
+    imgs = []
+    for i in range(d):
+        v = [Fraction(0)] * d
+        if i < len(alg.roots):
+            j = alg.root_index[_vneg(alg.roots[i])]
+            v[j] = Fraction(-1)
+        else:
+            v[i] = Fraction(-1)
+        imgs.append(v)
+    return automorphism_from_images(alg, QQ, imgs)
 
 
 def inner_automorphism(alg, dom, letters) -> AlgebraAutomorphism:

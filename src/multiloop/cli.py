@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import linalg
 from .chevalley import (build_chevalley_by_type, torus_automorphism,
-                        diagram_automorphism, automorphism_from_images,
-                        ChevalleyError, AlgebraAutomorphism)
+                        diagram_automorphism, chevalley_involution,
+                        ChevalleyError)
 from .rootsys import RootSystemError
 from .grading import (MultiloopSpec, build_multiloop, q_grading_from_cartan,
                       relative_roots, from_chevalley, GradingError)
@@ -242,22 +242,8 @@ def _parse_sigma(alg, parts, lno):
             raise UsageError("spec line %d: bad permutation" % lno)
         return diagram_automorphism(alg, perm)
     if kind == "chevalley":
-        return _chevalley_involution(alg)
+        return chevalley_involution(alg)
     raise UsageError("spec line %d: unknown sigma kind %r" % (lno, kind))
-
-
-def _chevalley_involution(alg) -> AlgebraAutomorphism:
-    d = alg.dim
-    imgs = []
-    for i in range(d):
-        v = [Fraction(0)] * d
-        if i < len(alg.roots):
-            j = alg.root_index[tuple(-x for x in alg.roots[i])]
-            v[j] = Fraction(-1)
-        else:
-            v[i] = Fraction(-1)
-        imgs.append(v)
-    return automorphism_from_images(alg, QQ, imgs)
 
 
 def _graded_from_spec(alg, spec, cartan_rows, cartan_full):
@@ -450,6 +436,8 @@ def _cocycle_setup(cfg, args):
         raise UsageError("--n must be at least 0")
     if args.discrepancy < 0:
         raise UsageError("--discrepancy must be at least 0")
+    if args.discrepancy and args.action != "diagonal":
+        raise UsageError("--discrepancy applies to 'cocycle diagonal' only")
     gamma0 = _make_gamma0(args.gamma0)
     A = _make_coeff_group(args.coeff)
     m = cfg.conductor

@@ -4,6 +4,14 @@ assembly, torus-action refinements, and relative root extraction.
 Lambda-degrees are stored in the rescaled lattice (exponent i/m becomes the
 integer i) and only one period of degrees is kept; pieces at degrees
 differing by m Z^n are canonically identified.
+
+A graded algebra keeps its ambient ChevalleyAlgebra, and its basis vectors
+are coordinate vectors there.  Graded structure constants and Cartan
+refinements come from the one sparse bracket over the ambient integer
+table (chevalley.sparse_bracket): each piece is eliminated once to pivot
+coordinates (linalg.span_coords), a bracket's coordinates are read off at
+those pivots, and every bracket is still certified to lie in its piece by
+recombining the coordinates on every ambient coordinate.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra
+from .chevalley import ChevalleyAlgebra, sparse_bracket, sparse_vector
 from .rootsys import RootSystem, RelativeRootData, make_relative_system
 from .scalars import QQ, DomainCyclotomic, Cyclotomic
 
@@ -97,16 +105,18 @@ class GradedBasisVector:
 
 class GradedLieAlgebra:
     """A Lie algebra with a lattice grading of rank nvars (periodic modulo
-    `period`) and an optional root-lattice grading by q-degrees."""
+    `period`) and an optional root-lattice grading by q-degrees; `ambient`
+    is the ChevalleyAlgebra whose coordinates the entry vectors are in, or
+    None."""
 
-    def __init__(self, dom, nvars, period, entries, table, ambient_bracket=None,
+    def __init__(self, dom, nvars, period, entries, table, ambient=None,
                  check=True):
         self.dom = dom
         self.nvars = nvars
         self.period = period
         self.entries = list(entries)
         self.table = table
-        self.ambient_bracket = ambient_bracket
+        self.ambient = ambient
         self.dim = len(self.entries)
         self.qrank = len(self.entries[0].qdeg) if self.entries else 0
         if check:
@@ -147,16 +157,11 @@ class GradedLieAlgebra:
         return self.table.get((i, j), [])
 
     def bracket(self, x, y):
-        """Bracket of graded-coordinate vectors."""
+        """Bracket of dense graded-coordinate vectors."""
         out = [self.dom.zero()] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in self.table.get((i, j), ()):
-                    out[k] = out[k] + xi * yj * c
+        for k, z in sparse_bracket(self.table, sparse_vector(x),
+                                   sparse_vector(y)).items():
+            out[k] = z
         return out
 
     def _verify_grading(self):
@@ -187,33 +192,44 @@ class GradedLieAlgebra:
         return "\n".join(lines)
 
 
-def _build_table(dom, entries, nvars, period, ambient_bracket):
-    """Structure constants in graded coordinates via per-piece coordinates."""
+def _build_table(dom, entries, nvars, period, alg):
+    """Structure constants in graded coordinates, from the sparse ambient
+    bracket and one pivot solve per lattice piece (linalg.span_coords).
+
+    Every bracket is certified to lie in the span of its piece.  The table
+    is filled in row-major order, and only pairs i < j are bracketed: for
+    j <= i, [e_i, e_j] = -[e_j, e_i] is already known (and [e_i, e_i] = 0),
+    since the ambient table is antisymmetric, as ChevalleyAlgebra checks on
+    every pair.  The failing pairs are therefore symmetric, so the first
+    one in row-major order has i < j and is the first one met here.
+    """
     pieces = {}
     for i, e in enumerate(entries):
         pieces.setdefault(e.lam, []).append(i)
-    coords = {}
-    for lam, idxs in pieces.items():
-        cols = [entries[i].vector for i in idxs]
-        M = [[cols[j][t] for j in range(len(idxs))] for t in range(len(cols[0]))]
-        coords[lam] = (idxs, linalg.left_inverse_coords(dom, M), M)
+    vecs = [sparse_vector(e.vector) for e in entries]
+    coords = {lam: (idxs, linalg.span_coords(dom, [vecs[i] for i in idxs],
+                                             alg.dim))
+              for lam, idxs in pieces.items()}
     table = {}
     for i, ei in enumerate(entries):
         for j, ej in enumerate(entries):
-            w = ambient_bracket(dom, list(ei.vector), list(ej.vector))
-            if not any(w):
-                continue
-            lam = tuple((a + b) % period for a, b in zip(ei.lam, ej.lam)) \
-                if nvars else ()
-            if lam not in coords:
-                raise GradingError("bracket lands in an empty piece %s" % (lam,))
-            idxs, L, M = coords[lam]
-            cs = linalg.mat_vec(dom, L, w)
-            back = linalg.mat_vec(dom, M, cs)
-            if any(a != b for a, b in zip(back, w)):
-                raise GradingError("bracket escapes the graded span at %d,%d"
-                                   % (i, j))
-            terms = [(k, c) for k, c in zip(idxs, cs) if c]
+            if j <= i:
+                terms = [(k, -c) for k, c in table.get((j, i), ())]
+            else:
+                w = sparse_bracket(alg.table, vecs[i], vecs[j])
+                if not any(w.values()):
+                    continue
+                lam = tuple((a + b) % period for a, b in zip(ei.lam, ej.lam)) \
+                    if nvars else ()
+                if lam not in coords:
+                    raise GradingError(
+                        "bracket lands in an empty piece %s" % (lam,))
+                idxs, solve = coords[lam]
+                cs = solve(w)
+                if cs is None:
+                    raise GradingError(
+                        "bracket escapes the graded span at %d,%d" % (i, j))
+                terms = [(k, c) for k, c in zip(idxs, cs) if c]
             if terms:
                 table[(i, j)] = terms
     return table
@@ -225,14 +241,8 @@ def build_multiloop(spec: MultiloopSpec) -> GradedLieAlgebra:
     for lam in sorted(eig):
         for v in eig[lam]:
             entries.append(GradedBasisVector((), tuple(lam), tuple(v)))
-    alg = spec.base
-
-    def ambient_bracket(d, x, y):
-        return alg.bracket(d, x, y)
-
-    table = _build_table(dom, entries, spec.n, spec.m, ambient_bracket)
-    return GradedLieAlgebra(dom, spec.n, spec.m, entries, table,
-                            ambient_bracket)
+    table = _build_table(dom, entries, spec.n, spec.m, spec.base)
+    return GradedLieAlgebra(dom, spec.n, spec.m, entries, table, spec.base)
 
 
 def from_chevalley(alg: ChevalleyAlgebra, dom=QQ) -> GradedLieAlgebra:
@@ -245,20 +255,21 @@ def from_chevalley(alg: ChevalleyAlgebra, dom=QQ) -> GradedLieAlgebra:
     table = {}
     for (i, j), terms in alg.table.items():
         table[(i, j)] = [(k, dom.from_int(c)) for k, c in terms]
-    return GradedLieAlgebra(dom, 0, 1, entries, table,
-                            lambda d, x, y: alg.bracket(d, x, y))
+    return GradedLieAlgebra(dom, 0, 1, entries, table, alg)
 
 
 def q_grading_from_cartan(g: GradedLieAlgebra, cartan) -> GradedLieAlgebra:
     """Refine the lattice grading by simultaneous integer ad-eigenvalues of
     the given abelian subspace of the degree-0 piece."""
-    if g.ambient_bracket is None:
+    alg = g.ambient
+    if alg is None:
         raise GradingError("algebra has no ambient model to refine")
     dom = g.dom
     cartan = [list(h) for h in cartan]
-    for a in range(len(cartan)):
-        for b in range(a + 1, len(cartan)):
-            if any(g.ambient_bracket(dom, cartan[a], cartan[b])):
+    hs = [sparse_vector(h) for h in cartan]
+    for a in range(len(hs)):
+        for b in range(a + 1, len(hs)):
+            if any(sparse_bracket(alg.table, hs[a], hs[b]).values()):
                 raise GradingError("cartan choice is not abelian")
     zero = g.zero_lam()
     zspan = [list(g.entries[i].vector) for i in g.piece(lam=zero)]
@@ -269,16 +280,15 @@ def q_grading_from_cartan(g: GradedLieAlgebra, cartan) -> GradedLieAlgebra:
     blocks = []
     for lam in g.lam_keys():
         basis = [list(g.entries[i].vector) for i in g.piece(lam=lam)]
-        for qdeg, vs in _joint_integer_eigenspaces(dom, g, cartan, basis):
+        for qdeg, vs in _joint_integer_eigenspaces(dom, alg, hs, basis):
             blocks.append((qdeg, lam, vs))
     blocks.sort(key=lambda b: (b[1], b[0]))
     entries = []
     for qdeg, lam, vs in blocks:
         for v in vs:
             entries.append(GradedBasisVector(qdeg, lam, tuple(v)))
-    table = _build_table(dom, entries, g.nvars, g.period, g.ambient_bracket)
-    return GradedLieAlgebra(dom, g.nvars, g.period, entries, table,
-                            g.ambient_bracket)
+    table = _build_table(dom, entries, g.nvars, g.period, alg)
+    return GradedLieAlgebra(dom, g.nvars, g.period, entries, table, alg)
 
 
 def _in_span(dom, span, v):
@@ -288,44 +298,56 @@ def _in_span(dom, span, v):
     return linalg.solve(dom, M, v) is not None
 
 
-def _joint_integer_eigenspaces(dom, g, cartan, basis):
-    """Recursively split a subspace by each cartan element; yields
-    (eigenvalue tuple, vectors)."""
+def _joint_integer_eigenspaces(dom, alg, hs, basis):
+    """Recursively split a subspace by each sparse cartan element of hs;
+    yields (eigenvalue tuple, vectors).
+
+    Candidate eigenvalues c are tried in the order 0, -1, 1, -2, 2, ... up
+    to |c| = 256 and stop once the kernels span the block, so the
+    eigenvalues found are all of them; pieces are listed by c."""
     spaces = [((), basis)]
-    for h in cartan:
+    for h in hs:
         nxt = []
         for prefix, vs in spaces:
             if not vs:
                 continue
-            M = [[vs[j][t] for j in range(len(vs))] for t in range(len(vs[0]))]
-            L = linalg.left_inverse_coords(dom, M)
-            cols = [linalg.mat_vec(dom, L, g.ambient_bracket(dom, h, v))
-                    for v in vs]
-            A = [[cols[j][i] for j in range(len(vs))] for i in range(len(vs))]
-            found = 0
-            bound = 4
+            k = len(vs)
+            svs = [sparse_vector(v) for v in vs]
+            solve = linalg.span_coords(dom, svs, alg.dim)
+            cols = []
+            for v in svs:
+                cs = solve(sparse_bracket(alg.table, h, v))
+                if cs is None:
+                    raise GradingError("cartan action escapes a piece of "
+                                       "dimension %d" % k)
+                cols.append(cs)
+            A = [[cols[j][i] for j in range(k)] for i in range(k)]
             pieces = []
-            while found < len(vs):
-                pieces = []
-                found = 0
-                for c in range(-bound, bound + 1):
-                    B = [[A[i][j] - (dom.from_int(c) if i == j else dom.zero())
-                          for j in range(len(vs))] for i in range(len(vs))]
-                    ker = linalg.kernel_basis(dom, B)
-                    if ker:
-                        vecs = [_combine(dom, vs, kv) for kv in ker]
-                        pieces.append((c, vecs))
-                        found += len(ker)
-                if found < len(vs):
-                    bound *= 2
-                    if bound > 256:
-                        raise GradingError(
-                            "cartan action is not diagonalizable with integer "
-                            "eigenvalues on a piece of dimension %d" % len(vs))
-            for c, vecs in pieces:
+            found = 0
+            for c in _eigenvalue_candidates():
+                B = [[A[i][j] - (dom.from_int(c) if i == j else dom.zero())
+                      for j in range(k)] for i in range(k)]
+                ker = linalg.kernel_basis(dom, B)
+                if ker:
+                    pieces.append((c, [_combine(dom, vs, kv) for kv in ker]))
+                    found += len(ker)
+                    if found == k:
+                        break
+            else:
+                raise GradingError(
+                    "cartan action is not diagonalizable with integer "
+                    "eigenvalues on a piece of dimension %d" % k)
+            for c, vecs in sorted(pieces, key=lambda p: p[0]):
                 nxt.append((prefix + (c,), vecs))
         spaces = nxt
     return spaces
+
+
+def _eigenvalue_candidates():
+    yield 0
+    for c in range(1, 257):
+        yield -c
+        yield c
 
 
 def _combine(dom, vs, coeffs):

@@ -182,6 +182,47 @@ def left_inverse_coords(dom, A):
     return [R[r][d:] for r in range(d)]
 
 
+def span_coords(dom, vs, n):
+    """Coordinates in the basis vs of independent sparse vectors {t: v_t}
+    of length n, by pivot solve.
+
+    The k vectors are eliminated once, as rref([V | I_k]) = [E V | E]: the
+    pivot columns P of E V hold I_k, so E is the inverse of V restricted to
+    P, and w = sum_j c_j v_j has c_j = sum_p w_(P_p) E_pj.  Returns a
+    function taking a sparse w to its coordinate list, or to None when
+    sum_j c_j v_j differs from w on some coordinate, i.e. w is not in the
+    span.
+    """
+    k = len(vs)
+    zero, one = dom.zero(), dom.one()
+    aug = [[v.get(t, zero) for t in range(n)]
+           + [one if j == i else zero for j in range(k)]
+           for i, v in enumerate(vs)]
+    R, pivots = rref(dom, aug)
+    if len(pivots) < k or (k and pivots[k - 1] >= n):
+        raise ValueError("matrix is not injective")
+    solve_rows = [(pc, [(j, e) for j, e in enumerate(R[r][n:]) if e])
+                  for r, pc in enumerate(pivots[:k])]
+
+    def coords(w):
+        c = [zero] * k
+        for pc, row in solve_rows:
+            x = w.get(pc)
+            if x:
+                for j, e in row:
+                    c[j] = c[j] + x * e
+        back = {}
+        for cj, v in zip(c, vs):
+            if cj:
+                for t, x in v.items():
+                    back[t] = back[t] + cj * x if t in back else cj * x
+        if any(back.get(t, zero) != x for t, x in w.items()) or \
+                any(x and t not in w for t, x in back.items()):
+            return None
+        return c
+    return coords
+
+
 def matrix_inverse(dom, A):
     n = len(A)
     aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add as _add, neg as _neg, sub as _sub
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +61,29 @@ def _polydiv_exact(num, den):
     return out
 
 
+_ZERO = Fraction(0)
+
+
 def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
+    return _modulus(m)[0]
+
+
+@lru_cache(maxsize=None)
+def _modulus(m: int):
+    """(phi(m), the nonzero low coefficients (i, c) of Phi_m, phi(m) - 1
+    zeros).  Phi_m is monic of degree phi(m), so x^phi = -sum c x^i."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    low = tuple((i, c) for i, c in enumerate(poly[:phi]) if c)
+    return phi, low, (_ZERO,) * (phi - 1)
 
 
 class Cyclotomic:
-    """Element of Q(zeta_m), stored on the power basis 1, z, ..., z^(phi(m)-1)."""
+    """Element of Q(zeta_m), stored on the power basis 1, z, ..., z^(phi(m)-1).
+
+    The constructor coerces and counts the coefficients; results of
+    arithmetic, whose coefficients are already phi(m) Fractions, are made by
+    the unchecked `_cyc`."""
 
     __slots__ = ("order", "coeffs")
 
@@ -84,17 +102,15 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(r, m: int) -> "Cyclotomic":
-        phi = euler_phi(m)
-        return Cyclotomic(m, (Fraction(r),) + (Fraction(0),) * (phi - 1))
+        return _cyc(m, (Fraction(r),) + _modulus(m)[2])
 
     @staticmethod
     def root(m: int, k: int = 1) -> "Cyclotomic":
         """zeta_m^k in reduced form."""
         k %= m
-        phi = euler_phi(m)
-        raw = [Fraction(0)] * (k + 1)
+        raw = [_ZERO] * (k + 1)
         raw[k] = Fraction(1)
-        return Cyclotomic(m, _reduce(raw, m, phi))
+        return _cyc(m, _reduce(raw, m))
 
     # -- helpers -------------------------------------------------------------
 
@@ -115,11 +131,10 @@ class Cyclotomic:
         if big % m:
             raise ValueError("no embedding of Q(zeta_%d) into Q(zeta_%d)" % (m, big))
         step = big // m
-        phi_big = euler_phi(big)
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        raw = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             raw[i * step] += c
-        return Cyclotomic(big, _reduce(raw, big, phi_big))
+        return _cyc(big, _reduce(raw, big))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -127,39 +142,40 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _cyc(self.order, tuple(map(_add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return _cyc(self.order, tuple(map(_neg, self.coeffs)))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _cyc(self.order, tuple(map(_sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic(self.order, tuple(a * q for a in self.coeffs))
+            return _cyc(self.order, tuple(a * other for a in self.coeffs))
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         other = self._coerce(other)
-        phi = len(self.coeffs)
-        raw = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
+        xs, ys = self.coeffs, other.coeffs
+        phi = len(xs)
+        if phi == 1:
+            return _cyc(self.order, (xs[0] * ys[0],))
+        raw = [_ZERO] * (2 * phi - 1)
+        for i, a in enumerate(xs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(ys):
                 if b:
                     raw[i + j] += a * b
-        return Cyclotomic(self.order, _reduce(raw, self.order, phi))
+        return _cyc(self.order, _reduce(raw, self.order))
 
     __rmul__ = __mul__
 
@@ -179,10 +195,7 @@ class Cyclotomic:
         if not r1:
             raise ZeroDivisionError("zero divisor in cyclotomic field")
         lead = r1[0]
-        phi = len(self.coeffs)
-        out = [c / lead for c in s1]
-        out = _reduce([Fraction(c) for c in out], self.order, phi)
-        return Cyclotomic(self.order, out)
+        return _cyc(self.order, _reduce([c / lead for c in s1], self.order))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -221,13 +234,33 @@ class Cyclotomic:
         return cyc_show(self)
 
 
-def _reduce(raw, m, phi):
-    raw = [Fraction(c) for c in raw]
-    mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    if len(raw) > phi:
-        _, raw = _qpolydivmod(raw, mod)
-    raw = list(raw) + [Fraction(0)] * max(0, phi - len(raw))
+def _reduce(raw, m):
+    """A list of Fractions (low degree first) modulo the monic Phi_m, as a
+    tuple of phi(m) coefficients; raw is consumed."""
+    phi, low, _ = _modulus(m)
+    for top in range(len(raw) - 1, phi - 1, -1):
+        c = raw[top]
+        if c:
+            base = top - phi
+            for i, a in low:
+                raw[base + i] -= c * a
+    if len(raw) < phi:
+        raw += [_ZERO] * (phi - len(raw))
     return tuple(raw[:phi])
+
+
+_cyc_new = object.__new__
+_set_order = Cyclotomic.order.__set__
+_set_coeffs = Cyclotomic.coeffs.__set__
+
+
+def _cyc(order, coeffs):
+    """The Cyclotomic with these coefficients, unchecked: coeffs must be a
+    tuple of phi(order) Fractions, as every arithmetic result is."""
+    x = _cyc_new(Cyclotomic)
+    _set_order(x, order)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 def _trim(p):
@@ -663,12 +696,14 @@ class DomainCyclotomic(_ExactDomain):
     def __init__(self, order: int):
         self.order = order
         self.name = "Q(z%d)" % order
+        self._zero = Cyclotomic.from_rational(0, order)
+        self._one = Cyclotomic.from_rational(1, order)
 
     def zero(self):
-        return Cyclotomic.from_rational(0, self.order)
+        return self._zero
 
     def one(self):
-        return Cyclotomic.from_rational(1, self.order)
+        return self._one
 
     def from_int(self, n):
         return Cyclotomic.from_rational(n, self.order)

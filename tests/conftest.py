@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from multiloop.chevalley import (build_chevalley_by_type, torus_automorphism,
-                                 diagram_automorphism)
-from multiloop.cli import _chevalley_involution
+from multiloop.chevalley import (build_chevalley_by_type, chevalley_involution,
+                                 diagram_automorphism, torus_automorphism)
 from multiloop.grading import (MultiloopSpec, build_multiloop,
                                q_grading_from_cartan, from_chevalley,
                                relative_roots)
@@ -57,7 +56,7 @@ def build_sl2_loop():
 def build_quaternion():
     alg = algebra("A", 1)
     s1 = torus_automorphism(alg, QQ, [Fraction(-1)])
-    s2 = _chevalley_involution(alg)
+    s2 = chevalley_involution(alg)
     g = build_multiloop(MultiloopSpec(alg, [s1, s2], 2))
     return q_grading_from_cartan(g, [])
 

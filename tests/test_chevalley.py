@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from multiloop.chevalley import (ChevalleyError, ad_matrix,
-                                 build_chevalley_by_type,
-                                 diagram_automorphism, exp_ad,
-                                 inner_automorphism, killing_form,
+from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError,
+                                 ad_matrix, build_chevalley_by_type,
+                                 chevalley_involution, diagram_automorphism,
+                                 exp_ad, inner_automorphism, killing_form,
                                  torus_automorphism)
 from multiloop.rootsys import build_root_system
 from multiloop.scalars import QQ
@@ -287,3 +287,59 @@ def test_jacobi_detects_broken_antisymmetry(t, r):
         bad._verify_jacobi()
     assert str(err.value) == want
     assert _jacobi_oracle(alg) is None
+
+
+def _dense_verify_failure(alg, M):
+    """The dense check, kept as an oracle: the first basis pair (i, j), in
+    row-major order, with [M e_i, M e_j] != M [e_i, e_j], or None."""
+    d = alg.dim
+    cols = [[M[i][j] for i in range(d)] for j in range(d)]
+
+    def image(pairs):
+        out = [Fraction(0)] * d
+        for k, c in pairs:
+            for t in range(d):
+                out[t] += cols[k][t] * c
+        return out
+
+    for i in range(d):
+        for j in range(d):
+            actual = [Fraction(0)] * d
+            for a in range(d):
+                for b in range(d):
+                    for k, c in alg.bracket_basis(a, b):
+                        actual[k] += cols[i][a] * cols[j][b] * c
+            if actual != image(alg.bracket_basis(i, j)):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("t, r", [("A", 1), ("B", 2), ("G", 2)])
+def test_automorphism_check_names_the_oracle_pair(t, r):
+    # scaling one basis vector, dropping one, or adding a Cartan term to a
+    # root vector breaks the bracket; chevalley_involution keeps it
+    alg = algebra(t, r)
+    d, h = alg.dim, len(alg.roots)
+    rng = random.Random(7)
+    mats = []
+    for _ in range(6):
+        M = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        k = rng.randrange(d)
+        kind = rng.randrange(3)
+        if kind == 0:
+            M[k][k] = Fraction(2)
+        elif kind == 1:
+            M[k][k] = Fraction(0)
+        else:
+            M[h + rng.randrange(r)][rng.randrange(h)] = Fraction(1)
+        mats.append(M)
+    mats.append(chevalley_involution(alg).matrix)
+    for M in mats:
+        want = _dense_verify_failure(alg, M)
+        if want is None:
+            AlgebraAutomorphism(alg, QQ, M)
+            continue
+        with pytest.raises(ChevalleyError) as e:
+            AlgebraAutomorphism(alg, QQ, M)
+        assert str(e.value) == "bracket not preserved on basis pair (%d,%d)" \
+            % want

@@ -161,6 +161,31 @@ def test_bad_settings_are_usage_errors(capsys, monkeypatch, env, argv,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", ["enumerate", "infres"])
+def test_discrepancy_outside_diagonal_is_a_usage_error(capsys, action):
+    code, out, err = run(capsys, "cocycle", action, "--discrepancy", "2")
+    assert code == 1 and out == ""
+    assert err == "usage error: --discrepancy applies to 'cocycle diagonal' " \
+                  "only\n"
+    code, _, _ = run(capsys, "cocycle", action, "--discrepancy", "0")
+    assert code == 0
+
+
+@pytest.mark.parametrize("spec, dim", [
+    ("multiloop type=A rank=2 n=1 m=1\nsigma identity\ncartan h 1/2 0\n", 8),
+    ("multiloop type=A rank=1 n=1 m=1\nsigma identity\ncartan h 300\n", 3),
+], ids=["half-integral", "beyond-256"])
+def test_cartan_eigenvalue_errors(capsys, tmp_path, spec, dim):
+    path = tmp_path / "spec.ml"
+    path.write_text(spec)
+    for cmd in ("grading", "lietorus"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 1 and out == ""
+        assert err == ("error: cartan action is not diagonalizable with "
+                       "integer eigenvalues on a piece of dimension %d\n"
+                       % dim)
+
+
 def test_flag_overrides_environment(capsys, monkeypatch):
     monkeypatch.setenv("MULTILOOP_PRECISION", "abc")
     monkeypatch.setenv("MULTILOOP_CONDUCTOR", "3")

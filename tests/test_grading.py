@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from multiloop.chevalley import torus_automorphism, diagram_automorphism
-from multiloop.cli import _chevalley_involution
-from multiloop.grading import (GradingError, MultiloopSpec, build_multiloop,
+from multiloop import linalg
+from multiloop.chevalley import (chevalley_involution, diagram_automorphism,
+                                 sparse_vector, torus_automorphism)
+from multiloop.cli import _graded_from_spec, parse_spec_file
+from multiloop.grading import (GradedBasisVector, GradingError, MultiloopSpec,
+                               _build_table, _combine,
+                               _joint_integer_eigenspaces, build_multiloop,
                                from_chevalley, irreducible_components,
                                opposite_unipotent_pair, q_grading_from_cartan,
                                relative_roots, twisted_form_dims_check,
@@ -151,3 +157,196 @@ def test_quaternion_brackets_nonabelian(g_quat):
             if any(g_quat.bracket(basis[i], basis[j])):
                 nonzero += 1
     assert nonzero == 6
+
+
+# -- the table build against the dense oracle ---------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the benchmark's grading families, one cartan choice each
+FAMILY_SPECS = {
+    "flip_m2": ["multiloop type=A rank=2 n=1 m=2", "sigma diagram 1 0",
+                "cartan h 1 1"],
+    "flip_m4": ["multiloop type=A rank=2 n=1 m=4", "sigma diagram 1 0",
+                "cartan h -1 -1"],
+    "torus_A1_m2": ["multiloop type=A rank=1 n=1 m=2", "sigma torus -1",
+                    "cartan full"],
+    "torus_A2_m2": ["multiloop type=A rank=2 n=1 m=2", "sigma torus 1 -1",
+                    "cartan h 0 -1", "cartan h 1 0"],
+    "torus_A1_m3": ["multiloop type=A rank=1 n=1 m=3", "sigma torus 1",
+                    "cartan h -1"],
+    "torus_A2_m3": ["multiloop type=A rank=2 n=1 m=3", "sigma torus 1 1",
+                    "cartan full"],
+    "quaternion": ["multiloop type=A rank=1 n=2 m=2", "sigma chevalley",
+                   "sigma torus -1"],
+    "loop_B2": ["multiloop type=B rank=2 n=1 m=1", "sigma identity",
+                "cartan h 0 1", "cartan h -1 0"],
+}
+SPEC_TEXTS = dict(
+    [(p.name, p.read_text()) for p in sorted(FIXTURES.glob("*.ml"))]
+    + [(k, "\n".join(v) + "\n") for k, v in FAMILY_SPECS.items()])
+
+
+def _dense_build_table(dom, entries, nvars, period, alg):
+    """The dense table build, kept as an oracle: every ordered pair through
+    the dense ambient bracket, coordinates by left_inverse_coords and
+    mat_vec, certified by mapping them back."""
+    pieces = {}
+    for i, e in enumerate(entries):
+        pieces.setdefault(e.lam, []).append(i)
+    coords = {}
+    for lam, idxs in pieces.items():
+        cols = [entries[i].vector for i in idxs]
+        M = [[cols[j][t] for j in range(len(idxs))] for t in range(len(cols[0]))]
+        coords[lam] = (idxs, linalg.left_inverse_coords(dom, M), M)
+    table = {}
+    for i, ei in enumerate(entries):
+        for j, ej in enumerate(entries):
+            w = alg.bracket(dom, list(ei.vector), list(ej.vector))
+            if not any(w):
+                continue
+            lam = tuple((a + b) % period for a, b in zip(ei.lam, ej.lam)) \
+                if nvars else ()
+            if lam not in coords:
+                raise GradingError("bracket lands in an empty piece %s" % (lam,))
+            idxs, L, M = coords[lam]
+            cs = linalg.mat_vec(dom, L, w)
+            back = linalg.mat_vec(dom, M, cs)
+            if any(a != b for a, b in zip(back, w)):
+                raise GradingError("bracket escapes the graded span at %d,%d"
+                                   % (i, j))
+            terms = [(k, c) for k, c in zip(idxs, cs) if c]
+            if terms:
+                table[(i, j)] = terms
+    return table
+
+
+def _dense_eigenspaces(dom, alg, cartan, basis):
+    """The old eigenvalue split, kept as an oracle: coordinates by
+    left_inverse_coords, candidates -b..b for b = 4, 8, ..., 256."""
+    spaces = [((), basis)]
+    for h in cartan:
+        nxt = []
+        for prefix, vs in spaces:
+            if not vs:
+                continue
+            M = [[vs[j][t] for j in range(len(vs))] for t in range(len(vs[0]))]
+            L = linalg.left_inverse_coords(dom, M)
+            cols = [linalg.mat_vec(dom, L, alg.bracket(dom, h, v)) for v in vs]
+            A = [[cols[j][i] for j in range(len(vs))] for i in range(len(vs))]
+            found, bound, pieces = 0, 4, []
+            while found < len(vs):
+                pieces, found = [], 0
+                for c in range(-bound, bound + 1):
+                    B = [[A[i][j] - (dom.from_int(c) if i == j else dom.zero())
+                          for j in range(len(vs))] for i in range(len(vs))]
+                    ker = linalg.kernel_basis(dom, B)
+                    if ker:
+                        pieces.append((c, [_combine(dom, vs, kv)
+                                           for kv in ker]))
+                        found += len(ker)
+                if found < len(vs):
+                    bound *= 2
+                    if bound > 256:
+                        raise GradingError(
+                            "cartan action is not diagonalizable with "
+                            "integer eigenvalues on a piece of dimension %d"
+                            % len(vs))
+            for c, vecs in pieces:
+                nxt.append((prefix + (c,), vecs))
+        spaces = nxt
+    return spaces
+
+
+def _graded_pair(text):
+    """(ambient, lattice-graded algebra, refined algebra, cartan rows) of a
+    spec file, built as the CLI builds them; the rows of "cartan full" are
+    the simple coroots."""
+    alg, spec, rows, full = parse_spec_file(text, 2)
+    g = build_multiloop(spec)
+    refined = _graded_from_spec(alg, spec, rows, full)
+    if full:
+        rows = [[int(i == j) for j in range(alg.rank)]
+                for i in range(alg.rank)]
+    return alg, g, refined, rows
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
+def test_table_matches_dense_oracle(name):
+    alg, g, refined, _ = _graded_pair(SPEC_TEXTS[name])
+    for h in (g, refined):
+        want = _dense_build_table(h.dom, h.entries, h.nvars, h.period, alg)
+        assert list(h.table.items()) == list(want.items())
+        assert h.ambient is alg
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
+def test_eigenspaces_match_dense_oracle(name):
+    alg, g, _, rows = _graded_pair(SPEC_TEXTS[name])
+    cartan = [[g.dom.zero()] * len(alg.roots) + [g.dom.lift(c) for c in row]
+              for row in rows]
+    for lam in g.lam_keys():
+        basis = [list(g.entries[i].vector) for i in g.piece(lam=lam)]
+        got = _joint_integer_eigenspaces(
+            g.dom, alg, [sparse_vector(h) for h in cartan], basis)
+        assert got == _dense_eigenspaces(g.dom, alg, cartan, basis)
+
+
+def _entries_outcome(build, entries, nvars, period, alg):
+    try:
+        return list(build(QQ, entries, nvars, period, alg).items())
+    except GradingError as e:
+        return str(e)
+
+
+def test_non_closed_entries_fail_like_the_oracle():
+    alg = algebra("A", 2)
+    d = alg.dim
+
+    def basis(i):
+        return tuple(Fraction(int(t == i)) for t in range(d))
+
+    e1, e2 = alg.root_index[(1, 0)], alg.root_index[(0, 1)]
+    f1, h1 = alg.root_index[(-1, 0)], len(alg.roots)
+    # [e1, e2] leaves the span; [h1, .] and [e1, f1] stay in it
+    escapes = [GradedBasisVector((), (), basis(i)) for i in (h1, e1, e2, f1)]
+    # [e1, e2] lands at degree 2, which is empty
+    empty = [GradedBasisVector((), lam, basis(i))
+             for i, lam in ((h1, (0,)), (e1, (1,)), (e2, (1,)))]
+    cases = [(escapes, 0, 1, "bracket escapes the graded span at 1,2"),
+             (empty, 1, 3, "bracket lands in an empty piece (2,)")]
+    for entries, nvars, period, message in cases:
+        got = _entries_outcome(_build_table, entries, nvars, period, alg)
+        assert got == message
+        assert _entries_outcome(_dense_build_table, entries, nvars, period,
+                                alg) == message
+
+
+def test_random_degree_assignments_match_the_oracle():
+    # Z/5-gradings of A2 by a weight on the roots, every other one with one
+    # basis vector moved to a random degree, and row operations inside each
+    # piece: either the table or the same first failure as the oracle
+    alg = algebra("A", 2)
+    d, nroots = alg.dim, len(alg.roots)
+    rng = random.Random(5)
+    outcomes = set()
+    for trial in range(40):
+        w = (rng.randrange(5), rng.randrange(5))
+        lams = [(w[0] * a[0] + w[1] * a[1]) % 5 for a in alg.roots]
+        lams += [0] * (d - nroots)
+        if trial % 2:
+            lams[rng.randrange(d)] = rng.randrange(5)
+        vecs = [[Fraction(int(t == i)) for t in range(d)] for i in range(d)]
+        for _ in range(6):
+            i, j = rng.sample(range(d), 2)
+            if lams[i] == lams[j]:
+                c = Fraction(rng.choice([-2, -1, 1, 3]))
+                vecs[i] = [a + c * b for a, b in zip(vecs[i], vecs[j])]
+        entries = [GradedBasisVector((), (lam,), tuple(v))
+                   for lam, v in zip(lams, vecs)]
+        got = _entries_outcome(_build_table, entries, 1, 5, alg)
+        assert got == _entries_outcome(_dense_build_table, entries, 1, 5, alg)
+        outcomes.add(got.split(" at ")[0].split(" (")[0]
+                     if isinstance(got, str) else "table")
+    assert outcomes == {"table", "bracket lands in an empty piece",
+                        "bracket escapes the graded span"}

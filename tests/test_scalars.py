@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,72 @@ lp2 = st.builds(
     lambda items: LaurentPoly(2, {k: Fraction(v) for k, v in items if v}),
     st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                        st.integers(-5, 5)), max_size=4))
+
+
+def _ref_reduce(raw, m):
+    """Schoolbook remainder of a rational polynomial modulo Phi_m."""
+    mod = cyclotomic_polynomial(m)
+    phi = len(mod) - 1
+    raw = [Fraction(c) for c in raw] + [Fraction(0)] * phi
+    for top in range(len(raw) - 1, phi - 1, -1):
+        c = raw[top]
+        for i, a in enumerate(mod):
+            raw[top - phi + i] -= c * a
+    return raw[:phi]
+
+
+def _ref_mul(x, y):
+    raw = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs))
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            raw[i + j] += a * b
+    return Cyclotomic(x.order, _ref_reduce(raw, x.order))
+
+
+def _same(got, want):
+    """Equal to a value made by the checking constructor, under == and
+    hash, and stored the way that constructor stores it."""
+    assert got == want and hash(got) == hash(want)
+    assert type(got.coeffs) is tuple
+    assert len(got.coeffs) == euler_phi(got.order)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_cyclotomic_arithmetic_matches_checked_constructor():
+    rng = random.Random(12)
+
+    def draw(m, zero_share=0.3):
+        return Cyclotomic(m, [0 if rng.random() < zero_share else
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(euler_phi(m))])
+
+    for m in range(1, 13):
+        phi = euler_phi(m)
+        for _ in range(8):
+            x, y = draw(m), draw(m)
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            _same(x + y, Cyclotomic(m, [a + b for a, b in
+                                        zip(x.coeffs, y.coeffs)]))
+            _same(x - y, Cyclotomic(m, [a - b for a, b in
+                                        zip(x.coeffs, y.coeffs)]))
+            _same(-x, Cyclotomic(m, [-a for a in x.coeffs]))
+            _same(x * y, _ref_mul(x, y))
+            _same(x * q, Cyclotomic(m, [a * q for a in x.coeffs]))
+            _same(3 * x, Cyclotomic(m, [3 * a for a in x.coeffs]))
+            _same(x + q, Cyclotomic(m, [x.coeffs[0] + q] + list(x.coeffs[1:])))
+            for r in (q, -4):
+                _same(Cyclotomic.from_rational(r, m),
+                      Cyclotomic(m, [r] + [0] * (phi - 1)))
+            if x:
+                inv = x.inv()
+                _same(inv, Cyclotomic(m, inv.coeffs))
+                _same(_ref_mul(x, inv), Cyclotomic(m, [1] + [0] * (phi - 1)))
+        for k in range(m + 1):
+            _same(Cyclotomic.root(m, k),
+                  Cyclotomic(m, _ref_reduce([0] * k + [1], m)))
+        for count in (phi - 1, phi + 1):
+            with pytest.raises(ValueError):
+                Cyclotomic(m, [1] * count)
 
 
 @given(lp2, lp2, lp2)
