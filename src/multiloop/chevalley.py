@@ -10,6 +10,8 @@ identity on every basis triple, in integer arithmetic on the sparse table.
 
 `sparse_bracket` is the one bracket over a sparse structure-constant table;
 the dense `ChevalleyAlgebra.bracket` and `GradedLieAlgebra.bracket` wrap it.
+`ad_rows` is the one builder of the sparse rows of ad_x over such a table:
+`exp_ad`, `ad_matrix` and the root elements of `elemgroup` use it.
 """
 
 from __future__ import annotations
@@ -270,6 +272,19 @@ def sparse_bracket(table, x, y):
     return out
 
 
+def ad_rows(table, x, dim):
+    """The sparse rows {k: {j: sum_i x_i c}} of ad_x for a sparse vector
+    x = {i: x_i} on a sparse structure-constant table {(i, j): [(k, c)]}
+    of an algebra of dimension dim; column j of ad_x is [x, e_j]."""
+    rows = {}
+    for i, xi in x.items():
+        for j in range(dim):
+            for k, c in table.get((i, j), ()):
+                row = rows.setdefault(k, {})
+                row[j] = row[j] + xi * c if j in row else xi * c
+    return rows
+
+
 def build_chevalley_by_type(type_label: str, rank: int) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(build_root_system(type_label, rank))
 
@@ -343,25 +358,16 @@ def ad_matrix(dom, alg, x):
     """Matrix of ad_x on the Chevalley basis; column j is [x, b_j]."""
     d = alg.dim
     M = [[dom.zero()] * d for _ in range(d)]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j in range(d):
-            for k, c in alg.bracket_basis(i, j):
-                M[k][j] = M[k][j] + xi * c
+    for k, row in ad_rows(alg.table, sparse_vector(x), d).items():
+        for j, a in row.items():
+            M[k][j] = a
     return M
 
 
 def exp_ad(dom, alg, v, check=True) -> AlgebraAutomorphism:
     """exp(ad_v) as an exact finite sum; v must be ad-nilpotent."""
-    ad = {}
-    for i, x in enumerate(v):
-        if not dom.nonzero(x):
-            continue
-        for j in range(alg.dim):
-            for k, c in alg.bracket_basis(i, j):
-                row = ad.setdefault(k, {})
-                row[j] = row[j] + x * c if j in row else x * c
+    ad = ad_rows(alg.table, {i: x for i, x in enumerate(v) if dom.nonzero(x)},
+                 alg.dim)
     try:
         matrix = linalg.exp_nilpotent(dom, ad, linalg.identity(dom, alg.dim))
     except ValueError:

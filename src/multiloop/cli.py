@@ -15,25 +15,22 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .chevalley import (build_chevalley_by_type, torus_automorphism,
-                        diagram_automorphism, chevalley_involution,
-                        ChevalleyError)
+from .chevalley import build_chevalley_by_type, ChevalleyError
 from .rootsys import RootSystemError
-from .grading import (MultiloopSpec, build_multiloop, q_grading_from_cartan,
-                      relative_roots, from_chevalley, GradingError)
+from .grading import (parse_spec_file, graded_from_spec, relative_roots,
+                      from_chevalley, GradingError, SpecError)
 from .lietorus import lie_torus_check
 from .elemgroup import (factor_loop_series, residual_word, word_parse,
                         word_show, word_matrix, depth_bound,
                         depth_conjugation_check, PrecisionExhausted,
                         RankOneComponent, ElementError)
 from .cocycle import (trivial_group, cyclic_group, symmetric_group_3,
-                      cover_group, trivial_action, galois_action,
-                      h1_enumerate, DiagonalSetup, inf_res_sequence,
-                      diagonal_argument, trivial_cocycle, Cocycle,
-                      is_cocycle, BudgetExceeded, CocycleError)
+                      direct_product, cover_group, trivial_action,
+                      galois_action, h1_enumerate, DiagonalSetup,
+                      inf_res_sequence, diagonal_argument, trivial_cocycle,
+                      Cocycle, is_cocycle, BudgetExceeded, CocycleError)
 from .scalars import QQ, DomainSeries, DomainLaurent
 
 
@@ -71,6 +68,17 @@ class SessionConfig:
 
 
 FORMATS = ("text", "machine")
+# name -> constructor of the groups `cocycle --gamma0` and `--coeff` accept
+GALOIS_GROUPS = {"trivial": trivial_group,
+                 "Z2": lambda: cyclic_group(2),
+                 "Z3": lambda: cyclic_group(3),
+                 "S3": symmetric_group_3}
+COEFF_GROUPS = {"Z2": lambda: cyclic_group(2),
+                "Z3": lambda: cyclic_group(3),
+                "Z4": lambda: cyclic_group(4),
+                "Z2xZ2": lambda: direct_product(cyclic_group(2),
+                                                cyclic_group(2)),
+                "S3": symmetric_group_3}
 # SessionConfig field -> the environment variable read when its global flag
 # is not given; without either, the field keeps its default
 ENV_VARS = {"precision": "MULTILOOP_PRECISION", "seed": "MULTILOOP_SEED",
@@ -167,10 +175,8 @@ def build_parser():
     pc = sub.add_parser("cocycle")
     pc.add_argument("action", choices=["enumerate", "infres", "diagonal"])
     pc.add_argument("--n", type=int, default=1)
-    pc.add_argument("--gamma0", choices=["trivial", "Z2", "Z3", "S3"],
-                    default="trivial")
-    pc.add_argument("--coeff", choices=["Z2", "Z3", "Z4", "Z2xZ2", "S3"],
-                    default="Z2")
+    pc.add_argument("--gamma0", choices=GALOIS_GROUPS, default="trivial")
+    pc.add_argument("--coeff", choices=COEFF_GROUPS, default="Z2")
     pc.add_argument("--galois-inverts", action="store_true",
                     help="the Galois part acts on the coefficients and "
                          "translations by inversion")
@@ -178,90 +184,6 @@ def build_parser():
                     help="order of the constructed M-discrepancy between "
                          "eta1 and eta2 (diagonal only)")
     return p
-
-
-# ---------------------------------------------------------------------------
-# spec files
-
-def parse_spec_file(text: str, conductor: int):
-    """Build a multiloop spec plus cartan choice from its text description.
-
-    Lines: "multiloop type=<T> rank=<r> n=<n> m=<m>", then one "sigma ..."
-    per loop variable (torus w1..wr | diagram p1..pr | chevalley | identity),
-    then optional "cartan h c1..cr" lines or "cartan full".
-    """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("multiloop"):
-        raise UsageError("spec line 1: expected 'multiloop ...'")
-    head = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    try:
-        tlabel = head["type"]
-        rank = int(head["rank"])
-        n = int(head["n"])
-        m = int(head.get("m", conductor))
-    except (KeyError, ValueError) as e:
-        raise UsageError("spec line 1: %s" % e)
-    alg = build_chevalley_by_type(tlabel, rank)
-    sigmas = []
-    cartan_rows = []
-    cartan_full = False
-    for lno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if parts[0] == "sigma":
-            sigmas.append(_parse_sigma(alg, parts[1:], lno))
-        elif parts[0] == "cartan":
-            if parts[1:] == ["full"]:
-                cartan_full = True
-            elif parts[1] == "h":
-                cartan_rows.append([Fraction(x) for x in parts[2:]])
-            else:
-                raise UsageError("spec line %d: bad cartan line" % lno)
-        else:
-            raise UsageError("spec line %d: unknown directive %r"
-                             % (lno, parts[0]))
-    if len(sigmas) != n:
-        raise UsageError("spec declares n=%d but has %d sigma lines"
-                         % (n, len(sigmas)))
-    return alg, MultiloopSpec(alg, sigmas, m), cartan_rows, cartan_full
-
-
-def _parse_sigma(alg, parts, lno):
-    kind = parts[0] if parts else ""
-    if kind == "identity":
-        return torus_automorphism(alg, QQ, [Fraction(1)] * alg.rank)
-    if kind == "torus":
-        ws = [Fraction(x) for x in parts[1:]]
-        if len(ws) != alg.rank:
-            raise UsageError("spec line %d: torus needs %d weights"
-                             % (lno, alg.rank))
-        return torus_automorphism(alg, QQ, ws)
-    if kind == "diagram":
-        perm = [int(x) for x in parts[1:]]
-        if sorted(perm) != list(range(alg.rank)):
-            raise UsageError("spec line %d: bad permutation" % lno)
-        return diagram_automorphism(alg, perm)
-    if kind == "chevalley":
-        return chevalley_involution(alg)
-    raise UsageError("spec line %d: unknown sigma kind %r" % (lno, kind))
-
-
-def _graded_from_spec(alg, spec, cartan_rows, cartan_full):
-    g = build_multiloop(spec)
-    dom = g.dom
-    cartan = []
-    rows = cartan_rows
-    if cartan_full:
-        rows = [[Fraction(1) if j == i else Fraction(0)
-                 for j in range(alg.rank)] for i in range(alg.rank)]
-    for row in rows:
-        if len(row) != alg.rank:
-            raise UsageError("cartan row needs %d coefficients" % alg.rank)
-        h = [dom.zero()] * alg.dim
-        for i, c in enumerate(row):
-            h[len(alg.roots) + i] = dom.lift(c)
-        cartan.append(h)
-    return q_grading_from_cartan(g, cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +278,7 @@ def cmd_algebra(cfg, args):
 
 
 def cmd_grading(cfg, args):
-    alg, spec, rows, full = parse_spec_file(_read(args.specfile),
-                                            cfg.conductor)
-    g = _graded_from_spec(alg, spec, rows, full)
+    g = graded_from_spec(*parse_spec_file(_read(args.specfile), cfg.conductor))
     dims = g.dims_by_lam()
     table = "\n".join("(%s): %d" % (",".join(map(str, k)), v)
                       for k, v in sorted(dims.items()))
@@ -366,9 +286,7 @@ def cmd_grading(cfg, args):
 
 
 def cmd_lietorus(cfg, args):
-    alg, spec, rows, full = parse_spec_file(_read(args.specfile),
-                                            cfg.conductor)
-    g = _graded_from_spec(alg, spec, rows, full)
+    g = graded_from_spec(*parse_spec_file(_read(args.specfile), cfg.conductor))
     rep = lie_torus_check(g)
     return ({"report": rep.serialize(),
              "verdict": "pass" if rep.overall else "fail"},
@@ -400,33 +318,6 @@ def cmd_depth(cfg, args):
             EXIT_OK if ok else EXIT_MATH)
 
 
-def _make_coeff_group(name):
-    if name == "Z2":
-        return cyclic_group(2)
-    if name == "Z3":
-        return cyclic_group(3)
-    if name == "Z4":
-        return cyclic_group(4)
-    if name == "Z2xZ2":
-        from .cocycle import direct_product
-        return direct_product(cyclic_group(2), cyclic_group(2))
-    if name == "S3":
-        return symmetric_group_3()
-    raise UsageError("unknown coefficient group %r" % name)
-
-
-def _make_gamma0(name):
-    if name == "trivial":
-        return trivial_group()
-    if name == "Z2":
-        return cyclic_group(2)
-    if name == "Z3":
-        return cyclic_group(3)
-    if name == "S3":
-        return symmetric_group_3()
-    raise UsageError("unknown Galois group %r" % name)
-
-
 def _inversion_perm(A):
     return {a: A.inv(a) for a in A.elements}
 
@@ -438,8 +329,8 @@ def _cocycle_setup(cfg, args):
         raise UsageError("--discrepancy must be at least 0")
     if args.discrepancy and args.action != "diagonal":
         raise UsageError("--discrepancy applies to 'cocycle diagonal' only")
-    gamma0 = _make_gamma0(args.gamma0)
-    A = _make_coeff_group(args.coeff)
+    gamma0 = GALOIS_GROUPS[args.gamma0]()
+    A = COEFF_GROUPS[args.coeff]()
     m = cfg.conductor
     units = {}
     if args.galois_inverts:
@@ -540,7 +431,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = session_config(args)
         results, code = DISPATCH[args.cmd](cfg, args)
-    except UsageError as e:
+    except (UsageError, SpecError) as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except (RootSystemError, ChevalleyError, GradingError) as e:

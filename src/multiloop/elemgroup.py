@@ -2,8 +2,9 @@
 and the series factorization engine E(A((t))) = E(A[[t]]) E(A[t,1/t]).
 
 A letter X_alpha(v) = exp(ad_v) is a sparse object: it keeps the rows of
-ad_v, which sends the piece of q-degree beta to beta + alpha, and acts on a
-matrix M as sum_i ad_v^i M / i!, one sparse row product per term
+ad_v (chevalley.ad_rows over the graded table), which sends the piece of
+q-degree beta to beta + alpha, and acts on a matrix M as
+sum_i ad_v^i M / i!, one sparse row product per term
 (linalg.exp_nilpotent).  Its dense matrix is built only when a caller asks
 for .matrix.  A word is evaluated from the identity by left-applying its
 letters, last first, so no two dense matrices are ever multiplied.
@@ -13,7 +14,8 @@ skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
 their horizons reach every product and residual.  Every comparison with
 the identity goes through linalg.identity_residual, and a certificate
 records the precision it achieves, which never exceeds what the inputs
-carry.
+carry.  Unipotent factorization reads each parameter off a block of the
+matrix with one linalg.span_coords solver per root, which certifies it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
+from .chevalley import ad_rows
 from .grading import (GradedLieAlgebra, RelativeGrading,
                       irreducible_components)
 from .scalars import TruncSeries, series_split
@@ -68,9 +71,6 @@ class ElementMatrix:
         return ElementMatrix(linalg.mat_mul(self.ring, self.matrix,
                                             other.matrix), self.ring, prec)
 
-    def apply(self, v):
-        return linalg.mat_vec(self.ring, self.matrix, v)
-
 
 class RootElement:
     """X_alpha(v) = exp(ad_v), held as the sparse rows {k: {j: entry}} of
@@ -108,29 +108,19 @@ def _param_is_zero(v):
     return not any(v)
 
 
-def _check_homogeneous(g: GradedLieAlgebra, R, alpha, v):
+def _homogeneous_support(g: GradedLieAlgebra, R, alpha, v):
+    """The entries of v that R.nonzero accepts, as {i: v_i}; each must lie
+    on the alpha piece."""
     allowed = set(g.piece(qdeg=alpha))
-    for i, x in enumerate(v):
-        if R.nonzero(x) and i not in allowed:
-            raise ElementError(
-                "parameter is not homogeneous of degree %s (index %d)" %
-                (alpha, i))
-
-
-def _ad_rows(g: GradedLieAlgebra, R, alpha, v):
-    """Sparse rows of ad_v over the coefficient ring for v on the alpha
-    piece, structure constants lifted from the base field."""
-    rows = {}
-    for i in g.piece(qdeg=alpha):
-        x = v[i]
-        if not R.nonzero(x):
-            continue
-        for j in range(g.dim):
-            for k, c in g.bracket_coords(i, j):
-                row = rows.setdefault(k, {})
-                term = x * R.lift(c)
-                row[j] = row[j] + term if j in row else term
-    return rows
+    x = {}
+    for i, a in enumerate(v):
+        if R.nonzero(a):
+            if i not in allowed:
+                raise ElementError(
+                    "parameter is not homogeneous of degree %s (index %d)" %
+                    (alpha, i))
+            x[i] = a
+    return x
 
 
 def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
@@ -139,8 +129,8 @@ def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
     alpha = tuple(alpha)
     if alpha not in set(rg.roots):
         raise ElementError("%s is not a relative root" % (alpha,))
-    _check_homogeneous(g, R, alpha, v)
-    return RootElement(R, g.dim, _ad_rows(g, R, alpha, v))
+    x = _homogeneous_support(g, R, alpha, v)
+    return RootElement(R, g.dim, ad_rows(g.table, x, g.dim))
 
 
 def word_matrix(rg: RelativeGrading, R, word) -> ElementMatrix:
@@ -226,8 +216,10 @@ def _shift_pairs(g, gamma):
 
 
 def _peel_data(rg, gamma):
-    """Left inverse (over the base field) of the map v -> ad_v restricted to
-    the gamma-shift blocks, plus the block index pairs."""
+    """The gamma piece, the gamma-shift block pairs (k, j), and a solver
+    (linalg.span_coords) taking the entries of ad_v at those pairs, as
+    {pair position: entry}, to the coordinates of v on the piece, or to
+    None when no v has those entries."""
     cache = getattr(rg, "_peel_cache", None)
     if cache is None:
         cache = {}
@@ -242,24 +234,22 @@ def _peel_data(rg, gamma):
     pairs = _shift_pairs(g, gamma)
     cols = []
     for p in idxs:
-        col = []
-        for (k, j) in pairs:
-            c = dom.zero()
-            for kk, cc in g.bracket_coords(p, j):
-                if kk == k:
-                    c = c + cc
-            col.append(c)
-        cols.append(col)
-    A = [[cols[t][r] for t in range(len(idxs))] for r in range(len(pairs))]
-    L = linalg.left_inverse_coords(dom, A)
-    cache[gamma] = (idxs, pairs, L)
-    return idxs, pairs, L
+        ad = ad_rows(g.table, {p: dom.one()}, g.dim)
+        cols.append({r: ad[k][j] for r, (k, j) in enumerate(pairs)
+                     if j in ad.get(k, ())})
+    cache[gamma] = (idxs, pairs, linalg.span_coords(dom, cols, len(pairs)))
+    return cache[gamma]
 
 
 def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
                      keyfunc=None):
     """Factor a unipotent element as an ordered product over the closed set
-    psi, peeling minimal components first.  Returns [(gamma, v_gamma)]."""
+    psi, peeling minimal components first.  Returns [(gamma, v_gamma)].
+
+    The gamma-shift block of what is left must be the block of ad_v for a
+    v on the gamma piece; every entry R.nonzero accepts takes part in that
+    certificate, and what is left at the end is certified against the
+    identity."""
     g = rg.algebra
     if keyfunc is None:
         keyfunc = lambda gamma: (rg.data.height(gamma), gamma)
@@ -267,19 +257,16 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
     cur = u.matrix
     out = []
     for gamma in order:
-        idxs, pairs, L = _peel_data(rg, gamma)
-        rhs = [cur[k][j] - (R.one() if k == j else R.zero())
-               for (k, j) in pairs]
-        coords = []
-        for row in L:
-            acc = R.zero()
-            for c, x in zip(row, rhs):
-                if c and x:
-                    acc = acc + x * c
-            coords.append(acc)
+        idxs, pairs, solve = _peel_data(rg, gamma)
+        rhs = {r: cur[k][j] for r, (k, j) in enumerate(pairs)
+               if R.nonzero(cur[k][j])}
+        coords = solve(rhs)
+        if coords is None:
+            raise ElementError("element is not unipotent over psi: residual "
+                               "in the block of root %s" % (gamma,))
         v = [R.zero()] * g.dim
         for p, c in zip(idxs, coords):
-            v[p] = c
+            v[p] = R.lift(c)
         if _param_is_zero(v):
             continue
         out.append((gamma, v))

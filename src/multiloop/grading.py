@@ -1,6 +1,11 @@
 """Z^n-gradings from commuting finite-order automorphisms, multiloop
 assembly, torus-action refinements, and relative root extraction.
 
+Spec files (`fixtures/*.ml`) are read here: `parse_spec_file` gives a
+MultiloopSpec and the cartan rows, and `graded_from_spec` builds the refined
+graded algebra from them.  The CLI, the tests and the scripts all load specs
+through this one pair.
+
 Lambda-degrees are stored in the rescaled lattice (exponent i/m becomes the
 integer i) and only one period of degrees is kept; pieces at degrees
 differing by m Z^n are canonically identified.
@@ -21,13 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chevalley import ChevalleyAlgebra, sparse_bracket, sparse_vector
+from .chevalley import (ChevalleyAlgebra, build_chevalley_by_type,
+                        chevalley_involution, diagram_automorphism,
+                        sparse_bracket, sparse_vector, torus_automorphism)
 from .rootsys import RootSystem, RelativeRootData, make_relative_system
 from .scalars import QQ, DomainCyclotomic, Cyclotomic
 
 
 class GradingError(ValueError):
     pass
+
+
+class SpecError(ValueError):
+    """A malformed spec file."""
 
 
 @dataclass
@@ -418,15 +429,96 @@ def irreducible_components(system: RootSystem):
     return out
 
 
-def component_rank_report(rg: RelativeGrading):
-    if rg.anisotropic:
-        return []
-    return [(c["rank"], len(c["roots"])) for c in
-            irreducible_components(rg.system)]
-
-
 def twisted_form_dims_check(g: GradedLieAlgebra, base_dim: int) -> bool:
     """After base change along the degree-m cover the graded dimension
     sequence must match the untwisted loop algebra's: the piece dimensions
     over one period sum to dim L."""
     return sum(g.dims_by_lam().values()) == base_dim
+
+
+# ---------------------------------------------------------------------------
+# spec files
+
+def parse_spec_file(text: str, conductor: int):
+    """The multiloop spec and cartan rows of a spec file's text.
+
+    Lines: "multiloop type=<T> rank=<r> n=<n> m=<m>", then one "sigma ..."
+    per loop variable (torus w1..wr | diagram p1..pr | chevalley | identity),
+    then optional "cartan h c1..cr" lines or "cartan full".  A cartan row
+    holds coefficients on the simple coroots; "cartan full" stands for the
+    identity rows and overrides every "cartan h" line.
+    """
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines or not lines[0].startswith("multiloop"):
+        raise SpecError("spec line 1: expected 'multiloop ...'")
+    head = dict(part.split("=", 1) for part in lines[0].split()[1:])
+    try:
+        tlabel = head["type"]
+        rank = int(head["rank"])
+        n = int(head["n"])
+        m = int(head.get("m", conductor))
+    except (KeyError, ValueError) as e:
+        raise SpecError("spec line 1: %s" % e)
+    alg = build_chevalley_by_type(tlabel, rank)
+    sigmas = []
+    cartan_rows = []
+    cartan_full = False
+    for lno, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if parts[0] == "sigma":
+            sigmas.append(_parse_sigma(alg, parts[1:], lno))
+        elif parts[0] == "cartan":
+            if parts[1:] == ["full"]:
+                cartan_full = True
+            elif parts[1] == "h":
+                cartan_rows.append([Fraction(x) for x in parts[2:]])
+            else:
+                raise SpecError("spec line %d: bad cartan line" % lno)
+        else:
+            raise SpecError("spec line %d: unknown directive %r"
+                            % (lno, parts[0]))
+    if len(sigmas) != n:
+        raise SpecError("spec declares n=%d but has %d sigma lines"
+                        % (n, len(sigmas)))
+    if cartan_full:
+        cartan_rows = [[Fraction(int(j == i)) for j in range(rank)]
+                       for i in range(rank)]
+    return MultiloopSpec(alg, sigmas, m), cartan_rows
+
+
+def _parse_sigma(alg, parts, lno):
+    kind = parts[0] if parts else ""
+    if kind == "identity":
+        return torus_automorphism(alg, QQ, [Fraction(1)] * alg.rank)
+    if kind == "torus":
+        ws = [Fraction(x) for x in parts[1:]]
+        if len(ws) != alg.rank:
+            raise SpecError("spec line %d: torus needs %d weights"
+                            % (lno, alg.rank))
+        return torus_automorphism(alg, QQ, ws)
+    if kind == "diagram":
+        perm = [int(x) for x in parts[1:]]
+        if sorted(perm) != list(range(alg.rank)):
+            raise SpecError("spec line %d: bad permutation" % lno)
+        return diagram_automorphism(alg, perm)
+    if kind == "chevalley":
+        return chevalley_involution(alg)
+    raise SpecError("spec line %d: unknown sigma kind %r" % (lno, kind))
+
+
+def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:
+    """The multiloop algebra of spec, refined by the cartan elements whose
+    coefficients on the simple coroots are the given rows."""
+    g = build_multiloop(spec)
+    alg, dom = spec.base, g.dom
+    nroots = len(alg.roots)
+    cartan = []
+    for row in cartan_rows:
+        if len(row) != alg.rank:
+            raise SpecError("cartan row needs %d coefficients" % alg.rank)
+        h = [dom.zero()] * alg.dim
+        for i, c in enumerate(row):
+            h[nroots + i] = dom.lift(c)
+        cartan.append(h)
+    return q_grading_from_cartan(g, cartan)

@@ -167,21 +167,6 @@ def solve(dom, A, b):
     return x
 
 
-def left_inverse_coords(dom, A):
-    """For an injective n x d matrix A over a field, rows L with L A = I_d.
-
-    Used to read off coordinates of vectors known to lie in the column span.
-    """
-    n = len(A)
-    d = len(A[0]) if n else 0
-    aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]
-           for i in range(n)]
-    R, pivots = rref(dom, aug)
-    if pivots[:d] != list(range(d)):
-        raise ValueError("matrix is not injective")
-    return [R[r][d:] for r in range(d)]
-
-
 def span_coords(dom, vs, n):
     """Coordinates in the basis vs of independent sparse vectors {t: v_t}
     of length n, by pivot solve.
@@ -191,7 +176,8 @@ def span_coords(dom, vs, n):
     P, and w = sum_j c_j v_j has c_j = sum_p w_(P_p) E_pj.  Returns a
     function taking a sparse w to its coordinate list, or to None when
     sum_j c_j v_j differs from w on some coordinate, i.e. w is not in the
-    span.
+    span.  w may lie over a ring above dom (series, say): the check uses its
+    ==, and a coordinate nothing contributes to stays dom's zero.
     """
     k = len(vs)
     zero, one = dom.zero(), dom.one()

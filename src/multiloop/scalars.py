@@ -6,12 +6,16 @@ unary -, and multiplication by int / Fraction; fields additionally support
 inversion.  A small "domain" object describes each ring and provides
 construction, coercion from lower levels of the tower, and the canonical
 text serialization.
+
+A cyclotomic number x is inverted by its norm: x^-1 = c / N(x), where c is
+the product of the other Galois conjugates of x and N(x) = x c is rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import add as _add, neg as _neg, sub as _sub
 
 
@@ -130,11 +134,7 @@ class Cyclotomic:
         m, big = self.order, big_order
         if big % m:
             raise ValueError("no embedding of Q(zeta_%d) into Q(zeta_%d)" % (m, big))
-        step = big // m
-        raw = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            raw[i * step] += c
-        return _cyc(big, _reduce(raw, big))
+        return _substitute(self.coeffs, big // m, big)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -180,22 +180,21 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse c / N(x): c is the product of the
+        conjugates sigma_k(x), zeta -> zeta^k, over the units k != 1 mod m,
+        so x c = N(x) is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        # invariants: s * self == r  (mod Phi_m)
-        r0, s0 = mod, [Fraction(0)]
-        r1, s1 = _trim(a), [Fraction(1)]
-        while _degree(r1) > 0:
-            q, rem = _qpolydivmod(r0, r1)
-            r0, r1 = r1, _trim(rem)
-            s0, s1 = s1, _trim(_qpolysub(s0, _qpolymul(q, s1)))
-        if not r1:
-            raise ZeroDivisionError("zero divisor in cyclotomic field")
-        lead = r1[0]
-        return _cyc(self.order, _reduce([c / lead for c in s1], self.order))
+        m = self.order
+        c = None
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                s = _substitute(self.coeffs, k, m)
+                c = s if c is None else c * s
+        if c is None:       # phi(m) = 1: x is rational
+            return _cyc(m, (1 / self.coeffs[0],))
+        norm = (self * c).coeffs[0]
+        return _cyc(m, tuple(a / norm for a in c.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -263,43 +262,14 @@ def _cyc(order, coeffs):
     return x
 
 
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _degree(p):
-    return len(p) - 1
-
-
-def _qpolymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _qpolysub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _qpolydivmod(num, den):
-    num = list(num)
-    dd = _degree(den)
-    out = [Fraction(0)] * max(0, len(num) - dd)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dd] / den[-1]
-        out[i] = c
-        for j, dc in enumerate(den):
-            num[i + j] -= c * dc
-    return out, num[:dd]
+def _substitute(coeffs, k, order):
+    """sum_i c_i zeta^(i k) in Q(zeta_order) for power-basis coefficients
+    c_i; the i k must be distinct mod order (k a unit, or an embedding's
+    step)."""
+    raw = [_ZERO] * order
+    for i, c in enumerate(coeffs):
+        raw[i * k % order] = c
+    return _cyc(order, _reduce(raw, order))
 
 
 def cyc_show(x: Cyclotomic) -> str:

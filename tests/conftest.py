@@ -1,13 +1,12 @@
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from multiloop.chevalley import (build_chevalley_by_type, chevalley_involution,
-                                 diagram_automorphism, torus_automorphism)
-from multiloop.grading import (MultiloopSpec, build_multiloop,
-                               q_grading_from_cartan, from_chevalley,
-                               relative_roots)
-from multiloop.scalars import QQ
+from multiloop.chevalley import build_chevalley_by_type
+from multiloop.grading import (from_chevalley, graded_from_spec,
+                               parse_spec_file, relative_roots)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 _CACHE = {}
 
@@ -44,31 +43,25 @@ def a3():
     return algebra("A", 3)
 
 
+def load_spec(text, conductor=2):
+    """The refined graded algebra of a spec file's text."""
+    return graded_from_spec(*parse_spec_file(text, conductor))
+
+
+def load_fixture(name):
+    return load_spec((FIXTURES / name).read_text())
+
+
 def build_sl2_loop():
-    alg = algebra("A", 1)
-    ident = torus_automorphism(alg, QQ, [Fraction(1)])
-    g = build_multiloop(MultiloopSpec(alg, [ident], 1))
-    h = [g.dom.zero()] * alg.dim
-    h[alg.dim - 1] = g.dom.one()
-    return q_grading_from_cartan(g, [h])
+    return load_fixture("sl2_untwisted.ml")
 
 
 def build_quaternion():
-    alg = algebra("A", 1)
-    s1 = torus_automorphism(alg, QQ, [Fraction(-1)])
-    s2 = chevalley_involution(alg)
-    g = build_multiloop(MultiloopSpec(alg, [s1, s2], 2))
-    return q_grading_from_cartan(g, [])
+    return load_fixture("sl2_quaternion.ml")
 
 
 def build_sl3_flip():
-    alg = algebra("A", 2)
-    flip = diagram_automorphism(alg, [1, 0])
-    g = build_multiloop(MultiloopSpec(alg, [flip], 2))
-    h = [g.dom.zero()] * alg.dim
-    h[len(alg.roots)] = g.dom.one()
-    h[len(alg.roots) + 1] = g.dom.one()
-    return q_grading_from_cartan(g, [h])
+    return load_fixture("sl3_flip.ml")
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError,
-                                 ad_matrix, build_chevalley_by_type,
+                                 ad_matrix, ad_rows, build_chevalley_by_type,
                                  chevalley_involution, diagram_automorphism,
                                  exp_ad, inner_automorphism, killing_form,
                                  torus_automorphism)
@@ -189,6 +189,24 @@ def test_ad_matrix_trace_free():
     for i in range(alg.dim):
         M = ad_matrix(QQ, alg, alg.basis_vector(QQ, i))
         assert sum(M[k][k] for k in range(alg.dim)) == 0
+
+
+@pytest.mark.parametrize("t, r", [("A", 2), ("B", 2), ("G", 2)])
+def test_ad_rows_match_dense_bracket(t, r):
+    # column j of ad_x is [x, e_j], for every basis vector x and for one
+    # combination of three of them
+    alg = algebra(t, r)
+    d = alg.dim
+    rng = random.Random(11)
+    xs = [{i: Fraction(1)} for i in range(d)]
+    xs.append({i: Fraction(rng.choice([-3, -1, 2, 5]))
+               for i in sorted(rng.sample(range(d), 3))})
+    for x in xs:
+        rows = ad_rows(alg.table, x, d)
+        dense = [x.get(i, Fraction(0)) for i in range(d)]
+        for j in range(d):
+            col = alg.bracket(QQ, dense, alg.basis_vector(QQ, j))
+            assert [rows.get(k, {}).get(j, 0) for k in range(d)] == col
 
 
 def test_q_degree():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from multiloop.cli import main
+from multiloop.grading import SpecError, graded_from_spec, parse_spec_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -184,6 +185,35 @@ def test_cartan_eigenvalue_errors(capsys, tmp_path, spec, dim):
         assert err == ("error: cartan action is not diagonalizable with "
                        "integer eigenvalues on a piece of dimension %d\n"
                        % dim)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["sigma identity"], "spec line 1: expected 'multiloop ...'"),
+    (["multiloop type=A rank=1 n=1 m=1", "sigma identity", "frob 1"],
+     "spec line 3: unknown directive 'frob'"),
+    (["multiloop type=A rank=1 n=1 m=1", "sigma identity", "cartan x 1"],
+     "spec line 3: bad cartan line"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma diagram 0 0"],
+     "spec line 2: bad permutation"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma torus -1"],
+     "spec line 2: torus needs 2 weights"),
+    (["multiloop type=A rank=1 n=2 m=1", "sigma identity"],
+     "spec declares n=2 but has 1 sigma lines"),
+    (["multiloop type=A rank=2 n=1 m=1", "sigma identity", "cartan h 1"],
+     "cartan row needs 2 coefficients"),
+], ids=["no-header", "unknown-directive", "bad-cartan", "bad-permutation",
+        "torus-weights", "sigma-count", "cartan-row-length"])
+def test_malformed_spec_is_a_usage_error(capsys, tmp_path, lines, message):
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "spec.ml"
+    path.write_text(text)
+    for cmd in ("grading", "lietorus"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 1 and out == ""
+        assert err == "usage error: %s\n" % message
+    with pytest.raises(SpecError) as info:
+        graded_from_spec(*parse_spec_file(text, 2))
+    assert str(info.value) == message
 
 
 def test_flag_overrides_environment(capsys, monkeypatch):

@@ -111,6 +111,26 @@ def test_non_unipotent_rejected(rg_a2):
                          rg_a2.data.positive)
 
 
+def test_perturbed_root_block_is_not_unipotent(rg_a2):
+    # one entry of the alpha-shift block moved off the image of ad on the
+    # alpha piece: the first solve cannot be certified
+    g = rg_a2.algebra
+    alpha = rg_a2.data.simple[0]
+    u = word_matrix(rg_a2, QQ, RootElementWord(
+        [(gamma, place(g, QQ, gamma, Fraction(i + 2)))
+         for i, gamma in enumerate(rg_a2.data.positive)]))
+    assert unipotent_factor(rg_a2, QQ, u, rg_a2.data.positive)
+    k, j = next((k, j) for j, ej in enumerate(g.entries)
+                for k, ek in enumerate(g.entries)
+                if ek.qdeg == tuple(a + b for a, b in zip(ej.qdeg, alpha)))
+    u.matrix[k][j] += 1
+    with pytest.raises(ElementError) as info:
+        unipotent_factor(rg_a2, QQ, u, rg_a2.data.positive)
+    message = str(info.value)
+    assert message.startswith("element is not unipotent over psi")
+    assert str(alpha) in message
+
+
 def test_q_maps_empty_for_reduced(rg_a2):
     alpha = rg_a2.roots[0]
     v = place(rg_a2.algebra, QQ, alpha, Fraction(2))
@@ -130,6 +150,19 @@ def test_q_maps_bc1(rg_bc1):
     # q correction vanishes when one argument is zero
     zero = [R.zero()] * rg_bc1.algebra.dim
     assert extract_q_maps(rg_bc1, R, alpha, v, zero) == []
+
+
+def test_unipotent_factor_over_series_gives_ring_zeros(rg_bc1):
+    # a coordinate nothing contributes to, on a two-dimensional piece,
+    # comes back as the series ring's zero, not the base field's
+    g = rg_bc1.algebra
+    R = DomainSeries(g.dom)
+    alpha = (1,)
+    v = place(g, R, alpha, [R.zero(), R.t(-1) + R.from_int(2)])
+    u = word_matrix(rg_bc1, R, RootElementWord([(alpha, v)]))
+    factors = unipotent_factor(rg_bc1, R, u, rg_bc1.data.positive)
+    assert factors == [(alpha, v)]
+    assert all(type(x) is TruncSeries for _, w in factors for x in w)
 
 
 def test_commutator_a2(rg_a2):

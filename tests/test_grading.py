@@ -1,24 +1,23 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from multiloop import linalg
 from multiloop.chevalley import (chevalley_involution, diagram_automorphism,
                                  sparse_vector, torus_automorphism)
-from multiloop.cli import _graded_from_spec, parse_spec_file
 from multiloop.grading import (GradedBasisVector, GradingError, MultiloopSpec,
                                _build_table, _combine,
                                _joint_integer_eigenspaces, build_multiloop,
-                               from_chevalley, irreducible_components,
-                               opposite_unipotent_pair, q_grading_from_cartan,
-                               relative_roots, twisted_form_dims_check,
-                               verify_multiloop_spec)
+                               from_chevalley, graded_from_spec,
+                               irreducible_components,
+                               opposite_unipotent_pair, parse_spec_file,
+                               q_grading_from_cartan, relative_roots,
+                               twisted_form_dims_check, verify_multiloop_spec)
 from multiloop.rootsys import make_relative_system
 from multiloop.scalars import QQ
 
-from conftest import algebra
+from conftest import FIXTURES, algebra
 
 
 def test_sl2_loop_dims(g_sl2loop):
@@ -161,8 +160,6 @@ def test_quaternion_brackets_nonabelian(g_quat):
 
 # -- the table build against the dense oracle ---------------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
 # the benchmark's grading families, one cartan choice each
 FAMILY_SPECS = {
     "flip_m2": ["multiloop type=A rank=2 n=1 m=2", "sigma diagram 1 0",
@@ -187,6 +184,19 @@ SPEC_TEXTS = dict(
     + [(k, "\n".join(v) + "\n") for k, v in FAMILY_SPECS.items()])
 
 
+def left_inverse_coords(dom, A):
+    """For an injective n x d matrix A over a field, rows L with L A = I_d,
+    from rref([A | I_n])."""
+    n = len(A)
+    d = len(A[0]) if n else 0
+    aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]
+           for i in range(n)]
+    R, pivots = linalg.rref(dom, aug)
+    if pivots[:d] != list(range(d)):
+        raise ValueError("matrix is not injective")
+    return [R[r][d:] for r in range(d)]
+
+
 def _dense_build_table(dom, entries, nvars, period, alg):
     """The dense table build, kept as an oracle: every ordered pair through
     the dense ambient bracket, coordinates by left_inverse_coords and
@@ -198,7 +208,7 @@ def _dense_build_table(dom, entries, nvars, period, alg):
     for lam, idxs in pieces.items():
         cols = [entries[i].vector for i in idxs]
         M = [[cols[j][t] for j in range(len(idxs))] for t in range(len(cols[0]))]
-        coords[lam] = (idxs, linalg.left_inverse_coords(dom, M), M)
+        coords[lam] = (idxs, left_inverse_coords(dom, M), M)
     table = {}
     for i, ei in enumerate(entries):
         for j, ej in enumerate(entries):
@@ -231,7 +241,7 @@ def _dense_eigenspaces(dom, alg, cartan, basis):
             if not vs:
                 continue
             M = [[vs[j][t] for j in range(len(vs))] for t in range(len(vs[0]))]
-            L = linalg.left_inverse_coords(dom, M)
+            L = left_inverse_coords(dom, M)
             cols = [linalg.mat_vec(dom, L, alg.bracket(dom, h, v)) for v in vs]
             A = [[cols[j][i] for j in range(len(vs))] for i in range(len(vs))]
             found, bound, pieces = 0, 4, []
@@ -260,15 +270,19 @@ def _dense_eigenspaces(dom, alg, cartan, basis):
 
 def _graded_pair(text):
     """(ambient, lattice-graded algebra, refined algebra, cartan rows) of a
-    spec file, built as the CLI builds them; the rows of "cartan full" are
-    the simple coroots."""
-    alg, spec, rows, full = parse_spec_file(text, 2)
-    g = build_multiloop(spec)
-    refined = _graded_from_spec(alg, spec, rows, full)
-    if full:
-        rows = [[int(i == j) for j in range(alg.rank)]
-                for i in range(alg.rank)]
-    return alg, g, refined, rows
+    spec file, built as the CLI builds them."""
+    spec, rows = parse_spec_file(text, 2)
+    return spec.base, build_multiloop(spec), graded_from_spec(spec, rows), rows
+
+
+def test_cartan_full_overrides_cartan_h_lines():
+    # the short "cartan h" row is dropped unread, before or after "full"
+    head = ["multiloop type=A rank=2 n=1 m=1", "sigma identity"]
+    for cartan in (["cartan h 1", "cartan full"],
+                   ["cartan full", "cartan h 1"]):
+        spec, rows = parse_spec_file("\n".join(head + cartan), 2)
+        assert rows == [[1, 0], [0, 1]]
+        assert graded_from_spec(spec, rows).qrank == 2
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_TEXTS))

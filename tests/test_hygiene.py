@@ -38,6 +38,61 @@ def test_unused_import_is_caught(tmp_path):
     assert _unused_imports(module) == [(2, "os")]
 
 
+def _imported_names(path, package=None):
+    """(line, dotted name) of everything a file imports: "m" for
+    "import m" and "m.a" for "from m import a", with a relative module
+    resolved against package."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = ".".join(p for p in (package, module) if p)
+            out += [(node.lineno, "%s.%s" % (module, a.name))
+                    for a in node.names]
+    return out
+
+
+def _cli_imports(path, package=None):
+    return [(line, name) for line, name in _imported_names(path, package)
+            if name == "multiloop.cli" or name.startswith("multiloop.cli.")]
+
+
+def _private_cli_imports(path):
+    return [(line, name) for line, name in _imported_names(path)
+            if name.startswith("multiloop.cli._")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_library_does_not_import_cli(path):
+    """The CLI depends on the library, never the other way round."""
+    assert _cli_imports(path, "multiloop") == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    list((SRC.parent.parent / "tests").glob("*.py"))
+    + list((SRC.parent.parent / "scripts").glob("*.py"))),
+    ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_no_private_cli_names_outside_src(path):
+    assert _private_cli_imports(path) == []
+
+
+def test_cli_imports_are_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from . import cli, linalg\n"
+                      "from .cli import main\n"
+                      "import multiloop.cli\n"
+                      "from multiloop.cli import _graded, main\n")
+    assert _cli_imports(module, "multiloop") == [
+        (1, "multiloop.cli"), (2, "multiloop.cli.main"), (3, "multiloop.cli"),
+        (4, "multiloop.cli._graded"), (4, "multiloop.cli.main")]
+    assert _private_cli_imports(module) == [(4, "multiloop.cli._graded")]
+
+
 def _resolves(modname, path):
     owner = importlib.import_module("multiloop." + modname)
     for attr in path.split("."):

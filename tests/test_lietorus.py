@@ -1,5 +1,4 @@
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -11,10 +10,9 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
 from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
                                 classify_system, lie_torus_check,
                                 pairing_from_strings)
-from multiloop.cli import _graded_from_spec, parse_spec_file
 from multiloop.scalars import QQ
 
-from conftest import algebra
+from conftest import FIXTURES, algebra, load_spec
 
 
 def test_sl2_loop_passes(g_sl2loop):
@@ -142,8 +140,6 @@ def test_lt4_counterexample_on_fat_piece():
 
 # -- LT5 against a brute-force closure --------------------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
 
 def _lt5_oracle(g):
     """The generated subalgebra by brute force: bracket every generator with
@@ -178,11 +174,6 @@ def _lt5_oracle(g):
     return False, ("generated-dimension", r, g.dim), rounds
 
 
-def _graded(text):
-    alg, spec, rows, full = parse_spec_file(text, 2)
-    return _graded_from_spec(alg, spec, rows, full)
-
-
 SPECS = {path.name: path.read_text() for path in sorted(FIXTURES.glob("*.ml"))}
 SPECS["flip_m4"] = ("multiloop type=A rank=2 n=1 m=4\n"
                     "sigma diagram 1 0\ncartan h 1 1\n")
@@ -192,7 +183,7 @@ SPECS["torus_A2_m2"] = ("multiloop type=A rank=2 n=1 m=2\n"
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_lt5_matches_brute_force_closure(name):
-    g = _graded(SPECS[name])
+    g = load_spec(SPECS[name])
     verdict, witness, _ = _lt5_oracle(g)
     assert check_LT5(g) == (verdict, witness)
 
