@@ -26,8 +26,7 @@ from functools import cached_property
 
 from . import linalg
 from .chevalley import ad_rows
-from .grading import (GradedLieAlgebra, RelativeGrading,
-                      irreducible_components)
+from .grading import GradedLieAlgebra, RelativeGrading
 from .scalars import TruncSeries, series_split
 
 
@@ -392,7 +391,7 @@ class FactorizationCertificate:
 def assert_factorable(rg: RelativeGrading):
     if rg.anisotropic:
         raise RankOneComponent("anisotropic grading: no relative roots")
-    for comp in irreducible_components(rg.system):
+    for comp in rg.components:
         if comp["rank"] < 2:
             raise RankOneComponent(
                 "irreducible component of rank %d at %s: the factorization "

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .chevalley import (ChevalleyAlgebra, build_chevalley_by_type,
@@ -163,9 +164,6 @@ class GradedLieAlgebra:
         for e in self.entries:
             out[e.lam] = out.get(e.lam, 0) + 1
         return out
-
-    def bracket_coords(self, i, j):
-        return self.table.get((i, j), [])
 
     def bracket(self, x, y):
         """Bracket of dense graded-coordinate vectors."""
@@ -382,6 +380,12 @@ class RelativeGrading:
     def anisotropic(self):
         return not self.roots
 
+    @cached_property
+    def components(self):
+        """The irreducible components of the relative root system, as
+        irreducible_components gives them; computed once."""
+        return irreducible_components(self.system)
+
 
 def relative_roots(g: GradedLieAlgebra, functional=None) -> RelativeGrading:
     if g.qrank == 0:
@@ -452,7 +456,12 @@ def parse_spec_file(text: str, conductor: int):
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("multiloop"):
         raise SpecError("spec line 1: expected 'multiloop ...'")
-    head = dict(part.split("=", 1) for part in lines[0].split()[1:])
+    head = {}
+    for part in lines[0].split()[1:]:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise SpecError("spec line 1: bad header token %r" % part)
+        head[key] = value
     try:
         tlabel = head["type"]
         rank = int(head["rank"])
@@ -471,8 +480,10 @@ def parse_spec_file(text: str, conductor: int):
         elif parts[0] == "cartan":
             if parts[1:] == ["full"]:
                 cartan_full = True
-            elif parts[1] == "h":
-                cartan_rows.append([Fraction(x) for x in parts[2:]])
+            elif parts[1:2] == ["h"]:
+                cartan_rows.append([_spec_number(Fraction, x, lno,
+                                                 "cartan coefficient")
+                                    for x in parts[2:]])
             else:
                 raise SpecError("spec line %d: bad cartan line" % lno)
         else:
@@ -492,19 +503,33 @@ def _parse_sigma(alg, parts, lno):
     if kind == "identity":
         return torus_automorphism(alg, QQ, [Fraction(1)] * alg.rank)
     if kind == "torus":
-        ws = [Fraction(x) for x in parts[1:]]
+        ws = [_spec_number(Fraction, x, lno, "torus weight")
+              for x in parts[1:]]
         if len(ws) != alg.rank:
             raise SpecError("spec line %d: torus needs %d weights"
                             % (lno, alg.rank))
+        if not all(ws):
+            raise SpecError("spec line %d: torus weights must be nonzero"
+                            % lno)
         return torus_automorphism(alg, QQ, ws)
     if kind == "diagram":
-        perm = [int(x) for x in parts[1:]]
+        perm = [_spec_number(int, x, lno, "permutation entry")
+                for x in parts[1:]]
         if sorted(perm) != list(range(alg.rank)):
             raise SpecError("spec line %d: bad permutation" % lno)
         return diagram_automorphism(alg, perm)
     if kind == "chevalley":
         return chevalley_involution(alg)
     raise SpecError("spec line %d: unknown sigma kind %r" % (lno, kind))
+
+
+def _spec_number(kind, token, lno, what):
+    """token read as kind (int or Fraction), or a SpecError naming the line."""
+    try:
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError("spec line %d: bad %s %r" % (lno, what, token)) \
+            from None
 
 
 def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:

@@ -9,6 +9,14 @@ text serialization.
 
 A cyclotomic number x is inverted by its norm: x^-1 = c / N(x), where c is
 the product of the other Galois conjugates of x and N(x) = x c is rational.
+
+A truncated series stores integral numerators over one positive common
+denominator, reduced so that their content is coprime to it (the primitive
+part, as in von zur Gathen & Gerhard, Modern Computer Algebra, 6.2): over Q
+the numerators are ints and over Q[x^+-1] Laurent polynomials with int
+coefficients, so the one product kernel (`_convolve`) and the one
+normaliser (`_make`) run in machine integers.  Over Q(zeta_m) the
+denominator is 1 and the numerators are the coefficients.
 """
 
 from __future__ import annotations
@@ -291,7 +299,12 @@ def cyc_parse(s: str) -> Cyclotomic:
 
 class LaurentPoly:
     """Sparse Laurent polynomial in nvars variables; coefficients live in any
-    lower level of the scalar tower (Fraction or Cyclotomic)."""
+    lower level of the scalar tower (Fraction or Cyclotomic), or are ints in
+    the integral numerators of a series.
+
+    The constructor coerces exponents and drops zero terms; results of
+    arithmetic, whose terms are already clean, are made by the unchecked
+    `_lp`."""
 
     __slots__ = ("nvars", "terms")
 
@@ -333,15 +346,26 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms[k] + c if k in terms else c
-        return LaurentPoly(self.nvars, terms)
+            if k in terms:
+                c = terms[k] + c
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]
+            else:
+                terms[k] = c
+        return _lp(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {k: -c for k, c in self.terms.items()})
+        return _lp(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -353,21 +377,32 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            terms = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = tuple(map(_add, k1, k2))
+                    if k in terms:
+                        terms[k] += c1 * c2
+                    else:
+                        terms[k] = c1 * c2
+            if len(terms) < len(self.terms) * len(other.terms):
+                # some terms were merged, and may have cancelled
+                terms = {k: c for k, c in terms.items() if c}
+            return _lp(self.nvars, terms)
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return LaurentPoly(self.nvars,
-                               {k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        other = self._coerce(other)
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                p = c1 * c2
-                terms[k] = terms[k] + p if k in terms else p
-        return LaurentPoly(self.nvars, terms)
+            if not other:
+                return _lp(self.nvars, {})
+            return _lp(self.nvars, {k: c * other for k, c in self.terms.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, k: int):
+        """Each coefficient floor-divided by the int k: the exact quotient
+        when k divides every coefficient."""
+        return _lp(self.nvars, {e: c // k for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -388,13 +423,27 @@ class LaurentPoly:
         return lp_show(self)
 
 
+_lp_new = object.__new__
+_set_nvars = LaurentPoly.nvars.__set__
+_set_terms = LaurentPoly.terms.__set__
+
+
+def _lp(nvars, terms):
+    """The LaurentPoly with these terms, unchecked: terms must map nvars-tuples
+    of ints to nonzero coefficients, as every arithmetic result does."""
+    p = _lp_new(LaurentPoly)
+    _set_nvars(p, nvars)
+    _set_terms(p, terms)
+    return p
+
+
 def lp_show(p: LaurentPoly) -> str:
     if not p.terms:
         return "0"
     bits = []
     for expo in sorted(p.terms):
         c = p.terms[expo]
-        cs = rat_show(c) if isinstance(c, Fraction) else cyc_show(c)
+        cs = rat_show(c) if isinstance(c, (int, Fraction)) else cyc_show(c)
         mono = "".join("*x%d^%d" % (i + 1, e) for i, e in enumerate(expo) if e)
         bits.append(cs + mono)
     return " + ".join(bits)
@@ -407,49 +456,56 @@ class TruncSeries:
     """Laurent series in t over a base ring, known modulo t^prec.
 
     prec is None for exact data (a genuine Laurent polynomial in t).  The
-    zero-at-precision element stores no coefficients and no valuation.
+    series is t^low (num[0] + num[1] t + ...) / den: den is a positive int
+    and num a tuple of integral elements of the base (ints over Q, Laurent
+    polynomials with int coefficients over Q[x^+-1], the coefficients
+    themselves with den = 1 over Q(zeta_m)).  The form is canonical: num
+    starts and ends with a nonzero element, holds nothing at or past the
+    horizon, and its content is coprime to den.  The zero-at-precision
+    element stores no coefficients and no valuation.  `coeffs`, the
+    coefficients in the base ring, is built on first use.
+
+    == is congruence up to the common precision (see `congruent`), which
+    linalg.span_coords relies on for entries with a horizon.  It is not
+    transitive, so no hash can agree with it and series are unhashable.
     """
 
-    __slots__ = ("base", "low", "prec", "coeffs")
+    __slots__ = ("base", "low", "prec", "num", "den", "_coeffs")
 
-    def __init__(self, base, low: int, prec, coeffs):
-        coeffs = list(coeffs)
-        if prec is not None:
-            # drop coefficients at or beyond the precision horizon
-            keep = prec - low
-            coeffs = coeffs[:max(0, keep)]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            low += 1
-        if not coeffs:
-            low = 0
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __new__(cls, base, low: int, prec, coeffs):
+        num, den = base.integral([base.lift(c) for c in coeffs])
+        return _make(base, low, prec, list(num), den)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
+
+    @property
+    def coeffs(self):
+        """The coefficients of t^low, t^(low+1), ... in the base ring."""
+        c = self._coeffs
+        if c is None:
+            over, den = self.base.over, self.den
+            c = tuple([over(n, den) for n in self.num])
+            _set_ts_coeffs(self, c)
+        return c
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
         """Zero at the stated precision."""
-        return not self.coeffs
+        return not self.num
 
     def valuation(self):
-        return self.low if self.coeffs else None
+        return self.low if self.num else None
 
     def coeff(self, d: int):
         i = d - self.low
-        if self.coeffs and 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.num):
             return self.coeffs[i]
         return self.base.zero()
 
     def degrees(self):
-        return [self.low + i for i, c in enumerate(self.coeffs) if c]
+        return [self.low + i for i, c in enumerate(self.num) if c]
 
     def is_polynomial(self) -> bool:
         """All stored data exact (no truncation horizon)."""
@@ -459,7 +515,7 @@ class TruncSeries:
 
     @staticmethod
     def zero_at(base, prec) -> "TruncSeries":
-        return TruncSeries(base, 0, prec, [])
+        return _ts(base, 0, prec, (), 1)
 
     @staticmethod
     def constant(base, c, prec=None) -> "TruncSeries":
@@ -471,7 +527,9 @@ class TruncSeries:
 
     def with_precision(self, prec) -> "TruncSeries":
         new = _pmin(self.prec, prec)
-        return TruncSeries(self.base, self.low, new, self.coeffs)
+        if new == self.prec:
+            return self
+        return _make(self.base, self.low, new, list(self.num), self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -479,7 +537,8 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             return other
         if isinstance(other, (int, Fraction)) or type(other) in (Cyclotomic, LaurentPoly):
-            return TruncSeries.constant(self.base, self.base.lift(other))
+            num, den = self.base.integral((self.base.lift(other),))
+            return _make(self.base, 0, None, list(num), den)
         return NotImplemented
 
     def __add__(self, other):
@@ -487,20 +546,32 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         prec = _pmin(self.prec, other.prec)
-        if not self.coeffs:
+        a, b = self.num, other.num
+        if not a:
             return other.with_precision(prec)
-        if not other.coeffs:
+        if not b:
             return self.with_precision(prec)
+        den, db = self.den, other.den
+        if den != db:
+            # align both numerators at the lcm of the denominators
+            g = gcd(den, db)
+            if db != g:
+                a = [x * (db // g) for x in a]
+            if den != g:
+                b = [x * (den // g) for x in b]
+            den = den // g * db
         low = min(self.low, other.low)
-        hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        out = [self.coeff(d) + other.coeff(d) for d in range(low, hi)]
-        return TruncSeries(self.base, low, prec, out)
+        i, j = self.low - low, other.low - low
+        out = [self.base.integral_zero] * max(i + len(a), j + len(b))
+        out[i:i + len(a)] = a
+        out[j:j + len(b)] = map(_add, out[j:j + len(b)], b)
+        return _make(self.base, low, prec, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.base, self.low, self.prec,
-                           [-c for c in self.coeffs])
+        return _ts(self.base, self.low, self.prec,
+                   tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -512,30 +583,21 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) in (Cyclotomic, LaurentPoly):
-            c = self.base.lift(other)
-            return TruncSeries(self.base, self.low, self.prec,
-                               [a * c for a in self.coeffs])
-        if not isinstance(other, TruncSeries):
+        if isinstance(other, TruncSeries):
+            # precision of a product: each factor contributes its valuation
+            # (or its precision, when zero-at-precision) to the other's
+            # horizon
+            v1 = self.low if self.num else self.prec
+            v2 = other.low if other.num else other.prec
+            prec = _pmin(_padd(self.prec, v2), _padd(other.prec, v1))
+            return _convolve(self.base, self.low + other.low, prec,
+                             self.num, other.num, self.den * other.den)
+        c = self._coerce(other)
+        if c is NotImplemented:
             return NotImplemented
-        # precision of a product: each factor contributes its valuation
-        # (or its precision, when zero-at-precision) to the other's horizon
-        v1 = self.low if self.coeffs else self.prec
-        v2 = other.low if other.coeffs else other.prec
-        p1 = _padd(self.prec, v2)
-        p2 = _padd(other.prec, v1)
-        prec = _pmin(p1, p2)
-        if not self.coeffs or not other.coeffs:
-            return TruncSeries.zero_at(self.base, prec)
-        low = self.low + other.low
-        out = [self.base.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.base, low, prec, out)
+        # a scalar keeps the horizon, even when it is zero
+        return _convolve(self.base, self.low, self.prec,
+                         self.num, c.num, self.den * c.den)
 
     __rmul__ = __mul__
 
@@ -544,7 +606,7 @@ class TruncSeries:
         other = self._coerce(other)
         p = _pmin(_pmin(self.prec, other.prec), prec)
         diff = self - other
-        if not diff.coeffs:
+        if not diff.num:
             return True
         return p is not None and diff.low >= p
 
@@ -554,14 +616,77 @@ class TruncSeries:
             return NotImplemented
         return self.congruent(other)
 
-    def __hash__(self):
-        return hash((self.low, self.prec, self.coeffs))
+    __hash__ = None
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __repr__(self):
         return ts_show(self)
+
+
+_ts_new = object.__new__
+_set_base = TruncSeries.base.__set__
+_set_low = TruncSeries.low.__set__
+_set_prec = TruncSeries.prec.__set__
+_set_num = TruncSeries.num.__set__
+_set_den = TruncSeries.den.__set__
+_set_ts_coeffs = TruncSeries._coeffs.__set__
+
+
+def _ts(base, low, prec, num, den):
+    """The TruncSeries with these fields, unchecked: they must already be in
+    the canonical form (see TruncSeries)."""
+    s = _ts_new(TruncSeries)
+    _set_base(s, base)
+    _set_low(s, low)
+    _set_prec(s, prec)
+    _set_num(s, num)
+    _set_den(s, den)
+    _set_ts_coeffs(s, None)
+    return s
+
+
+def _make(base, low, prec, num, den):
+    """The canonical series t^low (num[0] + num[1] t + ...) / den for a list
+    num of integral base elements, which is consumed: it is cut at the
+    horizon, trimmed at both ends, and its content is divided out of den."""
+    if prec is not None and len(num) > prec - low:
+        del num[max(0, prec - low):]
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ts(base, 0, prec, (), 1)
+    lead = 0
+    while not num[lead]:
+        lead += 1
+    if lead:
+        del num[:lead]
+        low += lead
+    if den != 1:
+        g = base.content(num, den)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _ts(base, low, prec, tuple(num), den)
+
+
+def _convolve(base, low, prec, a, b, den):
+    """The canonical series t^low a(t) b(t) / den for numerator sequences a
+    and b: the one product kernel, which forms no coefficient at or past the
+    horizon prec."""
+    n = len(a) + len(b) - 1
+    if prec is not None and prec - low < n:
+        n = prec - low
+    if not a or not b or n <= 0:
+        return _ts(base, 0, prec, (), 1)
+    out = [base.integral_zero] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                if y:
+                    out[j] = out[j] + x * y
+    return _make(base, low, prec, out, den)
 
 
 def _pmin(a, b):
@@ -581,12 +706,10 @@ def _padd(p, v):
 def series_split(s: TruncSeries):
     """Split into (degrees <= 0, degrees >= 1).  The nonpositive half is exact
     whenever the precision horizon lies beyond t^0."""
-    cut = 1 - s.low
-    neg = list(s.coeffs[:max(0, cut)])
-    pos = list(s.coeffs[max(0, cut):])
+    cut = max(0, 1 - s.low)
     neg_prec = None if (s.prec is None or s.prec >= 1) else s.prec
-    nonpos = TruncSeries(s.base, s.low, neg_prec, neg)
-    positive = TruncSeries(s.base, max(s.low, 1), s.prec, pos)
+    nonpos = _make(s.base, s.low, neg_prec, list(s.num[:cut]), s.den)
+    positive = _make(s.base, max(s.low, 1), s.prec, list(s.num[cut:]), s.den)
     return nonpos, positive
 
 
@@ -603,6 +726,12 @@ def ts_show(s: TruncSeries) -> str:
 # is known in t (``t_order``).  Only an exact zero may be skipped by a matrix
 # kernel: a series that is zero only up to its precision horizon, O(t^p),
 # must take part so that the horizon carries into the result.
+#
+# A domain that can carry series coefficients also gives their integral
+# form: ``integral(coeffs)`` is (num, den) with coeffs[i] = num[i] / den,
+# ``over(n, den)`` is the base element n / den, ``content(num, den)`` is the
+# largest int dividing den and every num[i], and ``integral_zero`` is the
+# zero numerator.  Over Q(zeta_m) den is always 1 and num is coeffs.
 
 class _ExactDomain:
     """A domain without precision horizons: an element is zero exactly when
@@ -622,6 +751,23 @@ class DomainQ(_ExactDomain):
 
     name = "Q"
     is_field = True
+    integral_zero = 0
+
+    @staticmethod
+    def integral(coeffs):
+        den = 1
+        for c in coeffs:
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        return tuple([c.numerator * (den // c.denominator)
+                      for c in coeffs]), den
+
+    over = staticmethod(Fraction)
+
+    @staticmethod
+    def content(num, den):
+        return gcd(den, *num)
 
     def zero(self):
         return Fraction(0)
@@ -633,6 +779,8 @@ class DomainQ(_ExactDomain):
         return Fraction(n)
 
     def lift(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, Cyclotomic):
@@ -668,6 +816,19 @@ class DomainCyclotomic(_ExactDomain):
         self.name = "Q(z%d)" % order
         self._zero = Cyclotomic.from_rational(0, order)
         self._one = Cyclotomic.from_rational(1, order)
+        self.integral_zero = self._zero
+
+    @staticmethod
+    def integral(coeffs):
+        return tuple(coeffs), 1
+
+    @staticmethod
+    def over(n, den):
+        return n
+
+    @staticmethod
+    def content(num, den):
+        return 1
 
     def zero(self):
         return self._zero
@@ -713,7 +874,12 @@ class DomainCyclotomic(_ExactDomain):
 
 
 class DomainLaurent(_ExactDomain):
-    """Laurent polynomials in nvars variables over a ground domain."""
+    """Laurent polynomials in nvars variables over a ground domain.
+
+    The integral form of series coefficients is the ground's integral form
+    of all their coefficients at once: over Q the numerators are Laurent
+    polynomials with int coefficients, over Q(zeta_m) the coefficients.
+    """
 
     is_field = False
 
@@ -721,6 +887,22 @@ class DomainLaurent(_ExactDomain):
         self.nvars = nvars
         self.ground = ground
         self.name = "%s[x1..x%d^+-1]" % (ground.name, nvars)
+        self.integral_zero = _lp(nvars, {})
+
+    def integral(self, coeffs):
+        nums, den = self.ground.integral(
+            [c for p in coeffs for c in p.terms.values()])
+        nums = iter(nums)
+        return tuple([_lp(p.nvars, {e: next(nums) for e in p.terms})
+                      for p in coeffs]), den
+
+    def over(self, n, den):
+        over = self.ground.over
+        return _lp(n.nvars, {e: over(c, den) for e, c in n.terms.items()})
+
+    def content(self, num, den):
+        return self.ground.content(
+            [c for p in num for c in p.terms.values()], den)
 
     def zero(self):
         return LaurentPoly(self.nvars, {})
@@ -740,7 +922,8 @@ class DomainLaurent(_ExactDomain):
                 raise TypeError("variable count mismatch")
             return LaurentPoly(self.nvars,
                                {k: self.ground.lift(c) for k, c in x.terms.items()})
-        return LaurentPoly.constant(self.nvars, self.ground.lift(x))
+        c = self.ground.lift(x)
+        return _lp(self.nvars, {(0,) * self.nvars: c} if c else {})
 
     def inv(self, x):
         if len(x.terms) != 1:
@@ -803,12 +986,12 @@ class DomainSeries:
     @staticmethod
     def nonzero(x):
         """False only for an exact zero: no coefficients and no horizon."""
-        return bool(x.coeffs) or x.prec is not None
+        return bool(x.num) or x.prec is not None
 
     @staticmethod
     def t_order(x):
         """(valuation or None, horizon or None) of a series."""
-        return (x.low if x.coeffs else None), x.prec
+        return (x.low if x.num else None), x.prec
 
     def lift(self, x):
         if isinstance(x, TruncSeries):

@@ -6,6 +6,7 @@ import pytest
 
 from multiloop.cli import main
 from multiloop.grading import SpecError, graded_from_spec, parse_spec_file
+from multiloop.scalars import LaurentPoly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -201,8 +202,22 @@ def test_cartan_eigenvalue_errors(capsys, tmp_path, spec, dim):
      "spec declares n=2 but has 1 sigma lines"),
     (["multiloop type=A rank=2 n=1 m=1", "sigma identity", "cartan h 1"],
      "cartan row needs 2 coefficients"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma identity", "cartan"],
+     "spec line 3: bad cartan line"),
+    (["multiloop type=A rank=2 n=1 bogus", "sigma identity"],
+     "spec line 1: bad header token 'bogus'"),
+    (["multiloop type=A rank=1 n=1 m=2", "sigma torus a"],
+     "spec line 2: bad torus weight 'a'"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma identity", "cartan h 1/0 0"],
+     "spec line 3: bad cartan coefficient '1/0'"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma torus 0 0"],
+     "spec line 2: torus weights must be nonzero"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma diagram 1 x"],
+     "spec line 2: bad permutation entry 'x'"),
 ], ids=["no-header", "unknown-directive", "bad-cartan", "bad-permutation",
-        "torus-weights", "sigma-count", "cartan-row-length"])
+        "torus-weights", "sigma-count", "cartan-row-length", "bare-cartan",
+        "header-token", "torus-weight-literal", "cartan-coefficient",
+        "zero-torus-weight", "permutation-entry"])
 def test_malformed_spec_is_a_usage_error(capsys, tmp_path, lines, message):
     text = "\n".join(lines) + "\n"
     path = tmp_path / "spec.ml"
@@ -224,6 +239,24 @@ def test_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0
     config = json.loads(out)["config"]
     assert config["precision"] == 5 and config["conductor"] == 3
+
+
+def test_laurent_factor_multiplies_laurent_polynomials(capsys, monkeypatch):
+    # the traced factor_series benchmark requires the scalars.LaurentPoly.mul
+    # span: series over Q[x^+-1] must multiply their coefficients through
+    # LaurentPoly.__mul__
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+    code, out, _ = run(capsys, "factor", str(FIXTURES / "word_laurent.txt"))
+    assert code == 0 and "residual=identity" in out
+    assert len(calls) > 0
 
 
 def _word_file(tmp_path, name, letters):

@@ -485,7 +485,7 @@ def test_root_element_sparse_matches_dense_exp(rg_a2):
         ad = [[QQ.zero()] * g.dim for _ in range(g.dim)]
         for i, x in enumerate(v):
             for j in range(g.dim):
-                for k, c in g.bracket_coords(i, j):
+                for k, c in g.table.get((i, j), []):
                     ad[k][j] += x * c
         dense = linalg.identity(QQ, g.dim)
         term = linalg.identity(QQ, g.dim)

@@ -264,3 +264,154 @@ def test_domain_series_inv_refuses():
     dom = DomainSeries(QQ)
     with pytest.raises(ZeroDivisionError):
         dom.inv(dom.one() + dom.t())
+
+
+def test_series_eq_is_congruence_and_series_are_unhashable():
+    # == is congruence below the common horizon, so it is not transitive
+    one = Fraction(1)
+    a = TruncSeries(QQ, 0, 2, [one])
+    b = TruncSeries(QQ, 0, 3, [one, 0, Fraction(5)])
+    c = TruncSeries(QQ, 0, None, [one, 0, Fraction(7)])
+    assert a == b and a == c and b != c
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+# A test-local reference for series arithmetic: a series is ({(t-degree,
+# x-exponent): Fraction}, prec), the x-exponent being 0 over Q.  Products
+# and sums follow the same horizon rules as TruncSeries.
+
+LQ = DomainLaurent(1, QQ)
+
+
+def _sr_cut(terms, prec):
+    return ({k: c for k, c in terms.items()
+             if c and (prec is None or k[0] < prec)}, prec)
+
+
+def _sr_val(ref):
+    terms, prec = ref
+    return min(k[0] for k in terms) if terms else prec
+
+
+def _sr_add(x, y):
+    terms = dict(x[0])
+    for k, c in y[0].items():
+        terms[k] = terms.get(k, 0) + c
+    return _sr_cut(terms, _sr_pmin(x[1], y[1]))
+
+
+def _sr_neg(x):
+    return {k: -c for k, c in x[0].items()}, x[1]
+
+
+def _sr_mul(x, y):
+    (tx, px), (ty, py) = x, y
+    p1 = None if px is None or _sr_val(y) is None else px + _sr_val(y)
+    p2 = None if py is None or _sr_val(x) is None else py + _sr_val(x)
+    terms = {}
+    for (d1, e1), c1 in tx.items():
+        for (d2, e2), c2 in ty.items():
+            k = (d1 + d2, e1 + e2)
+            terms[k] = terms.get(k, 0) + c1 * c2
+    return _sr_cut(terms, _sr_pmin(p1, p2))
+
+
+def _sr_scale(x, q):
+    return _sr_cut({k: c * q for k, c in x[0].items()}, x[1])
+
+
+def _sr_pmin(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _sr_of(s):
+    terms = {}
+    for i, c in enumerate(s.coeffs):
+        for e, v in (c.terms.items() if isinstance(c, LaurentPoly)
+                     else [((0,), c)]):
+            terms[(s.low + i, e[0])] = v
+    return _sr_cut(terms, s.prec)
+
+
+def _series_of(base, ref):
+    """The series of a reference value, by the checking constructor."""
+    terms, prec = ref
+    if not terms:
+        return TruncSeries(base, 0, prec, [])
+    low = min(d for d, _ in terms)
+    high = max(d for d, _ in terms)
+    coeffs = []
+    for d in range(low, high + 1):
+        if base is QQ:
+            coeffs.append(terms.get((d, 0), Fraction(0)))
+        else:
+            coeffs.append(LaurentPoly(1, {(e,): c for (dd, e), c
+                                          in terms.items() if dd == d}))
+    return TruncSeries(base, low, prec, coeffs)
+
+
+def _assert_canonical(s):
+    num, den = s.num, s.den
+    assert type(den) is int and den > 0
+    if not num:
+        assert s.low == 0 and den == 1
+        return
+    assert num[0] and num[-1]
+    assert s.prec is None or s.low + len(num) <= s.prec
+    ints = [c for n in num for c in (n.terms.values()
+                                     if isinstance(n, LaurentPoly) else [n])]
+    assert all(type(c) is int for c in ints)
+    assert math.gcd(den, *ints) == 1
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _series(draw, base):
+    low = draw(st.integers(-3, 2))
+    prec = draw(st.one_of(st.none(), st.integers(low - 1, low + 5)))
+    size = draw(st.integers(0, 4))
+    if base is QQ:
+        coeffs = draw(st.lists(rationals, min_size=size, max_size=size))
+    else:
+        coeffs = [LaurentPoly(1, {(e,): c for e, c in items})
+                  for items in draw(st.lists(
+                      st.lists(st.tuples(st.integers(-2, 2), rationals),
+                               max_size=2),
+                      min_size=size, max_size=size))]
+    return TruncSeries(base, low, prec, coeffs)
+
+
+@st.composite
+def _operands(draw):
+    base = draw(st.sampled_from([QQ, LQ]))
+    x = draw(_series(base))
+    y = draw(st.one_of(_series(base), st.integers(-3, 3), rationals))
+    return x, y
+
+
+@given(_operands())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_series_arithmetic_matches_fraction_reference(operands):
+    x, y = operands
+    base = x.base
+    rx = _sr_of(x)
+    if isinstance(y, TruncSeries):
+        ry = _sr_of(y)
+        want = {"+": _sr_add(rx, ry), "-": _sr_add(rx, _sr_neg(ry)),
+                "*": _sr_mul(rx, ry)}
+    else:
+        ry = ({(0, 0): Fraction(y)} if y else {}, None)
+        want = {"+": _sr_add(rx, ry), "-": _sr_add(rx, _sr_neg(ry)),
+                "*": _sr_scale(rx, Fraction(y))}
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    assert (y + x).num == got["+"].num and (y * x).num == got["*"].num
+    for op, s in got.items():
+        _assert_canonical(s)
+        assert _sr_of(s) == want[op], op
+        # equal series have equal stored forms
+        same = _series_of(base, want[op])
+        assert (s.low, s.prec, s.num, s.den) == \
+            (same.low, same.prec, same.num, same.den), op
