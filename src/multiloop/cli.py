@@ -25,12 +25,13 @@ from .lietorus import lie_torus_check
 from .elemgroup import (factor_loop_series, residual_word, word_parse,
                         word_show, word_matrix, depth_bound,
                         depth_conjugation_check, PrecisionExhausted,
-                        RankOneComponent, ElementError)
+                        RankOneComponent, ElementError, WordSyntaxError)
 from .cocycle import (trivial_group, cyclic_group, symmetric_group_3,
                       direct_product, cover_group, trivial_action,
                       galois_action, h1_enumerate, DiagonalSetup,
                       inf_res_sequence, diagonal_argument, trivial_cocycle,
-                      Cocycle, is_cocycle, BudgetExceeded, CocycleError)
+                      Cocycle, is_cocycle, check_budget, BudgetExceeded,
+                      CocycleError)
 from .scalars import QQ, DomainSeries, DomainLaurent
 
 
@@ -68,17 +69,18 @@ class SessionConfig:
 
 
 FORMATS = ("text", "machine")
-# name -> constructor of the groups `cocycle --gamma0` and `--coeff` accept
-GALOIS_GROUPS = {"trivial": trivial_group,
-                 "Z2": lambda: cyclic_group(2),
-                 "Z3": lambda: cyclic_group(3),
-                 "S3": symmetric_group_3}
-COEFF_GROUPS = {"Z2": lambda: cyclic_group(2),
-                "Z3": lambda: cyclic_group(3),
-                "Z4": lambda: cyclic_group(4),
-                "Z2xZ2": lambda: direct_product(cyclic_group(2),
-                                                cyclic_group(2)),
-                "S3": symmetric_group_3}
+# name -> (order, constructor) of the groups `cocycle --gamma0` and
+# `--coeff` accept; the order lets a budget be checked before any building
+GALOIS_GROUPS = {"trivial": (1, trivial_group),
+                 "Z2": (2, lambda: cyclic_group(2)),
+                 "Z3": (3, lambda: cyclic_group(3)),
+                 "S3": (6, symmetric_group_3)}
+COEFF_GROUPS = {"Z2": (2, lambda: cyclic_group(2)),
+                "Z3": (3, lambda: cyclic_group(3)),
+                "Z4": (4, lambda: cyclic_group(4)),
+                "Z2xZ2": (4, lambda: direct_product(cyclic_group(2),
+                                                    cyclic_group(2))),
+                "S3": (6, symmetric_group_3)}
 # SessionConfig field -> the environment variable read when its global flag
 # is not given; without either, the field keeps its default
 ENV_VARS = {"precision": "MULTILOOP_PRECISION", "seed": "MULTILOOP_SEED",
@@ -191,33 +193,33 @@ def build_parser():
 
 def parse_word_file(text: str):
     """Header lines "algebra <T> <r>" and "ground Q|laurent<k>", then a word
-    block."""
-    lines = text.splitlines()
-    algline = groundline = None
-    rest = []
-    for ln in lines:
+    block; malformed input is a usage error naming its line."""
+    heads, body = {}, []
+    for no, ln in enumerate(text.splitlines(), 1):
         s = ln.split("#", 1)[0].strip()
-        if not s:
-            continue
-        if s.startswith("algebra "):
-            algline = s.split()[1:]
-        elif s.startswith("ground "):
-            groundline = s.split()[1]
-        else:
-            rest.append(s)
-    if algline is None or groundline is None:
+        if s.split(" ", 1)[0] in ("algebra", "ground"):
+            heads[s.split()[0]], s = (no, s.split()[1:]), ""
+        body.append(s)
+    if len(heads) != 2:
         raise UsageError("word file needs 'algebra' and 'ground' headers")
-    alg = build_chevalley_by_type(algline[0], int(algline[1]))
-    rg = relative_roots(from_chevalley(alg))
-    if groundline == "Q":
-        base = QQ
-    elif groundline.startswith("laurent"):
-        base = DomainLaurent(int(groundline[len("laurent"):]), QQ)
-    else:
-        raise UsageError("unknown ground ring %r" % groundline)
-    R = DomainSeries(base)
-    word = word_parse(rg, R, "\n".join(rest))
-    return rg, R, word, (algline[0], int(algline[1]), groundline)
+    (ano, alg), (gno, ground) = heads["algebra"], heads["ground"]
+    if len(alg) != 2 or not alg[1].isdecimal():
+        raise UsageError("word file line %d: expected 'algebra <type> "
+                         "<rank>'" % ano)
+    ground = " ".join(ground)
+    if ground != "Q" and not (ground.startswith("laurent")
+                              and ground[7:].isdecimal()):
+        raise UsageError("word file line %d: unknown ground ring %r"
+                         % (gno, ground))
+    rg = relative_roots(from_chevalley(build_chevalley_by_type(
+        alg[0], int(alg[1]))))
+    R = DomainSeries(QQ if ground == "Q" else
+                     DomainLaurent(int(ground[7:]), QQ))
+    try:
+        word = word_parse(rg, R, "\n".join(body))
+    except WordSyntaxError as e:
+        raise UsageError("word file %s" % e) from None
+    return rg, R, word, (alg[0], int(alg[1]), ground)
 
 
 def cmd_factor(cfg, args):
@@ -253,8 +255,7 @@ def _factor_verify(cfg, args, rg, R, word, meta):
             blocks[current].append(s)
         elif s and not s.startswith(("word", "X ")):
             current = None
-    g1 = word_parse(rg, R, "\n".join(blocks["g1"]))
-    g2 = word_parse(rg, R, "\n".join(blocks["g2"]))
+    g1, g2 = (word_parse(rg, R, "\n".join(blocks[k])) for k in ("g1", "g2"))
     res = word_matrix(rg, R, residual_word(word, g1, g2))
     achieved, where = linalg.identity_residual(R, res.matrix, cfg.precision)
     # a coefficient below --precision disproves the report; a horizon below
@@ -318,26 +319,29 @@ def cmd_depth(cfg, args):
             EXIT_OK if ok else EXIT_MATH)
 
 
-def _inversion_perm(A):
-    return {a: A.inv(a) for a in A.elements}
-
-
 def _cocycle_setup(cfg, args):
+    """Usage checks, then the budget of every cover the request needs, all
+    before any group is built."""
     if args.n < 0:
         raise UsageError("--n must be at least 0")
     if args.discrepancy < 0:
         raise UsageError("--discrepancy must be at least 0")
     if args.discrepancy and args.action != "diagonal":
         raise UsageError("--discrepancy applies to 'cocycle diagonal' only")
-    gamma0 = GALOIS_GROUPS[args.gamma0]()
-    A = COEFF_GROUPS[args.coeff]()
     m = cfg.conductor
     units = {}
     if args.galois_inverts:
         if args.gamma0 != "Z2":
             raise UsageError("--galois-inverts needs --gamma0 Z2")
         units = {1: m - 1}
-    return gamma0, A, m, units
+    (order0, make0), (order_a, make_a) = (GALOIS_GROUPS[args.gamma0],
+                                          COEFF_GROUPS[args.coeff])
+    # the covers (Z/m)^(n+k) : Gamma0 the action works on, in the order the
+    # library checks them: infres enumerates the quotient first
+    for k in {"enumerate": (0,), "infres": (0, 1)}.get(args.action, (1,)):
+        check_budget(order0 * m ** (args.n + k), order_a, cfg.budget_gamma,
+                     cfg.budget_coeff)
+    return make0(), make_a(), m, units
 
 
 def cmd_cocycle(cfg, args):
@@ -353,20 +357,18 @@ def cmd_cocycle(cfg, args):
     if args.action == "infres":
         rep = inf_res_sequence(setup, coeff, cfg.budget_gamma,
                                cfg.budget_coeff)
-        code = EXIT_OK if rep["exact"] else EXIT_MATH
-        rep = dict(rep)
-        rep["verdict"] = "pass" if rep.pop("exact") else "fail"
-        return rep, code
+        exact = rep.pop("exact")
+        return (dict(rep, verdict="pass" if exact else "fail"),
+                EXIT_OK if exact else EXIT_MATH)
     # diagonal
     eta1 = trivial_cocycle(coeff)
     if args.discrepancy:
         k = args.discrepancy
         if m % k != 0:
             raise UsageError("discrepancy order must divide m")
-        gen = _element_of_order(A, k)
-        vals = {g: _power(A, gen, g[0][-1] % k)
-                for g in setup.cover.elements}
-        eta2 = Cocycle(coeff, vals)
+        powers = _powers_of_order(A, k)
+        eta2 = Cocycle(coeff, {g: powers[g[0][-1] % k]
+                               for g in setup.cover.elements})
         ok, wit = is_cocycle(eta2)
         if not ok:
             raise UsageError("constructed discrepancy is not a cocycle "
@@ -378,31 +380,22 @@ def cmd_cocycle(cfg, args):
 
 
 def _action_for(cov, A, gamma0, args):
-    if args.galois_inverts:
-        inv = _inversion_perm(A)
-        ident = {a: a for a in A.elements}
-        gact = {g: (inv if g not in (gamma0.identity,) else ident)
-                for g in gamma0.elements}
-        return galois_action(cov, A, gact)
-    return trivial_action(cov, A)
+    if not args.galois_inverts:
+        return trivial_action(cov, A)
+    return galois_action(cov, A, {g: {a: a if g == gamma0.identity else
+                                      A.inv(a) for a in A.elements}
+                                  for g in gamma0.elements})
 
 
-def _element_of_order(A, k):
+def _powers_of_order(A, k):
+    """1, a, ..., a^(k-1) for the first a in A of order k."""
     for a in A.elements:
-        cur, o = a, 1
-        while cur != A.identity:
-            cur = A.mul(cur, a)
-            o += 1
-        if o == k:
-            return a
+        powers = [A.identity, a]
+        while powers[-1] != A.identity:
+            powers.append(A.mul(powers[-1], a))
+        if len(powers) == k + 1:
+            return powers[:-1]
     raise UsageError("coefficient group has no element of order %d" % k)
-
-
-def _power(A, a, k):
-    out = A.identity
-    for _ in range(k):
-        out = A.mul(out, a)
-    return out
 
 
 def _read(path):
@@ -431,7 +424,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = session_config(args)
         results, code = DISPATCH[args.cmd](cfg, args)
-    except (UsageError, SpecError) as e:
+    except (UsageError, SpecError, WordSyntaxError) as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except (RootSystemError, ChevalleyError, GradingError) as e:

@@ -2,17 +2,28 @@
 1-cocycles, inflation-restriction, and the finite-level diagonal argument.
 
 Everything is exhaustive: group axioms, cocycle identities, and exactness
-statements are verified by enumeration within configured budgets.  Groups
-are stored as integer Cayley tables and the checks run on element
-positions, but none is shortened: associativity covers all |G|^3 triples,
-the cocycle identity all |G|^2 pairs, and the action all |G|^2 * |A|
-homomorphism conditions.
+statements are verified by enumeration within configured budgets, which
+``check_budget`` tests on orders alone, before anything is built.  Groups
+are integer Cayley tables and every check runs on element positions, but
+none is shortened: associativity covers all |G|^3 triples, the cocycle
+identity all |G|^2 pairs, and the action all |G|^2 * |A| homomorphism
+conditions.
+
+A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
++ pos(g), with index(t) the base-m reading of t, first coordinate most
+significant, and (t1, g1)(t2, g2) = (t1 + u(g1) t2, g1 g2) is read off an
+addition table of (Z/m)^n, one scaling table per unit u and Gamma0's table.
+The labels (t, g) serve display and serialization.  A subgroup (the
+quotient of a DiagonalSetup as the M = 0 copy in its cover, the subgroups
+of restrict_to_subgroup) is cut from a checked table: its closure is
+checked, and it inherits associativity, its product being the ambient one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd
 
 
 class CocycleError(ValueError):
@@ -27,31 +38,48 @@ DEFAULT_BUDGET_GAMMA = 96
 DEFAULT_BUDGET_COEFF = 24
 
 
+def check_budget(group_order, coeff_order, budget_gamma=DEFAULT_BUDGET_GAMMA,
+                 budget_coeff=DEFAULT_BUDGET_COEFF):
+    """Refuse an enumeration over a group of ``group_order`` elements with
+    ``coeff_order`` coefficients when either is over budget, group first."""
+    if group_order > budget_gamma:
+        raise BudgetExceeded("cover group order %d exceeds budget %d"
+                             % (group_order, budget_gamma))
+    if coeff_order > budget_coeff:
+        raise BudgetExceeded("coefficient group order %d exceeds budget %d"
+                             % (coeff_order, budget_coeff))
+
+
 class FiniteGroup:
     """Explicit finite group on hashable labels with verified axioms.
 
     The product is an integer Cayley table: ``rows[i][j]`` is the position
     of ``elements[i] * elements[j]``; ``e`` is the identity's position and
-    ``inv_index`` maps each position to its inverse's.
+    ``inv_index`` maps each position to its inverse's.  The table is read
+    from ``mult_fn`` on the labels or given as ``rows``.
     """
 
-    def __init__(self, elements, mult_fn, name="G", verify=True):
+    def __init__(self, elements, mult_fn=None, name="G", verify=True,
+                 rows=None):
         self.elements = list(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
         self.name = name
-        self.rows = []
-        for a in self.elements:
-            row = [self.index.get(mult_fn(a, b)) for b in self.elements]
-            if None in row:
-                raise CocycleError("%s is not closed under product" % name)
-            self.rows.append(row)
+        n = len(self.elements)
+        if rows is None:
+            rows = [[self.index.get(mult_fn(a, b)) for b in self.elements]
+                    for a in self.elements]
+        if len(rows) != n or any(len(row) != n for row in rows) or \
+                not set().union(*rows) <= set(range(n)):
+            raise CocycleError("%s is not closed under product" % name)
+        self.rows = rows
         self.e = self._find_identity()
         self.identity = self.elements[self.e]
         self.inv_index = self._find_inverses()
-        self.inverse = {g: self.elements[i]
-                        for g, i in zip(self.elements, self.inv_index)}
         if verify:
             self._verify_associativity()
+
+    @cached_property
+    def index(self):
+        return {g: i for i, g in enumerate(self.elements)}
 
     def _find_identity(self):
         rows = self.rows
@@ -63,64 +91,68 @@ class FiniteGroup:
 
     def _find_inverses(self):
         rows, e = self.rows, self.e
-        inv = []
-        for g, row in enumerate(rows):
-            h = next((h for h, gh in enumerate(row)
-                      if gh == e and rows[h][g] == e), None)
-            if h is None:
-                raise CocycleError("%s: no inverse for %s"
-                                   % (self.name, self.elements[g]))
-            inv.append(h)
+        inv = [next((h for h, gh in enumerate(row)
+                     if gh == e and rows[h][g] == e), None)
+               for g, row in enumerate(rows)]
+        if None in inv:
+            raise CocycleError("%s: no inverse for %s"
+                               % (self.name, self.elements[inv.index(None)]))
         return inv
 
     def _verify_associativity(self):
-        """(ab)c = a(bc) on every triple, one row of c at a time."""
+        """(ab)c = a(bc) on every triple.  Up to 256 elements a position is
+        a byte, and for each a all (ab)c are compared with all a(bc) at
+        once, the whole table translated through the row of a; beyond,
+        one b at a time."""
         rows = self.rows
+        table = [bytes(row) for row in rows] if len(rows) <= 256 else None
+        flat = b"".join(table or ())
         for a, ra in enumerate(rows):
-            for b, ab in enumerate(ra):
-                if rows[ab] != list(map(ra.__getitem__, rows[b])):
-                    c = next(c for c, bc in enumerate(rows[b])
-                             if rows[ab][c] != ra[bc])
-                    el = self.elements
-                    raise CocycleError(
-                        "%s: associativity fails at %s,%s,%s" %
-                        (self.name, el[a], el[b], el[c]))
+            if table:
+                ok = b"".join(map(table.__getitem__, ra)) == \
+                    flat.translate(bytes(ra).ljust(256, b"\0"))
+            else:
+                ok = all(rows[ab] == list(map(ra.__getitem__, rows[b]))
+                         for b, ab in enumerate(ra))
+            if not ok:
+                b, c = next((b, c) for b, ab in enumerate(ra)
+                            for c, bc in enumerate(rows[b])
+                            if rows[ab][c] != ra[bc])
+                el = self.elements
+                raise CocycleError("%s: associativity fails at %s,%s,%s"
+                                   % (self.name, el[a], el[b], el[c]))
+
+    def restrict(self, positions, name="sub", elements=None):
+        """The subgroup on ``positions``, labelled by ``elements`` or its
+        labels here; closure is checked and associativity inherited."""
+        back = {p: i for i, p in enumerate(positions)}
+        rows = [list(map(back.get, map(self.rows[p].__getitem__, positions)))
+                for p in positions]
+        if elements is None:
+            elements = map(self.elements.__getitem__, positions)
+        return FiniteGroup(elements, name=name, verify=False, rows=rows)
 
     def mul(self, a, b):
         return self.elements[self.rows[self.index[a]][self.index[b]]]
 
     def inv(self, a):
-        return self.inverse[a]
+        return self.elements[self.inv_index[self.index[a]]]
 
     def __len__(self):
         return len(self.elements)
 
     def generators(self):
-        """A greedy small generating sequence, as positions."""
-        gens = []
-        span = {self.e}
+        """A greedy small generating sequence, as positions: each position
+        outside the span of the earlier ones."""
+        gens, span = [], {self.e}
         for g in range(len(self.rows)):
-            if g in span:
-                continue
-            gens.append(g)
-            span = self._closure(gens)
-            if len(span) == len(self.rows):
-                break
+            if g not in span:
+                gens.append(g)
+                new = span
+                while new:
+                    new = {self.rows[a][s] for a in new for s in gens} - span
+                    span |= new
         return gens
-
-    def _closure(self, gens):
-        span = {self.e}
-        frontier = [self.e]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = self.rows[a][s]
-                    if b not in span:
-                        span.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return span
 
     def serialize(self):
         lines = ["group %s order=%d" % (self.name, len(self.elements))]
@@ -156,111 +188,111 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 def cover_group(n: int, m: int, gamma0: FiniteGroup, units) -> FiniteGroup:
     """(Z/m)^n semidirect gamma0, with gamma0 acting coordinatewise through
-    the unit units[gamma] of Z/m."""
-    from math import gcd
+    the unit units[gamma] of Z/m, its table built by position arithmetic."""
     given = dict(units)
-    units = {g: given.get(g, 1) % m if m > 1 else 0
-             for g in gamma0.elements}
+    unit = [given.get(g, 1) % m for g in gamma0.elements]
     if m > 1:
-        for g in gamma0.elements:
-            if gcd(units[g], m) != 1:
+        for u in unit:
+            if gcd(u, m) != 1:
                 raise CocycleError("action unit %d is not invertible mod %d"
-                                   % (units[g], m))
-        for a in gamma0.elements:
-            for b in gamma0.elements:
-                if units[gamma0.mul(a, b)] % m != (units[a] * units[b]) % m:
-                    raise CocycleError("unit action is not a homomorphism")
+                                   % (u, m))
+        if any(unit[ab] != unit[a] * unit[b] % m
+               for a, row in enumerate(gamma0.rows)
+               for b, ab in enumerate(row)):
+            raise CocycleError("unit action is not a homomorphism")
+    # add[i][j] = index(t_i + t_j), scale[u][j] = index(u t_j), grown one
+    # least significant coordinate at a time
+    shift = [[(a + b) % m for b in range(m)] for a in range(m)]
+    add, scale = [[0]], {u: [0] for u in unit}
+    for _ in range(n):
+        add = [[s * m + c for s in row for c in shift[a]]
+               for row in add for a in range(m)]
+        scale = {u: [s * m + u * b % m for s in sc for b in range(m)]
+                 for u, sc in scale.items()}
+    k = len(gamma0)
+    rows = [[add_t[s] * k + h for s in scale[unit[g]] for h in grow]
+            for add_t in add for g, grow in enumerate(gamma0.rows)]
     elems = [(t, g) for t in itertools.product(range(m), repeat=n)
              for g in gamma0.elements]
-
-    def mul(x, y):
-        t1, g1 = x
-        t2, g2 = y
-        u = units[g1]
-        t = tuple([(a + u * b) % m for a, b in zip(t1, t2)])
-        return (t, gamma0.mul(g1, g2))
-
-    return FiniteGroup(elems, mul, "(Z/%d)^%d:%s" % (m, n, gamma0.name))
+    return FiniteGroup(elems, name="(Z/%d)^%d:%s" % (m, n, gamma0.name),
+                       rows=rows)
 
 
-@dataclass
 class CoefficientGroup:
     """A finite group with an action of a cover group by automorphisms.
 
-    ``act`` is keyed by labels; ``perm[g][a]`` is the position of
-    g . a for positions g of the cover and a of A.
+    ``perm[g][a]`` is the position of g . a for positions g of the cover and
+    a of A, given directly or read from ``act``, a dict from cover labels to
+    dicts of A labels.
     """
-    A: FiniteGroup
-    cover: FiniteGroup
-    act: dict                      # cover element -> {a: image}
-    perm: list = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        A, G = self.A, self.cover
-        self.perm = [[A.index[self.act[g][a]] for a in A.elements]
-                     for g in G.elements]
-        for g, p in zip(G.elements, self.perm):
-            for a, row in enumerate(A.rows):
-                if list(map(p.__getitem__, row)) != \
-                        list(map(A.rows[p[a]].__getitem__, p)):
-                    raise CocycleError(
-                        "action of %s is not an automorphism" % (g,))
-        if self.perm[G.e] != list(range(len(A))):
+    def __init__(self, A: FiniteGroup, cover: FiniteGroup, act=None,
+                 perm=None):
+        self.A, self.cover = A, cover
+        if perm is None:
+            perm = [[A.index[act[g][a]] for a in A.elements]
+                    for g in cover.elements]
+        self.perm = perm
+        # the conditions depend on permutations only: each distinct one is
+        # checked and composed once, and ids[g] names the one of g
+        distinct = {}
+        ids = [distinct.setdefault(tuple(p), len(distinct)) for p in perm]
+        for p, i in distinct.items():
+            if any(list(map(p.__getitem__, row)) !=
+                   list(map(A.rows[p[a]].__getitem__, p))
+                   for a, row in enumerate(A.rows)):
+                raise CocycleError("action of %s is not an automorphism"
+                                   % (cover.elements[ids.index(i)],))
+        if list(perm[cover.e]) != list(range(len(A))):
             raise CocycleError("identity does not act trivially")
-        for g, row in enumerate(G.rows):
-            pg = self.perm[g]
-            for h, gh in enumerate(row):
-                if self.perm[gh] != list(map(pg.__getitem__, self.perm[h])):
-                    raise CocycleError(
-                        "action is not a homomorphism at %s,%s"
-                        % (G.elements[g], G.elements[h]))
+        compose = [[distinct.get(tuple([p[x] for x in q])) for q in distinct]
+                   for p in distinct]
+        for g, row in enumerate(cover.rows):
+            want = list(map(compose[ids[g]].__getitem__, ids))
+            got = list(map(ids.__getitem__, row))
+            if got != want:
+                h = next(h for h, x in enumerate(got) if x != want[h])
+                raise CocycleError("action is not a homomorphism at %s,%s"
+                                   % (cover.elements[g], cover.elements[h]))
 
     def apply(self, g, a):
-        return self.act[g][a]
+        A = self.A
+        return A.elements[self.perm[self.cover.index[g]][A.index[a]]]
 
 
 def trivial_action(cover: FiniteGroup, A: FiniteGroup) -> CoefficientGroup:
-    ident = {a: a for a in A.elements}
-    return CoefficientGroup(A, cover, {g: dict(ident)
-                                       for g in cover.elements})
+    return CoefficientGroup(A, cover, perm=[list(range(len(A)))] * len(cover))
 
 
 def galois_action(cover: FiniteGroup, A: FiniteGroup,
                   gamma0_act) -> CoefficientGroup:
     """Translations act trivially; the Galois part acts through gamma0_act,
     a map from gamma0 elements to permutations of A."""
-    act = {}
-    for (t, g) in cover.elements:
-        act[(t, g)] = dict(gamma0_act[g])
-    return CoefficientGroup(A, cover, act)
+    perms = {g: [A.index[act[a]] for a in A.elements]
+             for g, act in gamma0_act.items()}
+    return CoefficientGroup(A, cover,
+                            perm=[perms[g] for _, g in cover.elements])
 
 
-@dataclass
 class Cocycle:
-    coeff: CoefficientGroup
-    values: dict                   # cover element -> A element
-    pos: list = field(default=None, repr=False, compare=False)
+    """A map z from the cover to A: ``pos[g]`` is the A-position of z(g) at
+    the cover position g, given directly or read from ``values``, a dict of
+    labels, which is otherwise made on demand.  Neither changes once made.
+    """
 
-    def __post_init__(self):
-        # pos[g] is the A-position of z(g) for the cover position g, so
-        # values is not changed after construction
-        if self.pos is None:
-            self.pos = [self.coeff.A.index[self.values[g]]
-                        for g in self.coeff.cover.elements]
+    def __init__(self, coeff: CoefficientGroup, values=None, pos=None):
+        self.coeff = coeff
+        self.pos = pos if pos is not None else \
+            [coeff.A.index[values[g]] for g in coeff.cover.elements]
 
-    def __call__(self, g):
-        return self.values[g]
+    @cached_property
+    def values(self):
+        labels = map(self.coeff.A.elements.__getitem__, self.pos)
+        return dict(zip(self.coeff.cover.elements, labels))
 
     def serialize(self):
-        lines = ["cocycle"]
-        for g in self.coeff.cover.elements:
-            lines.append("  %s -> %s" % (g, self.values[g]))
-        return "\n".join(lines)
-
-
-def _from_positions(coeff: CoefficientGroup, pos) -> Cocycle:
-    labels = map(coeff.A.elements.__getitem__, pos)
-    return Cocycle(coeff, dict(zip(coeff.cover.elements, labels)), pos)
+        return "\n".join(["cocycle"] + ["  %s -> %s" % ga
+                                        for ga in self.values.items()])
 
 
 def is_cocycle(z: Cocycle):
@@ -279,8 +311,7 @@ def is_cocycle(z: Cocycle):
 
 
 def trivial_cocycle(coeff: CoefficientGroup) -> Cocycle:
-    e = coeff.A.identity
-    return Cocycle(coeff, {g: e for g in coeff.cover.elements})
+    return Cocycle(coeff, pos=[coeff.A.e] * len(coeff.cover))
 
 
 def twist_cocycle(z: Cocycle, a) -> Cocycle:
@@ -288,15 +319,15 @@ def twist_cocycle(z: Cocycle, a) -> Cocycle:
     A = z.coeff.A
     i = A.index[a]
     left = A.rows[A.inv_index[i]]
-    return _from_positions(z.coeff, [A.rows[left[v]][p[i]] for v, p
-                                     in zip(z.pos, z.coeff.perm)])
+    return Cocycle(z.coeff, pos=[A.rows[left[v]][p[i]] for v, p
+                                 in zip(z.pos, z.coeff.perm)])
 
 
 def cohomologous(z1: Cocycle, z2: Cocycle):
-    """A witness a with z2 = a^{-1} z1 (g . a), or None."""
-    A = z1.coeff.A
-    for a in A.elements:
-        if twist_cocycle(z1, a).values == z2.values:
+    """A witness a with z2 = a^{-1} z1 (g . a), or None; both cocycles list
+    the same cover elements and take values in the same A."""
+    for a in z1.coeff.A.elements:
+        if twist_cocycle(z1, a).pos == z2.pos:
             return a
     return None
 
@@ -306,45 +337,51 @@ def h1_enumerate(coeff: CoefficientGroup,
                  budget_coeff=DEFAULT_BUDGET_COEFF):
     """All cocycles, partitioned into cohomology classes.
 
-    Returns (class representatives sorted, all cocycles).  Enumeration
-    assigns values on a generating sequence and propagates along the Cayley
-    graph, then verifies exhaustively.  Twisting is an action of A, so the
-    twists of a cocycle are its whole class: each class is twisted once,
-    and its key is the least label tuple among them.
+    Returns (class representatives sorted, all cocycles).  Values on a
+    generating sequence are assigned depth first, in itertools.product
+    order; a prefix survives if it propagates consistently over the span of
+    its generators, as every restriction of a cocycle does, and each full
+    assignment is verified exhaustively.  The twists of a cocycle are its
+    whole class, so each class is twisted once; its key is the least label
+    tuple among them, compared by label ranks.
     """
     G = coeff.cover
     A = coeff.A
-    if len(G) > budget_gamma:
-        raise BudgetExceeded("cover group order %d exceeds budget %d"
-                             % (len(G), budget_gamma))
-    if len(A) > budget_coeff:
-        raise BudgetExceeded("coefficient group order %d exceeds budget %d"
-                             % (len(A), budget_coeff))
+    check_budget(len(G), len(A), budget_gamma, budget_coeff)
     gens = G.generators()
     cocycles = []
-    for assignment in itertools.product(range(len(A)), repeat=len(gens)):
-        pos = _propagate(coeff, gens, assignment)
-        if pos is None:
+    # the values of the empty prefix are used only when G is trivial
+    stack = [((), [A.e] * len(G))]
+    while stack:
+        prefix, pos = stack.pop()
+        if len(prefix) == len(gens):
+            z = Cocycle(coeff, pos=pos)
+            if is_cocycle(z)[0]:
+                cocycles.append(z)
             continue
-        z = _from_positions(coeff, pos)
-        ok, _ = is_cocycle(z)
-        if ok:
-            cocycles.append(z)
+        for x in reversed(range(len(A))):      # x = 0 is popped first
+            longer = prefix + (x,)
+            pos = _propagate(coeff, gens, longer)
+            if pos is not None:
+                stack.append((longer, pos))
+    order = sorted(range(len(A)), key=A.elements.__getitem__)
+    rank = [order.index(a) for a in range(len(A))]
     keys = {}
     classes = {}
     for z in cocycles:
         if tuple(z.pos) not in keys:
-            orbit = [twist_cocycle(z, a) for a in A.elements]
-            key = min(tuple(w.values.values()) for w in orbit)
-            keys.update((tuple(w.pos), key) for w in orbit)
+            orbit = [tuple(twist_cocycle(z, a).pos) for a in A.elements]
+            key = min(tuple([rank[x] for x in w]) for w in orbit)
+            keys.update((w, key) for w in orbit)
         classes.setdefault(keys[tuple(z.pos)], []).append(z)
     reps = [classes[k][0] for k in sorted(classes)]
     return reps, cocycles
 
 
 def _propagate(coeff, gens, assignment):
-    """Positions z(g) from the values at the generators (all positions),
-    or None when the Cayley graph gives a vertex two values."""
+    """Positions z(g) over the subgroup spanned by the first
+    len(assignment) generators, from their values (None elsewhere), or
+    None when the Cayley graph gives a vertex two values."""
     G = coeff.cover
     A = coeff.A
     vals = [None] * len(G)
@@ -363,28 +400,33 @@ def _propagate(coeff, gens, assignment):
                 elif vals[gs] != v:
                     return None
         frontier = nxt
-    if None in vals:
-        return None
     return vals
 
 
 # ---------------------------------------------------------------------------
 # the (N x M) : Gamma0 setting of the diagonal argument
 
-@dataclass
 class DiagonalSetup:
     """Cover (Z/m)^(n+1) : Gamma0 whose last translation coordinate is the
-    distinguished copy M; the quotient drops that coordinate."""
-    n: int
-    m: int
-    gamma0: FiniteGroup
-    units: dict
-    cover: FiniteGroup = field(init=False)
-    quotient: FiniteGroup = field(init=False)
+    distinguished copy M; the quotient drops that coordinate.
 
-    def __post_init__(self):
-        self.cover = cover_group(self.n + 1, self.m, self.gamma0, self.units)
-        self.quotient = cover_group(self.n, self.m, self.gamma0, self.units)
+    Only the cover is built; the quotient is its M = 0 copy, restricted.
+    Position (i * m + j) * |Gamma0| + g is translation index i * m + j (j
+    in M) with Galois position g; ``sub[q]`` is the cover position of the
+    quotient position q, ``proj[x]`` the reverse, ``m_pos`` those of M.
+    """
+
+    def __init__(self, n: int, m: int, gamma0: FiniteGroup, units: dict):
+        self.n, self.m, self.gamma0, self.units = n, m, gamma0, units
+        self.cover = cover_group(n + 1, m, gamma0, units)
+        k = len(gamma0)
+        self.sub = [q // k * m * k + q % k
+                    for q in range(len(self.cover) // m)]
+        self.proj = [x // (m * k) * k + x % k for x in range(len(self.cover))]
+        self.m_pos = [j * k + gamma0.e for j in range(m)]
+        self.quotient = self.cover.restrict(
+            self.sub, "(Z/%d)^%d:%s" % (m, n, gamma0.name),
+            [self.project(self.cover.elements[x]) for x in self.sub])
 
     def project(self, g):
         t, k = g
@@ -395,45 +437,51 @@ class DiagonalSetup:
         return (t + (0,), k)
 
     def m_elements(self):
-        return [((0,) * self.n + (j,), self.gamma0.identity)
-                for j in range(self.m)]
+        return [self.cover.elements[x] for x in self.m_pos]
 
-    def power_map(self, g, d):
-        t, k = g
-        return (t[:-1] + ((t[-1] * d) % self.m,), k)
+    def power_positions(self, d):
+        """Each cover position with its M coordinate multiplied by d."""
+        m, k = self.m, len(self.gamma0)
+        return [x + (x // k % m * d % m - x // k % m) * k
+                for x in range(len(self.cover))]
 
 
 def m_acts_trivially(setup: DiagonalSetup, coeff: CoefficientGroup) -> bool:
-    for g in setup.m_elements():
-        for a in coeff.A.elements:
-            if coeff.apply(g, a) != a:
-                return False
-    return True
+    ident = list(range(len(coeff.A)))
+    return all(coeff.perm[x] == ident for x in setup.m_pos)
 
 
 def inflate(setup: DiagonalSetup, coeff_q: CoefficientGroup,
             coeff: CoefficientGroup, z_q: Cocycle) -> Cocycle:
-    vals = {g: z_q.values[setup.project(g)] for g in coeff.cover.elements}
-    return Cocycle(coeff, vals)
+    return Cocycle(coeff, pos=list(map(z_q.pos.__getitem__, setup.proj)))
+
+
+def _restrict_positions(coeff: CoefficientGroup, positions, z: Cocycle):
+    perm = list(map(coeff.perm.__getitem__, positions))
+    sub_coeff = CoefficientGroup(coeff.A, coeff.cover.restrict(positions),
+                                 perm=perm)
+    return Cocycle(sub_coeff, pos=list(map(z.pos.__getitem__, positions)))
+
+
+def _trivial_on(coeff: CoefficientGroup, positions, z: Cocycle) -> bool:
+    """Whether z restricts to a coboundary on the subgroup at positions."""
+    rz = _restrict_positions(coeff, positions, z)
+    return cohomologous(rz, trivial_cocycle(rz.coeff)) is not None
 
 
 def restrict_to_subgroup(coeff: CoefficientGroup, sub_elements,
                          z: Cocycle):
     """Restriction as a cocycle on the subgroup (with the induced action)."""
-    sub = FiniteGroup(sub_elements, coeff.cover.mul, "sub", verify=False)
-    act = {g: dict(coeff.act[g]) for g in sub.elements}
-    sub_coeff = CoefficientGroup(coeff.A, sub, act)
-    vals = {g: z.values[g] for g in sub.elements}
-    return Cocycle(sub_coeff, vals)
+    index = coeff.cover.index
+    return _restrict_positions(coeff, [index[g] for g in sub_elements], z)
 
 
 def quotient_coefficients(setup: DiagonalSetup,
                           coeff: CoefficientGroup) -> CoefficientGroup:
     if not m_acts_trivially(setup, coeff):
         raise CocycleError("M must act trivially on the coefficients")
-    act = {q: dict(coeff.act[setup.include(q)])
-           for q in setup.quotient.elements}
-    return CoefficientGroup(coeff.A, setup.quotient, act)
+    return CoefficientGroup(coeff.A, setup.quotient,
+                            perm=list(map(coeff.perm.__getitem__, setup.sub)))
 
 
 def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
@@ -448,28 +496,16 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
     reps, _ = h1_enumerate(coeff, budget_gamma, budget_coeff)
     inflated = [inflate(setup, coeff_q, coeff, z) for z in reps_q]
     # injectivity of inflation on classes
-    for i in range(len(inflated)):
-        for j in range(i + 1, len(inflated)):
-            if cohomologous(inflated[i], inflated[j]) is not None:
-                raise CocycleError(
-                    "inflation identifies distinct classes %d, %d" % (i, j))
-    # image of inflation = kernel of restriction
-    m_elems = setup.m_elements()
-    kernel = []
-    for z in reps:
-        rz = restrict_to_subgroup(coeff, m_elems, z)
-        triv = trivial_cocycle(rz.coeff)
-        if cohomologous(rz, triv) is not None:
-            kernel.append(z)
-    image_count = 0
-    for z in kernel:
-        if any(cohomologous(z, w) is not None for w in inflated):
-            image_count += 1
-    exact = image_count == len(kernel) and len(inflated) <= len(reps)
-    if len(kernel) != len(inflated):
-        # inflation classes always restrict trivially, so a size mismatch
-        # means exactness fails
-        exact = False
+    for i, j in itertools.combinations(range(len(inflated)), 2):
+        if cohomologous(inflated[i], inflated[j]) is not None:
+            raise CocycleError(
+                "inflation identifies distinct classes %d, %d" % (i, j))
+    # image of inflation = kernel of restriction; inflation classes always
+    # restrict trivially, so a size mismatch means exactness fails
+    kernel = [z for z in reps if _trivial_on(coeff, setup.m_pos, z)]
+    image_count = sum(any(cohomologous(z, w) is not None for w in inflated)
+                      for z in kernel)
+    exact = image_count == len(kernel) == len(inflated) <= len(reps)
     return {
         "quotient_classes": len(reps_q),
         "total_classes": len(reps),
@@ -484,9 +520,8 @@ def power_pullback(setup: DiagonalSetup, coeff: CoefficientGroup,
     """Precompose the M coordinate with multiplication by d."""
     if not m_acts_trivially(setup, coeff):
         raise CocycleError("M must act trivially for the power pullback")
-    vals = {g: z.values[setup.power_map(g, d)]
-            for g in coeff.cover.elements}
-    out = Cocycle(coeff, vals)
+    out = Cocycle(coeff, pos=list(map(z.pos.__getitem__,
+                                      setup.power_positions(d))))
     ok, wit = is_cocycle(out)
     if not ok:
         raise CocycleError("power pullback broke the cocycle identity at %s"
@@ -498,13 +533,9 @@ def twisted_coefficients(coeff: CoefficientGroup,
                          eta: Cocycle) -> CoefficientGroup:
     """Action twisted by eta: g * a = eta(g) (g.a) eta(g)^{-1}."""
     A = coeff.A
-    act = {}
-    for g in coeff.cover.elements:
-        e = eta.values[g]
-        ei = A.inv(e)
-        act[g] = {a: A.mul(A.mul(e, coeff.apply(g, a)), ei)
-                  for a in A.elements}
-    return CoefficientGroup(A, coeff.cover, act)
+    return CoefficientGroup(A, coeff.cover, perm=[
+        [A.rows[A.rows[e][x]][A.inv_index[e]] for x in p]
+        for e, p in zip(eta.pos, coeff.perm)])
 
 
 def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
@@ -519,32 +550,27 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     """
     if not m_acts_trivially(setup, coeff):
         raise CocycleError("M must act trivially on the coefficients")
-    for g in coeff.cover.elements:
-        if eta1.values[g] != eta1.values[(setup.include(setup.project(g)))]:
-            raise CocycleError("eta1 must be independent of the M coordinate")
-    sub = [setup.include(q) for q in setup.quotient.elements]
-    r1 = restrict_to_subgroup(coeff, sub, eta1)
-    r2 = restrict_to_subgroup(coeff, sub, eta2)
+    e1 = eta1.pos
+    if e1 != [e1[setup.sub[q]] for q in setup.proj]:
+        raise CocycleError("eta1 must be independent of the M coordinate")
+    r1 = _restrict_positions(coeff, setup.sub, eta1)
+    r2 = _restrict_positions(coeff, setup.sub, eta2)
     if cohomologous(r1, r2) is None:
         raise CocycleError(
             "eta1 and eta2 do not agree on the diagonal copy")
     A = coeff.A
     tw = twisted_coefficients(coeff, eta1)
-    xi_vals = {g: A.mul(eta2.values[g], A.inv(eta1.values[g]))
-               for g in coeff.cover.elements}
-    xi = Cocycle(tw, xi_vals)
+    xi = Cocycle(tw, pos=[A.rows[b][A.inv_index[a]]
+                          for a, b in zip(e1, eta2.pos)])
     ok, wit = is_cocycle(xi)
     if not ok:
         raise CocycleError("twisted difference is not a cocycle at %s" % (wit,))
     tw_q = quotient_coefficients(setup, tw)
-    m_elems = setup.m_elements()
     for d in range(1, setup.m + 1):
         xi_d = power_pullback(setup, tw, xi, d)
-        rz = restrict_to_subgroup(tw, m_elems, xi_d)
-        if cohomologous(rz, trivial_cocycle(rz.coeff)) is None:
+        if not _trivial_on(tw, setup.m_pos, xi_d):
             continue
-        theta = Cocycle(tw_q, {q: xi_d.values[setup.include(q)]
-                               for q in setup.quotient.elements})
+        theta = Cocycle(tw_q, pos=list(map(xi_d.pos.__getitem__, setup.sub)))
         ok, _ = is_cocycle(theta)
         if not ok:
             continue

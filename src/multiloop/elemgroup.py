@@ -47,6 +47,10 @@ class RankOneComponent(ElementError):
     pass
 
 
+class WordSyntaxError(ValueError):
+    pass
+
+
 @dataclass
 class RootElementWord:
     letters: list                 # (root tuple, param vector over the ring)
@@ -534,31 +538,37 @@ def word_show(rg, R, word: RootElementWord) -> str:
 
 
 def word_parse(rg, R, text: str) -> RootElementWord:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "word":
-        raise ElementError("bad word header: %r" % lines[0])
-    tag = "series"
-    for part in head[1:]:
-        if part.startswith("ring="):
-            tag = part[5:]
+    """A "word ring=<tag>" line, then one "X (root) [p; ...]" line per
+    letter; malformed text raises WordSyntaxError naming its line."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1].split()[0] != "word":
+        no = lines[0][0] if lines else text.count("\n") + 1
+        raise WordSyntaxError("line %d: expected a 'word' block" % no)
+    tag = next((part[5:] for part in reversed(lines[0][1].split())
+                if part.startswith("ring=")), "series")
     g = rg.algebra
     letters = []
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if not ln.startswith("X "):
-            raise ElementError("bad word line: %r" % ln)
-        body = ln[2:].strip()
-        rt_end = body.index(")")
-        alpha = tuple(int(x) for x in body[1:rt_end].split(","))
-        rest = body[rt_end + 1:].strip()
-        if not (rest.startswith("[") and rest.endswith("]")):
-            raise ElementError("bad parameter block: %r" % rest)
-        vals = [R.parse(p) for p in rest[1:-1].split(";")] if rest != "[]" \
-            else []
+    for no, ln in lines[1:]:
+        try:
+            root, rest = ln.split(")", 1)
+            head, _, coords = root.partition("(")
+            rest = rest.strip()
+            if head.strip() != "X" or rest[:1] != "[" or rest[-1:] != "]":
+                raise ValueError
+            alpha = tuple(int(x) for x in coords.split(","))
+            vals = [R.parse(p) for p in rest[1:-1].split(";")] \
+                if rest != "[]" else []
+        except (ValueError, ArithmeticError, IndexError):
+            raise WordSyntaxError("line %d: bad letter %r" % (no, ln)) \
+                from None
+        if alpha not in rg.roots:
+            raise WordSyntaxError("line %d: %s is not a relative root"
+                                  % (no, alpha))
         idxs = g.piece(qdeg=alpha)
         if len(vals) != len(idxs):
-            raise ElementError("parameter count mismatch on root %s" % (alpha,))
+            raise WordSyntaxError("line %d: root %s takes %d parameters"
+                                  % (no, alpha, len(idxs)))
         v = [R.zero()] * g.dim
         for i, val in zip(idxs, vals):
             v[i] = val

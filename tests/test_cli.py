@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from multiloop import cli, cocycle
 from multiloop.cli import main
 from multiloop.grading import SpecError, graded_from_spec, parse_spec_file
 from multiloop.scalars import LaurentPoly
@@ -312,3 +313,173 @@ def test_factor_cancelling_word_exhausts(capsys, tmp_path):
     code, out, err = run(capsys, "--precision", "8", "factor", word)
     assert code == 3 and "certificate" not in out
     assert "modulo t^4 < t^8" in err
+
+
+# Text reports pinned byte for byte, so that the theta serialization and the
+# counts cannot move.
+GOLDEN_COCYCLE = [
+    ('cocycle enumerate --n 2 --gamma0 S3 --coeff Z2',
+     'command: cocycle enumerate --n 2 --gamma0 S3 --coeff Z2\n'
+     'config budget_coeff=24\n'
+     'config budget_gamma=96\n'
+     'config conductor=2\n'
+     'config precision=8\n'
+     'config seed=0\n'
+     'classes: 8\n'
+     'cocycles: 8\n'
+     'verdict: pass\n'),
+    ('--conductor 3 cocycle infres --n 1 --gamma0 Z2 --coeff Z3',
+     'command: --conductor 3 cocycle infres --n 1 --gamma0 Z2 --coeff Z3\n'
+     'config budget_coeff=24\n'
+     'config budget_gamma=96\n'
+     'config conductor=3\n'
+     'config precision=8\n'
+     'config seed=0\n'
+     'inflation_image: 3\n'
+     'kernel_of_restriction: 3\n'
+     'quotient_classes: 3\n'
+     'total_classes: 9\n'
+     'verdict: pass\n'),
+    ('--conductor 3 cocycle enumerate --n 1 --gamma0 Z2 --coeff Z3 '
+     '--galois-inverts',
+     'command: --conductor 3 cocycle enumerate --n 1 --gamma0 Z2 --coeff Z3 '
+     '--galois-inverts\n'
+     'config budget_coeff=24\n'
+     'config budget_gamma=96\n'
+     'config conductor=3\n'
+     'config precision=8\n'
+     'config seed=0\n'
+     'classes: 3\n'
+     'cocycles: 9\n'
+     'verdict: pass\n'),
+    ('cocycle diagonal --n 1 --coeff Z2 --discrepancy 2',
+     'command: cocycle diagonal --n 1 --coeff Z2 --discrepancy 2\n'
+     'config budget_coeff=24\n'
+     'config budget_gamma=96\n'
+     'config conductor=2\n'
+     'config precision=8\n'
+     'config seed=0\n'
+     'power: 2\n'
+     'theta:\n'
+     '  cocycle\n'
+     '    ((0,), 0) -> 0\n'
+     '    ((1,), 0) -> 0\n'
+     'verdict: pass\n'),
+    ('--conductor 4 cocycle diagonal --n 1 --coeff Z4 --discrepancy 4',
+     'command: --conductor 4 cocycle diagonal --n 1 --coeff Z4 '
+     '--discrepancy 4\n'
+     'config budget_coeff=24\n'
+     'config budget_gamma=96\n'
+     'config conductor=4\n'
+     'config precision=8\n'
+     'config seed=0\n'
+     'power: 4\n'
+     'theta:\n'
+     '  cocycle\n'
+     '    ((0,), 0) -> 0\n'
+     '    ((1,), 0) -> 0\n'
+     '    ((2,), 0) -> 0\n'
+     '    ((3,), 0) -> 0\n'
+     'verdict: pass\n'),
+    ('cocycle diagonal --n 1 --gamma0 Z2 --coeff S3 --discrepancy 2',
+     'command: cocycle diagonal --n 1 --gamma0 Z2 --coeff S3 --discrepancy 2\n'
+     'config budget_coeff=24\n'
+     'config budget_gamma=96\n'
+     'config conductor=2\n'
+     'config precision=8\n'
+     'config seed=0\n'
+     'power: 2\n'
+     'theta:\n'
+     '  cocycle\n'
+     '    ((0,), 0) -> (0, 1, 2)\n'
+     '    ((0,), 1) -> (0, 1, 2)\n'
+     '    ((1,), 0) -> (0, 1, 2)\n'
+     '    ((1,), 1) -> (0, 1, 2)\n'
+     'verdict: pass\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_COCYCLE,
+                         ids=["enumerate", "infres", "galois-inverts",
+                              "discrepancy-2", "discrepancy-4", "S3"])
+def test_cocycle_golden_stdout(capsys, argv, expected):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and out == expected
+    assert err.startswith("elapsed ")
+
+
+def _refuse_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was built for an over-budget request")
+
+    monkeypatch.setattr(cocycle, "cover_group", refuse)
+    monkeypatch.setattr(cli, "cover_group", refuse)
+    monkeypatch.setattr(cocycle.FiniteGroup, "__init__", refuse)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--conductor", "4", "cocycle", "enumerate", "--n", "3",
+      "--gamma0", "Z2"], "cover group order 128 exceeds budget 96"),
+    (["--budget-coeff", "1", "cocycle", "enumerate"],
+     "coefficient group order 2 exceeds budget 1"),
+    (["--budget-gamma", "1", "cocycle", "infres", "--n", "1"],
+     "cover group order 2 exceeds budget 1"),
+    # the quotient (order 2) fits, then |A| is checked before the cover
+    (["--budget-gamma", "3", "--budget-coeff", "1", "cocycle", "infres",
+      "--n", "1"], "coefficient group order 2 exceeds budget 1"),
+    (["--budget-gamma", "3", "cocycle", "infres", "--n", "1"],
+     "cover group order 4 exceeds budget 3"),
+    (["--budget-gamma", "1", "cocycle", "diagonal", "--n", "1"],
+     "cover group order 4 exceeds budget 1"),
+    (["--budget-coeff", "1", "cocycle", "diagonal", "--n", "1",
+      "--discrepancy", "2"], "coefficient group order 2 exceeds budget 1"),
+], ids=["enumerate-gamma", "enumerate-coeff", "infres-quotient",
+        "infres-coeff-before-cover", "infres-cover", "diagonal-gamma",
+        "diagonal-coeff"])
+def test_over_budget_requests_build_nothing(capsys, monkeypatch, argv,
+                                            message):
+    _refuse_building(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "exhausted: %s\n" % message
+
+
+def test_cocycle_group_orders_match_their_groups():
+    for table in (cli.GALOIS_GROUPS, cli.COEFF_GROUPS):
+        for name, (order, make) in table.items():
+            assert len(make()) == order, name
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["X (1,1) [(0, inf, [1/0])]"],
+     "word file line 4: bad letter 'X (1,1) [(0, inf, [1/0])]'"),
+    (["X (1,1) [(0, inf, [1/1]"],
+     "word file line 4: bad letter 'X (1,1) [(0, inf, [1/1]'"),
+    (["X (5,5) [(0, inf, [1/1])]"],
+     "word file line 4: (5, 5) is not a relative root"),
+    (["X (1,1) [(0, inf, [1/1]);(0, inf, [2/1])]"],
+     "word file line 4: root (1, 1) takes 1 parameters"),
+], ids=["zero-denominator", "unterminated-series", "non-root",
+        "parameter-count"])
+def test_malformed_word_letter_is_a_usage_error(capsys, tmp_path, lines,
+                                                message):
+    path = _word_file(tmp_path, "w.txt", lines)
+    code, out, err = run(capsys, "factor", path)
+    assert code == 1 and out == ""
+    assert err == "usage error: %s\n" % message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("algebra A 2\nground laurentx\nword ring=series letters=0\n",
+     "word file line 2: unknown ground ring 'laurentx'"),
+    ("algebra A 2\nground Q\n", "word file line 2: expected a 'word' block"),
+    ("algebra A\nground Q\nword ring=series letters=0\n",
+     "word file line 1: expected 'algebra <type> <rank>'"),
+], ids=["ground-laurentx", "no-word-block", "algebra-without-rank"])
+def test_malformed_word_file_is_a_usage_error(capsys, tmp_path, text,
+                                              message):
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "factor", str(path))
+    assert code == 1 and out == ""
+    assert err == "usage error: %s\n" % message

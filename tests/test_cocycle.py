@@ -5,8 +5,8 @@ import pytest
 
 from multiloop.cocycle import (BudgetExceeded, Cocycle, CocycleError,
                                CoefficientGroup, DiagonalSetup, FiniteGroup,
-                               cohomologous, cover_group, cyclic_group,
-                               diagonal_argument, direct_product,
+                               check_budget, cohomologous, cover_group,
+                               cyclic_group, diagonal_argument, direct_product,
                                galois_action, h1_enumerate, inf_res_sequence,
                                inflate, is_cocycle, m_acts_trivially,
                                power_pullback, quotient_coefficients,
@@ -469,3 +469,133 @@ def test_action_must_be_by_automorphisms():
     with pytest.raises(CocycleError, match=r"^action of 1 is not an "
                                            r"automorphism$"):
         CoefficientGroup(A, cov, {0: ident, 1: {0: 0, 1: 1, 2: 1}})
+
+
+# ---------------------------------------------------------------------------
+# Covers built by position arithmetic against the label-tuple product they
+# replaced, kept here as a test-local oracle.
+
+def _oracle_cover(n, m, gamma0, units):
+    """Labels and product of (Z/m)^n : gamma0 as the label closure had
+    them."""
+    given = dict(units)
+    units = {g: given.get(g, 1) % m if m > 1 else 0 for g in gamma0.elements}
+    elems = [(t, g) for t in itertools.product(range(m), repeat=n)
+             for g in gamma0.elements]
+
+    def mul(x, y):
+        t1, g1 = x
+        t2, g2 = y
+        u = units[g1]
+        t = tuple([(a + u * b) % m for a, b in zip(t1, t2)])
+        return (t, gamma0.mul(g1, g2))
+
+    return elems, mul
+
+
+def _sign_units(m):
+    """S3 acting through its sign: odd permutations by -1 mod m."""
+    s3 = symmetric_group_3()
+    odd = {p for p in s3.elements
+           if sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2}
+    return s3, {p: m - 1 if p in odd else 1 for p in s3.elements}
+
+
+def _cover_grid():
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    for n, m in [(0, 3), (1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (2, 4),
+                 (1, 5)]:
+        yield n, m, trivial_group(), {}
+        yield n, m, z2, {}
+        yield n, m, z2, {1: m - 1}
+        yield n, m, z3, {}
+        yield (n, m) + _sign_units(m)
+    # Z3 acting on Z/7 by the cube root of unity 2
+    yield 1, 7, z3, {1: 2, 2: 4}
+    yield 2, 7, z3, {1: 2, 2: 4}
+
+
+COVER_GRID = [pytest.param(n, m, g, u, id="n%d-m%d-%s-%s" % (
+    n, m, g.name, "".join(str(u[k]) for k in sorted(u, key=str))))
+    for n, m, g, u in _cover_grid()]
+
+
+@pytest.mark.parametrize("n, m, gamma0, units", COVER_GRID)
+def test_cover_rows_match_label_oracle(n, m, gamma0, units):
+    elems, mul = _oracle_cover(n, m, gamma0, units)
+    G = cover_group(n, m, gamma0, units)
+    assert G.elements == elems
+    assert G.name == "(Z/%d)^%d:%s" % (m, n, gamma0.name)
+    index = {x: i for i, x in enumerate(elems)}
+    assert G.rows == [[index[mul(a, b)] for b in elems] for a in elems]
+    assert G.identity == ((0,) * n, gamma0.identity)
+
+
+@pytest.mark.parametrize("n, m, gamma0, units", [
+    p for p in COVER_GRID if len(p.values[2]) * p.values[1] ** (
+        p.values[0] + 1) <= 256])
+def test_diagonal_quotient_is_the_smaller_cover(n, m, gamma0, units):
+    setup = DiagonalSetup(n, m, gamma0, units)
+    small = cover_group(n, m, gamma0, units)
+    assert setup.quotient.elements == small.elements
+    assert setup.quotient.rows == small.rows
+    assert setup.quotient.name == small.name
+    cover = setup.cover
+    assert [cover.elements[x] for x in setup.sub] == \
+        [setup.include(q) for q in small.elements]
+    assert [small.elements[q] for q in setup.proj] == \
+        [setup.project(g) for g in cover.elements]
+    for d in range(1, m + 1):
+        assert [cover.elements[x] for x in setup.power_positions(d)] == \
+            [(t[:-1] + (t[-1] * d % m,), k) for t, k in cover.elements]
+
+
+def test_wrong_unit_in_one_row_is_rejected():
+    # (Z/3) : Z2 with Z2 inverting; the row of ((1,), 1) is rebuilt with the
+    # unit 1, so that one row no longer belongs to a group table
+    G = cover_group(1, 3, cyclic_group(2), {1: 2})
+    FiniteGroup(G.elements, name="ok", rows=[list(r) for r in G.rows])
+    x = G.index[((1,), 1)]
+    rows = [list(r) for r in G.rows]
+    rows[x] = [G.index[(((1 + b) % 3,), (1 + g) % 2)]
+               for (b,), g in G.elements]
+    with pytest.raises(CocycleError, match="^bad: "):
+        FiniteGroup(G.elements, name="bad", rows=rows)
+
+
+@pytest.mark.parametrize("k", [200, 257])
+def test_associativity_check_on_both_sides_of_256(k):
+    # Z/k with 1 * 1 = 3: identity and inverses survive, and (1 1) 2 = 5
+    # differs from 1 (1 2) = 4; past 256 elements the check no longer
+    # packs positions into bytes
+    rows = [[(a + b) % k for b in range(k)] for a in range(k)]
+    FiniteGroup(range(k), name="Z", rows=[list(r) for r in rows])
+    rows[1][1] = 3
+    with pytest.raises(CocycleError,
+                       match=r"^bad: associativity fails at 1,1,2$"):
+        FiniteGroup(range(k), name="bad", rows=rows)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 2]],
+                                  [[0, 1], [1, -1]]],
+                         ids=["short-row", "past-the-end", "negative"])
+def test_given_rows_must_be_a_closed_table(rows):
+    with pytest.raises(CocycleError, match=r"^T is not closed under product$"):
+        FiniteGroup([0, 1], name="T", rows=rows)
+
+
+def test_restriction_must_be_closed():
+    G = cyclic_group(4)
+    assert G.restrict([0, 2]).rows == [[0, 1], [1, 0]]
+    with pytest.raises(CocycleError, match="not closed"):
+        G.restrict([0, 1])
+
+
+def test_check_budget_group_before_coefficients():
+    check_budget(96, 24)
+    with pytest.raises(BudgetExceeded, match=r"^cover group order 97 "
+                                             r"exceeds budget 96$"):
+        check_budget(97, 25)
+    with pytest.raises(BudgetExceeded, match=r"^coefficient group order 25 "
+                                             r"exceeds budget 24$"):
+        check_budget(96, 25)
