@@ -1,4 +1,5 @@
-"""Run the Lie torus axiom checker over the bundled multiloop fixtures."""
+"""Run the Lie torus axiom checker over every bundled multiloop fixture
+(`fixtures/*.ml`)."""
 
 from pathlib import Path
 
@@ -9,12 +10,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def main():
-    for name, spec in [("untwisted sl2", "sl2_untwisted.ml"),
-                       ("quaternion sl2", "sl2_quaternion.ml"),
-                       ("flipped sl3", "sl3_flip.ml")]:
-        g = graded_from_spec(*parse_spec_file(
-            (FIXTURES / spec).read_text(), 2))
-        print("==", name, "==")
+    for path in sorted(FIXTURES.glob("*.ml")):
+        g = graded_from_spec(*parse_spec_file(path.read_text(), 2))
+        print("==", path.name, "==")
         print(lie_torus_check(g).serialize())
         print()
 

@@ -8,8 +8,9 @@ identity N(a,b)/|c|^2 = N(b,c)/|a|^2 for a+b+c = 0.  Before an algebra is
 returned, antisymmetry is verified on every basis pair and the Jacobi
 identity on every basis triple, in integer arithmetic on the sparse table.
 
-`sparse_bracket` is the one bracket over a sparse structure-constant table;
-the dense `ChevalleyAlgebra.bracket` and `GradedLieAlgebra.bracket` wrap it.
+`sparse_bracket` is the one bracket over a sparse structure-constant table:
+the graded tables, LT4 and the automorphism check go through it, and the
+dense `GradedLieAlgebra.bracket` that LT5 uses wraps it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
 `exp_ad`, `ad_matrix` and the root elements of `elemgroup` use it.
 """
@@ -178,14 +179,6 @@ class ChevalleyAlgebra:
     def bracket_basis(self, i, j):
         return self.table.get((i, j), [])
 
-    def bracket(self, dom, x, y):
-        """Bracket of dense coefficient vectors over any domain."""
-        out = [dom.zero()] * self.dim
-        for k, z in sparse_bracket(self.table, sparse_vector(x),
-                                   sparse_vector(y)).items():
-            out[k] = z
-        return out
-
     def _verify_jacobi(self):
         """Antisymmetry on every basis pair and the Jacobi identity on every
         basis triple i < j < k, in integers straight from the table."""
@@ -220,12 +213,6 @@ class ChevalleyAlgebra:
 
     def basis_vector(self, dom, i):
         return [dom.one() if t == i else dom.zero() for t in range(self.dim)]
-
-    def root_vector(self, dom, a):
-        return self.basis_vector(dom, self.root_index[tuple(a)])
-
-    def cartan_vector(self, dom, i):
-        return self.basis_vector(dom, len(self.roots) + i)
 
     def q_degree(self, i):
         """Weight of basis vector i under the full Cartan: pairing vector with

@@ -241,21 +241,25 @@ def cmd_factor(cfg, args):
 
 def _factor_verify(cfg, args, rg, R, word, meta):
     """Recompute the residual from a serialized factorization report."""
-    report = _read(args.verify)
-    blocks = {"g1": [], "g2": []}
+    report = _read(args.verify).splitlines()
+    # each block is blank off its own lines, so that a parse error names
+    # the line of the report
+    blocks = {"g1": [""] * len(report), "g2": [""] * len(report)}
     current = None
-    for ln in report.splitlines():
+    for no, ln in enumerate(report):
         s = ln.strip()
         if s.startswith(("g1:", "g2:")):
             current = s[:2]
-            tail = s[3:].strip()
-            if tail:
-                blocks[current].append(tail)
+            blocks[current][no] = s[3:]
         elif current and (s.startswith("word") or s.startswith("X ")):
-            blocks[current].append(s)
+            blocks[current][no] = s
         elif s and not s.startswith(("word", "X ")):
             current = None
-    g1, g2 = (word_parse(rg, R, "\n".join(blocks[k])) for k in ("g1", "g2"))
+    try:
+        g1, g2 = (word_parse(rg, R, "\n".join(blocks[k]))
+                  for k in ("g1", "g2"))
+    except WordSyntaxError as e:
+        raise UsageError("report %s" % e) from None
     res = word_matrix(rg, R, residual_word(word, g1, g2))
     achieved, where = linalg.identity_residual(R, res.matrix, cfg.precision)
     # a coefficient below --precision disproves the report; a horizon below

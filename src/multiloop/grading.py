@@ -11,12 +11,17 @@ integer i) and only one period of degrees is kept; pieces at degrees
 differing by m Z^n are canonically identified.
 
 A graded algebra keeps its ambient ChevalleyAlgebra, and its basis vectors
-are coordinate vectors there.  Graded structure constants and Cartan
-refinements come from the one sparse bracket over the ambient integer
-table (chevalley.sparse_bracket): each piece is eliminated once to pivot
-coordinates (linalg.span_coords), a bracket's coordinates are read off at
-those pivots, and every bracket is still certified to lie in its piece by
-recombining the coordinates on every ambient coordinate.
+are coordinate vectors there.  Graded structure constants come from the one
+sparse bracket over the ambient integer table (chevalley.sparse_bracket):
+each piece is eliminated once to pivot coordinates (linalg.span_coords), a
+bracket's coordinates are read off at those pivots, and every bracket is
+still certified to lie in its piece by recombining the coordinates on every
+ambient coordinate.  The table is built once, on first use.
+
+A Cartan refinement is a relabelling: the cartan elements lie in
+span(h_1..h_r), which acts diagonally on the Chevalley basis, so the
+q-degree of a lattice basis vector is the weight read off its support.
+The sparse graded table is also what lietorus.check_LT4 brackets on.
 """
 
 from __future__ import annotations
@@ -119,20 +124,33 @@ class GradedLieAlgebra:
     """A Lie algebra with a lattice grading of rank nvars (periodic modulo
     `period`) and an optional root-lattice grading by q-degrees; `ambient`
     is the ChevalleyAlgebra whose coordinates the entry vectors are in, or
-    None."""
+    None.
 
-    def __init__(self, dom, nvars, period, entries, table, ambient=None,
+    A given table is checked against the grading unless check is false.
+    Without one, the table is built from the ambient bracket and certified
+    on first use, so an algebra that is only refined never builds its own.
+    """
+
+    def __init__(self, dom, nvars, period, entries, table=None, ambient=None,
                  check=True):
         self.dom = dom
         self.nvars = nvars
         self.period = period
         self.entries = list(entries)
-        self.table = table
         self.ambient = ambient
         self.dim = len(self.entries)
         self.qrank = len(self.entries[0].qdeg) if self.entries else 0
-        if check:
-            self._verify_grading()
+        if table is not None:
+            self.table = table
+            if check:
+                self._verify_grading(table)
+
+    @cached_property
+    def table(self):
+        table = _build_table(self.dom, self.entries, self.nvars, self.period,
+                             self.ambient)
+        self._verify_grading(table)
+        return table
 
     def zero_lam(self):
         return (0,) * self.nvars
@@ -173,8 +191,8 @@ class GradedLieAlgebra:
             out[k] = z
         return out
 
-    def _verify_grading(self):
-        for (i, j), terms in self.table.items():
+    def _verify_grading(self, table):
+        for (i, j), terms in table.items():
             ei, ej = self.entries[i], self.entries[j]
             lam = self.reduce_lam(tuple(a + b for a, b in zip(ei.lam, ej.lam)))
             q = tuple(a + b for a, b in zip(ei.qdeg, ej.qdeg))
@@ -250,8 +268,7 @@ def build_multiloop(spec: MultiloopSpec) -> GradedLieAlgebra:
     for lam in sorted(eig):
         for v in eig[lam]:
             entries.append(GradedBasisVector((), tuple(lam), tuple(v)))
-    table = _build_table(dom, entries, spec.n, spec.m, spec.base)
-    return GradedLieAlgebra(dom, spec.n, spec.m, entries, table, spec.base)
+    return GradedLieAlgebra(dom, spec.n, spec.m, entries, ambient=spec.base)
 
 
 def from_chevalley(alg: ChevalleyAlgebra, dom=QQ) -> GradedLieAlgebra:
@@ -268,105 +285,56 @@ def from_chevalley(alg: ChevalleyAlgebra, dom=QQ) -> GradedLieAlgebra:
 
 
 def q_grading_from_cartan(g: GradedLieAlgebra, cartan) -> GradedLieAlgebra:
-    """Refine the lattice grading by simultaneous integer ad-eigenvalues of
-    the given abelian subspace of the degree-0 piece."""
+    """Refine the lattice grading by the integer weights of the given
+    elements of span(h_1..h_r) lying in the degree-0 piece.
+
+    Such elements act diagonally on the Chevalley basis and keep each
+    lattice piece stable.  A piece's `kernel_basis` vector is 1 at its own
+    free coordinate and 0 at the others, so its projection onto one weight,
+    which stays in the piece, is the vector itself or zero: each basis
+    vector keeps its coordinates and gets the weight on its support.
+    """
     alg = g.ambient
     if alg is None:
         raise GradingError("algebra has no ambient model to refine")
     dom = g.dom
-    cartan = [list(h) for h in cartan]
-    hs = [sparse_vector(h) for h in cartan]
-    for a in range(len(hs)):
-        for b in range(a + 1, len(hs)):
-            if any(sparse_bracket(alg.table, hs[a], hs[b]).values()):
-                raise GradingError("cartan choice is not abelian")
-    zero = g.zero_lam()
-    zspan = [list(g.entries[i].vector) for i in g.piece(lam=zero)]
+    nroots = len(alg.roots)
+    rows = []
     for h in cartan:
-        if not _in_span(dom, zspan, h):
+        if any(h[:nroots]):
+            raise GradingError("cartan element is not in span(h_1..h_r)")
+        rows.append([QQ.lift(c) for c in h[nroots:]])
+    in_zero = linalg.span_coords(
+        dom, [sparse_vector(g.entries[i].vector)
+              for i in g.piece(lam=g.zero_lam())], alg.dim)
+    for h in cartan:
+        if in_zero(sparse_vector(h)) is None:
             raise GradingError("cartan element is not in the degree-0 piece")
-    # refine each lattice piece into joint integer eigenspaces
-    blocks = []
+    ambient_weights = [tuple(sum(c * p for c, p in zip(row, alg.q_degree(t)))
+                             for row in rows) for t in range(alg.dim)]
+    weights = []
+    for i, e in enumerate(g.entries):
+        ws = {ambient_weights[t] for t, x in enumerate(e.vector) if x}
+        if len(ws) != 1:
+            raise GradingError("basis vector %d is not a weight vector of "
+                               "the cartan elements" % i)
+        weights.append(ws.pop())
+    # a weight that is not an integer is reported on the block the
+    # elements before it cut out of its lattice piece
     for lam in g.lam_keys():
-        basis = [list(g.entries[i].vector) for i in g.piece(lam=lam)]
-        for qdeg, vs in _joint_integer_eigenspaces(dom, alg, hs, basis):
-            blocks.append((qdeg, lam, vs))
-    blocks.sort(key=lambda b: (b[1], b[0]))
-    entries = []
-    for qdeg, lam, vs in blocks:
-        for v in vs:
-            entries.append(GradedBasisVector(qdeg, lam, tuple(v)))
-    table = _build_table(dom, entries, g.nvars, g.period, alg)
-    return GradedLieAlgebra(dom, g.nvars, g.period, entries, table, alg)
-
-
-def _in_span(dom, span, v):
-    if not span:
-        return not any(v)
-    M = [[span[j][t] for j in range(len(span))] for t in range(len(v))]
-    return linalg.solve(dom, M, v) is not None
-
-
-def _joint_integer_eigenspaces(dom, alg, hs, basis):
-    """Recursively split a subspace by each sparse cartan element of hs;
-    yields (eigenvalue tuple, vectors).
-
-    Candidate eigenvalues c are tried in the order 0, -1, 1, -2, 2, ... up
-    to |c| = 256 and stop once the kernels span the block, so the
-    eigenvalues found are all of them; pieces are listed by c."""
-    spaces = [((), basis)]
-    for h in hs:
-        nxt = []
-        for prefix, vs in spaces:
-            if not vs:
-                continue
-            k = len(vs)
-            svs = [sparse_vector(v) for v in vs]
-            solve = linalg.span_coords(dom, svs, alg.dim)
-            cols = []
-            for v in svs:
-                cs = solve(sparse_bracket(alg.table, h, v))
-                if cs is None:
-                    raise GradingError("cartan action escapes a piece of "
-                                       "dimension %d" % k)
-                cols.append(cs)
-            A = [[cols[j][i] for j in range(k)] for i in range(k)]
-            pieces = []
-            found = 0
-            for c in _eigenvalue_candidates():
-                B = [[A[i][j] - (dom.from_int(c) if i == j else dom.zero())
-                      for j in range(k)] for i in range(k)]
-                ker = linalg.kernel_basis(dom, B)
-                if ker:
-                    pieces.append((c, [_combine(dom, vs, kv) for kv in ker]))
-                    found += len(ker)
-                    if found == k:
-                        break
-            else:
+        ws = [weights[i] for i in g.piece(lam=lam)]
+        for j in range(len(rows)):
+            bad = sorted(w[:j] for w in ws if w[j].denominator != 1)
+            if bad:
                 raise GradingError(
                     "cartan action is not diagonalizable with integer "
-                    "eigenvalues on a piece of dimension %d" % k)
-            for c, vecs in sorted(pieces, key=lambda p: p[0]):
-                nxt.append((prefix + (c,), vecs))
-        spaces = nxt
-    return spaces
-
-
-def _eigenvalue_candidates():
-    yield 0
-    for c in range(1, 257):
-        yield -c
-        yield c
-
-
-def _combine(dom, vs, coeffs):
-    out = [dom.zero()] * len(vs[0])
-    for c, v in zip(coeffs, vs):
-        if c:
-            for t, x in enumerate(v):
-                if x:
-                    out[t] = out[t] + c * x
-    return out
+                    "eigenvalues on a piece of dimension %d"
+                    % sum(1 for w in ws if w[:j] == bad[0]))
+    entries = sorted((GradedBasisVector(tuple(int(x) for x in w), e.lam,
+                                        e.vector)
+                      for w, e in zip(weights, g.entries)),
+                     key=lambda e: (e.lam, e.qdeg))
+    return GradedLieAlgebra(dom, g.nvars, g.period, entries, ambient=alg)
 
 
 @dataclass

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from multiloop.chevalley import build_chevalley_by_type
+from multiloop.chevalley import (build_chevalley_by_type, sparse_bracket,
+                                 sparse_vector)
 from multiloop.grading import (from_chevalley, graded_from_spec,
                                parse_spec_file, relative_roots)
 
@@ -16,6 +17,19 @@ def algebra(type_label, rank):
     if key not in _CACHE:
         _CACHE[key] = build_chevalley_by_type(type_label, rank)
     return _CACHE[key]
+
+
+def dense_bracket(alg, dom, x, y):
+    """[x, y] of dense coefficient vectors on the ambient table of alg."""
+    out = [dom.zero()] * alg.dim
+    for k, z in sparse_bracket(alg.table, sparse_vector(x),
+                               sparse_vector(y)).items():
+        out[k] = z
+    return out
+
+
+def root_vector(alg, dom, a):
+    return alg.basis_vector(dom, alg.root_index[tuple(a)])
 
 
 @pytest.fixture(scope="session")

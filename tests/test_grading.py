@@ -3,21 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from multiloop import linalg
+from multiloop import grading, linalg
 from multiloop.chevalley import (chevalley_involution, diagram_automorphism,
-                                 sparse_vector, torus_automorphism)
-from multiloop.grading import (GradedBasisVector, GradingError, MultiloopSpec,
-                               _build_table, _combine,
-                               _joint_integer_eigenspaces, build_multiloop,
-                               from_chevalley, graded_from_spec,
-                               irreducible_components,
+                                 torus_automorphism)
+from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
+                               GradingError, MultiloopSpec, _build_table,
+                               build_multiloop, from_chevalley,
+                               graded_from_spec, irreducible_components,
                                opposite_unipotent_pair, parse_spec_file,
                                q_grading_from_cartan, relative_roots,
                                twisted_form_dims_check, verify_multiloop_spec)
+from multiloop.lietorus import lie_torus_check
 from multiloop.rootsys import make_relative_system
 from multiloop.scalars import QQ
 
-from conftest import FIXTURES, algebra
+from conftest import FIXTURES, algebra, dense_bracket
 
 
 def test_sl2_loop_dims(g_sl2loop):
@@ -119,13 +119,29 @@ def test_identity_coarse_period():
 
 
 def test_cartan_must_be_abelian(a2):
+    # cartan elements must lie in span(h_1..h_r), which is abelian; a root
+    # vector pair that does not commute is rejected for leaving it
     g = from_chevalley(a2)
     e = [g.dom.zero()] * g.dim
     e[0] = g.dom.one()
     f = [g.dom.zero()] * g.dim
     f[g.piece(qdeg=tuple(-x for x in a2.q_degree(0)))[0]] = g.dom.one()
-    with pytest.raises(GradingError):
+    with pytest.raises(GradingError, match=r"not in span\(h_1..h_r\)"):
         q_grading_from_cartan(g, [e, f])
+
+
+def test_cartan_refinement_needs_weight_vectors(a2):
+    # e_a1 + h1 is not a weight vector of h1, so no q-degree can be read
+    nroots = len(a2.roots)
+    d = a2.dim
+    vecs = [[Fraction(int(t == i)) for t in range(d)] for i in range(d)]
+    vecs[0][nroots] = Fraction(1)
+    g = GradedLieAlgebra(QQ, 0, 1, [GradedBasisVector((), (), tuple(v))
+                                    for v in vecs], ambient=a2)
+    h = [Fraction(int(t == nroots)) for t in range(d)]
+    with pytest.raises(GradingError, match="basis vector 0 is not a weight "
+                                           "vector"):
+        q_grading_from_cartan(g, [h])
 
 
 def test_from_chevalley_q_support(a2, rg_a2):
@@ -212,7 +228,7 @@ def _dense_build_table(dom, entries, nvars, period, alg):
     table = {}
     for i, ei in enumerate(entries):
         for j, ej in enumerate(entries):
-            w = alg.bracket(dom, list(ei.vector), list(ej.vector))
+            w = dense_bracket(alg, dom, list(ei.vector), list(ej.vector))
             if not any(w):
                 continue
             lam = tuple((a + b) % period for a, b in zip(ei.lam, ej.lam)) \
@@ -231,6 +247,16 @@ def _dense_build_table(dom, entries, nvars, period, alg):
     return table
 
 
+def _combine(dom, vs, coeffs):
+    out = [dom.zero()] * len(vs[0])
+    for c, v in zip(coeffs, vs):
+        if c:
+            for t, x in enumerate(v):
+                if x:
+                    out[t] = out[t] + c * x
+    return out
+
+
 def _dense_eigenspaces(dom, alg, cartan, basis):
     """The old eigenvalue split, kept as an oracle: coordinates by
     left_inverse_coords, candidates -b..b for b = 4, 8, ..., 256."""
@@ -242,7 +268,8 @@ def _dense_eigenspaces(dom, alg, cartan, basis):
                 continue
             M = [[vs[j][t] for j in range(len(vs))] for t in range(len(vs[0]))]
             L = left_inverse_coords(dom, M)
-            cols = [linalg.mat_vec(dom, L, alg.bracket(dom, h, v)) for v in vs]
+            cols = [linalg.mat_vec(dom, L, dense_bracket(alg, dom, h, v))
+                    for v in vs]
             A = [[cols[j][i] for j in range(len(vs))] for i in range(len(vs))]
             found, bound, pieces = 0, 4, []
             while found < len(vs):
@@ -296,14 +323,34 @@ def test_table_matches_dense_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
 def test_eigenspaces_match_dense_oracle(name):
-    alg, g, _, rows = _graded_pair(SPEC_TEXTS[name])
+    # the refined entries of each lattice piece are the oracle's joint
+    # eigenspaces, in its order
+    alg, g, refined, rows = _graded_pair(SPEC_TEXTS[name])
     cartan = [[g.dom.zero()] * len(alg.roots) + [g.dom.lift(c) for c in row]
               for row in rows]
     for lam in g.lam_keys():
         basis = [list(g.entries[i].vector) for i in g.piece(lam=lam)]
-        got = _joint_integer_eigenspaces(
-            g.dom, alg, [sparse_vector(h) for h in cartan], basis)
-        assert got == _dense_eigenspaces(g.dom, alg, cartan, basis)
+        want = [(qdeg, v) for qdeg, vs in
+                _dense_eigenspaces(g.dom, alg, cartan, basis) for v in vs]
+        got = [(refined.entries[i].qdeg, list(refined.entries[i].vector))
+               for i in refined.piece(lam=lam)]
+        assert got == want
+
+
+@pytest.mark.parametrize("name", ["sl3_flip.ml", "flip_m4", "loop_B2"])
+def test_graded_from_spec_builds_one_table(monkeypatch, name):
+    calls = []
+    build = grading._build_table
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return build(*args)
+
+    monkeypatch.setattr(grading, "_build_table", counting)
+    g = graded_from_spec(*parse_spec_file(SPEC_TEXTS[name], 2))
+    g.serialize()
+    lie_torus_check(g)
+    assert calls == [g.dim]
 
 
 def _entries_outcome(build, entries, nvars, period, alg):

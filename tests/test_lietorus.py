@@ -7,6 +7,7 @@ from multiloop.chevalley import torus_automorphism
 from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                MultiloopSpec, build_multiloop,
                                q_grading_from_cartan)
+from multiloop.grading import relative_roots
 from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
                                 classify_system, lie_torus_check,
                                 pairing_from_strings)
@@ -227,3 +228,100 @@ def test_lt5_closure_over_several_rounds():
     assert rounds >= 4
     assert check_LT5(g) == (verdict, witness) == \
         (False, ("generated-dimension", 5, 6))
+
+
+# -- LT4 against the dense check ---------------------------------------------
+
+
+def _lt4_oracle(g, delta_set):
+    """The dense LT4 check: every bracket on dense coordinate vectors through
+    GradedLieAlgebra.bracket.  Returns (verdict, counterexample, witnesses)."""
+    zero = (0,) * g.qrank
+    dom = g.dom
+    support = set(e.qdeg for e in g.entries if e.qdeg != zero)
+    witnesses = []
+    for alpha in sorted(support):
+        if alpha not in delta_set:
+            continue
+        neg = tuple(-x for x in alpha)
+        for lam in sorted(set(e.lam for e in g.entries if e.qdeg == alpha)):
+            idxs = g.piece(qdeg=alpha, lam=lam)
+            if len(idxs) > 1:
+                return False, ("piece-dimension", alpha, lam, len(idxs)), []
+            neg_lam = g.reduce_lam(tuple(-x for x in lam))
+            fidx = g.piece(qdeg=neg, lam=neg_lam)
+            if len(fidx) != 1:
+                return False, ("no-opposite-piece", alpha, lam), []
+            ei, fi = idxs[0], fidx[0]
+            e = [dom.one() if t == ei else dom.zero() for t in range(g.dim)]
+            f = [dom.one() if t == fi else dom.zero() for t in range(g.dim)]
+            h = g.bracket(e, f)
+            he = g.bracket(h, e)
+            mu = he[ei]
+            if any(x for t, x in enumerate(he) if t != ei) or not mu:
+                return False, ("no-sl2-scaling", alpha, lam), []
+            c = dom.inv(mu) * 2
+            f = [x * c for x in f]
+            h = g.bracket(e, f)
+            for k, ent in enumerate(g.entries):
+                beta = ent.qdeg
+                expect = 0 if beta == zero else \
+                    pairing_from_strings(beta, alpha, support)
+                x = [dom.one() if t == k else dom.zero() for t in range(g.dim)]
+                hx = g.bracket(h, x)
+                want = [dom.from_int(expect) * xi for xi in x]
+                if any(a != b for a, b in zip(hx, want)):
+                    return False, ("identity-fails", alpha, lam, beta), []
+            witnesses.append((alpha, lam, ei, tuple(dom.show(x) for x in f)))
+    return True, None, witnesses
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_lt4_matches_dense_oracle(name):
+    g = load_spec(SPECS[name])
+    delta_set = set(relative_roots(g).roots)
+    assert check_LT4(g, delta_set) == _lt4_oracle(g, delta_set)
+
+
+def test_lt4_no_sl2_scaling():
+    # the Heisenberg algebra [x, y] = z, z central: [[y, x], y] = 0
+    x, y, z = range(3)
+    g = _hand_built([1, -1, 0], {(x, y): [(z, 1)]})
+    want = (False, ("no-sl2-scaling", (-1,), ()), [])
+    assert check_LT4(g, {(1,), (-1,)}) == _lt4_oracle(g, {(1,), (-1,)}) \
+        == want
+
+
+def test_lt4_identity_fails():
+    # sl2 plus a central vector v at q-degree 3: h kills v, where LT4
+    # expects <3, alpha^vee> = -6 for alpha = -1
+    e, f, h, v = range(4)
+    g = _hand_built([1, -1, 0, 3], {(e, f): [(h, 1)], (h, e): [(e, 2)],
+                                    (h, f): [(f, -2)]})
+    want = (False, ("identity-fails", (-1,), (), (3,)), [])
+    assert check_LT4(g, {(1,), (-1,)}) == _lt4_oracle(g, {(1,), (-1,)}) \
+        == want
+    # without v the same table passes, with the oracle's witnesses
+    sl2 = _hand_built([1, -1, 0], {(e, f): [(h, 1)], (h, e): [(e, 2)],
+                                   (h, f): [(f, -2)]})
+    got = check_LT4(sl2, {(1,), (-1,)})
+    assert got == _lt4_oracle(sl2, {(1,), (-1,)}) and got[0]
+    assert len(got[2]) == 2
+
+
+# -- twisted E6, kept out of the fixture glob for its cost --------------------
+
+E6_FLIP = ("multiloop type=E rank=6 n=1 m=2\n"
+           "sigma diagram 4 3 2 1 0 5\n"
+           "cartan h 1 0 0 0 1 0\ncartan h 0 1 0 1 0 0\n"
+           "cartan h 0 0 1 0 0 0\ncartan h 0 0 0 0 0 1\n")
+
+
+def test_twisted_e6_is_a_lie_torus():
+    g = load_spec(E6_FLIP)
+    assert g.dim == 78 and g.dims_by_lam() == {(0,): 52, (1,): 26}
+    rep = lie_torus_check(g)
+    assert rep.verdicts == {"LT%d" % k: True for k in range(1, 6)}
+    assert rep.overall and rep.nullity == 1
+    # one witness per root piece: 48 roots at degree 0, 24 short at degree 1
+    assert len(rep.witnesses) == 72
