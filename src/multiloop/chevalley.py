@@ -12,7 +12,8 @@ identity on every basis triple, in integer arithmetic on the sparse table.
 the graded tables, LT4 and the automorphism check go through it, and the
 dense `GradedLieAlgebra.bracket` that LT5 uses wraps it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
-`exp_ad`, `ad_matrix` and the root elements of `elemgroup` use it.
+`exp_ad`, `ad_matrix`, `killing_form` and the root elements of `elemgroup`
+use it.
 """
 
 from __future__ import annotations
@@ -316,7 +317,8 @@ class AlgebraAutomorphism:
     def compose(self, other) -> "AlgebraAutomorphism":
         return AlgebraAutomorphism(
             self.alg, self.dom,
-            linalg.mat_mul(self.dom, self.matrix, other.matrix), check=False)
+            linalg.mat_mul_dense(self.dom, self.matrix, other.matrix),
+            check=False)
 
     def inverse(self) -> "AlgebraAutomorphism":
         return AlgebraAutomorphism(
@@ -329,15 +331,15 @@ class AlgebraAutomorphism:
         for k in range(1, bound + 1):
             if linalg.mat_eq(cur, I):
                 return k
-            cur = linalg.mat_mul(self.dom, cur, self.matrix)
+            cur = linalg.mat_mul_dense(self.dom, cur, self.matrix)
         return None
 
     def is_identity(self):
         return linalg.is_identity(self.dom, self.matrix)
 
     def commutes_with(self, other) -> bool:
-        ab = linalg.mat_mul(self.dom, self.matrix, other.matrix)
-        ba = linalg.mat_mul(self.dom, other.matrix, self.matrix)
+        ab = linalg.mat_mul_dense(self.dom, self.matrix, other.matrix)
+        ba = linalg.mat_mul_dense(self.dom, other.matrix, self.matrix)
         return linalg.mat_eq(ab, ba)
 
 
@@ -355,8 +357,10 @@ def exp_ad(dom, alg, v, check=True) -> AlgebraAutomorphism:
     """exp(ad_v) as an exact finite sum; v must be ad-nilpotent."""
     ad = ad_rows(alg.table, {i: x for i, x in enumerate(v) if dom.nonzero(x)},
                  alg.dim)
+    rows = linalg.sparse(dom, linalg.identity(dom, alg.dim))
     try:
-        matrix = linalg.exp_nilpotent(dom, ad, linalg.identity(dom, alg.dim))
+        matrix = linalg.dense(dom, linalg.exp_nilpotent(dom, ad, rows),
+                              alg.dim)
     except ValueError:
         raise ChevalleyError("ad_v is not nilpotent")
     return AlgebraAutomorphism(alg, dom, matrix, check=check)
@@ -501,11 +505,11 @@ def inner_automorphism(alg, dom, letters) -> AlgebraAutomorphism:
 def killing_form(alg):
     """Killing form on basis pairs, over Q."""
     d = alg.dim
-    ads = [ad_matrix(QQ, alg, alg.basis_vector(QQ, i)) for i in range(d)]
+    ads = [ad_rows(alg.table, {i: Fraction(1)}, d) for i in range(d)]
     K = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             M = linalg.mat_mul(QQ, ads[i], ads[j])
-            tr = sum(M[t][t] for t in range(d))
+            tr = sum((row.get(t, 0) for t, row in M.items()), Fraction(0))
             K[i][j] = K[j][i] = tr
     return K

@@ -3,11 +3,11 @@ and the series factorization engine E(A((t))) = E(A[[t]]) E(A[t,1/t]).
 
 A letter X_alpha(v) = exp(ad_v) is a sparse object: it keeps the rows of
 ad_v (chevalley.ad_rows over the graded table), which sends the piece of
-q-degree beta to beta + alpha, and acts on a matrix M as
-sum_i ad_v^i M / i!, one sparse row product per term
-(linalg.exp_nilpotent).  Its dense matrix is built only when a caller asks
-for .matrix.  A word is evaluated from the identity by left-applying its
-letters, last first, so no two dense matrices are ever multiplied.
+q-degree beta to beta + alpha, and acts on the sparse rows of a matrix M
+as M + E M, where E = exp(ad_v) - I is built once from the few entries of
+ad_v and applied in one sparse product (linalg.exp_nilpotent).  A word is
+evaluated on the sparse rows of the identity by left-applying its letters,
+last first, so no dense matrix is formed until a caller asks for .matrix.
 
 Coefficients come from a ring of the scalar tower.  Only exact zeros are
 skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
@@ -63,16 +63,24 @@ class RootElementWord:
         return len(self.letters)
 
 
-@dataclass
 class ElementMatrix:
-    matrix: list
-    ring: object
-    precision: object = None      # None for exact
+    """A matrix over ring (precision None for exact), given dense or as the
+    sparse rows of a dim x dim matrix, whose .matrix is built on first use."""
+
+    def __init__(self, matrix, ring, precision=None, rows=None, dim=None):
+        self.ring, self.precision, self.rows, self.dim = \
+            ring, precision, rows, dim
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self):
+        return linalg.dense(self.ring, self.rows, self.dim)
 
     def mul(self, other) -> "ElementMatrix":
         prec = _pmin(self.precision, other.precision)
-        return ElementMatrix(linalg.mat_mul(self.ring, self.matrix,
-                                            other.matrix), self.ring, prec)
+        A = linalg.mat_mul_dense(self.ring, self.matrix, other.matrix)
+        return ElementMatrix(A, self.ring, prec)
 
 
 class RootElement:
@@ -82,21 +90,20 @@ class RootElement:
     precision = None
 
     def __init__(self, ring, dim, ad):
-        self.ring = ring
-        self.dim = dim
-        self.ad = ad
+        self.ring, self.dim, self.ad = ring, dim, ad
 
-    def left_apply(self, M):
-        """X_alpha(v) M as a new dense matrix."""
-        return linalg.exp_nilpotent(self.ring, self.ad, M)
+    def left_apply(self, rows):
+        """X_alpha(v) M, for M and the result as sparse rows."""
+        return linalg.exp_nilpotent(self.ring, self.ad, rows)
 
     @cached_property
     def matrix(self):
-        return self.left_apply(linalg.identity(self.ring, self.dim))
+        return self.mul(ElementMatrix(linalg.identity(self.ring, self.dim),
+                                      self.ring)).matrix
 
     def mul(self, other) -> ElementMatrix:
-        return ElementMatrix(self.left_apply(other.matrix), self.ring,
-                             other.precision)
+        rows = self.left_apply(linalg.sparse(self.ring, other.matrix))
+        return ElementMatrix(None, self.ring, other.precision, rows, self.dim)
 
 
 def _pmin(a, b):
@@ -137,12 +144,12 @@ def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
 
 
 def word_matrix(rg: RelativeGrading, R, word) -> ElementMatrix:
-    """The product of a word's letters: the identity with the letters
-    left-applied, last first."""
-    M = linalg.identity(R, rg.algebra.dim)
+    """The product of a word's letters: the sparse identity with the
+    letters left-applied, last first."""
+    rows = linalg.sparse(R, linalg.identity(R, rg.algebra.dim))
     for alpha, v in reversed(list(word)):
-        M = root_element(rg, R, alpha, v).left_apply(M)
-    return ElementMatrix(M, R)
+        rows = root_element(rg, R, alpha, v).left_apply(rows)
+    return ElementMatrix(None, R, None, rows, rg.algebra.dim)
 
 
 def word_inverse(word: RootElementWord) -> RootElementWord:
@@ -257,12 +264,12 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
     if keyfunc is None:
         keyfunc = lambda gamma: (rg.data.height(gamma), gamma)
     order = sorted((tuple(x) for x in psi), key=keyfunc)
-    cur = u.matrix
+    cur = linalg.sparse(R, u.matrix)
     out = []
     for gamma in order:
         idxs, pairs, solve = _peel_data(rg, gamma)
         rhs = {r: cur[k][j] for r, (k, j) in enumerate(pairs)
-               if R.nonzero(cur[k][j])}
+               if j in cur.get(k, ())}
         coords = solve(rhs)
         if coords is None:
             raise ElementError("element is not unipotent over psi: residual "
@@ -274,7 +281,8 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
             continue
         out.append((gamma, v))
         cur = root_element(rg, R, gamma, [-x for x in v]).left_apply(cur)
-    _, where = linalg.identity_residual(R, cur, u.precision)
+    _, where = linalg.identity_residual(R, linalg.dense(R, cur, g.dim),
+                                        u.precision)
     if where is not None:
         raise ElementError("element is not unipotent over psi: residual at "
                            "block (%d,%d)" % where)
@@ -357,8 +365,9 @@ def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
         diag_inv = [R.inv(c) for c in diag]
         conj = [[diag[i] * x * diag_inv[j] for j, x in enumerate(row)]
                 for i, row in enumerate(root_element(rg, R, alpha, v).matrix)]
-        res = root_element(rg, R, alpha, [-x for x in new_v]).left_apply(conj)
-        if linalg.identity_residual(R, res)[1] is not None:
+        res = root_element(rg, R, alpha, [-x for x in new_v]).mul(
+            ElementMatrix(conj, R))
+        if linalg.identity_residual(R, res.matrix)[1] is not None:
             raise ElementError("torus conjugation identity failed")
     return (alpha, new_v)
 

@@ -69,7 +69,7 @@ def verify_multiloop_spec(spec: MultiloopSpec):
     for j, s in enumerate(spec.sigma):
         cur = s.matrix
         for _ in range(m - 1):
-            cur = linalg.mat_mul(s.dom, cur, s.matrix)
+            cur = linalg.mat_mul_dense(s.dom, cur, s.matrix)
         if not linalg.is_identity(s.dom, cur):
             raise GradingError("sigma_%d does not have order dividing %d" % (j + 1, m))
     for i in range(len(spec.sigma)):

@@ -1,9 +1,12 @@
 """Exact linear algebra over the scalar tower.
 
-Matrices are plain lists of row lists; the product kernel also takes
-sparse rows ({i: {j: entry}} or {i: row}).  The coefficient domain is passed
-explicitly and decides what counts as zero.  Elimination uses
-first-nonzero pivoting so results are deterministic for a given input.
+Matrices are plain lists of row lists, or sparse rows {i: {j: entry}}
+whose absent entries are exact zeros; the one product kernel, `mat_mul`,
+and the one exp of a nilpotent, `exp_nilpotent` (M + E M with E = exp(N) - I
+built once), work on sparse rows.  The coefficient domain is passed
+explicitly and decides what counts as zero: an entry zero only up to a
+precision horizon, O(t^p), is kept.  Elimination uses first-nonzero
+pivoting so results are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -12,74 +15,83 @@ from fractions import Fraction
 
 
 def identity(dom, n):
-    return [[dom.one() if i == j else dom.zero() for j in range(n)]
+    one, zero = dom.one(), dom.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def sparse(dom, M):
+    """The sparse rows of a dense matrix: exact zeros and empty rows are
+    dropped, entries zero only up to a horizon kept."""
+    nonzero = dom.nonzero
+    rows = ((i, {j: x for j, x in enumerate(row) if nonzero(x)})
+            for i, row in enumerate(M))
+    return {i: row for i, row in rows if row}
+
+
+def dense(dom, rows, n):
+    """The n x n dense matrix of sparse rows, absent entries dom.zero()."""
+    zero, empty = dom.zero(), {}
+    return [[rows.get(i, empty).get(j, zero) for j in range(n)]
             for i in range(n)]
 
 
 def mat_mul(dom, A, B):
-    """The product A B over dom: the one matrix product kernel.
-
-    A is dense (a list of rows) or sparse ({i: {p: a_ip}}); B is dense or
-    sparse by rows ({p: row}, an absent row being zero).  Only exact zeros
-    are skipped, as dom.nonzero decides: an entry that is zero only up to
-    its precision horizon takes part, so that the horizon reaches the
-    product.  A sparse A gives {i: row} with just the rows that hold an
-    entry other than an exact zero; a dense A gives the dense product.
-    """
-    nonzero = dom.nonzero
-    dense = isinstance(A, list)
-    rows = enumerate(A) if dense else A.items()
-    row_of = B.get if isinstance(B, dict) else B.__getitem__
+    """The product A B of sparse rows over dom, as sparse rows.  Every
+    stored entry takes part, so the horizon of an entry zero only up to its
+    precision reaches the product; a sum that is an exact zero (dom.nonzero)
+    is dropped, and so is an empty row."""
     out = {}
-    for i, Ai in rows:
-        acc = None
-        for p, a in (enumerate(Ai) if dense else Ai.items()):
-            if not nonzero(a):
-                continue
-            Bp = row_of(p)
-            if Bp is None:
-                continue
-            if acc is None:
-                acc = [None] * len(Bp)
-            for j, b in enumerate(Bp):
-                if nonzero(b):
-                    x = acc[j]
-                    acc[j] = a * b if x is None else x + a * b
-        if acc is not None and any(nonzero(x) for x in acc if x is not None):
-            zero = dom.zero()
-            out[i] = [zero if x is None else x for x in acc]
-    if not dense:
-        return out
-    zero, m = dom.zero(), len(B[0])
-    return [out[i] if i in out else [zero] * m for i in range(len(A))]
+    for i, Ai in A.items():
+        acc = {}
+        for p, a in Ai.items():
+            Bp = B.get(p)
+            if Bp is not None:
+                for j, b in Bp.items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+        row = {j: x for j, x in acc.items() if dom.nonzero(x)}
+        if row:
+            out[i] = row
+    return out
+
+
+def mat_mul_dense(dom, A, B):
+    """The dense product of square dense matrices A and B, by mat_mul."""
+    return dense(dom, mat_mul(dom, sparse(dom, A), sparse(dom, B)), len(A))
+
+
+def _add_into(dom, out, rows):
+    """out += rows in place, both sparse; exact-zero sums are dropped."""
+    for i, row in rows.items():
+        target = out.setdefault(i, {})
+        for j, x in row.items():
+            x = target[j] + x if j in target else x
+            if dom.nonzero(x):
+                target[j] = x
+            else:
+                del target[j]
+        if not target:
+            del out[i]
 
 
 def exp_nilpotent(dom, N, M):
-    """exp(N) M = sum_i N^i M / i! for a nilpotent N given as sparse rows
-    {k: {j: n_kj}} and a dense M, as a new dense matrix.
-
-    Each term is the sparse product of N / i with the previous term, so the
-    cost follows the nonzero entries of N, and the sum stops at the first
-    vanishing term.  Raises ValueError when N is not nilpotent.
-    """
-    nonzero = dom.nonzero
-    out = [list(row) for row in M]
-    term, step, i = M, N, 1
-    while True:
-        term = mat_mul(dom, step, term)
-        if not term:
-            return out
-        if i >= len(M):
+    """exp(N) M = M + E M, as sparse rows, for sparse rows N and M: E is
+    the sum of P_1 = N, P_i = (N P_(i-1)) (1/i) up to the first vanishing
+    term, built from the few entries of N and applied in one product.
+    Raises ValueError when N is not nilpotent: N^k != 0, where k is the
+    number of indices N touches."""
+    k = len(N.keys() | {j for row in N.values() for j in row})
+    E, P, i = {}, N, 1
+    while P:
+        if i >= k:
             raise ValueError("matrix is not nilpotent")
-        for k, row in term.items():
-            target = out[k]
-            for j, x in enumerate(row):
-                if nonzero(x):
-                    target[j] = target[j] + x
+        _add_into(dom, E, P)
         i += 1
         scale = Fraction(1, i)
-        step = {k: {j: a * scale for j, a in row.items()}
-                for k, row in N.items()}
+        P = {r: {j: x * scale for j, x in row.items()}
+             for r, row in mat_mul(dom, N, P).items()}
+    out = {r: dict(row) for r, row in M.items()}
+    _add_into(dom, out, mat_mul(dom, E, M))
+    return out
 
 
 def mat_vec(dom, A, v):

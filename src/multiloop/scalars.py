@@ -592,12 +592,23 @@ class TruncSeries:
             prec = _pmin(_padd(self.prec, v2), _padd(other.prec, v1))
             return _convolve(self.base, self.low + other.low, prec,
                              self.num, other.num, self.den * other.den)
+        base, num = self.base, self.num
+        if isinstance(other, (int, Fraction)):
+            # a scalar keeps the horizon, even when it is zero
+            if not other or not num:
+                return _ts(base, 0, self.prec, (), 1)
+            if not base.has_den:
+                return _ts(base, self.low, self.prec,
+                           tuple([x * other for x in num]), 1)
+            p = other.numerator
+            return _make(base, self.low, self.prec,
+                         [x * p for x in num] if p != 1 else list(num),
+                         self.den * other.denominator)
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        # a scalar keeps the horizon, even when it is zero
-        return _convolve(self.base, self.low, self.prec,
-                         self.num, c.num, self.den * c.den)
+        return _convolve(base, self.low, self.prec, num, c.num,
+                         self.den * c.den)
 
     __rmul__ = __mul__
 
@@ -731,7 +742,7 @@ def ts_show(s: TruncSeries) -> str:
 # form: ``integral(coeffs)`` is (num, den) with coeffs[i] = num[i] / den,
 # ``over(n, den)`` is the base element n / den, ``content(num, den)`` is the
 # largest int dividing den and every num[i], and ``integral_zero`` is the
-# zero numerator.  Over Q(zeta_m) den is always 1 and num is coeffs.
+# zero numerator.  Over Q(zeta_m) (``has_den`` false) den is 1, num coeffs.
 
 class _ExactDomain:
     """A domain without precision horizons: an element is zero exactly when
@@ -752,6 +763,7 @@ class DomainQ(_ExactDomain):
     name = "Q"
     is_field = True
     integral_zero = 0
+    has_den = True
 
     @staticmethod
     def integral(coeffs):
@@ -810,6 +822,7 @@ class DomainCyclotomic(_ExactDomain):
     """Q(zeta_m) on the power basis."""
 
     is_field = True
+    has_den = False
 
     def __init__(self, order: int):
         self.order = order
@@ -888,6 +901,7 @@ class DomainLaurent(_ExactDomain):
         self.ground = ground
         self.name = "%s[x1..x%d^+-1]" % (ground.name, nvars)
         self.integral_zero = _lp(nvars, {})
+        self.has_den = ground.has_den
 
     def integral(self, coeffs):
         nums, den = self.ground.integral(

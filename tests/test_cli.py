@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+import traceback
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiloop import cli, cocycle
 from multiloop.cli import main
@@ -529,3 +534,62 @@ def test_malformed_word_file_is_a_usage_error(capsys, tmp_path, text,
     code, out, err = run(capsys, "factor", str(path))
     assert code == 1 and out == ""
     assert err == "usage error: %s\n" % message
+
+
+_WORD_FIXTURES = ("word_single.txt", "word_three.txt", "word_laurent.txt")
+_FUZZ_ALPHABET = "0123456789-/,;()[]X xinf#\n"
+
+
+def _run_quiet(argv):
+    """main(argv) with stdout and stderr captured; an exception escaping
+    main is returned as its traceback text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = traceback.format_exc()
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _mutated(draw, text, start):
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(start, len(chars)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert" or pos == len(chars):
+            chars.insert(pos, draw(st.sampled_from(_FUZZ_ALPHABET)))
+        elif op == "delete":
+            del chars[pos]
+        else:
+            chars[pos] = draw(st.sampled_from(_FUZZ_ALPHABET))
+    return "".join(chars)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_word_files_exit_cleanly(data):
+    # character mutations of the word fixtures (in the word block: a header
+    # rank of 27 would build a 783-dimensional algebra) and of a report
+    # checked by --verify: a documented exit code, no traceback, one
+    # message line
+    which = data.draw(st.sampled_from(_WORD_FIXTURES + ("report",)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.txt"
+        if which == "report":
+            code, report, _ = _run_quiet(
+                ["factor", str(FIXTURES / "word_three.txt")])
+            assert code == 0
+            path.write_text(data.draw(_mutated(report, 0)))
+            argv = ["factor", str(FIXTURES / "word_three.txt"),
+                    "--verify", str(path)]
+        else:
+            text = (FIXTURES / which).read_text()
+            path.write_text(data.draw(_mutated(text, text.index("word"))))
+            argv = ["factor", str(path)]
+        code, _, err = _run_quiet(argv)
+    assert code in (0, 1, 2, 3), code
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines()
+                if not ln.startswith("elapsed")]) <= 1, err

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiloop import linalg
+from multiloop.chevalley import ChevalleyError, exp_ad
 from multiloop.elemgroup import (ElementError, PrecisionExhausted,
                                  RankOneComponent, RootElementWord,
                                  commutator_table, depth_bound,
@@ -14,9 +16,9 @@ from multiloop.elemgroup import (ElementError, PrecisionExhausted,
                                  word_parse, word_show)
 from multiloop.grading import from_chevalley, relative_roots
 from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
-                               DomainSeries, TruncSeries)
+                               DomainSeries, LaurentPoly, TruncSeries)
 
-from conftest import algebra, place
+from conftest import algebra, build_sl3_flip, place
 
 
 def series(low, coeffs, prec=None):
@@ -458,11 +460,12 @@ def test_zero_at_precision_entries_take_part():
     o3 = TruncSeries.zero_at(QQ, 3)
     one, zero = R.one(), R.zero()
     assert not R.nonzero(zero) and R.nonzero(o3)
-    prod = linalg.mat_mul(R, [[one, o3], [zero, one]], linalg.identity(R, 2))
+    prod = linalg.mat_mul_dense(R, [[one, o3], [zero, one]],
+                                linalg.identity(R, 2))
     assert prod[0][1].prec == 3
     assert linalg.identity_residual(R, prod) == (3, None)
     sparse = linalg.mat_mul(R, {1: {0: o3}, 0: {1: zero}},
-                            linalg.identity(R, 2))
+                            linalg.sparse(R, linalg.identity(R, 2)))
     assert list(sparse) == [1] and sparse[1][0].prec == 3
 
 
@@ -491,7 +494,7 @@ def test_root_element_sparse_matches_dense_exp(rg_a2):
         term = linalg.identity(QQ, g.dim)
         for i in range(1, g.dim + 1):
             term = [[x / i for x in row] for row in
-                    linalg.mat_mul(QQ, ad, term)]
+                    linalg.mat_mul_dense(QQ, ad, term)]
             dense = [[a + b for a, b in zip(ra, rb)]
                      for ra, rb in zip(dense, term)]
         assert root_element(rg_a2, QQ, alpha, v).matrix == dense
@@ -508,3 +511,140 @@ def test_factor_zero_at_precision_letter_exhausts(rg_a2):
     assert e.value.achieved == 12
     g1, g2, cert = factor_loop_series(rg_a2, R, word, 12)
     assert cert.precision == 12
+
+
+# ---------------------------------------------------------------------------
+# the exp kernel against the earlier dense recursion
+
+def _oracle_left_apply(dom, N, M):
+    """exp(N) M for sparse rows N and a dense M by the earlier kernel:
+    M + T_1 + T_2 + ..., T_i = (N / i) T_(i-1), each term a product of the
+    rows of N / i with the full dense rows of T_(i-1)."""
+    nonzero = dom.nonzero
+    out = [list(row) for row in M]
+    term, step, i = M, N, 1
+    while True:
+        rows = {}
+        for k, Nk in step.items():
+            acc = None
+            for p, a in Nk.items():
+                Tp = term[p] if isinstance(term, list) else term.get(p)
+                if not nonzero(a) or Tp is None:
+                    continue
+                acc = acc or [None] * len(Tp)
+                for j, b in enumerate(Tp):
+                    if nonzero(b):
+                        acc[j] = a * b if acc[j] is None else acc[j] + a * b
+            if acc and any(nonzero(x) for x in acc if x is not None):
+                rows[k] = [dom.zero() if x is None else x for x in acc]
+        term = rows
+        if not term:
+            return out
+        if i >= len(M):
+            raise ValueError("matrix is not nilpotent")
+        for k, row in term.items():
+            for j, x in enumerate(row):
+                if nonzero(x):
+                    out[k][j] = out[k][j] + x
+        i += 1
+        step = {k: {j: a * Fraction(1, i) for j, a in row.items()}
+                for k, row in N.items()}
+
+
+def _oracle_word_matrix(rg, R, letters):
+    M = linalg.identity(R, rg.algebra.dim)
+    for alpha, v in reversed(letters):
+        M = _oracle_left_apply(R, root_element(rg, R, alpha, v).ad, M)
+    return M
+
+
+def _fields(x):
+    if isinstance(x, TruncSeries):
+        return (x.low, x.prec, x.num, x.den)
+    return (type(x), x)
+
+
+def _assert_same_entries(got, want):
+    assert [[_fields(x) for x in row] for row in got] == \
+        [[_fields(x) for x in row] for row in want]
+
+
+_GRADINGS = {}
+
+
+def _grading(key):
+    """The relative grading of a split algebra, key (type, rank), or of the
+    sl3 flip, key "flip"."""
+    if key not in _GRADINGS:
+        _GRADINGS[key] = relative_roots(
+            build_sl3_flip() if key == "flip" else from_chevalley(algebra(*key)))
+    return _GRADINGS[key]
+
+
+@st.composite
+def _series_letter(draw, rg, R):
+    alpha = draw(st.sampled_from(rg.roots))
+    low = draw(st.integers(-3, 2))
+    prec = draw(st.one_of(st.none(), st.integers(low + 1, low + 6)))
+    if draw(st.integers(0, 5)) == 0:
+        s = TruncSeries.zero_at(R.base, draw(st.integers(1, 8)))
+    else:
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+        if R.base is QQ:
+            coeffs = [Fraction(c, draw(st.integers(1, 3))) for c in coeffs]
+        else:
+            coeffs = [LaurentPoly(1, {(draw(st.integers(-1, 1)),): c})
+                      for c in coeffs]
+        s = TruncSeries(R.base, low, prec, coeffs)
+    return alpha, place(rg.algebra, R, alpha, s)
+
+
+@st.composite
+def _series_words(draw):
+    rg = _grading(draw(st.sampled_from([("A", 2), ("B", 2), ("G", 2)])))
+    R = DomainSeries(draw(st.sampled_from([QQ, DomainLaurent(1, QQ)])))
+    letters = draw(st.lists(_series_letter(rg, R), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # a cancelling triple X_a(s) X_b(u) X_a(-s)
+        (a, s), (b, u) = draw(_series_letter(rg, R)), letters[0]
+        letters = [(a, s), (b, u), (a, [-x for x in s])] + letters[1:]
+    return rg, R, letters
+
+
+@given(_series_words())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_word_matrix_matches_dense_kernel_over_series(case):
+    # same low, precision horizon, numerators and denominator in every entry
+    rg, R, letters = case
+    _assert_same_entries(word_matrix(rg, R, letters).matrix,
+                         _oracle_word_matrix(rg, R, letters))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_word_matrix_matches_dense_kernel_on_sl3_flip(data):
+    # exact words on the BC1 grading, whose root pieces are 2-dimensional
+    rg = _grading("flip")
+    R = rg.algebra.dom
+    letters = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        alpha = data.draw(st.sampled_from(rg.roots))
+        vals = [R.from_int(data.draw(st.integers(-3, 3)))
+                for _ in rg.algebra.piece(qdeg=alpha)]
+        letters.append((alpha, place(rg.algebra, R, alpha, vals)))
+    _assert_same_entries(word_matrix(rg, R, letters).matrix,
+                         _oracle_word_matrix(rg, R, letters))
+
+
+def test_exp_kernel_refuses_non_nilpotent(a2):
+    one = Fraction(1)
+    for N in ({0: {1: one}, 1: {0: one}}, {0: {0: one}},
+              {0: {1: one}, 1: {2: one}, 2: {0: one}}):
+        I = linalg.identity(QQ, 3)
+        with pytest.raises(ValueError):
+            _oracle_left_apply(QQ, N, I)
+        with pytest.raises(ValueError, match="not nilpotent"):
+            linalg.exp_nilpotent(QQ, N, linalg.sparse(QQ, I))
+    h = a2.basis_vector(QQ, len(a2.roots))
+    with pytest.raises(ChevalleyError, match="^ad_v is not nilpotent$"):
+        exp_ad(QQ, a2, h)

@@ -1,9 +1,12 @@
 """Source hygiene of the library, checked with the standard library only."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,14 +105,92 @@ def _resolves(modname, path):
     return True
 
 
-def test_tracing_targets_exist():
-    """Every function the benchmark's span wrappers replace exists, so a
-    rename fails here and not only in a traced benchmark run."""
+def _load_tracing():
+    """The benchmark's span wrappers, loaded read-only from perfbench/."""
     path = SRC.parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_exist():
+    """Every function the benchmark's span wrappers replace exists, so a
+    rename fails here and not only in a traced benchmark run."""
+    tracing = _load_tracing()
     missing = ["multiloop.%s:%s" % (mod, attr)
                for _, mod, attr, _ in tracing.TARGETS
                if not _resolves(mod, attr)]
     assert tracing.TARGETS and missing == []
+
+
+def _ours(name):
+    return name == "multiloop" or name.startswith("multiloop.")
+
+
+@contextlib.contextmanager
+def _fresh_library(modules):
+    """Every multiloop module imported afresh, as the benchmark does; the
+    modules the other tests hold are put back afterwards."""
+    saved = {n: m for n, m in sys.modules.items() if _ours(n)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield SimpleNamespace(**{m: importlib.import_module("multiloop." + m)
+                                 for m in modules})
+    finally:
+        for name in [n for n in sys.modules if _ours(n)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_traced_element_layers_fire_required_spans(capsys):
+    """The spans a traced factor_series or unipotent_exact run requires in
+    scalars, linalg and elemgroup fire on a small job of each kind, so a
+    kernel that bypasses one (mat_mul, say) fails here and not only in a
+    traced benchmark run."""
+    tracing = _load_tracing()
+    with _fresh_library(sorted({t[1] for t in tracing.TARGETS})) as lib:
+        tracer = tracing.Tracer()
+        uninstall = tracing.install(tracer, lib)
+        tracer.active = True
+        try:
+            eg = lib.elemgroup
+            fixtures = SRC.parent.parent / "fixtures"
+            assert lib.cli.main(["factor",
+                                 str(fixtures / "word_laurent.txt")]) == 0
+            rg = lib.grading.relative_roots(lib.grading.graded_from_spec(
+                *lib.grading.parse_spec_file(
+                    (fixtures / "sl3_flip.ml").read_text(), 2)))
+            g, R = rg.algebra, rg.algebra.dom
+
+            def param(alpha, k):
+                v = [R.zero()] * g.dim
+                for i in g.piece(qdeg=alpha):
+                    v[i] = R.from_int(k)
+                return v
+            letters = [(a, param(a, k + 2))
+                       for k, a in enumerate(rg.data.positive)]
+            u = eg.word_matrix(rg, R, eg.RootElementWord(letters))
+            eg.word_matrix(rg, R, eg.RootElementWord(
+                eg.unipotent_factor(rg, R, u, rg.data.positive)))
+            alpha, beta = rg.data.simple[0], rg.data.positive[-1]
+            eg.commutator_table(rg, R, alpha, beta, param(alpha, 1),
+                                param(beta, -1))
+        finally:
+            tracer.active = False
+            uninstall()
+    capsys.readouterr()
+    required = [n for w in ("factor_series", "unipotent_exact")
+                for n in tracing.REQUIRED[w]
+                if n.split(".")[0] in ("scalars", "linalg", "elemgroup")]
+    assert "linalg.mat_mul" in required
+    assert [n for n in required if not tracer.calls[n]] == []
+    # set-up multiplies matrices too: the letters themselves must go
+    # through mat_mul
+    def under_word(parent):
+        while parent >= 0 and tracer.log[parent][0] != "elemgroup.word_matrix":
+            parent = tracer.log[parent][3]
+        return parent >= 0
+    assert any(name == "linalg.mat_mul" and under_word(parent)
+               for name, _, _, parent, _ in tracer.log)

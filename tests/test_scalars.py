@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiloop.scalars import (QQ, Cyclotomic, DomainCyclotomic, DomainLaurent,
                                DomainSeries, LaurentPoly, TruncSeries,
@@ -415,3 +415,47 @@ def test_series_arithmetic_matches_fraction_reference(operands):
         same = _series_of(base, want[op])
         assert (s.low, s.prec, s.num, s.den) == \
             (same.low, same.prec, same.num, same.den), op
+
+
+CYC3 = DomainCyclotomic(3)
+
+
+@st.composite
+def _base_coeff(draw, base):
+    if base is QQ:
+        return draw(rationals)
+    if base is CYC3:
+        return Cyclotomic(3, draw(st.lists(rationals, min_size=2,
+                                           max_size=2)))
+    return LaurentPoly(1, {(draw(st.integers(-2, 2)),):
+                           draw(_base_coeff(base.ground))})
+
+
+@st.composite
+def _scaled_operands(draw):
+    base = draw(st.sampled_from([QQ, LQ, CYC3, DomainLaurent(1, CYC3)]))
+    low = draw(st.integers(-3, 2))
+    prec = draw(st.one_of(st.none(), st.integers(low - 1, low + 5)))
+    coeffs = draw(st.lists(_base_coeff(base), max_size=4))
+    q = draw(st.one_of(st.integers(-3, 3), rationals))
+    return TruncSeries(base, low, prec, coeffs), q
+
+
+@given(_scaled_operands())
+@example((TruncSeries(QQ, -2, 3, [Fraction(1, 2), 3]), 0))
+@example((TruncSeries.zero_at(LQ, 4), Fraction(2, 3)))
+@example((TruncSeries(CYC3, -1, 2, [Cyclotomic(3, [1, 2])]), Fraction(-3, 4)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_series_times_rational_matches_checking_constructor(operands):
+    # the scalar fast path against TruncSeries(...) on scaled coefficients:
+    # equal fields, the horizon kept (also by a zero scalar or operand)
+    x, q = operands
+    want = TruncSeries(x.base, x.low, x.prec, [c * q for c in x.coeffs])
+    for got in (x * q, q * x):
+        assert (got.low, got.prec, got.num, got.den) == \
+            (want.low, want.prec, want.num, want.den)
+        assert got.prec == x.prec
+        if x.base.has_den:
+            _assert_canonical(got)
+        else:
+            assert got.den == 1
