@@ -13,12 +13,15 @@ the graded tables, LT4 and the automorphism check go through it, and the
 dense `GradedLieAlgebra.bracket` that LT5 uses wraps it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
 `exp_ad`, `ad_matrix`, `killing_form` and the root elements of `elemgroup`
-use it.
+use it.  It reads the table grouped by first slot (`group_cells`, kept as
+`cells_by_first` by each algebra), so it visits only the cells whose first
+slot is in x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .rootsys import RootSystem, build_root_system
@@ -177,6 +180,11 @@ class ChevalleyAlgebra:
 
     # -- bracket and verification ---------------------------------------------
 
+    @cached_property
+    def cells_by_first(self):
+        """The table grouped by first slot (group_cells), for ad_rows."""
+        return group_cells(self.table)
+
     def bracket_basis(self, i, j):
         return self.table.get((i, j), [])
 
@@ -260,14 +268,25 @@ def sparse_bracket(table, x, y):
     return out
 
 
-def ad_rows(table, x, dim):
+def group_cells(table):
+    """The cells of a sparse structure-constant table {(i, j): [(k, c)]}
+    grouped by first slot, {i: [(j, [(k, c)])]} in j order: what ad_rows
+    reads."""
+    out = {}
+    for (i, j), terms in sorted(table.items()):
+        out.setdefault(i, []).append((j, terms))
+    return out
+
+
+def ad_rows(cells, x):
     """The sparse rows {k: {j: sum_i x_i c}} of ad_x for a sparse vector
-    x = {i: x_i} on a sparse structure-constant table {(i, j): [(k, c)]}
-    of an algebra of dimension dim; column j of ad_x is [x, e_j]."""
+    x = {i: x_i}, from the cells of a structure-constant table grouped by
+    first slot (group_cells); column j of ad_x is [x, e_j].  Only the
+    cells whose first slot is in x are visited."""
     rows = {}
     for i, xi in x.items():
-        for j in range(dim):
-            for k, c in table.get((i, j), ()):
+        for j, terms in cells.get(i, ()):
+            for k, c in terms:
                 row = rows.setdefault(k, {})
                 row[j] = row[j] + xi * c if j in row else xi * c
     return rows
@@ -347,7 +366,7 @@ def ad_matrix(dom, alg, x):
     """Matrix of ad_x on the Chevalley basis; column j is [x, b_j]."""
     d = alg.dim
     M = [[dom.zero()] * d for _ in range(d)]
-    for k, row in ad_rows(alg.table, sparse_vector(x), d).items():
+    for k, row in ad_rows(alg.cells_by_first, sparse_vector(x)).items():
         for j, a in row.items():
             M[k][j] = a
     return M
@@ -355,8 +374,8 @@ def ad_matrix(dom, alg, x):
 
 def exp_ad(dom, alg, v, check=True) -> AlgebraAutomorphism:
     """exp(ad_v) as an exact finite sum; v must be ad-nilpotent."""
-    ad = ad_rows(alg.table, {i: x for i, x in enumerate(v) if dom.nonzero(x)},
-                 alg.dim)
+    ad = ad_rows(alg.cells_by_first,
+                 {i: x for i, x in enumerate(v) if dom.nonzero(x)})
     rows = linalg.sparse(dom, linalg.identity(dom, alg.dim))
     try:
         matrix = linalg.dense(dom, linalg.exp_nilpotent(dom, ad, rows),
@@ -505,7 +524,7 @@ def inner_automorphism(alg, dom, letters) -> AlgebraAutomorphism:
 def killing_form(alg):
     """Killing form on basis pairs, over Q."""
     d = alg.dim
-    ads = [ad_rows(alg.table, {i: Fraction(1)}, d) for i in range(d)]
+    ads = [ad_rows(alg.cells_by_first, {i: Fraction(1)}) for i in range(d)]
     K = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):

@@ -16,14 +16,13 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import linalg
 from .chevalley import build_chevalley_by_type, ChevalleyError
-from .rootsys import RootSystemError
+from .rootsys import RootSystemError, split_dimension
 from .grading import (parse_spec_file, graded_from_spec, relative_roots,
                       from_chevalley, GradingError, SpecError)
 from .lietorus import lie_torus_check
 from .elemgroup import (factor_loop_series, residual_word, word_parse,
-                        word_show, word_matrix, depth_bound,
+                        word_show, word_residual, depth_bound,
                         depth_conjugation_check, PrecisionExhausted,
                         RankOneComponent, ElementError, WordSyntaxError)
 from .cocycle import (trivial_group, cyclic_group, symmetric_group_3,
@@ -81,6 +80,10 @@ COEFF_GROUPS = {"Z2": (2, lambda: cyclic_group(2)),
                 "Z2xZ2": (4, lambda: direct_product(cyclic_group(2),
                                                     cyclic_group(2))),
                 "S3": (6, symmetric_group_3)}
+# the largest algebra a word file may name, checked before it is built:
+# up to E6 (78) the Chevalley build and the choice of generating columns
+# take a few seconds, and both grow about as dim^3 and faster
+WORD_DIM_BUDGET = 78
 # SessionConfig field -> the environment variable read when its global flag
 # is not given; without either, the field keeps its default
 ENV_VARS = {"precision": "MULTILOOP_PRECISION", "seed": "MULTILOOP_SEED",
@@ -211,6 +214,11 @@ def parse_word_file(text: str):
                               and ground[7:].isdecimal()):
         raise UsageError("word file line %d: unknown ground ring %r"
                          % (gno, ground))
+    dim = split_dimension(alg[0], int(alg[1]))
+    if dim is not None and dim > WORD_DIM_BUDGET:
+        raise UsageError("word file line %d: algebra %s%s has dimension %d, "
+                         "over the bound %d" % (ano, alg[0], alg[1], dim,
+                                                WORD_DIM_BUDGET))
     rg = relative_roots(from_chevalley(build_chevalley_by_type(
         alg[0], int(alg[1]))))
     R = DomainSeries(QQ if ground == "Q" else
@@ -260,10 +268,16 @@ def _factor_verify(cfg, args, rg, R, word, meta):
                   for k in ("g1", "g2"))
     except WordSyntaxError as e:
         raise UsageError("report %s" % e) from None
-    res = word_matrix(rg, R, residual_word(word, g1, g2))
-    achieved, where = linalg.identity_residual(R, res.matrix, cfg.precision)
-    # a coefficient below --precision disproves the report; a horizon below
-    # it only leaves the replay short of precision
+    # certified on the generating columns; a failure or a bound below
+    # --precision there is replayed on every column, where a coefficient
+    # below --precision disproves the report and a horizon below it only
+    # leaves the replay short of precision
+    letters = residual_word(word, g1, g2)
+    achieved, where = word_residual(rg, R, letters, cfg.precision,
+                                    rg.algebra.generating_columns)
+    if where is not None or (achieved is not None
+                             and achieved < cfg.precision):
+        achieved, where = word_residual(rg, R, letters, cfg.precision)
     ok = where is None
     if ok and achieved is not None and achieved < cfg.precision:
         raise PrecisionExhausted(

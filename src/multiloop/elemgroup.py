@@ -6,16 +6,20 @@ ad_v (chevalley.ad_rows over the graded table), which sends the piece of
 q-degree beta to beta + alpha, and acts on the sparse rows of a matrix M
 as M + E M, where E = exp(ad_v) - I is built once from the few entries of
 ad_v and applied in one sparse product (linalg.exp_nilpotent).  A word is
-evaluated on the sparse rows of the identity by left-applying its letters,
-last first, so no dense matrix is formed until a caller asks for .matrix.
+evaluated on the sparse rows of the identity, or of some of its columns,
+by left-applying its letters, last first, so no dense matrix is formed
+until a caller asks for .matrix.
 
 Coefficients come from a ring of the scalar tower.  Only exact zeros are
 skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
 their horizons reach every product and residual.  Every comparison with
 the identity goes through linalg.identity_residual, and a certificate
 records the precision it achieves, which never exceeds what the inputs
-carry.  Unipotent factorization reads each parameter off a block of the
-matrix with one linalg.span_coords solver per root, which certifies it.
+carry.  Residual words are certified on the generating columns of the
+algebra (generator_residual): an automorphism that fixes them modulo t^a,
+a >= 0, fixes every column modulo t^a.  Unipotent factorization reads each
+parameter off a block of the matrix with one linalg.span_coords solver per
+root, which certifies it.
 """
 
 from __future__ import annotations
@@ -140,13 +144,18 @@ def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
     if alpha not in set(rg.roots):
         raise ElementError("%s is not a relative root" % (alpha,))
     x = _homogeneous_support(g, R, alpha, v)
-    return RootElement(R, g.dim, ad_rows(g.table, x, g.dim))
+    return RootElement(R, g.dim, ad_rows(g.cells_by_first, x))
 
 
-def word_matrix(rg: RelativeGrading, R, word) -> ElementMatrix:
+def word_matrix(rg: RelativeGrading, R, word, columns=None) -> ElementMatrix:
     """The product of a word's letters: the sparse identity with the
-    letters left-applied, last first."""
-    rows = linalg.sparse(R, linalg.identity(R, rg.algebra.dim))
+    letters left-applied, last first.  With columns given, only those
+    columns of the identity, {s: {s: 1}}, are carried, and the result holds
+    the product's entries in those columns alone."""
+    if columns is None:
+        columns = range(rg.algebra.dim)
+    one = R.one()
+    rows = {s: {s: one} for s in columns}
     for alpha, v in reversed(list(word)):
         rows = root_element(rg, R, alpha, v).left_apply(rows)
     return ElementMatrix(None, R, None, rows, rg.algebra.dim)
@@ -157,10 +166,41 @@ def word_inverse(word: RootElementWord) -> RootElementWord:
     return RootElementWord(letters, word.ring_tag)
 
 
+def word_residual(rg: RelativeGrading, R, letters, N=None, columns=None):
+    """linalg.identity_residual of the product of letters on the given
+    columns of the identity (all of them when None)."""
+    if columns is None:
+        columns = range(rg.algebra.dim)
+    res = word_matrix(rg, R, letters, columns)
+    return linalg.identity_residual(R, res.rows, N, columns)
+
+
+def generator_residual(rg: RelativeGrading, R, letters, N=None):
+    """(achieved, where) for the product of letters, certified on the
+    generating columns S of rg.algebra.
+
+    The product phi is an automorphism, so phi(x) - x in t^a g[[t]] for
+    every x in S, with a >= 0, gives the same for every basis vector
+    (GradedLieAlgebra.generating_columns), for every completion of
+    truncated letters: an achieved a >= 0 on S holds on every column, and
+    so does an exact identity.  Below 0 the lemma does not apply, and
+    every column is evaluated."""
+    achieved, where = word_residual(rg, R, letters, N,
+                                    rg.algebra.generating_columns)
+    if achieved is not None and achieved < 0:
+        return word_residual(rg, R, letters, N)
+    return achieved, where
+
+
 def _require_identity(rg, R, letters, message):
     """Raise ElementError unless the letters multiply to the identity; an
-    entry zero up to its horizon does not count against it."""
-    _, where = linalg.identity_residual(R, word_matrix(rg, R, letters).matrix)
+    entry zero up to its horizon does not count against it.  An exact
+    identity on the generating columns is one on every column; otherwise
+    every column is evaluated, to name the offending entry."""
+    if word_residual(rg, R, letters,
+                     columns=rg.algebra.generating_columns)[0] is None:
+        return
+    _, where = word_residual(rg, R, letters)
     if where is not None:
         raise ElementError("%s at entry (%d,%d)" % ((message,) + where))
 
@@ -244,7 +284,7 @@ def _peel_data(rg, gamma):
     pairs = _shift_pairs(g, gamma)
     cols = []
     for p in idxs:
-        ad = ad_rows(g.table, {p: dom.one()}, g.dim)
+        ad = ad_rows(g.cells_by_first, {p: dom.one()})
         cols.append({r: ad[k][j] for r, (k, j) in enumerate(pairs)
                      if j in ad.get(k, ())})
     cache[gamma] = (idxs, pairs, linalg.span_coords(dom, cols, len(pairs)))
@@ -281,8 +321,7 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
             continue
         out.append((gamma, v))
         cur = root_element(rg, R, gamma, [-x for x in v]).left_apply(cur)
-    _, where = linalg.identity_residual(R, linalg.dense(R, cur, g.dim),
-                                        u.precision)
+    _, where = linalg.identity_residual(R, cur, u.precision, range(g.dim))
     if where is not None:
         raise ElementError("element is not unipotent over psi: residual at "
                            "block (%d,%d)" % where)
@@ -501,8 +540,7 @@ def residual_word(word, g1w, g2w) -> RootElementWord:
 
 
 def _verify_factorization(rg, R, word, g1w, g2w, N, dropped):
-    res = word_matrix(rg, R, residual_word(word, g1w, g2w))
-    achieved, _ = linalg.identity_residual(R, res.matrix, N)
+    achieved, _ = generator_residual(rg, R, residual_word(word, g1w, g2w), N)
     if achieved is not None and achieved < N:
         raise PrecisionExhausted(
             "factorization certified only modulo t^%d < t^%d; rerun with "
@@ -525,9 +563,9 @@ def depth_conjugation_check(rg: RelativeGrading, R, alpha, n_exp, u, N, M,
     param = [x * tpow for x in u]
     for beta, w in samples:
         deep = [c * R.t(N) for c in w]
-        conj = word_matrix(rg, R, [(alpha, param), (tuple(beta), deep),
-                                   (alpha, [-x for x in param])])
-        achieved, _ = linalg.identity_residual(R, conj.matrix, M)
+        achieved, _ = generator_residual(
+            rg, R, [(alpha, param), (tuple(beta), deep),
+                    (alpha, [-x for x in param])], M)
         if achieved is not None and achieved < M:
             return False
     return True

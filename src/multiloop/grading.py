@@ -34,8 +34,10 @@ from functools import cached_property
 from . import linalg
 from .chevalley import (ChevalleyAlgebra, build_chevalley_by_type,
                         chevalley_involution, diagram_automorphism,
-                        sparse_bracket, sparse_vector, torus_automorphism)
-from .rootsys import RootSystem, RelativeRootData, make_relative_system
+                        group_cells, sparse_bracket, sparse_vector,
+                        torus_automorphism)
+from .rootsys import (RootSystem, RootSystemError, RelativeRootData,
+                      make_relative_system)
 from .scalars import QQ, DomainCyclotomic, Cyclotomic
 
 
@@ -52,6 +54,7 @@ class MultiloopSpec:
     base: ChevalleyAlgebra
     sigma: list           # commuting AlgebraAutomorphism, each of order dividing m
     m: int
+    cartan_lines: tuple = ()   # spec-file lines of the cartan directives
 
     @property
     def n(self):
@@ -191,6 +194,94 @@ class GradedLieAlgebra:
             out[k] = z
         return out
 
+    @cached_property
+    def cells_by_first(self):
+        """The table grouped by first slot (group_cells), for ad_rows."""
+        return group_cells(self.table)
+
+    @cached_property
+    def relative_grading(self):
+        """The nonzero q-degrees as a relative root system, positive under
+        the generic functional; built on first use (relative_roots)."""
+        if self.qrank == 0:
+            # refined by an empty cartan (or never refined): no nonzero weights
+            return RelativeGrading(self, [])
+        zero = (0,) * self.qrank
+        roots = sorted(q for q in self.q_keys() if q != zero)
+        if not roots:
+            return RelativeGrading(self, [])
+        system = make_relative_system(roots)
+        return RelativeGrading(self, roots, system, RelativeRootData(system))
+
+    def closure(self, gens):
+        """The echelon basis {pivot: row} of the subalgebra generated by the
+        dense vectors gens, each row 1 at its pivot and 0 before it.
+
+        The generated subalgebra is closed incrementally (de Graaf, Lie
+        Algebras: Theory and Algorithms, 1.6) in one echelon basis.  If
+        S_k = S_(k-1) + span(new_k) then [gens, S_k] lies in
+        S_k + [gens, new_k], so each round brackets the generators only with
+        the rows the last round added, and the closure is reached when a
+        round adds none.
+        """
+        basis = {}
+        gens = frontier = [row for row in (_echelon_insert(self.dom, basis, v)
+                                           for v in gens) if row is not None]
+        while frontier and len(basis) < self.dim:
+            new = []
+            for v in frontier:
+                for u in gens:
+                    row = _echelon_insert(self.dom, basis, self.bracket(u, v))
+                    if row is not None:
+                        new.append(row)
+            frontier = new
+        return basis
+
+    def unit_vectors(self, idxs):
+        """The dense basis vectors at the given indices."""
+        one, zero = self.dom.one(), self.dom.zero()
+        return [[one if t == i else zero for t in range(self.dim)]
+                for i in idxs]
+
+    def certify_generating(self, columns):
+        """Raise GradingError unless the basis vectors at columns generate
+        the algebra: their span is closed under brackets."""
+        size = len(self.closure(self.unit_vectors(columns)))
+        if size < self.dim:
+            raise GradingError(
+                "columns %s generate a subalgebra of dimension %d < %d"
+                % (tuple(columns), size, self.dim))
+
+    @cached_property
+    def generating_columns(self):
+        """Basis indices S whose vectors generate the algebra, chosen
+        greedily and certified by certify_generating.
+
+        Each step adds the index whose vector most enlarges the generated
+        subalgebra, the lower index on a tie.  A product phi of exp(ad v)
+        with phi(x) - x in t^a g[[t]], a >= 0, for every x in S has it for
+        every basis vector, since phi[y, z] - [y, z] =
+        [phi y - y, phi z] + [y, phi z - z]; residual words are certified on
+        these columns (elemgroup)."""
+        S, basis = [], {}
+        units = self.unit_vectors(range(self.dim))
+        while len(basis) < self.dim:
+            best = None
+            for i in range(self.dim):
+                # a vector in the subalgebra S generates enlarges nothing
+                if _echelon_insert(self.dom, dict(basis), units[i]) is None:
+                    continue
+                grown = self.closure([units[s] for s in S] + [units[i]])
+                if best is None or len(grown) > len(best[1]):
+                    best = (i, grown)
+                    if len(grown) == self.dim:
+                        break       # no later index can do better
+            S.append(best[0])
+            basis = best[1]
+        S.sort()
+        self.certify_generating(S)
+        return tuple(S)
+
     def _verify_grading(self, table):
         for (i, j), terms in table.items():
             ei, ej = self.entries[i], self.entries[j]
@@ -217,6 +308,23 @@ class GradedLieAlgebra:
             for k, c in self.table[(i, j)]:
                 lines.append("c %d %d %d %s" % (i, j, k, self.dom.show(c)))
         return "\n".join(lines)
+
+
+def _echelon_insert(dom, basis, w):
+    """Reduce w against the echelon basis {pivot: row}, each row 1 at its
+    pivot and 0 before it.  A nonzero remainder is normalized, added to
+    the basis and returned; None means w lies in the span."""
+    w = list(w)
+    for c in sorted(basis):
+        x = w[c]
+        if x:
+            w = [a - x * b if b else a for a, b in zip(w, basis[c])]
+    pivot = next((c for c, x in enumerate(w) if x), None)
+    if pivot is None:
+        return None
+    inv = dom.inv(w[pivot])
+    basis[pivot] = [x * inv if x else x for x in w]
+    return basis[pivot]
 
 
 def _build_table(dom, entries, nvars, period, alg):
@@ -355,17 +463,10 @@ class RelativeGrading:
         return irreducible_components(self.system)
 
 
-def relative_roots(g: GradedLieAlgebra, functional=None) -> RelativeGrading:
-    if g.qrank == 0:
-        # refined by an empty cartan (or never refined): no nonzero weights
-        return RelativeGrading(g, [])
-    zero = (0,) * g.qrank
-    roots = sorted(q for q in g.q_keys() if q != zero)
-    if not roots:
-        return RelativeGrading(g, [])
-    system = make_relative_system(roots)
-    data = RelativeRootData(system, functional)
-    return RelativeGrading(g, roots, system, data)
+def relative_roots(g: GradedLieAlgebra) -> RelativeGrading:
+    """The nonzero q-degrees of g as a relative root system, built once per
+    algebra (GradedLieAlgebra.relative_grading)."""
+    return g.relative_grading
 
 
 def opposite_unipotent_pair(rg: RelativeGrading):
@@ -420,15 +521,18 @@ def parse_spec_file(text: str, conductor: int):
     holds coefficients on the simple coroots; "cartan full" stands for the
     identity rows and overrides every "cartan h" line.
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("multiloop"):
-        raise SpecError("spec line 1: expected 'multiloop ...'")
+    lines = [(lno, ln.split("#", 1)[0].strip())
+             for lno, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(lno, ln) for lno, ln in lines if ln]
+    hno = lines[0][0] if lines else 1
+    if not lines or not lines[0][1].startswith("multiloop"):
+        raise SpecError("spec line %d: expected 'multiloop ...'" % hno)
     head = {}
-    for part in lines[0].split()[1:]:
+    for part in lines[0][1].split()[1:]:
         key, eq, value = part.partition("=")
         if not eq:
-            raise SpecError("spec line 1: bad header token %r" % part)
+            raise SpecError("spec line %d: bad header token %r"
+                            % (hno, part))
         head[key] = value
     try:
         tlabel = head["type"]
@@ -436,16 +540,17 @@ def parse_spec_file(text: str, conductor: int):
         n = int(head["n"])
         m = int(head.get("m", conductor))
     except (KeyError, ValueError) as e:
-        raise SpecError("spec line 1: %s" % e)
+        raise SpecError("spec line %d: %s" % (hno, e))
     alg = build_chevalley_by_type(tlabel, rank)
     sigmas = []
-    cartan_rows = []
+    cartan_rows, cartan_lines = [], []
     cartan_full = False
-    for lno, ln in enumerate(lines[1:], start=2):
+    for lno, ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "sigma":
             sigmas.append(_parse_sigma(alg, parts[1:], lno))
         elif parts[0] == "cartan":
+            cartan_lines.append(lno)
             if parts[1:] == ["full"]:
                 cartan_full = True
             elif parts[1:2] == ["h"]:
@@ -463,7 +568,7 @@ def parse_spec_file(text: str, conductor: int):
     if cartan_full:
         cartan_rows = [[Fraction(int(j == i)) for j in range(rank)]
                        for i in range(rank)]
-    return MultiloopSpec(alg, sigmas, m), cartan_rows
+    return MultiloopSpec(alg, sigmas, m, tuple(cartan_lines)), cartan_rows
 
 
 def _parse_sigma(alg, parts, lno):
@@ -502,7 +607,9 @@ def _spec_number(kind, token, lno, what):
 
 def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:
     """The multiloop algebra of spec, refined by the cartan elements whose
-    coefficients on the simple coroots are the given rows."""
+    coefficients on the simple coroots are the given rows.  The weights
+    they cut out must form a relative root system; when they do not, the
+    SpecError names the spec's cartan lines."""
     g = build_multiloop(spec)
     alg, dom = spec.base, g.dom
     nroots = len(alg.roots)
@@ -514,4 +621,14 @@ def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:
         for i, c in enumerate(row):
             h[nroots + i] = dom.lift(c)
         cartan.append(h)
-    return q_grading_from_cartan(g, cartan)
+    refined = q_grading_from_cartan(g, cartan)
+    try:
+        relative_roots(refined)
+    except RootSystemError as e:
+        lines = spec.cartan_lines
+        where = "spec line%s %s: " % ("s" if len(lines) > 1 else "",
+                                      ", ".join(map(str, lines))) \
+            if lines else ""
+        raise SpecError("%sthe cartan rows give no relative root system: %s"
+                        % (where, e)) from None
+    return refined

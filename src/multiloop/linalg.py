@@ -284,8 +284,12 @@ def smith_invariants(A):
     return invariants
 
 
-def identity_residual(dom, M, N=None):
+def identity_residual(dom, M, N=None, columns=None):
     """Certify M against the identity: the one residual check.
+
+    M is a dense square matrix, or, with columns given, the sparse rows of
+    a column block: the entries of M in those columns (and none in any
+    other), compared with the same columns of the identity.
 
     Returns (achieved, where).  achieved is the t-adic order to which
     M - I is known to vanish: the least valuation of an entry with a
@@ -296,11 +300,17 @@ def identity_residual(dom, M, N=None):
     None), or None.  Exact zeros are skipped; entries zero only up to a
     horizon are not, so achieved never exceeds what the entries carry.
     """
+    if columns is None:
+        M, columns = sparse(dom, M), range(len(M))
     nonzero, t_order = dom.nonzero, dom.t_order
-    one = dom.one()
+    one, zero = dom.one(), dom.zero()
+    diagonal = set(columns)
     achieved = where = None
-    for i, row in enumerate(M):
-        for j, x in enumerate(row):
+    empty = {}
+    for i in sorted(M.keys() | diagonal):
+        row = M.get(i, empty)
+        for j in sorted(row.keys() | ({i} & diagonal)):
+            x = row.get(j, zero)
             if i == j:
                 x = x - one
             if not nonzero(x):

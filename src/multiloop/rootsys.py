@@ -79,6 +79,20 @@ def cartan_matrix(type_label: str, rank: int):
     raise RootSystemError("invalid root system type %s%d" % (type_label, rank))
 
 
+def split_dimension(type_label: str, rank: int):
+    """|Phi| + rank for the split simple algebra of a type cartan_matrix
+    accepts, read off the type without building anything; None otherwise."""
+    t, r = type_label.upper(), rank
+    roots = {"A": r * (r + 1) if r >= 1 else None,
+             "B": 2 * r * r if r >= 2 else None,
+             "C": 2 * r * r if r >= 2 else None,
+             "D": 2 * r * (r - 1) if r >= 3 else None,
+             "E": {6: 72, 7: 126, 8: 240}.get(r),
+             "F": 48 if r == 4 else None,
+             "G": 12 if r == 2 else None}.get(t)
+    return None if roots is None else roots + r
+
+
 def _symmetrizer(A):
     """Rationals d_i with d_i A[i][j] = d_j A[j][i]; d encodes (a_i, a_i)/2."""
     r = len(A)
@@ -266,31 +280,56 @@ class RelativeRootData:
         return sum(x * w for x, w in zip(a, self.functional))
 
     def _simple_roots(self):
+        """The positive roots that are not a sum of two positive roots; each
+        other one is kept in _parts with one positive summand (a - b and b
+        positive put b below a, so no functional is read)."""
         pos = set(self.positive)
-        simple = []
+        simple, self._parts = [], {}
         for a in self.positive:
-            decomposable = any(
-                tuple(x - y for x, y in zip(a, b)) in pos
-                for b in self.positive if b != a and self._dot(b) < self._dot(a))
-            if not decomposable:
+            b = next((b for b in self.positive
+                      if tuple(x - y for x, y in zip(a, b)) in pos), None)
+            if b is None:
                 simple.append(a)
+            else:
+                self._parts[a] = b
         return simple
 
     def _compute_heights(self):
-        # coefficients of each positive root over the simple relative roots
+        """Heights of the roots, from their coefficients over the simple
+        roots.  A positive root that is not simple is the sum of two
+        positive roots below it, so it is a nonnegative integer combination
+        of the simple roots; when they are independent that combination is
+        the only one, and heights add along _parts.  They are independent
+        exactly when each simple root solves to its own unit vector (solve
+        sets the coordinate of a dependent one to 0).  Dependent simple
+        roots (which no root system has) are solved root by root, to name
+        the root whose coefficients are not integral or do not exist."""
+        k = len(self.simple)
         mat = [[Fraction(s[i]) for s in self.simple]
                for i in range(len(self.simple[0]))]
+
+        def coeffs(a):
+            return linalg.solve(QQ, mat, [Fraction(x) for x in a])
+
         heights = {}
-        for a in self.positive:
-            sol = linalg.solve(QQ, mat, [Fraction(x) for x in a])
-            if sol is None:
-                raise RootSystemError(
-                    "root %s is not a combination of simple roots" % (a,))
-            h = sum(sol)
-            if h.denominator != 1:
-                raise RootSystemError("non-integral height for %s" % (a,))
-            heights[a] = int(h)
-            heights[tuple(-x for x in a)] = -int(h)
+        if all(coeffs(s) == [int(i == j) for i in range(k)]
+               for j, s in enumerate(self.simple)):
+            for a in sorted(self.positive, key=self._dot):
+                b = self._parts.get(a)
+                heights[a] = 1 if b is None else \
+                    heights[b] + heights[tuple(x - y for x, y in zip(a, b))]
+        else:
+            for a in self.positive:
+                sol = coeffs(a)
+                if sol is None:
+                    raise RootSystemError(
+                        "root %s is not a combination of simple roots" % (a,))
+                h = sum(sol)
+                if h.denominator != 1:
+                    raise RootSystemError("non-integral height for %s" % (a,))
+                heights[a] = int(h)
+        heights.update({tuple(-x for x in a): -h
+                        for a, h in list(heights.items())})
         return heights
 
     def height_and_sign(self, root):

@@ -203,7 +203,7 @@ def test_ad_rows_match_dense_bracket(t, r):
     xs.append({i: Fraction(rng.choice([-3, -1, 2, 5]))
                for i in sorted(rng.sample(range(d), 3))})
     for x in xs:
-        rows = ad_rows(alg.table, x, d)
+        rows = ad_rows(alg.cells_by_first, x)
         dense = [x.get(i, Fraction(0)) for i in range(d)]
         for j in range(d):
             col = dense_bracket(alg, QQ, dense, alg.basis_vector(QQ, j))

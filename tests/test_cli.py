@@ -252,10 +252,18 @@ def test_cartan_eigenvalue_errors(capsys, tmp_path, spec, dim):
      "spec line 2: torus weights must be nonzero"),
     (["multiloop type=A rank=2 n=1 m=2", "sigma diagram 1 x"],
      "spec line 2: bad permutation entry 'x'"),
+    (["multiloop type=A rank=2 n=1 m=1", "sigma identity", "cartan h 100 -7"],
+     "spec line 3: the cartan rows give no relative root system: "
+     "non-integral height for (114,)"),
+    (["multiloop type=A rank=2 n=1 m=1", "sigma identity", "# two rows",
+      "cartan h -3 1", "cartan h -3 1"],
+     "spec lines 4, 5: the cartan rows give no relative root system: "
+     "non-integral height for (5, 5)"),
 ], ids=["no-header", "unknown-directive", "bad-cartan", "bad-permutation",
         "torus-weights", "sigma-count", "cartan-row-length", "bare-cartan",
         "header-token", "torus-weight-literal", "cartan-coefficient",
-        "zero-torus-weight", "permutation-entry"])
+        "zero-torus-weight", "permutation-entry", "cartan-projection",
+        "cartan-projection-two-rows"])
 def test_malformed_spec_is_a_usage_error(capsys, tmp_path, lines, message):
     text = "\n".join(lines) + "\n"
     path = tmp_path / "spec.ml"
@@ -536,6 +544,27 @@ def test_malformed_word_file_is_a_usage_error(capsys, tmp_path, text,
     assert err == "usage error: %s\n" % message
 
 
+@pytest.mark.parametrize("header, message", [
+    ("algebra A 27", "algebra A27 has dimension 783, over the bound 78"),
+    ("algebra A 8", "algebra A8 has dimension 80, over the bound 78"),
+    ("algebra E 7", "algebra E7 has dimension 133, over the bound 78"),
+    ("algebra B 99999", "algebra B99999 has dimension 19999700001, over "
+                        "the bound 78"),
+], ids=["A27", "A8", "E7", "B99999"])
+def test_word_file_algebra_over_the_bound_builds_nothing(
+        capsys, monkeypatch, tmp_path, header, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built for an over-bound header")
+
+    monkeypatch.setattr(cli, "build_chevalley_by_type", refuse)
+    path = tmp_path / "w.txt"
+    path.write_text("# a comment line\n%s\nground Q\n"
+                    "word ring=series letters=0\n" % header)
+    code, out, err = run(capsys, "factor", str(path))
+    assert code == 1 and out == ""
+    assert err == "usage error: word file line 2: %s\n" % message
+
+
 _WORD_FIXTURES = ("word_single.txt", "word_three.txt", "word_laurent.txt")
 _FUZZ_ALPHABET = "0123456789-/,;()[]X xinf#\n"
 
@@ -570,10 +599,10 @@ def _mutated(draw, text, start):
 @given(st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_mutated_word_files_exit_cleanly(data):
-    # character mutations of the word fixtures (in the word block: a header
-    # rank of 27 would build a 783-dimensional algebra) and of a report
-    # checked by --verify: a documented exit code, no traceback, one
-    # message line
+    # character mutations of the word fixtures, headers included (a header
+    # naming an algebra over the dimension bound is refused before it is
+    # built), and of a report checked by --verify: a documented exit code,
+    # no traceback, one message line
     which = data.draw(st.sampled_from(_WORD_FIXTURES + ("report",)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.txt"
@@ -586,7 +615,7 @@ def test_mutated_word_files_exit_cleanly(data):
                     "--verify", str(path)]
         else:
             text = (FIXTURES / which).read_text()
-            path.write_text(data.draw(_mutated(text, text.index("word"))))
+            path.write_text(data.draw(_mutated(text, 0)))
             argv = ["factor", str(path)]
         code, _, err = _run_quiet(argv)
     assert code in (0, 1, 2, 3), code

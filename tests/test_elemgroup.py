@@ -10,10 +10,12 @@ from multiloop.elemgroup import (ElementError, PrecisionExhausted,
                                  RankOneComponent, RootElementWord,
                                  commutator_table, depth_bound,
                                  depth_conjugation_check, extract_q_maps,
-                                 factor_loop_series, residual_word,
-                                 root_element, torus_conjugate,
+                                 factor_loop_series, generator_residual,
+                                 residual_word, root_element,
+                                 torus_conjugate, word_residual,
                                  unipotent_factor, word_inverse, word_matrix,
                                  word_parse, word_show)
+from multiloop.grading import GradingError
 from multiloop.grading import from_chevalley, relative_roots
 from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
                                DomainSeries, LaurentPoly, TruncSeries)
@@ -648,3 +650,129 @@ def test_exp_kernel_refuses_non_nilpotent(a2):
     h = a2.basis_vector(QQ, len(a2.roots))
     with pytest.raises(ChevalleyError, match="^ad_v is not nilpotent$"):
         exp_ad(QQ, a2, h)
+
+
+# -- certificates on the generating columns ----------------------------------
+
+
+def _exact_word(rg, rng, length):
+    R = rg.algebra.dom
+    letters = []
+    for _ in range(length):
+        alpha = rg.roots[rng.randrange(len(rg.roots))]
+        vals = [R.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                for _ in rg.algebra.piece(qdeg=alpha)]
+        letters.append((alpha, place(rg.algebra, R, alpha, vals)))
+    return letters
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), "flip"])
+def test_generator_certificate_agrees_on_exact_words(key):
+    # w^-1 w' is the identity exactly when w' = w; perturbing one letter of
+    # w' must show on the generating columns as on all of them
+    rg = _grading(key)
+    R = rg.algebra.dom
+    rng = random.Random(5)
+    kinds = set()
+    for n in range(24):
+        word = _exact_word(rg, rng, rng.randint(1, 4))
+        other = list(word)
+        if n % 2:
+            k = rng.randrange(len(other))
+            alpha, v = other[k]
+            other[k] = (alpha, [x * 2 for x in v])
+        letters = word_inverse(RootElementWord(word)).letters + other
+        full = word_residual(rg, R, letters)
+        block = word_residual(rg, R, letters,
+                              columns=rg.algebra.generating_columns)
+        assert (full[0] is None) == (block[0] is None) == \
+            (generator_residual(rg, R, letters)[0] is None)
+        kinds.add(full[0] is None)
+    assert kinds == {True, False}
+
+
+def _truncated_residual_words(rg, R, rng, count):
+    """Residual words of factorizations of finite-precision words, and the
+    finite-precision words themselves."""
+    for word in _finite_precision_words(rg, R, rng, count):
+        yield list(word)
+        try:
+            g1, g2, _ = factor_loop_series(rg, R, word, 8)
+        except PrecisionExhausted as e:
+            g1, g2, _ = factor_loop_series(rg, R, word, e.achieved)
+        yield residual_word(word, g1, g2).letters
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2)])
+def test_generator_bound_dominates_all_column_bound(key):
+    # the columns are evaluated exactly as in the full product, so the bound
+    # on a subset of them is never lower
+    rg = _grading(key)
+    R = DomainSeries(QQ)
+    above = 0
+    for letters in _truncated_residual_words(rg, R, random.Random(31), 24):
+        full, _ = word_residual(rg, R, letters, 8)
+        block, _ = word_residual(rg, R, letters, 8,
+                                 rg.algebra.generating_columns)
+        if full is not None:
+            assert block is None or block >= full
+            above += block is None or block > full
+        else:
+            assert block is None
+    assert above > 0
+
+
+@pytest.mark.parametrize("key", [("B", 2), ("G", 2)])
+def test_generator_certificate_sound_under_exact_completions(key):
+    # words the generating columns certify at t^8 while the bound on all
+    # columns stays below t^8: every exact completion of the letters of the
+    # word, g1 and g2 gives a residual congruent to the identity mod t^8
+    rg = _grading(key)
+    R = DomainSeries(QQ)
+    rng = random.Random(7)
+    flips = 0
+    for word in _finite_precision_words(rg, R, rng, 150):
+        try:
+            g1, g2, _ = factor_loop_series(rg, R, word, 8)
+        except PrecisionExhausted:
+            continue
+        achieved, _ = word_residual(rg, R, residual_word(word, g1, g2), 8)
+        if achieved is None or achieved >= 8:
+            continue
+        flips += 1
+        for _ in range(5):
+            achieved, where = word_residual(rg, R, residual_word(
+                _complete_word(word, rng), _complete_word(g1, rng),
+                _complete_word(g2, rng)))
+            assert achieved is None or achieved >= 8, \
+                (word_show(rg, R, word), achieved, where)
+    assert flips >= 3
+
+
+def test_non_generating_columns_do_not_certify(rg_a2):
+    # X_theta(1) for the highest root theta = alpha1 + alpha2 fixes e_alpha1
+    # and e_alpha2, which generate only n+: on those columns it looks like
+    # the identity, and the closure refuses them as a certificate
+    g = rg_a2.algebra
+    columns = g.piece(qdeg=(0, 1)) + g.piece(qdeg=(1, 0))
+    with pytest.raises(GradingError):
+        g.certify_generating(columns)
+    letters = [((1, 1), place(g, QQ, (1, 1), Fraction(1)))]
+    assert word_residual(rg_a2, QQ, letters, columns=columns) == (None, None)
+    assert word_residual(rg_a2, QQ, letters)[1] is not None
+    assert generator_residual(rg_a2, QQ, letters)[1] is not None
+
+
+def test_generator_bound_below_zero_is_replaced_by_all_columns(rg_a2):
+    # X_a(t^-3 - t^-2 + O(t^-1)) is known on the generating columns modulo
+    # t^-3 only; below 0 the lemma says nothing, so the bound is the one on
+    # every column, which is lower
+    alpha = (2, -1)
+    letters = [(alpha, place(rg_a2.algebra, DomainSeries(QQ), alpha,
+                             series(-3, [1, -1], prec=-1)))]
+    R = DomainSeries(QQ)
+    block = word_residual(rg_a2, R, letters, 8,
+                          rg_a2.algebra.generating_columns)
+    full = word_residual(rg_a2, R, letters, 8)
+    assert block[0] == -3 and full[0] == -6
+    assert generator_residual(rg_a2, R, letters, 8) == full

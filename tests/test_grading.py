@@ -411,3 +411,63 @@ def test_random_degree_assignments_match_the_oracle():
                      if isinstance(got, str) else "table")
     assert outcomes == {"table", "bracket lands in an empty piece",
                         "bracket escapes the graded span"}
+
+
+# -- generating columns ------------------------------------------------------
+
+
+def _brute_force_rank(g, idxs):
+    """The dimension of the subalgebra the basis vectors at idxs generate:
+    bracket everything spanned so far with everything, and recompute the
+    rank with a full rref, until it stops rising."""
+    span = g.unit_vectors(idxs)
+    rank = len(linalg.rref(g.dom, span)[1])
+    while True:
+        span = span + [g.bracket(u, v) for u in span for v in span]
+        R, pivots = linalg.rref(g.dom, span)
+        if len(pivots) == rank:
+            return rank
+        rank, span = len(pivots), R[:len(pivots)]
+
+
+@pytest.mark.parametrize("t, r, columns", [("A", 2, (0, 1, 5)),
+                                           ("B", 2, (0, 1, 6)),
+                                           ("G", 2, (0, 1, 8))])
+def test_generating_columns_of_split_rank_two(t, r, columns):
+    # greedy picks e_alpha1, e_alpha2 and e_-(alpha1+alpha2): on A2 these
+    # are the affine Chevalley generators at t = 1 (-theta), on B2 and G2
+    # the third root is not -theta, and the three still generate
+    alg = algebra(t, r)
+    g = from_chevalley(alg)
+    assert g.generating_columns == columns
+    assert [alg.roots[i] for i in columns] == \
+        sorted(alg.rs.simple_roots) + [(-1, -1)]
+    assert _brute_force_rank(g, columns) == g.dim
+
+
+@pytest.mark.parametrize("build", ["sl2_untwisted.ml", "sl3_flip.ml",
+                                   "sl4_flip.ml", "sl2_quaternion.ml"])
+def test_generating_columns_generate_on_fixtures(build):
+    g = graded_from_spec(*parse_spec_file(
+        (FIXTURES / build).read_text(), 2))
+    columns = g.generating_columns
+    assert _brute_force_rank(g, columns) == g.dim
+    # every proper subset generates less: greedy keeps no idle column
+    for drop in columns:
+        rest = [c for c in columns if c != drop]
+        assert _brute_force_rank(g, rest) < g.dim
+
+
+@pytest.mark.parametrize("t, r, columns", [("A", 2, (0, 1)),
+                                           ("A", 2, (0, 5)),
+                                           ("B", 2, (0, 1, 8, 9)),
+                                           ("G", 2, (6, 12, 13))])
+def test_non_generating_columns_are_rejected(t, r, columns):
+    # e_alpha1, e_alpha2 span n+ (dimension 3 in A2); one root vector and
+    # its opposite span an sl2; Cartan columns span an abelian subalgebra
+    g = from_chevalley(algebra(t, r))
+    size = _brute_force_rank(g, columns)
+    assert size < g.dim
+    with pytest.raises(GradingError, match="generate a subalgebra of "
+                       "dimension %d < %d" % (size, g.dim)):
+        g.certify_generating(columns)

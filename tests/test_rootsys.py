@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multiloop import linalg
 from multiloop.rootsys import (RelativeRootData, RootSystemError,
                                build_root_system, cartan_matrix,
                                generic_functional, indivisible_roots,
-                               make_relative_system, _reflect)
+                               make_relative_system, split_dimension,
+                               _reflect)
+from multiloop.scalars import QQ
 
 # classical root counts (textbook values)
 ROOT_COUNTS = {
@@ -220,3 +223,30 @@ def test_root_data_match_sympy(t, r):
     A = cartan_matrix(t, r)
     At = [list(col) for col in zip(*A)]
     assert _relabelling(A, B) or _relabelling(At, B)
+
+
+def test_split_dimension_matches_the_built_root_system():
+    # the dimension a word-file header is bounded by, before any building
+    for t, ranks in (("A", range(1, 9)), ("B", range(2, 8)),
+                     ("C", range(2, 8)), ("D", range(3, 9)),
+                     ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))):
+        for r in ranks:
+            assert split_dimension(t, r) == \
+                len(build_root_system(t, r).roots) + r, (t, r)
+    assert split_dimension("e", 8) == 248
+    for t, r in (("A", 0), ("B", 1), ("D", 2), ("E", 5), ("F", 3),
+                 ("G", 3), ("X", 2), ("BC", 2)):
+        assert split_dimension(t, r) is None
+
+
+@pytest.mark.parametrize("t,r", SYMPY_TYPES + [("A", 1), ("BC", 1), ("BC", 2),
+                                               ("BC", 3)])
+def test_heights_match_a_solve_per_root(t, r):
+    # heights add along sums of positive roots; the oracle solves for the
+    # coefficients of every positive root over the simple roots
+    data = RelativeRootData(make_relative_system(build_root_system(t, r).roots))
+    mat = [[Fraction(s[i]) for s in data.simple] for i in range(r)]
+    assert len(data.simple) == r
+    for a in data.positive:
+        h = sum(linalg.solve(QQ, mat, [Fraction(x) for x in a]))
+        assert data.height(a) == h and data.height(tuple(-x for x in a)) == -h
