@@ -81,8 +81,8 @@ COEFF_GROUPS = {"Z2": (2, lambda: cyclic_group(2)),
                                                     cyclic_group(2))),
                 "S3": (6, symmetric_group_3)}
 # the largest algebra a word file may name, checked before it is built:
-# up to E6 (78) the Chevalley build and the choice of generating columns
-# take a few seconds, and both grow about as dim^3 and faster
+# the Chevalley build grows about as dim^3; a one-letter word on E6 (78)
+# is factored in about 0.3 s, and `depth E 8` (248) takes about 3 s
 WORD_DIM_BUDGET = 78
 # SessionConfig field -> the environment variable read when its global flag
 # is not given; without either, the field keeps its default

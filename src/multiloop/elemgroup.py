@@ -150,15 +150,22 @@ def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
 def word_matrix(rg: RelativeGrading, R, word, columns=None) -> ElementMatrix:
     """The product of a word's letters: the sparse identity with the
     letters left-applied, last first.  With columns given, only those
-    columns of the identity, {s: {s: 1}}, are carried, and the result holds
-    the product's entries in those columns alone."""
+    columns of the identity are carried, and the result holds the
+    product's entries in those columns alone.  Its zeros are R.zero(), so
+    a zero with a horizon (a DomainSeries with default_prec) is kept in
+    every off-diagonal entry, as in linalg.sparse of the identity."""
+    dim = rg.algebra.dim
     if columns is None:
-        columns = range(rg.algebra.dim)
-    one = R.one()
-    rows = {s: {s: one} for s in columns}
+        columns = range(dim)
+    one, zero = R.one(), R.zero()
+    if R.nonzero(zero):
+        rows = {i: {s: one if s == i else zero for s in columns}
+                for i in range(dim)}
+    else:
+        rows = {s: {s: one} for s in columns}
     for alpha, v in reversed(list(word)):
         rows = root_element(rg, R, alpha, v).left_apply(rows)
-    return ElementMatrix(None, R, None, rows, rg.algebra.dim)
+    return ElementMatrix(None, R, None, rows, dim)
 
 
 def word_inverse(word: RootElementWord) -> RootElementWord:

@@ -26,6 +26,7 @@ The sparse graded table is also what lietorus.check_LT4 brackets on.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,7 +188,12 @@ class GradedLieAlgebra:
         return out
 
     def bracket(self, x, y):
-        """Bracket of dense graded-coordinate vectors."""
+        """Bracket of graded-coordinate vectors: of dense vectors as a dense
+        vector, of sparse vectors {t: x_t} as a sparse vector without
+        zeros."""
+        if isinstance(x, dict):
+            return {k: z for k, z in sparse_bracket(self.table, x, y).items()
+                    if z}
         out = [self.dom.zero()] * self.dim
         for k, z in sparse_bracket(self.table, sparse_vector(x),
                                    sparse_vector(y)).items():
@@ -201,21 +207,13 @@ class GradedLieAlgebra:
 
     @cached_property
     def relative_grading(self):
-        """The nonzero q-degrees as a relative root system, positive under
-        the generic functional; built on first use (relative_roots)."""
-        if self.qrank == 0:
-            # refined by an empty cartan (or never refined): no nonzero weights
-            return RelativeGrading(self, [])
-        zero = (0,) * self.qrank
-        roots = sorted(q for q in self.q_keys() if q != zero)
-        if not roots:
-            return RelativeGrading(self, [])
-        system = make_relative_system(roots)
-        return RelativeGrading(self, roots, system, RelativeRootData(system))
+        """relative_roots of this algebra, built once."""
+        return relative_roots(self)
 
     def closure(self, gens):
         """The echelon basis {pivot: row} of the subalgebra generated by the
-        dense vectors gens, each row 1 at its pivot and 0 before it.
+        sparse vectors gens, each row a sparse vector 1 at its pivot and 0
+        before it.
 
         The generated subalgebra is closed incrementally (de Graaf, Lie
         Algebras: Theory and Algorithms, 1.6) in one echelon basis.  If
@@ -225,8 +223,13 @@ class GradedLieAlgebra:
         round adds none.
         """
         basis = {}
-        gens = frontier = [row for row in (_echelon_insert(self.dom, basis, v)
-                                           for v in gens) if row is not None]
+        gens = [row for row in (_echelon_insert(self.dom, basis, v)
+                                for v in gens) if row is not None]
+        return self._close(basis, gens, gens)
+
+    def _close(self, basis, gens, frontier):
+        """Close the echelon basis under brackets with gens, given that
+        only the rows in frontier may leave it."""
         while frontier and len(basis) < self.dim:
             new = []
             for v in frontier:
@@ -237,16 +240,11 @@ class GradedLieAlgebra:
             frontier = new
         return basis
 
-    def unit_vectors(self, idxs):
-        """The dense basis vectors at the given indices."""
-        one, zero = self.dom.one(), self.dom.zero()
-        return [[one if t == i else zero for t in range(self.dim)]
-                for i in idxs]
-
     def certify_generating(self, columns):
         """Raise GradingError unless the basis vectors at columns generate
         the algebra: their span is closed under brackets."""
-        size = len(self.closure(self.unit_vectors(columns)))
+        one = self.dom.one()
+        size = len(self.closure([{i: one} for i in columns]))
         if size < self.dim:
             raise GradingError(
                 "columns %s generate a subalgebra of dimension %d < %d"
@@ -254,33 +252,71 @@ class GradedLieAlgebra:
 
     @cached_property
     def generating_columns(self):
-        """Basis indices S whose vectors generate the algebra, chosen
-        greedily and certified by certify_generating.
+        """Basis indices S whose vectors generate the algebra, certified by
+        one closure.
 
-        Each step adds the index whose vector most enlarges the generated
-        subalgebra, the lower index on a tie.  A product phi of exp(ad v)
-        with phi(x) - x in t^a g[[t]], a >= 0, for every x in S has it for
-        every basis vector, since phi[y, z] - [y, z] =
-        [phi y - y, phi z] + [y, phi z - z]; residual words are certified on
-        these columns (elemgroup)."""
-        S, basis = [], {}
-        units = self.unit_vectors(range(self.dim))
+        A product phi of exp(ad v) with phi(x) - x in t^a g[[t]], a >= 0,
+        for every x in S has it for every basis vector, since
+        phi[y, z] - [y, z] = [phi y - y, phi z] + [y, phi z - z]; residual
+        words are certified on these columns (elemgroup).
+
+        When the ambient root vectors e_alpha_i of the simple roots and
+        e_-beta, beta = alpha_1 + ... + alpha_r, are basis vectors, S is
+        their indices: e_alpha_i generate n+, and [e_alpha_i, e_-gamma]
+        is a nonzero multiple of e_-(gamma - alpha_i) when that is a root,
+        so the generated subalgebra holds every e_-alpha_i, since beta has
+        full support, and with them all of g.  Otherwise S is
+        chosen greedily: each step adds the index whose vector most enlarges
+        the generated subalgebra, the lower index on a tie."""
+        S = self._split_generators()
+        if S is None:
+            S = self._greedy_generators()
+        self.certify_generating(S)
+        return S
+
+    def _split_generators(self):
+        """The sorted indices of the basis vectors that are multiples of
+        the ambient e_alpha_i and e_-(alpha_1 + ... + alpha_r), or None."""
+        alg = self.ambient
+        if alg is None or not alg.rank:
+            return None
+        at = {}
+        for i, e in enumerate(self.entries):
+            support = [t for t, x in enumerate(e.vector) if x]
+            if len(support) == 1:
+                at[support[0]] = i
+        r = alg.rank
+        roots = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+        idx = [at.get(alg.root_index.get(a))
+               for a in roots + [(-1,) * r]]
+        return None if None in idx else tuple(sorted(idx))
+
+    def _greedy_generators(self):
+        """Greedy generating indices, each candidate closed from the
+        current subalgebra: adding x to a closed B, the new rows are x and
+        [x, B], and the generators, x among them, then meet only new rows."""
+        one = self.dom.one()
+        S, gens, basis = [], [], {}
         while len(basis) < self.dim:
             best = None
             for i in range(self.dim):
-                # a vector in the subalgebra S generates enlarges nothing
-                if _echelon_insert(self.dom, dict(basis), units[i]) is None:
+                trial = dict(basis)
+                x = _echelon_insert(self.dom, trial, {i: one})
+                if x is None:
+                    # a vector in the subalgebra S generates enlarges nothing
                     continue
-                grown = self.closure([units[s] for s in S] + [units[i]])
-                if best is None or len(grown) > len(best[1]):
-                    best = (i, grown)
-                    if len(grown) == self.dim:
+                seed = [x] + [row for row in (
+                    _echelon_insert(self.dom, trial, self.bracket(x, b))
+                    for b in basis.values()) if row is not None]
+                self._close(trial, gens + [x], seed)
+                if best is None or len(trial) > len(best[1]):
+                    best = (i, trial, x)
+                    if len(trial) == self.dim:
                         break       # no later index can do better
             S.append(best[0])
             basis = best[1]
-        S.sort()
-        self.certify_generating(S)
-        return tuple(S)
+            gens.append(best[2])
+        return tuple(sorted(S))
 
     def _verify_grading(self, table):
         for (i, j), terms in table.items():
@@ -311,19 +347,34 @@ class GradedLieAlgebra:
 
 
 def _echelon_insert(dom, basis, w):
-    """Reduce w against the echelon basis {pivot: row}, each row 1 at its
-    pivot and 0 before it.  A nonzero remainder is normalized, added to
-    the basis and returned; None means w lies in the span."""
-    w = list(w)
-    for c in sorted(basis):
-        x = w[c]
-        if x:
-            w = [a - x * b if b else a for a, b in zip(w, basis[c])]
-    pivot = next((c for c, x in enumerate(w) if x), None)
-    if pivot is None:
+    """Reduce the sparse vector w against the echelon basis {pivot: row} of
+    sparse rows, each 1 at its pivot and 0 before it, pivot by pivot in
+    increasing order (a row changes w only past its pivot).  A nonzero
+    remainder is normalized, added to the basis and returned; None means w
+    lies in the span."""
+    w = {t: x for t, x in w.items() if x}
+    todo = [t for t in w if t in basis]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        x = w.pop(c, None)
+        if x is None:
+            continue
+        for t, b in basis[c].items():
+            if t == c:
+                continue
+            y = w[t] - x * b if t in w else -x * b
+            if y:
+                if t not in w and t in basis:
+                    heapq.heappush(todo, t)
+                w[t] = y
+            else:
+                w.pop(t, None)
+    if not w:
         return None
+    pivot = min(w)
     inv = dom.inv(w[pivot])
-    basis[pivot] = [x * inv if x else x for x in w]
+    basis[pivot] = {t: x * inv for t, x in w.items()}
     return basis[pivot]
 
 
@@ -464,9 +515,17 @@ class RelativeGrading:
 
 
 def relative_roots(g: GradedLieAlgebra) -> RelativeGrading:
-    """The nonzero q-degrees of g as a relative root system, built once per
-    algebra (GradedLieAlgebra.relative_grading)."""
-    return g.relative_grading
+    """The nonzero q-degrees of g as a relative root system, positive under
+    the generic functional (g.relative_grading keeps one per algebra)."""
+    if g.qrank == 0:
+        # refined by an empty cartan (or never refined): no nonzero weights
+        return RelativeGrading(g, [])
+    zero = (0,) * g.qrank
+    roots = sorted(q for q in g.q_keys() if q != zero)
+    if not roots:
+        return RelativeGrading(g, [])
+    system = make_relative_system(roots)
+    return RelativeGrading(g, roots, system, RelativeRootData(system))
 
 
 def opposite_unipotent_pair(rg: RelativeGrading):
@@ -623,7 +682,7 @@ def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:
         cartan.append(h)
     refined = q_grading_from_cartan(g, cartan)
     try:
-        relative_roots(refined)
+        refined.relative_grading
     except RootSystemError as e:
         lines = spec.cartan_lines
         where = "spec line%s %s: " % ("s" if len(lines) > 1 else "",

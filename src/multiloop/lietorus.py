@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chevalley import sparse_bracket
-from .grading import GradedLieAlgebra, relative_roots
+from .grading import GradedLieAlgebra
 from .scalars import QQ
 
 
@@ -186,8 +186,9 @@ def check_LT5(g: GradedLieAlgebra) -> tuple:
     generated subalgebra is g.closure, which certifies generating sets for
     elemgroup too."""
     zero = _zero_q(g)
-    size = len(g.closure(g.unit_vectors(
-        i for i, e in enumerate(g.entries) if e.qdeg != zero)))
+    one = g.dom.one()
+    size = len(g.closure([{i: one} for i, e in enumerate(g.entries)
+                          if e.qdeg != zero]))
     if size == g.dim:
         return True, None
     return False, ("generated-dimension", size, g.dim)
@@ -218,7 +219,7 @@ def lie_torus_check(g: GradedLieAlgebra, delta=None) -> LieTorusReport:
     rep = LieTorusReport(nullity=g.nvars)
     discovered = False
     if delta is None:
-        rg = relative_roots(g)
+        rg = g.relative_grading
         delta = rg.roots
         discovered = True
     delta_set = set(tuple(a) for a in delta)

@@ -280,56 +280,31 @@ class RelativeRootData:
         return sum(x * w for x, w in zip(a, self.functional))
 
     def _simple_roots(self):
-        """The positive roots that are not a sum of two positive roots; each
-        other one is kept in _parts with one positive summand (a - b and b
-        positive put b below a, so no functional is read)."""
         pos = set(self.positive)
-        simple, self._parts = [], {}
+        simple = []
         for a in self.positive:
-            b = next((b for b in self.positive
-                      if tuple(x - y for x, y in zip(a, b)) in pos), None)
-            if b is None:
+            decomposable = any(
+                tuple(x - y for x, y in zip(a, b)) in pos
+                for b in self.positive if b != a and self._dot(b) < self._dot(a))
+            if not decomposable:
                 simple.append(a)
-            else:
-                self._parts[a] = b
         return simple
 
     def _compute_heights(self):
-        """Heights of the roots, from their coefficients over the simple
-        roots.  A positive root that is not simple is the sum of two
-        positive roots below it, so it is a nonnegative integer combination
-        of the simple roots; when they are independent that combination is
-        the only one, and heights add along _parts.  They are independent
-        exactly when each simple root solves to its own unit vector (solve
-        sets the coordinate of a dependent one to 0).  Dependent simple
-        roots (which no root system has) are solved root by root, to name
-        the root whose coefficients are not integral or do not exist."""
-        k = len(self.simple)
+        # coefficients of each positive root over the simple relative roots
         mat = [[Fraction(s[i]) for s in self.simple]
                for i in range(len(self.simple[0]))]
-
-        def coeffs(a):
-            return linalg.solve(QQ, mat, [Fraction(x) for x in a])
-
         heights = {}
-        if all(coeffs(s) == [int(i == j) for i in range(k)]
-               for j, s in enumerate(self.simple)):
-            for a in sorted(self.positive, key=self._dot):
-                b = self._parts.get(a)
-                heights[a] = 1 if b is None else \
-                    heights[b] + heights[tuple(x - y for x, y in zip(a, b))]
-        else:
-            for a in self.positive:
-                sol = coeffs(a)
-                if sol is None:
-                    raise RootSystemError(
-                        "root %s is not a combination of simple roots" % (a,))
-                h = sum(sol)
-                if h.denominator != 1:
-                    raise RootSystemError("non-integral height for %s" % (a,))
-                heights[a] = int(h)
-        heights.update({tuple(-x for x in a): -h
-                        for a, h in list(heights.items())})
+        for a in self.positive:
+            sol = linalg.solve(QQ, mat, [Fraction(x) for x in a])
+            if sol is None:
+                raise RootSystemError(
+                    "root %s is not a combination of simple roots" % (a,))
+            h = sum(sol)
+            if h.denominator != 1:
+                raise RootSystemError("non-integral height for %s" % (a,))
+            heights[a] = int(h)
+            heights[tuple(-x for x in a)] = -int(h)
         return heights
 
     def height_and_sign(self, root):

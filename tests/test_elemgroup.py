@@ -776,3 +776,21 @@ def test_generator_bound_below_zero_is_replaced_by_all_columns(rg_a2):
     full = word_residual(rg_a2, R, letters, 8)
     assert block[0] == -3 and full[0] == -6
     assert generator_residual(rg_a2, R, letters, 8) == full
+
+
+def test_default_precision_zeros_reach_the_column_block(rg_a2):
+    # over a DomainSeries with default_prec the zero is O(t^5): the start
+    # block keeps it in every entry of its columns, as the sparse identity
+    # does, so X_theta(1) X_theta(-1) is the identity only modulo t^5
+    g = rg_a2.algebra
+    R = DomainSeries(QQ, default_prec=5)
+    v = place(g, DomainSeries(QQ), (1, 1), 1)
+    letters = [((1, 1), v), ((1, 1), [-x for x in v])]
+    columns = g.generating_columns
+    block = word_matrix(rg_a2, R, letters, columns)
+    full = word_matrix(rg_a2, R, letters)
+    assert block.rows == {i: {s: row[s] for s in columns}
+                          for i, row in full.rows.items()}
+    assert all(len(row) == len(columns) for row in block.rows.values())
+    assert word_residual(rg_a2, R, letters, 8, columns) == (5, None)
+    assert generator_residual(rg_a2, R, letters, 8) == (5, None)

@@ -420,7 +420,7 @@ def _brute_force_rank(g, idxs):
     """The dimension of the subalgebra the basis vectors at idxs generate:
     bracket everything spanned so far with everything, and recompute the
     rank with a full rref, until it stops rising."""
-    span = g.unit_vectors(idxs)
+    span = [[g.dom.from_int(int(t == i)) for t in range(g.dim)] for i in idxs]
     rank = len(linalg.rref(g.dom, span)[1])
     while True:
         span = span + [g.bracket(u, v) for u in span for v in span]
@@ -434,12 +434,13 @@ def _brute_force_rank(g, idxs):
                                            ("B", 2, (0, 1, 6)),
                                            ("G", 2, (0, 1, 8))])
 def test_generating_columns_of_split_rank_two(t, r, columns):
-    # greedy picks e_alpha1, e_alpha2 and e_-(alpha1+alpha2): on A2 these
-    # are the affine Chevalley generators at t = 1 (-theta), on B2 and G2
-    # the third root is not -theta, and the three still generate
+    # e_alpha1, e_alpha2 and e_-(alpha1+alpha2), as greedy picks them too:
+    # on A2 these are the affine Chevalley generators at t = 1 (-theta), on
+    # B2 and G2 the third root is not -theta, and the three still generate
     alg = algebra(t, r)
     g = from_chevalley(alg)
     assert g.generating_columns == columns
+    assert g._greedy_generators() == columns
     assert [alg.roots[i] for i in columns] == \
         sorted(alg.rs.simple_roots) + [(-1, -1)]
     assert _brute_force_rank(g, columns) == g.dim
@@ -471,3 +472,68 @@ def test_non_generating_columns_are_rejected(t, r, columns):
     with pytest.raises(GradingError, match="generate a subalgebra of "
                        "dimension %d < %d" % (size, g.dim)):
         g.certify_generating(columns)
+
+
+def _greedy_from_scratch(g):
+    """The greedy pick with a whole closure per candidate: each step adds
+    the index whose vector most enlarges the generated subalgebra, the
+    lower index on a tie."""
+    one, S = g.dom.one(), []
+    while True:
+        size = len(g.closure([{s: one} for s in S]))
+        if size == g.dim:
+            return tuple(sorted(S))
+        grown = [(len(g.closure([{s: one} for s in S + [i]])), -i)
+                 for i in range(g.dim) if i not in S]
+        S.append(-max(grown)[1])
+
+
+@pytest.mark.parametrize("t, r", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_split_generating_columns_beyond_rank_two(t, r):
+    # the simple root vectors and e_-(alpha_1 + ... + alpha_r) generate,
+    # and drop no column greedy would keep: greedy, grown from one closure,
+    # picks what a whole closure per candidate picks, and no fewer columns
+    alg = algebra(t, r)
+    g = from_chevalley(alg)
+    columns = g.generating_columns
+    assert [alg.roots[i] for i in columns] == \
+        sorted(alg.rs.simple_roots) + [(-1,) * r]
+    assert _brute_force_rank(g, columns) == g.dim
+    greedy = g._greedy_generators()
+    assert greedy == _greedy_from_scratch(g)
+    assert len(columns) <= len(greedy)
+
+
+def test_greedy_generators_on_twisted_fixtures():
+    # some e_alpha_i or e_-(alpha_1 + ... + alpha_r) is not a basis vector
+    # of these twisted forms, so the pick is greedy there
+    for build in ("sl3_flip.ml", "sl4_flip.ml", "sl2_quaternion.ml"):
+        g = graded_from_spec(*parse_spec_file(
+            (FIXTURES / build).read_text(), 2))
+        assert g._split_generators() is None
+        assert g.generating_columns == _greedy_from_scratch(g)
+
+
+def test_echelon_insert_matches_rref():
+    # rows are 1 at their pivot and 0 before it but not reduced at later
+    # pivots, so a reduction can bring in a later pivot, which is then
+    # reduced too: (1,0,1) meets row (1,1,0), then row (0,1,0)
+    basis = {}
+    for v in ({0: 1, 1: 1}, {1: 1}, {0: 1, 2: 1}):
+        assert grading._echelon_insert(QQ, basis, v) is not None
+    assert sorted(basis) == [0, 1, 2]
+    rng = random.Random(3)
+    for _ in range(200):
+        vecs = [[Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(6)]
+                for _ in range(rng.randint(1, 7))]
+        basis = {}
+        for k, v in enumerate(vecs):
+            row = grading._echelon_insert(
+                QQ, basis, {t: x for t, x in enumerate(v) if x})
+            rank = len(linalg.rref(QQ, vecs[:k + 1])[1])
+            assert len(basis) == rank
+            assert (row is not None) == (rank > len(
+                linalg.rref(QQ, vecs[:k])[1]) if k else any(v))
+            if row is not None:
+                pivot = min(row)
+                assert row[pivot] == 1 and basis[pivot] is row

@@ -3,13 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiloop import linalg
 from multiloop.rootsys import (RelativeRootData, RootSystemError,
                                build_root_system, cartan_matrix,
                                generic_functional, indivisible_roots,
                                make_relative_system, split_dimension,
                                _reflect)
-from multiloop.scalars import QQ
 
 # classical root counts (textbook values)
 ROOT_COUNTS = {
@@ -238,15 +236,3 @@ def test_split_dimension_matches_the_built_root_system():
                  ("G", 3), ("X", 2), ("BC", 2)):
         assert split_dimension(t, r) is None
 
-
-@pytest.mark.parametrize("t,r", SYMPY_TYPES + [("A", 1), ("BC", 1), ("BC", 2),
-                                               ("BC", 3)])
-def test_heights_match_a_solve_per_root(t, r):
-    # heights add along sums of positive roots; the oracle solves for the
-    # coefficients of every positive root over the simple roots
-    data = RelativeRootData(make_relative_system(build_root_system(t, r).roots))
-    mat = [[Fraction(s[i]) for s in data.simple] for i in range(r)]
-    assert len(data.simple) == r
-    for a in data.positive:
-        h = sum(linalg.solve(QQ, mat, [Fraction(x) for x in a]))
-        assert data.height(a) == h and data.height(tuple(-x for x in a)) == -h
