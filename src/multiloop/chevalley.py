@@ -20,7 +20,6 @@ slot is in x.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -99,19 +98,18 @@ class ChevalleyAlgebra:
 
     def _special_constant(self, a, b, eps):
         g = _vadd(a, b)
-        t2 = Fraction(0)
+        t2 = 0
         bm = _vsub(b, eps)
         if bm in self.rs.root_set:
-            t2 = Fraction(self._n(b, _vneg(eps)) * self._n(bm, a))
-        t3 = Fraction(0)
+            t2 = self._n(b, _vneg(eps)) * self._n(bm, a)
+        t3 = 0
         am = _vsub(a, eps)
         if am in self.rs.root_set:
-            t3 = Fraction(self._n(_vneg(eps), a) * self._n(am, b))
-        denom = self._n(g, _vneg(eps))
-        val = -(t2 + t3) / denom
-        if val.denominator != 1:
+            t3 = self._n(_vneg(eps), a) * self._n(am, b)
+        val, rem = divmod(-(t2 + t3), self._n(g, _vneg(eps)))
+        if rem:
             raise ChevalleyError("non-integral structure constant at %s+%s" % (a, b))
-        return int(val)
+        return val
 
     def _n(self, a, b):
         """N(a, b) for arbitrary roots with a+b a root."""
@@ -129,23 +127,25 @@ class ChevalleyAlgebra:
             return -self._n(b, a)
         if _height(self.rs, s) > 0:
             # N(a,b) = -(|s|^2/|a|^2) N(-b, s), a positive pair summing to a
-            val = -Fraction(self._len2[s], self._len2[a]) * self._n(_vneg(b), s)
+            val, rem = divmod(-self._len2[s] * self._n(_vneg(b), s),
+                              self._len2[a])
         else:
             # N(a,b) = -(|s|^2/|b|^2) N(a, -s), a positive pair summing to -b
-            val = -Fraction(self._len2[s], self._len2[b]) * self._n(a, _vneg(s))
-        if val.denominator != 1:
+            val, rem = divmod(-self._len2[s] * self._n(a, _vneg(s)),
+                              self._len2[b])
+        if rem:
             raise ChevalleyError("non-integral constant for %s,%s" % (a, b))
-        return int(val)
+        return val
 
     def coroot_coeffs(self, a):
         """a^vee as an integer combination of the simple coroots."""
         out = []
         la = self._len2[a]
         for i, s in enumerate(self.rs.simple_roots):
-            c = Fraction(a[i]) * self._len2[s] / la
-            if c.denominator != 1:
+            c, rem = divmod(a[i] * self._len2[s], la)
+            if rem:
                 raise ChevalleyError("non-integral coroot for %s" % (a,))
-            out.append(int(c))
+            out.append(c)
         return out
 
     def _build_table(self):
@@ -393,17 +393,19 @@ def torus_automorphism(alg, dom, weights) -> AlgebraAutomorphism:
     d = alg.dim
     M = [[dom.zero()] * d for _ in range(d)]
     for i in range(d):
-        if i < len(alg.roots):
-            a = alg.roots[i]
-            c = dom.one()
-            for k, w, wi in zip(a, weights, inv):
-                base = w if k > 0 else wi
-                for _ in range(abs(k)):
-                    c = c * base
-            M[i][i] = c
-        else:
-            M[i][i] = dom.one()
+        M[i][i] = character(dom, alg.roots[i], weights, inv) \
+            if i < len(alg.roots) else dom.one()
     return AlgebraAutomorphism(alg, dom, M, check=False)
+
+
+def character(dom, deg, s, sinv):
+    """prod_i s_i^deg_i over dom, for units s_i with inverses sinv_i."""
+    c = dom.one()
+    for a, x, xi in zip(deg, s, sinv):
+        base = x if a > 0 else xi
+        for _ in range(abs(a)):
+            c = c * base
+    return c
 
 
 def automorphism_from_images(alg, dom, images, check=True) -> AlgebraAutomorphism:
@@ -458,7 +460,7 @@ def _extend_diagram(alg, perm, signs):
     for i in range(r):
         a = tuple(1 if t == i else 0 for t in range(r))
         b = tuple(1 if t == perm[i] else 0 for t in range(r))
-        img[a] = (b, Fraction(signs[i]))
+        img[a] = (b, signs[i])
     for g in alg.positive:
         if g in img:
             continue
@@ -471,7 +473,7 @@ def _extend_diagram(alg, perm, signs):
                 s = _vadd(pa, pb)
                 if s not in rs.root_set:
                     return None
-                val = ca * cb * Fraction(alg._n(pa, pb), alg._n(a, bmat))
+                val = QQ.over(ca * cb * alg._n(pa, pb), alg._n(a, bmat))
                 img[g] = (s, val)
                 break
         else:
@@ -481,7 +483,7 @@ def _extend_diagram(alg, perm, signs):
     M = [[dom.zero()] * d for _ in range(d)]
     for g, (pg, c) in img.items():
         M[alg.root_index[pg]][alg.root_index[g]] = c
-        M[alg.root_index[_vneg(pg)]][alg.root_index[_vneg(g)]] = 1 / c
+        M[alg.root_index[_vneg(pg)]][alg.root_index[_vneg(g)]] = dom.inv(c)
     for i in range(r):
         src = len(alg.roots) + i
         dst = len(alg.roots) + perm[i]
@@ -497,38 +499,24 @@ def chevalley_involution(alg) -> AlgebraAutomorphism:
     d = alg.dim
     imgs = []
     for i in range(d):
-        v = [Fraction(0)] * d
+        v = [0] * d
         if i < len(alg.roots):
             j = alg.root_index[_vneg(alg.roots[i])]
-            v[j] = Fraction(-1)
+            v[j] = -1
         else:
-            v[i] = Fraction(-1)
+            v[i] = -1
         imgs.append(v)
     return automorphism_from_images(alg, QQ, imgs)
-
-
-def inner_automorphism(alg, dom, letters) -> AlgebraAutomorphism:
-    """Product of exp_ad letters and/or torus elements, left to right."""
-    out = AlgebraAutomorphism(alg, dom, linalg.identity(dom, alg.dim),
-                              check=False)
-    for kind, payload in letters:
-        if kind == "exp":
-            out = out.compose(exp_ad(dom, alg, payload, check=False))
-        elif kind == "torus":
-            out = out.compose(torus_automorphism(alg, dom, payload))
-        else:
-            raise ChevalleyError("unknown letter kind %r" % (kind,))
-    return out
 
 
 def killing_form(alg):
     """Killing form on basis pairs, over Q."""
     d = alg.dim
-    ads = [ad_rows(alg.cells_by_first, {i: Fraction(1)}) for i in range(d)]
-    K = [[Fraction(0)] * d for _ in range(d)]
+    ads = [ad_rows(alg.cells_by_first, {i: 1}) for i in range(d)]
+    K = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             M = linalg.mat_mul(QQ, ads[i], ads[j])
-            tr = sum((row.get(t, 0) for t, row in M.items()), Fraction(0))
+            tr = sum(row.get(t, 0) for t, row in M.items())
             K[i][j] = K[j][i] = tr
     return K

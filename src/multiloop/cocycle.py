@@ -436,9 +436,6 @@ class DiagonalSetup:
         t, k = q
         return (t + (0,), k)
 
-    def m_elements(self):
-        return [self.cover.elements[x] for x in self.m_pos]
-
     def power_positions(self, d):
         """Each cover position with its M coordinate multiplied by d."""
         m, k = self.m, len(self.gamma0)

@@ -29,9 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .chevalley import ad_rows
+from .chevalley import ad_rows, character
 from .grading import GradedLieAlgebra, RelativeGrading
-from .scalars import TruncSeries, series_split
+from .lietorus import _proportionality
+from .scalars import TruncSeries, _pmin, series_split
 
 
 class ElementError(ValueError):
@@ -108,14 +109,6 @@ class RootElement:
     def mul(self, other) -> ElementMatrix:
         rows = self.left_apply(linalg.sparse(self.ring, other.matrix))
         return ElementMatrix(None, self.ring, other.precision, rows, self.dim)
-
-
-def _pmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _param_is_zero(v):
@@ -230,7 +223,7 @@ def _positivity_functional(rg, alpha, beta):
         if disc <= 0:
             raise ElementError(
                 "roots %s, %s are opposite-proportional" % (alpha, beta))
-        delta = disc / (2 * abs(ab))
+        delta = Fraction(disc, 2 * abs(ab))
         w = [bb * Fraction(a) + (-ab + delta) * Fraction(b)
              for a, b in zip(alpha, beta)]
     # w is used through the inner product with the root coordinates
@@ -367,7 +360,7 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
     comm_word = [(alpha, u), (beta, v), (alpha, [-x for x in u]),
                  (beta, [-x for x in v])]
     comm = word_matrix(rg, R, comm_word)
-    if alpha == beta or _proportional(alpha, beta):
+    if alpha == beta or _proportionality(alpha, beta) is not None:
         psi = sorted(set(multiples_above(rg, alpha))
                      | set(multiples_above(rg, beta)))
     else:
@@ -380,11 +373,6 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
         rg, R, word_inverse(RootElementWord(factors)).letters + comm_word,
         "commutator factorization failed verification")
     return factors
-
-
-def _proportional(alpha, beta):
-    from .lietorus import _proportionality
-    return _proportionality(alpha, beta) is not None
 
 
 def _cone_coeffs(alpha, beta, gamma):
@@ -404,10 +392,10 @@ def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
     g = rg.algebra
     s = list(s)
     sinv = [R.inv(x) for x in s]
-    new_v = [_character(R, alpha, s, sinv) * x for x in v]
+    new_v = [character(R, alpha, s, sinv) * x for x in v]
     if verify:
         # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
-        diag = [_character(R, e.qdeg, s, sinv) for e in g.entries]
+        diag = [character(R, e.qdeg, s, sinv) for e in g.entries]
         diag_inv = [R.inv(c) for c in diag]
         conj = [[diag[i] * x * diag_inv[j] for j, x in enumerate(row)]
                 for i, row in enumerate(root_element(rg, R, alpha, v).matrix)]
@@ -416,16 +404,6 @@ def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
         if linalg.identity_residual(R, res.matrix)[1] is not None:
             raise ElementError("torus conjugation identity failed")
     return (alpha, new_v)
-
-
-def _character(R, deg, s, sinv):
-    """prod_i s_i^deg_i."""
-    c = R.one()
-    for a, x, xi in zip(deg, s, sinv):
-        base = x if a > 0 else xi
-        for _ in range(abs(a)):
-            c = c * base
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -554,18 +553,10 @@ def irreducible_components(system: RootSystem):
         comps.setdefault(find(i), []).append(a)
     out = []
     for group in comps.values():
-        M = [[Fraction(x) for x in a] for a in group]
-        _, pivots = linalg.rref(QQ, M)
+        _, pivots = linalg.rref(QQ, [list(a) for a in group])
         out.append({"roots": sorted(group), "rank": len(pivots)})
     out.sort(key=lambda c: c["roots"][0])
     return out
-
-
-def twisted_form_dims_check(g: GradedLieAlgebra, base_dim: int) -> bool:
-    """After base change along the degree-m cover the graded dimension
-    sequence must match the untwisted loop algebra's: the piece dimensions
-    over one period sum to dim L."""
-    return sum(g.dims_by_lam().values()) == base_dim
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +604,7 @@ def parse_spec_file(text: str, conductor: int):
             if parts[1:] == ["full"]:
                 cartan_full = True
             elif parts[1:2] == ["h"]:
-                cartan_rows.append([_spec_number(Fraction, x, lno,
+                cartan_rows.append([_spec_number(QQ.parse, x, lno,
                                                  "cartan coefficient")
                                     for x in parts[2:]])
             else:
@@ -625,7 +616,7 @@ def parse_spec_file(text: str, conductor: int):
         raise SpecError("spec declares n=%d but has %d sigma lines"
                         % (n, len(sigmas)))
     if cartan_full:
-        cartan_rows = [[Fraction(int(j == i)) for j in range(rank)]
+        cartan_rows = [[int(j == i) for j in range(rank)]
                        for i in range(rank)]
     return MultiloopSpec(alg, sigmas, m, tuple(cartan_lines)), cartan_rows
 
@@ -633,9 +624,9 @@ def parse_spec_file(text: str, conductor: int):
 def _parse_sigma(alg, parts, lno):
     kind = parts[0] if parts else ""
     if kind == "identity":
-        return torus_automorphism(alg, QQ, [Fraction(1)] * alg.rank)
+        return torus_automorphism(alg, QQ, [1] * alg.rank)
     if kind == "torus":
-        ws = [_spec_number(Fraction, x, lno, "torus weight")
+        ws = [_spec_number(QQ.parse, x, lno, "torus weight")
               for x in parts[1:]]
         if len(ws) != alg.rank:
             raise SpecError("spec line %d: torus needs %d weights"
@@ -656,7 +647,8 @@ def _parse_sigma(alg, parts, lno):
 
 
 def _spec_number(kind, token, lno, what):
-    """token read as kind (int or Fraction), or a SpecError naming the line."""
+    """token read by kind (int, or QQ.parse for a rational), or a SpecError
+    naming the line."""
     try:
         return kind(token)
     except (ValueError, ZeroDivisionError):

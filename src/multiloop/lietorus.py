@@ -63,9 +63,8 @@ def check_LT1(g: GradedLieAlgebra, delta_set) -> tuple:
 def _indivisible(delta_set):
     out = []
     for a in sorted(delta_set):
-        half = tuple(Fraction(x, 2) for x in a)
-        if all(x.denominator == 1 for x in half) and \
-                tuple(int(x) for x in half) in delta_set:
+        if all(x % 2 == 0 for x in a) and \
+                tuple(x // 2 for x in a) in delta_set:
             continue
         out.append(a)
     return out
@@ -199,7 +198,7 @@ def classify_system(roots) -> str:
     roots = sorted(roots)
     if not roots:
         return "empty"
-    M = [[Fraction(x) for x in a] for a in roots]
+    M = [list(a) for a in roots]
     _, pivots = linalg.rref(QQ, M)
     rank = len(pivots)
     rset = set(roots)

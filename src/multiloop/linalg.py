@@ -5,13 +5,15 @@ whose absent entries are exact zeros; the one product kernel, `mat_mul`,
 and the one exp of a nilpotent, `exp_nilpotent` (M + E M with E = exp(N) - I
 built once), work on sparse rows.  The coefficient domain is passed
 explicitly and decides what counts as zero: an entry zero only up to a
-precision horizon, O(t^p), is kept.  Elimination uses first-nonzero
+precision horizon, O(t^p), is kept, and how to divide by an int
+(`dom.over`) and put a field entry in canonical form (`dom.canon`), so
+integral data over Q stays on ints.  Elimination uses first-nonzero
 pivoting so results are deterministic for a given input.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 def identity(dom, n):
@@ -75,19 +77,20 @@ def _add_into(dom, out, rows):
 
 def exp_nilpotent(dom, N, M):
     """exp(N) M = M + E M, as sparse rows, for sparse rows N and M: E is
-    the sum of P_1 = N, P_i = (N P_(i-1)) (1/i) up to the first vanishing
-    term, built from the few entries of N and applied in one product.
+    the sum of P_1 = N, P_i = (N P_(i-1)) / i (dom.over) up to the first
+    vanishing term, built from the few entries of N and applied in one
+    product.
     Raises ValueError when N is not nilpotent: N^k != 0, where k is the
     number of indices N touches."""
     k = len(N.keys() | {j for row in N.values() for j in row})
+    over = dom.over
     E, P, i = {}, N, 1
     while P:
         if i >= k:
             raise ValueError("matrix is not nilpotent")
         _add_into(dom, E, P)
         i += 1
-        scale = Fraction(1, i)
-        P = {r: {j: x * scale for j, x in row.items()}
+        P = {r: {j: over(x, i) for j, x in row.items()}
              for r, row in mat_mul(dom, N, P).items()}
     out = {r: dict(row) for r, row in M.items()}
     _add_into(dom, out, mat_mul(dom, E, M))
@@ -117,7 +120,8 @@ def rref(dom, A):
     """Reduced row echelon form over a field domain.
 
     Returns (R, pivots): R is the reduced matrix, whose first len(pivots)
-    rows are nonzero, and pivots lists their pivot columns in order.
+    rows are nonzero, and pivots lists their pivot columns in order.  Its
+    entries are in canonical form (dom.canon).
     """
     n = len(A)
     m = len(A[0]) if n else 0
@@ -143,7 +147,8 @@ def rref(dom, A):
         r += 1
         if r == n:
             break
-    return R, pivots
+    canon = dom.canon
+    return [[canon(x) for x in row] for row in R], pivots
 
 
 def kernel_basis(dom, A):
@@ -189,10 +194,11 @@ def span_coords(dom, vs, n):
     function taking a sparse w to its coordinate list, or to None when
     sum_j c_j v_j differs from w on some coordinate, i.e. w is not in the
     span.  w may lie over a ring above dom (series, say): the check uses its
-    ==, and a coordinate nothing contributes to stays dom's zero.
+    ==, and a coordinate nothing contributes to stays dom's zero.  The
+    coordinates are in canonical form (dom.canon).
     """
     k = len(vs)
-    zero, one = dom.zero(), dom.one()
+    zero, one, canon = dom.zero(), dom.one(), dom.canon
     aug = [[v.get(t, zero) for t in range(n)]
            + [one if j == i else zero for j in range(k)]
            for i, v in enumerate(vs)]
@@ -217,7 +223,7 @@ def span_coords(dom, vs, n):
         if any(back.get(t, zero) != x for t, x in w.items()) or \
                 any(x and t not in w for t, x in back.items()):
             return None
-        return c
+        return [canon(x) for x in c]
     return coords
 
 
@@ -278,7 +284,6 @@ def smith_invariants(A):
     for i in range(len(invariants) - 1):
         for j in range(i + 1, len(invariants)):
             a, b = invariants[i], invariants[j]
-            from math import gcd
             g = gcd(a, b)
             invariants[i], invariants[j] = g, a * b // g if g else 0
     return invariants

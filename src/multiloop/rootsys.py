@@ -3,12 +3,14 @@ positivity, and heights.
 
 Roots are stored as integer vectors of simple-root coordinates (for the
 classified types) or as raw weight vectors (for relative systems read off
-a torus grading).
+a torus grading).  The bilinear form is an integer Gram matrix, so inner
+products are int dot products and pairings exact integer quotients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index, mul
 
 from . import linalg
 from .scalars import QQ
@@ -48,26 +50,12 @@ def cartan_matrix(type_label: str, rank: int):
         A = chain(r)
         A[r - 2][r - 1] = -2
         return A
-    if t == "D" and r >= 3:
-        A = chain(r - 1)
-        for row in A:
-            row.append(0)
-        A.append([0] * r)
-        A[r - 1][r - 1] = 2
-        A[r - 1][r - 3] = -1
-        A[r - 3][r - 1] = -1
-        A[r - 1][r - 2] = 0
-        A[r - 2][r - 1] = 0
-        return A
-    if t == "E" and r in (6, 7, 8):
-        A = chain(r - 1)
-        for row in A:
-            row.append(0)
-        A.append([0] * r)
-        A[r - 1][r - 1] = 2
-        # node r attaches to node 3
-        A[r - 1][2] = -1
-        A[2][r - 1] = -1
+    if (t == "D" and r >= 3) or (t == "E" and r in (6, 7, 8)):
+        # node r moves off the chain, to node r - 2 (D) or node 3 (E)
+        A = chain(r)
+        k = r - 3 if t == "D" else 2
+        A[r - 1][r - 2] = A[r - 2][r - 1] = 0
+        A[r - 1][k] = A[k][r - 1] = -1
         return A
     if t == "F" and r == 4:
         A = chain(4)
@@ -94,7 +82,9 @@ def split_dimension(type_label: str, rank: int):
 
 
 def _symmetrizer(A):
-    """Rationals d_i with d_i A[i][j] = d_j A[j][i]; d encodes (a_i, a_i)/2."""
+    """Ints d_i with d_i A[i][j] = d_j A[j][i] and least d_i 1; d_i is
+    (a_i, a_i)/2 for the form in which the shortest root has squared
+    length 2."""
     r = len(A)
     d = [None] * r
     d[0] = Fraction(1)
@@ -110,11 +100,13 @@ def _symmetrizer(A):
                     changed = True
     if any(x is None for x in d):
         raise RootSystemError("disconnected Dynkin diagram")
-    return d
+    return [index(QQ.lift(x / min(d))) for x in d]
 
 
 class RootSystem:
-    """A finite set of roots in simple-root coordinates plus its bilinear form."""
+    """A finite set of roots in simple-root coordinates plus its bilinear
+    form, an integer Gram matrix of the simple roots (a TypeError for any
+    other entry)."""
 
     def __init__(self, type_label, rank, simple_roots, roots, gram):
         self.type_label = type_label
@@ -122,26 +114,21 @@ class RootSystem:
         self.simple_roots = [tuple(s) for s in simple_roots]
         self.roots = sorted(tuple(x) for x in roots)
         self.root_set = set(self.roots)
-        self.gram = [[Fraction(x) for x in row] for row in gram]
+        self.gram = [[index(x) for x in row] for row in gram]
 
     # -- bilinear data -------------------------------------------------------
 
-    def inner(self, a, b) -> Fraction:
-        acc = Fraction(0)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    acc += ai * bj * self.gram[i][j]
-        return acc
+    def inner(self, a, b) -> int:
+        """(a, b) = a^T G b on simple-root coordinates."""
+        return sum(ai * sum(map(mul, row, b))
+                   for ai, row in zip(a, self.gram) if ai)
 
     def pairing(self, beta, alpha) -> int:
         """<beta, alpha^vee> = 2 (beta, alpha) / (alpha, alpha)."""
-        val = 2 * self.inner(beta, alpha) / self.inner(alpha, alpha)
-        if val.denominator != 1:
+        val, rem = divmod(2 * self.inner(beta, alpha), self.inner(alpha, alpha))
+        if rem:
             raise RootSystemError("non-integral pairing for %s, %s" % (beta, alpha))
-        return int(val)
+        return val
 
     def cartan_pairings(self):
         return [[self.pairing(b, a) for b in self.simple_roots]
@@ -187,7 +174,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         return _build_bc(rank)
     A = cartan_matrix(t, rank)
     d = _symmetrizer(A)
-    gram = [[d[i] * Fraction(A[i][j]) for j in range(rank)] for i in range(rank)]
+    gram = [[d[i] * A[i][j] for j in range(rank)] for i in range(rank)]
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simples)
     frontier = list(simples)
@@ -204,44 +191,24 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
 
 def _build_bc(rank: int) -> RootSystem:
+    """BC_r with simple roots a_i = e_i - e_(i+1), a_r = e_r, and the
+    ambient form with e_i orthonormal (squared lengths 1, 2 and 4)."""
     if rank < 1:
         raise RootSystemError("invalid root system type BC%d" % rank)
     r = rank
-    # ambient e_i expressed in the simple roots a_i = e_i - e_{i+1}, a_r = e_r
-    def e(i):
-        v = [0] * r
-        for j in range(i, r):
-            v[j] = 1
-        return v
-
+    # e_i in simple-root coordinates: a_i + ... + a_r
+    es = [tuple(int(j >= i) for j in range(r)) for i in range(r)]
     roots = set()
-    for i in range(r):
-        for sign in (1, -1):
-            roots.add(tuple(sign * x for x in e(i)))
-            roots.add(tuple(2 * sign * x for x in e(i)))
-        for j in range(i + 1, r):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [si * a + sj * b for a, b in zip(e(i), e(j))]
-                    roots.add(tuple(v))
-    simples = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    # Gram matrix of the simple roots in the ambient dot product, with the
-    # ambient e_i orthonormal: a_i = e_i - e_{i+1} for i < r, a_r = e_r
-    def unit(i):
-        return [1 if k == i else 0 for k in range(r)]
-
-    simple_amb = []
-    for i in range(r - 1):
-        simple_amb.append([a - b for a, b in zip(unit(i), unit(i + 1))])
-    simple_amb.append(unit(r - 1))
-    gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in simple_amb]
-            for u in simple_amb]
+    for i, u in enumerate(es):
+        roots.update(tuple(k * x for x in u) for k in (1, 2, -1, -2))
+        for w in es[i + 1:]:
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                roots.add(tuple(si * a + sj * b for a, b in zip(u, w)))
+    simples = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    gram = [[2 * (i == j) - (abs(i - j) == 1) for j in range(r)]
+            for i in range(r)]
+    gram[r - 1][r - 1] = 1
     return RootSystem("BC", r, simples, roots, gram)
-
-
-def indivisible_roots(rs: RootSystem):
-    """Roots alpha with alpha/2 not a root."""
-    return sorted(a for a in rs.roots if rs.half(a) is None)
 
 
 def make_relative_system(weights) -> RootSystem:
@@ -251,8 +218,7 @@ def make_relative_system(weights) -> RootSystem:
     if not weights:
         raise RootSystemError("empty weight set")
     dim = len(weights[0])
-    gram = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-            for i in range(dim)]
+    gram = [[int(i == j) for j in range(dim)] for i in range(dim)]
     # simple-root coordinates coincide with the raw weight coordinates here
     simples = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     return RootSystem("relative", dim, simples, weights, gram)
@@ -292,11 +258,10 @@ class RelativeRootData:
 
     def _compute_heights(self):
         # coefficients of each positive root over the simple relative roots
-        mat = [[Fraction(s[i]) for s in self.simple]
-               for i in range(len(self.simple[0]))]
+        mat = [[s[i] for s in self.simple] for i in range(len(self.simple[0]))]
         heights = {}
         for a in self.positive:
-            sol = linalg.solve(QQ, mat, [Fraction(x) for x in a])
+            sol = linalg.solve(QQ, mat, list(a))
             if sol is None:
                 raise RootSystemError(
                     "root %s is not a combination of simple roots" % (a,))
@@ -306,13 +271,6 @@ class RelativeRootData:
             heights[a] = int(h)
             heights[tuple(-x for x in a)] = -int(h)
         return heights
-
-    def height_and_sign(self, root):
-        root = tuple(root)
-        if root not in self.system.root_set:
-            raise RootSystemError("%s is not a root" % (root,))
-        h = self._heights[root]
-        return ("+" if h > 0 else "-"), h
 
     def height(self, root):
         return self._heights[tuple(root)]

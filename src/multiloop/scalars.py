@@ -1,44 +1,62 @@
 """Exact scalar tower: rationals, cyclotomic numbers, Laurent polynomials,
 and truncated Laurent series in a distinguished variable t.
 
-All values are immutable.  Every level of the tower supports +, -, *, ==,
-unary -, and multiplication by int / Fraction; fields additionally support
-inversion.  A small "domain" object describes each ring and provides
-construction, coercion from lower levels of the tower, and the canonical
-text serialization.
+All values are immutable and exact (no float).  Every level of the tower
+supports +, -, *, ==, unary -, and multiplication by int / Fraction; fields
+additionally support inversion.  A small "domain" object describes each
+ring and provides construction, coercion from lower levels of the tower,
+and the canonical text serialization.
 
-A cyclotomic number x is inverted by its norm: x^-1 = c / N(x), where c is
-the product of the other Galois conjugates of x and N(x) = x c is rational.
-
-A truncated series stores integral numerators over one positive common
-denominator, reduced so that their content is coprime to it (the primitive
-part, as in von zur Gathen & Gerhard, Modern Computer Algebra, 6.2): over Q
-the numerators are ints and over Q[x^+-1] Laurent polynomials with int
-coefficients, so the one product kernel (`_convolve`) and the one
-normaliser (`_make`) run in machine integers.  Over Q(zeta_m) the
-denominator is 1 and the numerators are the coefficients.
+Each level computes on machine integers.  A rational is an int when it is
+integral and a Fraction otherwise, the form DomainQ gives every value it
+constructs, coerces, parses or divides (`rat_canon`, `rat_over`); a sum or
+product of Fractions may be an integral Fraction, which equals, hashes and
+prints as its int.  A cyclotomic number, and a truncated series, stores
+integral numerators over one positive common denominator with content
+coprime to it (the primitive part, as in von zur Gathen & Gerhard, Modern
+Computer Algebra, 6.2).  A cyclotomic product reduces modulo the integer
+Phi_m, and x^-1 = c / N(x), where c is the product of the other Galois
+conjugates of x and N(x) = x c is rational.  A series has one product
+kernel (`_convolve`) and one normaliser (`_make`).  A rational Cyclotomic
+and a constant LaurentPoly hash as the rational they equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add as _add, neg as _neg, sub as _sub
 
 
 # ---------------------------------------------------------------------------
 # rationals
 
-Rational = Fraction
+def rat_canon(q):
+    """q as an int when it is an integral Fraction; any other value, a
+    series over Q say, as it is."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
-def rat_show(q: Fraction) -> str:
+def rat_over(n, d):
+    """n / d for a rational n and a nonzero int d, an int when integral."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def rat_integral(qs):
+    """(num, den) with qs[i] = num[i] / den: den the least common
+    denominator, so the content of num is coprime to it."""
+    den = lcm(*[q.denominator for q in qs])
+    return tuple([q.numerator * (den // q.denominator) for q in qs]), den
+
+
+def rat_show(q) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def rat_parse(s: str) -> Fraction:
-    return Fraction(s.strip())
+def rat_parse(s: str):
+    return rat_canon(Fraction(s.strip()))
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +91,6 @@ def _polydiv_exact(num, den):
     return out
 
 
-_ZERO = Fraction(0)
-
-
 def euler_phi(m: int) -> int:
     return _modulus(m)[0]
 
@@ -87,42 +102,55 @@ def _modulus(m: int):
     poly = cyclotomic_polynomial(m)
     phi = len(poly) - 1
     low = tuple((i, c) for i, c in enumerate(poly[:phi]) if c)
-    return phi, low, (_ZERO,) * (phi - 1)
+    return phi, low, (0,) * (phi - 1)
 
 
 class Cyclotomic:
-    """Element of Q(zeta_m), stored on the power basis 1, z, ..., z^(phi(m)-1).
+    """Element of Q(zeta_m) on the power basis 1, z, ..., z^(phi(m)-1):
+    phi(m) int numerators `num` over one positive int `den`, with the
+    content of num coprime to den (den is 1 for zero), so equal numbers
+    have equal fields.  `coeffs`, the coefficients as Fractions, is a view.
 
     The constructor coerces and counts the coefficients; results of
-    arithmetic, whose coefficients are already phi(m) Fractions, are made by
-    the unchecked `_cyc`."""
+    arithmetic are made by the unchecked `_cyc`, or by `_cyc_over` where a
+    common factor may have to be divided out."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError("expected %d coefficients for order %d" % (phi, order))
+        num, den = rat_integral(coeffs)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients, as Fractions."""
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.num])
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def from_rational(r, m: int) -> "Cyclotomic":
-        return _cyc(m, (Fraction(r),) + _modulus(m)[2])
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        return _cyc(m, (r.numerator,) + _modulus(m)[2], r.denominator)
 
     @staticmethod
     def root(m: int, k: int = 1) -> "Cyclotomic":
         """zeta_m^k in reduced form."""
         k %= m
-        raw = [_ZERO] * (k + 1)
-        raw[k] = Fraction(1)
-        return _cyc(m, _reduce(raw, m))
+        raw = [0] * (k + 1)
+        raw[k] = 1
+        return _cyc(m, _reduce(raw, m), 1)
 
     # -- helpers -------------------------------------------------------------
 
@@ -142,7 +170,7 @@ class Cyclotomic:
         m, big = self.order, big_order
         if big % m:
             raise ValueError("no embedding of Q(zeta_%d) into Q(zeta_%d)" % (m, big))
-        return _substitute(self.coeffs, big // m, big)
+        return _cyc_over(big, _substitute(self.num, big // m, big), self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -150,59 +178,70 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _cyc(self.order, tuple(map(_add, self.coeffs, other.coeffs)))
+        return _combine(self, other, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyc(self.order, tuple(map(_neg, self.coeffs)))
+        return _cyc(self.order, tuple(map(_neg, self.num)), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _cyc(self.order, tuple(map(_sub, self.coeffs, other.coeffs)))
+        return _combine(self, other, _sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _cyc(self.order, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, Cyclotomic):
+        m, xs = self.order, self.num
+        if isinstance(other, Cyclotomic):
+            ys = self._coerce(other).num
+            if len(xs) == 1:
+                num = (xs[0] * ys[0],)
+            else:
+                raw = [0] * (2 * len(xs) - 1)
+                for i, a in enumerate(xs):
+                    if a:
+                        for j, b in enumerate(ys, i):
+                            if b:
+                                raw[j] += a * b
+                num = _reduce(raw, m)
+            den = self.den * other.den
+        elif isinstance(other, int):
+            num, den = tuple([a * other for a in xs]), self.den
+        elif isinstance(other, Fraction):
+            p = other.numerator
+            num, den = tuple([a * p for a in xs]), self.den * other.denominator
+        else:
             return NotImplemented
-        other = self._coerce(other)
-        xs, ys = self.coeffs, other.coeffs
-        phi = len(xs)
-        if phi == 1:
-            return _cyc(self.order, (xs[0] * ys[0],))
-        raw = [_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(xs):
-            if not a:
-                continue
-            for j, b in enumerate(ys):
-                if b:
-                    raw[i + j] += a * b
-        return _cyc(self.order, _reduce(raw, self.order))
+        return _cyc_over(m, num, den)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, k: int):
+        """Each numerator floor-divided by the int k: the exact quotient of
+        an integral number (den 1) when k divides every numerator."""
+        return _cyc(self.order, tuple([a // k for a in self.num]), 1)
 
     def inv(self) -> "Cyclotomic":
         """Multiplicative inverse c / N(x): c is the product of the
         conjugates sigma_k(x), zeta -> zeta^k, over the units k != 1 mod m,
-        so x c = N(x) is rational."""
+        so x c = N(x) is rational.  It is formed on the numerators a = x den:
+        x^-1 = den c(a) / N(a)."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        m = self.order
+        m, num = self.order, self.num
         c = None
         for k in range(2, m):
             if gcd(k, m) == 1:
-                s = _substitute(self.coeffs, k, m)
+                s = _cyc(m, _substitute(num, k, m), 1)
                 c = s if c is None else c * s
         if c is None:       # phi(m) = 1: x is rational
-            return _cyc(m, (1 / self.coeffs[0],))
-        norm = (self * c).coeffs[0]
-        return _cyc(m, tuple(a / norm for a in c.coeffs))
+            return _cyc_over(m, (self.den,), num[0])
+        norm = (_cyc(m, num, 1) * c).num[0]
+        return _cyc_over(m, tuple([a * self.den for a in c.num]), norm)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -217,33 +256,39 @@ class Cyclotomic:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic):
+            return (self.order == other.order and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+            return (self.num[0] == other.numerator
+                    and self.den == other.denominator
+                    and not any(self.num[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        """A rational number hashes as that rational, which it equals."""
+        if self.is_rational():
+            return hash(self.as_rational())
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self):
         if not self.is_rational():
             raise ValueError("not a rational cyclotomic: %s" % self)
-        return self.coeffs[0]
+        return rat_over(self.num[0], self.den)
 
     def __repr__(self):
         return cyc_show(self)
 
 
 def _reduce(raw, m):
-    """A list of Fractions (low degree first) modulo the monic Phi_m, as a
-    tuple of phi(m) coefficients; raw is consumed."""
+    """A list of ints (low degree first) modulo the monic Phi_m, as a tuple
+    of phi(m) ints; raw is consumed."""
     phi, low, _ = _modulus(m)
     for top in range(len(raw) - 1, phi - 1, -1):
         c = raw[top]
@@ -252,32 +297,59 @@ def _reduce(raw, m):
             for i, a in low:
                 raw[base + i] -= c * a
     if len(raw) < phi:
-        raw += [_ZERO] * (phi - len(raw))
+        raw += [0] * (phi - len(raw))
     return tuple(raw[:phi])
 
 
 _cyc_new = object.__new__
 _set_order = Cyclotomic.order.__set__
-_set_coeffs = Cyclotomic.coeffs.__set__
+_set_cyc_num = Cyclotomic.num.__set__
+_set_cyc_den = Cyclotomic.den.__set__
 
 
-def _cyc(order, coeffs):
-    """The Cyclotomic with these coefficients, unchecked: coeffs must be a
-    tuple of phi(order) Fractions, as every arithmetic result is."""
+def _cyc(order, num, den):
+    """The Cyclotomic num / den, unchecked: num must be a tuple of phi(order)
+    ints and den a positive int coprime to their content, as every
+    arithmetic result is."""
     x = _cyc_new(Cyclotomic)
     _set_order(x, order)
-    _set_coeffs(x, coeffs)
+    _set_cyc_num(x, num)
+    _set_cyc_den(x, den)
     return x
 
 
-def _substitute(coeffs, k, order):
-    """sum_i c_i zeta^(i k) in Q(zeta_order) for power-basis coefficients
-    c_i; the i k must be distinct mod order (k a unit, or an embedding's
-    step)."""
-    raw = [_ZERO] * order
-    for i, c in enumerate(coeffs):
+def _cyc_over(order, num, den):
+    """The canonical Cyclotomic num / den for a tuple of phi(order) ints
+    and a nonzero int den: the sign goes to num and the common factor of
+    den and num is divided out."""
+    if den != 1:
+        if den < 0:
+            num, den = tuple(map(_neg, num)), -den
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple([a // g for a in num]), den // g
+    return _cyc(order, num, den)
+
+
+def _combine(x, y, op):
+    """x op y, for op + or -, on the numerators of x and y brought to the
+    lcm of their denominators."""
+    a, b, den, db = x.num, y.num, x.den, y.den
+    if den != db:
+        g = gcd(den, db)
+        a = [n * (db // g) for n in a]
+        b = [n * (den // g) for n in b]
+        den = den // g * db
+    return _cyc_over(x.order, tuple(map(op, a, b)), den)
+
+
+def _substitute(num, k, order):
+    """The int numerators of sum_i num_i zeta^(i k) in Q(zeta_order); the
+    i k must be distinct mod order (k a unit, or an embedding's step)."""
+    raw = [0] * order
+    for i, c in enumerate(num):
         raw[i * k % order] = c
-    return _cyc(order, _reduce(raw, order))
+    return _reduce(raw, order)
 
 
 def cyc_show(x: Cyclotomic) -> str:
@@ -413,7 +485,15 @@ class LaurentPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items(),
+        """A constant hashes as that constant, which it equals."""
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            (expo, c), = terms.items()
+            if not any(expo):
+                return hash(c)
+        return hash((self.nvars, tuple(sorted(terms.items(),
                                               key=lambda kv: kv[0]))))
 
     def __bool__(self):
@@ -458,8 +538,8 @@ class TruncSeries:
     prec is None for exact data (a genuine Laurent polynomial in t).  The
     series is t^low (num[0] + num[1] t + ...) / den: den is a positive int
     and num a tuple of integral elements of the base (ints over Q, Laurent
-    polynomials with int coefficients over Q[x^+-1], the coefficients
-    themselves with den = 1 over Q(zeta_m)).  The form is canonical: num
+    polynomials with int coefficients over Q[x^+-1], cyclotomic numbers
+    with den 1 over Q(zeta_m)).  The form is canonical: num
     starts and ends with a nonzero element, holds nothing at or past the
     horizon, and its content is coprime to den.  The zero-at-precision
     element stores no coefficients and no valuation.  `coeffs`, the
@@ -597,9 +677,6 @@ class TruncSeries:
             # a scalar keeps the horizon, even when it is zero
             if not other or not num:
                 return _ts(base, 0, self.prec, (), 1)
-            if not base.has_den:
-                return _ts(base, self.low, self.prec,
-                           tuple([x * other for x in num]), 1)
             p = other.numerator
             return _make(base, self.low, self.prec,
                          [x * p for x in num] if p != 1 else list(num),
@@ -738,11 +815,17 @@ def ts_show(s: TruncSeries) -> str:
 # kernel: a series that is zero only up to its precision horizon, O(t^p),
 # must take part so that the horizon carries into the result.
 #
+# Every domain divides by a nonzero int: ``over(x, n)`` is x / n, in the
+# domain's canonical form (an int over Q when integral), which is how
+# linalg.exp_nilpotent forms N^i / i!.  An exact domain also gives
+# ``canon(x)``, x in that canonical form, for entries formed by field
+# arithmetic (linalg.rref, linalg.span_coords); it passes values of a ring
+# above it through.
+#
 # A domain that can carry series coefficients also gives their integral
 # form: ``integral(coeffs)`` is (num, den) with coeffs[i] = num[i] / den,
-# ``over(n, den)`` is the base element n / den, ``content(num, den)`` is the
-# largest int dividing den and every num[i], and ``integral_zero`` is the
-# zero numerator.  Over Q(zeta_m) (``has_den`` false) den is 1, num coeffs.
+# ``content(num, den)`` is the largest int dividing den and every num[i],
+# and ``integral_zero`` is the zero numerator.
 
 class _ExactDomain:
     """A domain without precision horizons: an element is zero exactly when
@@ -756,57 +839,49 @@ class _ExactDomain:
         and no horizon."""
         return (0 if x else None), None
 
+    @staticmethod
+    def canon(x):
+        return x
+
 
 class DomainQ(_ExactDomain):
-    """The rationals."""
+    """The rationals, as int | Fraction: every value this domain makes is
+    an int when it is integral."""
 
     name = "Q"
     is_field = True
     integral_zero = 0
-    has_den = True
-
-    @staticmethod
-    def integral(coeffs):
-        den = 1
-        for c in coeffs:
-            d = c.denominator
-            if den % d:
-                den = den // gcd(den, d) * d
-        return tuple([c.numerator * (den // c.denominator)
-                      for c in coeffs]), den
-
-    over = staticmethod(Fraction)
+    integral = staticmethod(rat_integral)
+    over = staticmethod(rat_over)
+    canon = staticmethod(rat_canon)
 
     @staticmethod
     def content(num, den):
         return gcd(den, *num)
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def lift(self, x):
-        if type(x) is Fraction:
+        if type(x) is int:
             return x
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return rat_canon(x)
         if isinstance(x, Cyclotomic):
             return x.as_rational()
         raise TypeError("cannot lift %r into Q" % (x,))
 
     def inv(self, x):
-        return 1 / x
+        return rat_over(x.denominator, x.numerator)
 
-    def show(self, x):
-        return rat_show(x)
-
-    def parse(self, s):
-        return rat_parse(s)
+    show = staticmethod(rat_show)
+    parse = staticmethod(rat_parse)
 
     def __eq__(self, other):
         return isinstance(other, DomainQ)
@@ -822,7 +897,6 @@ class DomainCyclotomic(_ExactDomain):
     """Q(zeta_m) on the power basis."""
 
     is_field = True
-    has_den = False
 
     def __init__(self, order: int):
         self.order = order
@@ -833,15 +907,20 @@ class DomainCyclotomic(_ExactDomain):
 
     @staticmethod
     def integral(coeffs):
-        return tuple(coeffs), 1
+        """Numerators over the least common denominator, as rat_integral."""
+        den = lcm(*[c.den for c in coeffs])
+        if den == 1:
+            return tuple(coeffs), 1
+        return tuple([_cyc(c.order, tuple([a * (den // c.den) for a in c.num]),
+                           1) for c in coeffs]), den
 
     @staticmethod
-    def over(n, den):
-        return n
+    def over(x, n):
+        return _cyc_over(x.order, x.num, x.den * n)
 
     @staticmethod
     def content(num, den):
-        return 1
+        return gcd(den, *[a for x in num for a in x.num])
 
     def zero(self):
         return self._zero
@@ -867,8 +946,7 @@ class DomainCyclotomic(_ExactDomain):
     def inv(self, x):
         return x.inv()
 
-    def show(self, x):
-        return cyc_show(x)
+    show = staticmethod(cyc_show)
 
     def parse(self, s):
         v = cyc_parse(s)
@@ -890,8 +968,9 @@ class DomainLaurent(_ExactDomain):
     """Laurent polynomials in nvars variables over a ground domain.
 
     The integral form of series coefficients is the ground's integral form
-    of all their coefficients at once: over Q the numerators are Laurent
-    polynomials with int coefficients, over Q(zeta_m) the coefficients.
+    of all their coefficients at once: Laurent polynomials whose
+    coefficients are ints over Q and cyclotomic numbers with den 1 over
+    Q(zeta_m).
     """
 
     is_field = False
@@ -901,7 +980,6 @@ class DomainLaurent(_ExactDomain):
         self.ground = ground
         self.name = "%s[x1..x%d^+-1]" % (ground.name, nvars)
         self.integral_zero = _lp(nvars, {})
-        self.has_den = ground.has_den
 
     def integral(self, coeffs):
         nums, den = self.ground.integral(
@@ -910,9 +988,9 @@ class DomainLaurent(_ExactDomain):
         return tuple([_lp(p.nvars, {e: next(nums) for e in p.terms})
                       for p in coeffs]), den
 
-    def over(self, n, den):
+    def over(self, x, n):
         over = self.ground.over
-        return _lp(n.nvars, {e: over(c, den) for e, c in n.terms.items()})
+        return _lp(x.nvars, {e: over(c, n) for e, c in x.terms.items()})
 
     def content(self, num, den):
         return self.ground.content(
@@ -946,8 +1024,7 @@ class DomainLaurent(_ExactDomain):
         return LaurentPoly(self.nvars,
                            {tuple(-e for e in expo): self.ground.inv(c)})
 
-    def show(self, x):
-        return lp_show(x)
+    show = staticmethod(lp_show)
 
     def parse(self, s):
         s = s.strip()
@@ -998,6 +1075,13 @@ class DomainSeries:
         return TruncSeries.monomial(self.base, self.base.one(), deg)
 
     @staticmethod
+    def over(x, n):
+        """x / n, keeping the horizon of x."""
+        if n < 0:
+            x, n = -x, -n
+        return _make(x.base, x.low, x.prec, list(x.num), x.den * n)
+
+    @staticmethod
     def nonzero(x):
         """False only for an exact zero: no coefficients and no horizon."""
         return bool(x.num) or x.prec is not None
@@ -1018,8 +1102,7 @@ class DomainSeries:
     def inv(self, x):
         raise ZeroDivisionError("series inversion is not exposed")
 
-    def show(self, x):
-        return ts_show(x)
+    show = staticmethod(ts_show)
 
     def parse(self, s):
         s = s.strip()

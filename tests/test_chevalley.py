@@ -7,7 +7,7 @@ import pytest
 from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError,
                                  ad_matrix, ad_rows, build_chevalley_by_type,
                                  chevalley_involution, diagram_automorphism,
-                                 exp_ad, inner_automorphism, killing_form,
+                                 exp_ad, killing_form,
                                  torus_automorphism)
 from multiloop.rootsys import build_root_system
 from multiloop.scalars import QQ
@@ -179,8 +179,8 @@ def test_inner_automorphism_composition():
     a = alg.roots[0]
     v = [QQ.zero()] * alg.dim
     v[alg.root_index[a]] = Fraction(2)
-    sigma = inner_automorphism(
-        alg, QQ, [("exp", v), ("torus", [Fraction(2), Fraction(1)])])
+    sigma = exp_ad(QQ, alg, v).compose(
+        torus_automorphism(alg, QQ, [Fraction(2), Fraction(1)]))
     assert not sigma.is_identity()
     assert sigma.compose(sigma.inverse()).is_identity()
 

@@ -130,7 +130,7 @@ def test_diagonal_setup_projection():
     assert len(setup.quotient.elements) == 2
     for q in setup.quotient.elements:
         assert setup.project(setup.include(q)) == q
-    assert len(setup.m_elements()) == 2
+    assert len(setup.m_pos) == 2
 
 
 def test_inf_res_exact():

@@ -495,7 +495,7 @@ def test_root_element_sparse_matches_dense_exp(rg_a2):
         dense = linalg.identity(QQ, g.dim)
         term = linalg.identity(QQ, g.dim)
         for i in range(1, g.dim + 1):
-            term = [[x / i for x in row] for row in
+            term = [[Fraction(x, i) for x in row] for row in
                     linalg.mat_mul_dense(QQ, ad, term)]
             dense = [[a + b for a, b in zip(ra, rb)]
                      for ra, rb in zip(dense, term)]
@@ -794,3 +794,87 @@ def test_default_precision_zeros_reach_the_column_block(rg_a2):
     assert all(len(row) == len(columns) for row in block.rows.values())
     assert word_residual(rg_a2, R, letters, 8, columns) == (5, None)
     assert generator_residual(rg_a2, R, letters, 8) == (5, None)
+
+
+_SPLIT = {}
+
+
+def _split_rg(name):
+    if name not in _SPLIT:
+        _SPLIT[name] = relative_roots(from_chevalley(algebra(name[0],
+                                                             int(name[1]))))
+    return _SPLIT[name]
+
+
+def _leaves(obj):
+    """The scalars in nested lists, tuples and dict values."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _leaves(x)
+    else:
+        yield obj
+
+
+def _rational(x):
+    return type(x) is int or type(x) is Fraction
+
+
+def _canonical(x):
+    """int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@given(st.sampled_from(["A2", "B2"]),
+       st.lists(st.integers(-9, 9).filter(bool), min_size=20, max_size=20),
+       st.lists(_rationals, min_size=12, max_size=12))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_rationals_out_of_the_kernels_are_int_or_fraction(name, ints, qs):
+    """Over Q a value is an int or a Fraction, never a float, and an int
+    when it is integral wherever the library divides: inv, rref, solve and
+    span_coords on rational data; exp_nilpotent, word_matrix and
+    unipotent_factor on the integral parameters of the Kostant Z-form.
+    (With rational parameters a product of Fractions may be an integral
+    Fraction, which still equals and hashes as its int.)"""
+    rg = _split_rg(name)
+    g = rg.algebra
+    ints = iter(ints)
+    for q in qs:
+        if q:
+            assert _canonical(QQ.inv(q))
+    A = [qs[0:4], qs[4:8], [a + b for a, b in zip(qs[0:4], qs[4:8])]]
+    R, _ = linalg.rref(QQ, A)
+    assert all(_canonical(x) for x in _leaves(R))
+    x = linalg.solve(QQ, A, [1, 2, 3])
+    assert x is None or all(_canonical(c) for c in x)
+    # independent vectors v_j = 2 e_j + q_j e_(j+1) and a combination of them
+    vs = [{j: 2, j + 1: qs[j]} for j in range(3)]
+    w = {}
+    for c, v in zip(qs[8:11], vs):
+        for t, y in v.items():
+            w[t] = w.get(t, 0) + c * y
+    coords = linalg.span_coords(QQ, vs, 4)(w)
+    assert coords == qs[8:11] and all(_canonical(c) for c in coords)
+    # integral parameters: the Kostant Z-form keeps every entry an int
+    letters = [(gamma, place(g, QQ, gamma, next(ints)))
+               for gamma in rg.data.positive]
+    for alpha, v in letters:
+        N = root_element(rg, QQ, alpha, v).ad
+        E = linalg.exp_nilpotent(QQ, N, linalg.sparse(
+            QQ, linalg.identity(QQ, g.dim)))
+        assert all(type(y) is int for y in _leaves(E))
+    u = word_matrix(rg, QQ, RootElementWord(letters))
+    assert all(type(y) is int for y in _leaves(u.rows))
+    factors = unipotent_factor(rg, QQ, u, rg.data.positive)
+    assert all(type(y) is int for _, v in factors for y in v)
+    # rational parameters: rationals throughout, never a float
+    letters = [(gamma, place(g, QQ, gamma, q))
+               for gamma, q in zip(rg.data.positive, qs)]
+    u = word_matrix(rg, QQ, RootElementWord(letters))
+    assert all(_rational(y) for y in _leaves(u.rows))
+    factors = unipotent_factor(rg, QQ, u, rg.data.positive)
+    assert all(_canonical(y) for _, v in factors for y in v)

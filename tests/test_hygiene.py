@@ -41,6 +41,45 @@ def test_unused_import_is_caught(tmp_path):
     assert _unused_imports(module) == [(2, "os")]
 
 
+_FLOAT_MATH = ("sqrt", "log", "exp")
+
+
+def _float_uses(path):
+    """(line, what) of every float or complex literal, float( call and use
+    of math.sqrt, math.log or math.exp in a module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and \
+                type(node.value) in (float, complex):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and node.func.id == "float":
+            out.append((node.lineno, "float("))
+        elif isinstance(node, ast.Attribute) and node.attr in _FLOAT_MATH \
+                and isinstance(node.value, ast.Name) and node.value.id == "math":
+            out.append((node.lineno, "math." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [(node.lineno, "math." + a.name) for a in node.names
+                    if a.name in _FLOAT_MATH]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_floating_point(path):
+    """The library computes exactly: no float ever reaches a scalar."""
+    assert _float_uses(path) == []
+
+
+def test_floating_point_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import math\n"
+                      "from math import gcd, sqrt\n"
+                      "x = 0.5 + 2j + float('1') + math.log(2)\n"
+                      "y = math.gcd(4, 6) + gcd(2, 3) + 1\n")
+    assert _float_uses(module) == [(2, "math.sqrt"), (3, "0.5"), (3, "2j"),
+                                   (3, "float("), (3, "math.log")]
+
+
 def _imported_names(path, package=None):
     """(line, dotted name) of everything a file imports: "m" for
     "import m" and "m.a" for "from m import a", with a relative module

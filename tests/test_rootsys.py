@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from multiloop.rootsys import (RelativeRootData, RootSystemError,
                                build_root_system, cartan_matrix,
-                               generic_functional, indivisible_roots,
+                               generic_functional,
                                make_relative_system, split_dimension,
                                _reflect)
 
@@ -110,7 +110,7 @@ def test_bc_non_reduced():
     bc2 = build_root_system("BC", 2)
     assert not bc2.is_reduced()
     assert build_root_system("B", 2).is_reduced()
-    indiv = indivisible_roots(bc2)
+    indiv = [a for a in bc2.roots if bc2.half(a) is None]
     assert len(indiv) == 8
     # every divisible root halves to an indivisible one
     for a in bc2.roots:
@@ -151,8 +151,7 @@ def test_relative_root_data_heights():
     assert data.height(tall) == 2
     for s in simple:
         assert data.height(s) == 1
-    sign, h = data.height_and_sign(tuple(-x for x in tall))
-    assert sign == "-" and h == -2
+    assert data.height(tuple(-x for x in tall)) == -2
 
 
 @given(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),

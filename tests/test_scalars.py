@@ -359,8 +359,12 @@ def _assert_canonical(s):
         return
     assert num[0] and num[-1]
     assert s.prec is None or s.low + len(num) <= s.prec
-    ints = [c for n in num for c in (n.terms.values()
-                                     if isinstance(n, LaurentPoly) else [n])]
+    values = [c for n in num for c in (n.terms.values()
+                                       if isinstance(n, LaurentPoly) else [n])]
+    # over Q(zeta_m) each numerator is a Cyclotomic with int numerators
+    assert all(c.den == 1 for c in values if isinstance(c, Cyclotomic))
+    ints = [a for c in values
+            for a in (c.num if isinstance(c, Cyclotomic) else [c])]
     assert all(type(c) is int for c in ints)
     assert math.gcd(den, *ints) == 1
 
@@ -455,7 +459,128 @@ def test_series_times_rational_matches_checking_constructor(operands):
         assert (got.low, got.prec, got.num, got.den) == \
             (want.low, want.prec, want.num, want.den)
         assert got.prec == x.prec
-        if x.base.has_den:
-            _assert_canonical(got)
-        else:
-            assert got.den == 1
+        _assert_canonical(got)
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic against a Fraction-coefficient oracle
+
+def _ref_mul_coeffs(xs, ys, m):
+    raw = [Fraction(0)] * (len(xs) + len(ys))
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            raw[i + j] += a * b
+    return _ref_reduce(raw, m)
+
+
+def _ref_embed(xs, m, big):
+    """sum x_i zeta_big^(i big/m), reduced modulo Phi_big."""
+    raw = [Fraction(0)] * big
+    for i, a in enumerate(xs):
+        raw[i * (big // m)] += a
+    return _ref_reduce(raw, big)
+
+
+def _ref_inv(xs, m):
+    """The y with x y = 1, by Gauss-Jordan on the matrix of multiplication
+    by x (column j is x z^j)."""
+    phi = len(xs)
+    cols = [_ref_mul_coeffs(xs, [Fraction(int(i == j)) for i in range(phi)], m)
+            for j in range(phi)]
+    A = [[cols[j][i] for j in range(phi)] + [Fraction(int(i == 0))]
+         for i in range(phi)]
+    for c in range(phi):
+        p = next(r for r in range(c, phi) if A[r][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(phi):
+            if r != c and A[r][c]:
+                f = A[r][c]
+                A[r] = [v - f * w for v, w in zip(A[r], A[c])]
+    return [row[phi] for row in A]
+
+
+def _check_cyc(got, m, coeffs):
+    """got is the oracle's value, field by field: int numerators over the
+    least common denominator, and the Fraction view."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    assert got.order == m
+    assert type(got.den) is int and all(type(a) is int for a in got.num)
+    assert (got.num, got.den) == \
+        (tuple(int(c * den) for c in coeffs), den)
+    assert got.coeffs == tuple(coeffs)
+
+
+_cyc_coeff = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-9, 9),
+                                 st.integers(1, 6)))
+
+
+@st.composite
+def _cyc_operands(draw):
+    m = draw(st.integers(1, 12))
+    phi = euler_phi(m)
+    xs, ys = (draw(st.lists(_cyc_coeff, min_size=phi, max_size=phi))
+              for _ in range(2))
+    if draw(st.booleans()):
+        xs[1:] = [Fraction(0)] * (phi - 1)          # a rational number
+    q = draw(st.one_of(st.integers(-5, 5), _cyc_coeff))
+    return m, xs, ys, q, m * draw(st.integers(1, 3))
+
+
+@given(_cyc_operands())
+@example((1, [Fraction(1, 2)], [Fraction(0)], 2, 2))
+@example((12, [Fraction(1, 2), 0, Fraction(-1, 2), 0],
+          [Fraction(2), 0, 0, Fraction(1, 3)], Fraction(2, 3), 24))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cyclotomic_matches_fraction_oracle(operands):
+    m, xs, ys, q, big = operands
+    x, y = Cyclotomic(m, xs), Cyclotomic(m, ys)
+    _check_cyc(x, m, xs)
+    _check_cyc(x + y, m, [a + b for a, b in zip(xs, ys)])
+    _check_cyc(x - y, m, [a - b for a, b in zip(xs, ys)])
+    _check_cyc(-x, m, [-a for a in xs])
+    _check_cyc(x * y, m, _ref_mul_coeffs(xs, ys, m))
+    for got in (x * q, q * x):
+        _check_cyc(got, m, [a * q for a in xs])
+    for got in (x + q, q + x):
+        _check_cyc(got, m, [xs[0] + q] + xs[1:])
+    _check_cyc(x - q, m, [xs[0] - q] + xs[1:])
+    _check_cyc(q - x, m, [q - xs[0]] + [-a for a in xs[1:]])
+    _check_cyc(x.embed(big), big, _ref_embed(xs, m, big))
+    if any(xs):
+        _check_cyc(x.inv(), m, _ref_inv(xs, m))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+    assert (x == y) == (xs == ys)
+    if xs == ys:
+        assert hash(x) == hash(y)
+    rational = not any(xs[1:])
+    assert (x == xs[0]) == rational and x.is_rational() == rational
+    if rational:
+        assert hash(x) == hash(xs[0])
+        assert {xs[0]: "found"}.get(x) == "found"
+        assert x.as_rational() == xs[0]
+        assert type(x.as_rational()) is (int if xs[0].denominator == 1
+                                         else Fraction)
+
+
+def test_rational_values_hash_as_their_rational():
+    # == and hash agree: a dict keyed by the rational finds the number
+    one = Cyclotomic.from_rational(1, 2)
+    assert one == 1 and hash(one) == hash(1)
+    assert {1: "one"}.get(one) == "one"
+    q = Cyclotomic.from_rational(Fraction(-3, 4), 5)
+    assert q == Fraction(-3, 4) and {Fraction(-3, 4): "q"}.get(q) == "q"
+    for c in (3, Fraction(2, 5), Cyclotomic.from_rational(7, 3)):
+        p = LaurentPoly.constant(2, c)
+        assert p == c and hash(p) == hash(c)
+        assert {c: "c"}.get(p) == "c"
+    assert {7: "seven"}.get(LaurentPoly.constant(1, Cyclotomic.from_rational(
+        7, 3))) == "seven"
+    zero = LaurentPoly(1, {})
+    assert zero == 0 and hash(zero) == hash(0)
+    # a non-constant polynomial still hashes by its terms
+    x = LaurentPoly.variable(1, 0, 1)
+    assert hash(x + 1) == hash(1 + x) and x + 1 != 1
