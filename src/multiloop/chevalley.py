@@ -9,13 +9,17 @@ returned, antisymmetry is verified on every basis pair and the Jacobi
 identity on every basis triple, in integer arithmetic on the sparse table.
 
 `sparse_bracket` is the one bracket over a sparse structure-constant table:
-the graded tables, LT4 and the automorphism check go through it, and the
-dense `GradedLieAlgebra.bracket` that LT5 uses wraps it.
+the graded tables, LT4, `GradedLieAlgebra.closure` (which LT5 and the
+generating columns of `elemgroup` close on) and the automorphism check go
+through it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
-`exp_ad`, `ad_matrix`, `killing_form` and the root elements of `elemgroup`
-use it.  It reads the table grouped by first slot (`group_cells`, kept as
+`exp_ad`, `killing_form` and the root elements of `elemgroup` use it.  It
+reads the table grouped by first slot (`group_cells`, kept as
 `cells_by_first` by each algebra), so it visits only the cells whose first
 slot is in x.
+An `AlgebraAutomorphism` is held as sparse rows too: it composes by
+`linalg.mat_mul`, compares by dict equality, and is verified on the columns
+of its rows.
 """
 
 from __future__ import annotations
@@ -220,9 +224,6 @@ class ChevalleyAlgebra:
 
     # -- helpers ---------------------------------------------------------------
 
-    def basis_vector(self, dom, i):
-        return [dom.one() if t == i else dom.zero() for t in range(self.dim)]
-
     def q_degree(self, i):
         """Weight of basis vector i under the full Cartan: pairing vector with
         the simple coroots (zero for Cartan elements)."""
@@ -301,22 +302,26 @@ def build_chevalley_by_type(type_label: str, rank: int) -> ChevalleyAlgebra:
 
 class AlgebraAutomorphism:
     """An invertible bracket-preserving matrix acting on the Chevalley basis
-    (or on any graded basis of the same dimension)."""
+    (or on any graded basis of the same dimension), held as sparse rows
+    {i: {j: x}} with no exact zero stored."""
 
-    def __init__(self, alg, dom, matrix, check=True):
+    def __init__(self, alg, dom, rows, check=True):
         self.alg = alg
         self.dom = dom
-        self.matrix = matrix
+        self.rows = rows
         if check:
             self.verify()
 
     def verify(self):
         """[M e_i, M e_j] = M [e_i, e_j] on every basis pair, in sparse
         columns."""
-        alg, M = self.alg, self.matrix
+        alg = self.alg
         d = alg.dim
         zero = self.dom.zero()
-        cols = [sparse_vector([M[i][j] for i in range(d)]) for j in range(d)]
+        cols = [{} for _ in range(d)]
+        for i, row in self.rows.items():
+            for j, x in row.items():
+                cols[j][i] = x
         for i in range(d):
             for j in range(d):
                 expected = {}
@@ -331,58 +336,50 @@ class AlgebraAutomorphism:
                         "bracket not preserved on basis pair (%d,%d)" % (i, j))
 
     def apply(self, v):
-        return linalg.mat_vec(self.dom, self.matrix, v)
+        out = [self.dom.zero()] * self.alg.dim
+        for i, row in self.rows.items():
+            for j, a in row.items():
+                if v[j]:
+                    out[i] = out[i] + a * v[j]
+        return out
 
     def compose(self, other) -> "AlgebraAutomorphism":
-        return AlgebraAutomorphism(
-            self.alg, self.dom,
-            linalg.mat_mul_dense(self.dom, self.matrix, other.matrix),
-            check=False)
+        rows = linalg.mat_mul(self.dom, self.rows, other.rows)
+        return AlgebraAutomorphism(self.alg, self.dom, rows, check=False)
 
     def inverse(self) -> "AlgebraAutomorphism":
-        return AlgebraAutomorphism(
-            self.alg, self.dom, linalg.matrix_inverse(self.dom, self.matrix),
-            check=False)
+        dom, d = self.dom, self.alg.dim
+        inv = linalg.matrix_inverse(dom, linalg.dense(dom, self.rows, d))
+        return AlgebraAutomorphism(self.alg, dom, linalg.sparse(dom, inv),
+                                   check=False)
 
     def order(self, bound=64):
-        cur = self.matrix
-        I = linalg.identity(self.dom, self.alg.dim)
+        cur = self
         for k in range(1, bound + 1):
-            if linalg.mat_eq(cur, I):
+            if cur.is_identity():
                 return k
-            cur = linalg.mat_mul_dense(self.dom, cur, self.matrix)
+            cur = cur.compose(self)
         return None
 
     def is_identity(self):
-        return linalg.is_identity(self.dom, self.matrix)
+        one = self.dom.one()
+        return self.rows == {i: {i: one} for i in range(self.alg.dim)}
 
     def commutes_with(self, other) -> bool:
-        ab = linalg.mat_mul_dense(self.dom, self.matrix, other.matrix)
-        ba = linalg.mat_mul_dense(self.dom, other.matrix, self.matrix)
-        return linalg.mat_eq(ab, ba)
-
-
-def ad_matrix(dom, alg, x):
-    """Matrix of ad_x on the Chevalley basis; column j is [x, b_j]."""
-    d = alg.dim
-    M = [[dom.zero()] * d for _ in range(d)]
-    for k, row in ad_rows(alg.cells_by_first, sparse_vector(x)).items():
-        for j, a in row.items():
-            M[k][j] = a
-    return M
+        return self.compose(other).rows == other.compose(self).rows
 
 
 def exp_ad(dom, alg, v, check=True) -> AlgebraAutomorphism:
     """exp(ad_v) as an exact finite sum; v must be ad-nilpotent."""
     ad = ad_rows(alg.cells_by_first,
                  {i: x for i, x in enumerate(v) if dom.nonzero(x)})
-    rows = linalg.sparse(dom, linalg.identity(dom, alg.dim))
+    one = dom.one()
     try:
-        matrix = linalg.dense(dom, linalg.exp_nilpotent(dom, ad, rows),
-                              alg.dim)
+        rows = linalg.exp_nilpotent(dom, ad,
+                                    {i: {i: one} for i in range(alg.dim)})
     except ValueError:
         raise ChevalleyError("ad_v is not nilpotent")
-    return AlgebraAutomorphism(alg, dom, matrix, check=check)
+    return AlgebraAutomorphism(alg, dom, rows, check=check)
 
 
 def torus_automorphism(alg, dom, weights) -> AlgebraAutomorphism:
@@ -390,12 +387,11 @@ def torus_automorphism(alg, dom, weights) -> AlgebraAutomorphism:
     are units assigned to the simple roots."""
     weights = list(weights)
     inv = [dom.inv(w) for w in weights]
-    d = alg.dim
-    M = [[dom.zero()] * d for _ in range(d)]
-    for i in range(d):
-        M[i][i] = character(dom, alg.roots[i], weights, inv) \
-            if i < len(alg.roots) else dom.one()
-    return AlgebraAutomorphism(alg, dom, M, check=False)
+    rows = {i: {i: character(dom, a, weights, inv)}
+            for i, a in enumerate(alg.roots)}
+    for i in range(len(alg.roots), alg.dim):
+        rows[i] = {i: dom.one()}
+    return AlgebraAutomorphism(alg, dom, rows, check=False)
 
 
 def character(dom, deg, s, sinv):
@@ -406,13 +402,6 @@ def character(dom, deg, s, sinv):
         for _ in range(abs(a)):
             c = c * base
     return c
-
-
-def automorphism_from_images(alg, dom, images, check=True) -> AlgebraAutomorphism:
-    """Automorphism sending basis vector j to the given coefficient vector."""
-    d = alg.dim
-    M = [[images[j][i] for j in range(d)] for i in range(d)]
-    return AlgebraAutomorphism(alg, dom, M, check=check)
 
 
 def diagram_automorphism(alg, perm) -> AlgebraAutomorphism:
@@ -478,35 +467,26 @@ def _extend_diagram(alg, perm, signs):
                 break
         else:
             return None
-    d = alg.dim
-    dom = QQ
-    M = [[dom.zero()] * d for _ in range(d)]
+    rows = {}
     for g, (pg, c) in img.items():
-        M[alg.root_index[pg]][alg.root_index[g]] = c
-        M[alg.root_index[_vneg(pg)]][alg.root_index[_vneg(g)]] = dom.inv(c)
+        rows[alg.root_index[pg]] = {alg.root_index[g]: c}
+        rows[alg.root_index[_vneg(pg)]] = {alg.root_index[_vneg(g)]:
+                                           QQ.inv(c)}
+    nroots = len(alg.roots)
     for i in range(r):
-        src = len(alg.roots) + i
-        dst = len(alg.roots) + perm[i]
-        M[dst][src] = dom.one()
+        rows[nroots + perm[i]] = {nroots + i: QQ.one()}
     try:
-        return AlgebraAutomorphism(alg, dom, M, check=True)
+        return AlgebraAutomorphism(alg, QQ, rows, check=True)
     except ChevalleyError:
         return None
 
 
 def chevalley_involution(alg) -> AlgebraAutomorphism:
     """The Chevalley involution e_a -> -e_(-a), h -> -h."""
-    d = alg.dim
-    imgs = []
-    for i in range(d):
-        v = [0] * d
-        if i < len(alg.roots):
-            j = alg.root_index[_vneg(alg.roots[i])]
-            v[j] = -1
-        else:
-            v[i] = -1
-        imgs.append(v)
-    return automorphism_from_images(alg, QQ, imgs)
+    rows = {alg.root_index[_vneg(a)]: {i: -1} for i, a in enumerate(alg.roots)}
+    for i in range(len(alg.roots), alg.dim):
+        rows[i] = {i: -1}
+    return AlgebraAutomorphism(alg, QQ, rows)
 
 
 def killing_form(alg):

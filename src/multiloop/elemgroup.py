@@ -1,14 +1,16 @@
 """Relative root elements, unipotent factorization, commutator extraction,
 and the series factorization engine E(A((t))) = E(A[[t]]) E(A[t,1/t]).
 
-A letter X_alpha(v) = exp(ad_v) is a sparse object: it keeps the rows of
-ad_v (chevalley.ad_rows over the graded table), which sends the piece of
-q-degree beta to beta + alpha, and acts on the sparse rows of a matrix M
-as M + E M, where E = exp(ad_v) - I is built once from the few entries of
-ad_v and applied in one sparse product (linalg.exp_nilpotent).  A word is
-evaluated on the sparse rows of the identity, or of some of its columns,
-by left-applying its letters, last first, so no dense matrix is formed
-until a caller asks for .matrix.
+Sparse rows {i: {j: x}}, with no exact zero stored, are the one form of a
+group element here.  A letter X_alpha(v) = exp(ad_v) is given by the rows
+of ad_v (root_element, chevalley.ad_rows over the graded table), which
+sends the piece of q-degree beta to beta + alpha, and acts on the sparse
+rows of a matrix M as M + E M, where E = exp(ad_v) - I is built once from
+the few entries of ad_v and applied in one sparse product
+(linalg.exp_nilpotent).  A word is evaluated on the sparse rows of the
+identity, or of some of its columns, by left-applying its letters, last
+first; an ElementMatrix holds the result, and its dense .matrix is only a
+view for a caller that asks for it.
 
 Coefficients come from a ring of the scalar tower.  Only exact zeros are
 skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
@@ -19,7 +21,7 @@ carry.  Residual words are certified on the generating columns of the
 algebra (generator_residual): an automorphism that fixes them modulo t^a,
 a >= 0, fixes every column modulo t^a.  Unipotent factorization reads each
 parameter off a block of the matrix with one linalg.span_coords solver per
-root, which certifies it.
+root, which certifies it, straight from the sparse rows.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import linalg
 from .chevalley import ad_rows, character
 from .grading import GradedLieAlgebra, RelativeGrading
 from .lietorus import _proportionality
-from .scalars import TruncSeries, _pmin, series_split
+from .scalars import TruncSeries, series_split
 
 
 class ElementError(ValueError):
@@ -69,46 +71,16 @@ class RootElementWord:
 
 
 class ElementMatrix:
-    """A matrix over ring (precision None for exact), given dense or as the
-    sparse rows of a dim x dim matrix, whose .matrix is built on first use."""
+    """The sparse rows of a dim x dim matrix over ring (precision None for
+    exact); .matrix is a dense view, built on first use."""
 
-    def __init__(self, matrix, ring, precision=None, rows=None, dim=None):
-        self.ring, self.precision, self.rows, self.dim = \
-            ring, precision, rows, dim
-        if matrix is not None:
-            self.matrix = matrix
+    def __init__(self, rows, dim, ring, precision=None):
+        self.rows, self.dim, self.ring, self.precision = \
+            rows, dim, ring, precision
 
     @cached_property
     def matrix(self):
         return linalg.dense(self.ring, self.rows, self.dim)
-
-    def mul(self, other) -> "ElementMatrix":
-        prec = _pmin(self.precision, other.precision)
-        A = linalg.mat_mul_dense(self.ring, self.matrix, other.matrix)
-        return ElementMatrix(A, self.ring, prec)
-
-
-class RootElement:
-    """X_alpha(v) = exp(ad_v), held as the sparse rows {k: {j: entry}} of
-    ad_v; the dense matrix is built on first use of .matrix."""
-
-    precision = None
-
-    def __init__(self, ring, dim, ad):
-        self.ring, self.dim, self.ad = ring, dim, ad
-
-    def left_apply(self, rows):
-        """X_alpha(v) M, for M and the result as sparse rows."""
-        return linalg.exp_nilpotent(self.ring, self.ad, rows)
-
-    @cached_property
-    def matrix(self):
-        return self.mul(ElementMatrix(linalg.identity(self.ring, self.dim),
-                                      self.ring)).matrix
-
-    def mul(self, other) -> ElementMatrix:
-        rows = self.left_apply(linalg.sparse(self.ring, other.matrix))
-        return ElementMatrix(None, self.ring, other.precision, rows, self.dim)
 
 
 def _param_is_zero(v):
@@ -130,14 +102,16 @@ def _homogeneous_support(g: GradedLieAlgebra, R, alpha, v):
     return x
 
 
-def root_element(rg: RelativeGrading, R, alpha, v) -> RootElement:
-    """exp(ad_v) for a parameter v supported on the alpha root piece."""
+def root_element(rg: RelativeGrading, R, alpha, v):
+    """The sparse rows of ad_v, for a parameter v supported on the alpha
+    root piece: X_alpha(v) = exp(ad_v) acts on sparse rows M as
+    linalg.exp_nilpotent(R, ad_v, M)."""
     g = rg.algebra
     alpha = tuple(alpha)
     if alpha not in set(rg.roots):
         raise ElementError("%s is not a relative root" % (alpha,))
     x = _homogeneous_support(g, R, alpha, v)
-    return RootElement(R, g.dim, ad_rows(g.cells_by_first, x))
+    return ad_rows(g.cells_by_first, x)
 
 
 def word_matrix(rg: RelativeGrading, R, word, columns=None) -> ElementMatrix:
@@ -157,8 +131,8 @@ def word_matrix(rg: RelativeGrading, R, word, columns=None) -> ElementMatrix:
     else:
         rows = {s: {s: one} for s in columns}
     for alpha, v in reversed(list(word)):
-        rows = root_element(rg, R, alpha, v).left_apply(rows)
-    return ElementMatrix(None, R, None, rows, dim)
+        rows = linalg.exp_nilpotent(R, root_element(rg, R, alpha, v), rows)
+    return ElementMatrix(rows, dim, R)
 
 
 def word_inverse(word: RootElementWord) -> RootElementWord:
@@ -230,20 +204,6 @@ def _positivity_functional(rg, alpha, beta):
     return lambda x: sum(Fraction(c) * wc for c, wc in zip(x, w))
 
 
-def closed_cone(rg, alpha, beta, min_total=1):
-    """Roots of the form i*alpha + j*beta with i, j >= 0, i + j >= min_total."""
-    out = set()
-    bound = 6
-    for i in range(bound):
-        for j in range(bound):
-            if i + j < min_total or (i == 0 and j == 0):
-                continue
-            cand = tuple(i * a + j * b for a, b in zip(alpha, beta))
-            if cand in rg.system.root_set:
-                out.add(cand)
-    return sorted(out)
-
-
 def multiples_above(rg, alpha):
     """Roots i*alpha with i >= 2."""
     out = []
@@ -304,7 +264,7 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
     if keyfunc is None:
         keyfunc = lambda gamma: (rg.data.height(gamma), gamma)
     order = sorted((tuple(x) for x in psi), key=keyfunc)
-    cur = linalg.sparse(R, u.matrix)
+    cur = u.rows
     out = []
     for gamma in order:
         idxs, pairs, solve = _peel_data(rg, gamma)
@@ -320,7 +280,8 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
         if _param_is_zero(v):
             continue
         out.append((gamma, v))
-        cur = root_element(rg, R, gamma, [-x for x in v]).left_apply(cur)
+        cur = linalg.exp_nilpotent(
+            R, root_element(rg, R, gamma, [-x for x in v]), cur)
     _, where = linalg.identity_residual(R, cur, u.precision, range(g.dim))
     if where is not None:
         raise ElementError("element is not unipotent over psi: residual at "
@@ -364,8 +325,11 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
         psi = sorted(set(multiples_above(rg, alpha))
                      | set(multiples_above(rg, beta)))
     else:
-        psi = [gam for gam in closed_cone(rg, alpha, beta, min_total=2)
-               if _cone_coeffs(alpha, beta, gam) is not None]
+        # alpha, beta are not proportional: each i, j gives its own root
+        psi = sorted(gam for gam in (
+            tuple(i * a + j * b for a, b in zip(alpha, beta))
+            for i in range(1, 6) for j in range(1, 6))
+            if gam in rg.system.root_set)
     f = _positivity_functional(rg, alpha, beta)
     factors = unipotent_factor(rg, R, comm, psi,
                                keyfunc=lambda gam: (f(gam), gam))
@@ -373,15 +337,6 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
         rg, R, word_inverse(RootElementWord(factors)).letters + comm_word,
         "commutator factorization failed verification")
     return factors
-
-
-def _cone_coeffs(alpha, beta, gamma):
-    """Integers (i, j), i,j >= 1, with gamma = i alpha + j beta, or None."""
-    for i in range(1, 6):
-        for j in range(1, 6):
-            if all(i * a + j * b == c for a, b, c in zip(alpha, beta, gamma)):
-                return (i, j)
-    return None
 
 
 def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
@@ -397,11 +352,12 @@ def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
         # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
         diag = [character(R, e.qdeg, s, sinv) for e in g.entries]
         diag_inv = [R.inv(c) for c in diag]
-        conj = [[diag[i] * x * diag_inv[j] for j, x in enumerate(row)]
-                for i, row in enumerate(root_element(rg, R, alpha, v).matrix)]
-        res = root_element(rg, R, alpha, [-x for x in new_v]).mul(
-            ElementMatrix(conj, R))
-        if linalg.identity_residual(R, res.matrix)[1] is not None:
+        conj = {i: {j: diag[i] * x * diag_inv[j] for j, x in row.items()}
+                for i, row in word_matrix(rg, R, [letter]).rows.items()}
+        res = linalg.exp_nilpotent(
+            R, root_element(rg, R, alpha, [-x for x in new_v]), conj)
+        if linalg.identity_residual(R, res, None, range(g.dim))[1] \
+                is not None:
             raise ElementError("torus conjugation identity failed")
     return (alpha, new_v)
 

@@ -70,10 +70,10 @@ def verify_multiloop_spec(spec: MultiloopSpec):
     if m < 1:
         raise GradingError("order m must be positive")
     for j, s in enumerate(spec.sigma):
-        cur = s.matrix
+        cur = s
         for _ in range(m - 1):
-            cur = linalg.mat_mul_dense(s.dom, cur, s.matrix)
-        if not linalg.is_identity(s.dom, cur):
+            cur = cur.compose(s)
+        if not cur.is_identity():
             raise GradingError("sigma_%d does not have order dividing %d" % (j + 1, m))
     for i in range(len(spec.sigma)):
         for j in range(i + 1, len(spec.sigma)):
@@ -92,7 +92,9 @@ def simultaneous_eigenspaces(spec: MultiloopSpec):
     powers = [dom.one()]
     for _ in range(m - 1):
         powers.append(powers[-1] * zeta)
-    mats = [[[dom.lift(x) for x in row] for row in s.matrix] for s in spec.sigma]
+    mats = [linalg.dense(dom, {i: {j: dom.lift(x) for j, x in row.items()}
+                               for i, row in s.rows.items()}, d)
+            for s in spec.sigma]
     out = {}
     total = 0
     for idx in itertools.product(range(m), repeat=n):
@@ -102,11 +104,8 @@ def simultaneous_eigenspaces(spec: MultiloopSpec):
                 row = list(mats[j][i])
                 row[i] = row[i] - powers[idx[j]]
                 rows.append(row)
-        if rows:
-            basis = linalg.kernel_basis(dom, rows)
-        else:
-            basis = [[dom.one() if i == t else dom.zero() for t in range(d)]
-                     for i in range(d)]
+        basis = linalg.kernel_basis(dom, rows) if rows \
+            else linalg.identity(dom, d)
         if basis:
             out[idx] = basis
             total += len(basis)
@@ -525,12 +524,6 @@ def relative_roots(g: GradedLieAlgebra) -> RelativeGrading:
         return RelativeGrading(g, [])
     system = make_relative_system(roots)
     return RelativeGrading(g, roots, system, RelativeRootData(system))
-
-
-def opposite_unipotent_pair(rg: RelativeGrading):
-    if rg.anisotropic:
-        raise GradingError("anisotropic: no proper parabolic")
-    return list(rg.data.positive), list(rg.data.negative)
 
 
 def irreducible_components(system: RootSystem):

@@ -1,14 +1,18 @@
 """Exact linear algebra over the scalar tower.
 
-Matrices are plain lists of row lists, or sparse rows {i: {j: entry}}
-whose absent entries are exact zeros; the one product kernel, `mat_mul`,
-and the one exp of a nilpotent, `exp_nilpotent` (M + E M with E = exp(N) - I
-built once), work on sparse rows.  The coefficient domain is passed
-explicitly and decides what counts as zero: an entry zero only up to a
-precision horizon, O(t^p), is kept, and how to divide by an int
-(`dom.over`) and put a field entry in canonical form (`dom.canon`), so
-integral data over Q stays on ints.  Elimination uses first-nonzero
-pivoting so results are deterministic for a given input.
+A matrix is held as sparse rows {i: {j: entry}}: an absent entry is an
+exact zero, and no exact zero is stored.  The one product kernel,
+`mat_mul`, the one exp of a nilpotent, `exp_nilpotent` (M + E M with
+E = exp(N) - I built once), and the one residual certifier,
+`identity_residual`, work on sparse rows.  Dense lists of row lists are
+left to elimination (`rref`, `kernel_basis`, `solve`, `span_coords`,
+`matrix_inverse`, `smith_invariants`); `sparse` and `dense` convert at that
+boundary.  The coefficient domain is passed explicitly and decides what
+counts as zero: an entry zero only up to a precision horizon, O(t^p), is
+kept, and how to divide by an int (`dom.over`) and put a field entry in
+canonical form (`dom.canon`), so integral data over Q stays on ints.
+Elimination uses first-nonzero pivoting so results are deterministic for a
+given input.
 """
 
 from __future__ import annotations
@@ -56,11 +60,6 @@ def mat_mul(dom, A, B):
     return out
 
 
-def mat_mul_dense(dom, A, B):
-    """The dense product of square dense matrices A and B, by mat_mul."""
-    return dense(dom, mat_mul(dom, sparse(dom, A), sparse(dom, B)), len(A))
-
-
 def _add_into(dom, out, rows):
     """out += rows in place, both sparse; exact-zero sums are dropped."""
     for i, row in rows.items():
@@ -95,25 +94,6 @@ def exp_nilpotent(dom, N, M):
     out = {r: dict(row) for r, row in M.items()}
     _add_into(dom, out, mat_mul(dom, E, M))
     return out
-
-
-def mat_vec(dom, A, v):
-    out = []
-    for row in A:
-        acc = dom.zero()
-        for a, x in zip(row, v):
-            if a and x:
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def is_identity(dom, A):
-    return mat_eq(A, identity(dom, len(A)))
 
 
 def rref(dom, A):
@@ -153,11 +133,7 @@ def rref(dom, A):
 
 def kernel_basis(dom, A):
     """Basis of the right null space of A over a field domain."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if n == 0:
-        return [[dom.one() if i == j else dom.zero() for j in range(m)]
-                for i in range(m)]
+    m = len(A[0]) if A else 0
     R, pivots = rref(dom, A)
     free = [c for c in range(m) if c not in pivots]
     basis = []
@@ -289,12 +265,12 @@ def smith_invariants(A):
     return invariants
 
 
-def identity_residual(dom, M, N=None, columns=None):
+def identity_residual(dom, M, N, columns):
     """Certify M against the identity: the one residual check.
 
-    M is a dense square matrix, or, with columns given, the sparse rows of
-    a column block: the entries of M in those columns (and none in any
-    other), compared with the same columns of the identity.
+    M is the sparse rows of a column block: the entries of a matrix in the
+    given columns (and none in any other), compared with the same columns
+    of the identity.
 
     Returns (achieved, where).  achieved is the t-adic order to which
     M - I is known to vanish: the least valuation of an entry with a
@@ -305,8 +281,6 @@ def identity_residual(dom, M, N=None, columns=None):
     None), or None.  Exact zeros are skipped; entries zero only up to a
     horizon are not, so achieved never exceeds what the entries carry.
     """
-    if columns is None:
-        M, columns = sparse(dom, M), range(len(M))
     nonzero, t_order = dom.nonzero, dom.t_order
     one, zero = dom.one(), dom.zero()
     diagonal = set(columns)

@@ -142,13 +142,6 @@ class RootSystem:
     def is_reduced(self) -> bool:
         return all(tuple(2 * x for x in a) not in self.root_set for a in self.roots)
 
-    def half(self, a):
-        if all(x % 2 == 0 for x in a):
-            h = tuple(x // 2 for x in a)
-            if h in self.root_set:
-                return h
-        return None
-
     def serialize(self) -> str:
         body = " ".join("(%s)" % ",".join(map(str, a)) for a in self.roots)
         return "%s%d %s" % (self.type_label, self.rank, body)

@@ -571,10 +571,6 @@ class TruncSeries:
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        """Zero at the stated precision."""
-        return not self.num
-
     def valuation(self):
         return self.low if self.num else None
 
@@ -583,9 +579,6 @@ class TruncSeries:
         if 0 <= i < len(self.num):
             return self.coeffs[i]
         return self.base.zero()
-
-    def degrees(self):
-        return [self.low + i for i, c in enumerate(self.num) if c]
 
     def is_polynomial(self) -> bool:
         """All stored data exact (no truncation horizon)."""

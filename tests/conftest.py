@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from multiloop import linalg
 from multiloop.chevalley import (build_chevalley_by_type, sparse_bracket,
                                  sparse_vector)
 from multiloop.grading import (from_chevalley, graded_from_spec,
@@ -28,8 +29,40 @@ def dense_bracket(alg, dom, x, y):
     return out
 
 
+def basis_vector(alg, dom, i):
+    return [dom.one() if t == i else dom.zero() for t in range(alg.dim)]
+
+
 def root_vector(alg, dom, a):
-    return alg.basis_vector(dom, alg.root_index[tuple(a)])
+    return basis_vector(alg, dom, alg.root_index[tuple(a)])
+
+
+# Dense matrix oracles: the library holds matrices as sparse rows and keeps
+# dense lists for elimination only.
+
+def mat_mul_dense(dom, A, B):
+    """The dense product of square dense matrices A and B, by mat_mul."""
+    return linalg.dense(dom, linalg.mat_mul(dom, linalg.sparse(dom, A),
+                                            linalg.sparse(dom, B)), len(A))
+
+
+def mat_vec(dom, A, v):
+    out = []
+    for row in A:
+        acc = dom.zero()
+        for a, x in zip(row, v):
+            if a and x:
+                acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+def mat_eq(A, B):
+    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def is_identity(dom, A):
+    return mat_eq(A, linalg.identity(dom, len(A)))
 
 
 @pytest.fixture(scope="session")

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from multiloop import linalg
 from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError,
-                                 ad_matrix, ad_rows, build_chevalley_by_type,
+                                 ad_rows, build_chevalley_by_type,
                                  chevalley_involution, diagram_automorphism,
-                                 exp_ad, killing_form,
+                                 exp_ad, killing_form, sparse_vector,
                                  torus_automorphism)
 from multiloop.rootsys import build_root_system
-from multiloop.scalars import QQ
+from multiloop.scalars import QQ, Cyclotomic, DomainCyclotomic
 
-from conftest import algebra, dense_bracket, root_vector
+from conftest import algebra, basis_vector, dense_bracket, root_vector
 
 DIMS = {("A", 1): 3, ("A", 2): 8, ("B", 2): 10, ("G", 2): 14,
         ("A", 3): 15, ("D", 4): 28, ("E", 6): 78}
@@ -85,7 +86,7 @@ def test_killing_form_invariance():
     K = killing_form(alg)
     sigma = diagram_automorphism(alg, [1, 0])
     d = alg.dim
-    cols = [sigma.apply(alg.basis_vector(QQ, j)) for j in range(d)]
+    cols = [sigma.apply(basis_vector(alg, QQ, j)) for j in range(d)]
 
     def kf(x, y):
         return sum(x[i] * K[i][j] * y[j] for i in range(d) for j in range(d)
@@ -140,7 +141,7 @@ def test_exp_ad_preserves_bracket_randomized():
 
 def test_nonnilpotent_rejected():
     alg = algebra("A", 1)
-    h = alg.basis_vector(QQ, len(alg.roots))
+    h = basis_vector(alg, QQ, len(alg.roots))
     with pytest.raises(ChevalleyError):
         exp_ad(QQ, alg, h)
 
@@ -185,10 +186,16 @@ def test_inner_automorphism_composition():
     assert sigma.compose(sigma.inverse()).is_identity()
 
 
+def _ad_matrix(dom, alg, x):
+    """Matrix of ad_x on the Chevalley basis; column j is [x, b_j]."""
+    return linalg.dense(dom, ad_rows(alg.cells_by_first, sparse_vector(x)),
+                        alg.dim)
+
+
 def test_ad_matrix_trace_free():
     alg = algebra("A", 2)
     for i in range(alg.dim):
-        M = ad_matrix(QQ, alg, alg.basis_vector(QQ, i))
+        M = _ad_matrix(QQ, alg, basis_vector(alg, QQ, i))
         assert sum(M[k][k] for k in range(alg.dim)) == 0
 
 
@@ -206,7 +213,7 @@ def test_ad_rows_match_dense_bracket(t, r):
         rows = ad_rows(alg.cells_by_first, x)
         dense = [x.get(i, Fraction(0)) for i in range(d)]
         for j in range(d):
-            col = dense_bracket(alg, QQ, dense, alg.basis_vector(QQ, j))
+            col = dense_bracket(alg, QQ, dense, basis_vector(alg, QQ, j))
             assert [rows.get(k, {}).get(j, 0) for k in range(d)] == col
 
 
@@ -233,7 +240,7 @@ def _jacobi_oracle(alg):
     through dense_bracket, antisymmetry on each pair i < j and then Jacobi on
     its triples i < j < k.  None when everything holds."""
     d = alg.dim
-    e = [alg.basis_vector(QQ, i) for i in range(d)]
+    e = [basis_vector(alg, QQ, i) for i in range(d)]
 
     def br(x, y):
         return dense_bracket(alg, QQ, x, y)
@@ -352,13 +359,88 @@ def test_automorphism_check_names_the_oracle_pair(t, r):
         else:
             M[h + rng.randrange(r)][rng.randrange(h)] = Fraction(1)
         mats.append(M)
-    mats.append(chevalley_involution(alg).matrix)
+    mats.append(linalg.dense(QQ, chevalley_involution(alg).rows, d))
     for M in mats:
         want = _dense_verify_failure(alg, M)
         if want is None:
-            AlgebraAutomorphism(alg, QQ, M)
+            AlgebraAutomorphism(alg, QQ, linalg.sparse(QQ, M))
             continue
         with pytest.raises(ChevalleyError) as e:
-            AlgebraAutomorphism(alg, QQ, M)
+            AlgebraAutomorphism(alg, QQ, linalg.sparse(QQ, M))
         assert str(e.value) == "bracket not preserved on basis pair (%d,%d)" \
             % want
+
+
+# -- sparse automorphisms against a dense oracle -----------------------------
+
+def _dense_mul(dom, A, B):
+    """The schoolbook product of square dense matrices over dom."""
+    n = len(A)
+    out = [[dom.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if A[i][k]:
+                for j in range(n):
+                    if B[k][j]:
+                        out[i][j] = out[i][j] + A[i][k] * B[k][j]
+    return out
+
+
+def _dense_order(dom, A, bound=64):
+    I, cur = linalg.identity(dom, len(A)), A
+    for k in range(1, bound + 1):
+        if cur == I:
+            return k
+        cur = _dense_mul(dom, cur, A)
+    return None
+
+
+def _automorphisms(case):
+    """(domain, automorphisms of one algebra over it) for a case name."""
+    z = Cyclotomic.root(3, 1)
+    if case == "A2":
+        alg = algebra("A", 2)
+        return QQ, [diagram_automorphism(alg, [1, 0]),
+                    chevalley_involution(alg),
+                    torus_automorphism(alg, QQ, [Fraction(-1), Fraction(1)]),
+                    torus_automorphism(alg, QQ, [Fraction(2, 3), -5])]
+    if case == "A2 over Q(z3)":
+        alg, dom = algebra("A", 2), DomainCyclotomic(3)
+        return dom, [torus_automorphism(alg, dom, [z, z * z]),
+                     torus_automorphism(alg, dom, [z, dom.one()])]
+    if case == "A3":
+        alg = algebra("A", 3)
+        return QQ, [diagram_automorphism(alg, [2, 1, 0]),
+                    chevalley_involution(alg)]
+    if case == "D4":
+        alg = algebra("D", 4)
+        return QQ, [diagram_automorphism(alg, [2, 1, 0, 3]),
+                    diagram_automorphism(alg, [2, 1, 3, 0]),
+                    chevalley_involution(alg)]
+    alg = algebra("E", 6)
+    return QQ, [diagram_automorphism(alg, [4, 3, 2, 1, 0, 5]),
+                chevalley_involution(alg)]
+
+
+@pytest.mark.parametrize("case", ["A2", "A2 over Q(z3)", "A3", "D4", "E6"])
+def test_sparse_automorphisms_match_dense_oracle(case):
+    dom, autos = _automorphisms(case)
+    d = autos[0].alg.dim
+    dense = [linalg.dense(dom, a.rows, d) for a in autos]
+    I = linalg.identity(dom, d)
+    rng = random.Random(17)
+    v = [dom.from_int(rng.randint(-3, 3)) for _ in range(d)]
+    for a, A in zip(autos, dense):
+        assert a.order() == _dense_order(dom, A)
+        assert a.is_identity() == (A == I)
+        assert _dense_mul(dom, A, linalg.dense(dom, a.inverse().rows, d)) == I
+        want = [sum((A[i][j] * v[j] for j in range(d) if A[i][j]),
+                    dom.zero()) for i in range(d)]
+        assert a.apply(v) == want
+        for b, B in zip(autos, dense):
+            AB, BA = _dense_mul(dom, A, B), _dense_mul(dom, B, A)
+            assert linalg.dense(dom, a.compose(b).rows, d) == AB
+            assert a.commutes_with(b) == (AB == BA)
+    assert [a.order() for a in autos] == {
+        "A2": [2, 2, 2, None], "A2 over Q(z3)": [3, 3], "A3": [2, 2],
+        "D4": [2, 3, 2], "E6": [2, 2]}[case]

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from multiloop import linalg
 from multiloop.chevalley import ChevalleyError, exp_ad
-from multiloop.elemgroup import (ElementError, PrecisionExhausted,
+from multiloop.elemgroup import (ElementError, ElementMatrix,
+                                 PrecisionExhausted,
                                  RankOneComponent, RootElementWord,
                                  commutator_table, depth_bound,
                                  depth_conjugation_check, extract_q_maps,
@@ -15,12 +16,14 @@ from multiloop.elemgroup import (ElementError, PrecisionExhausted,
                                  torus_conjugate, word_residual,
                                  unipotent_factor, word_inverse, word_matrix,
                                  word_parse, word_show)
+from multiloop.cli import parse_word_file
 from multiloop.grading import GradingError
 from multiloop.grading import from_chevalley, relative_roots
 from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
                                DomainSeries, LaurentPoly, TruncSeries)
 
-from conftest import algebra, build_sl3_flip, place
+from conftest import (FIXTURES, algebra, basis_vector, build_sl3_flip,
+                      is_identity, mat_eq, mat_mul_dense, place)
 
 
 def series(low, coeffs, prec=None):
@@ -30,16 +33,15 @@ def series(low, coeffs, prec=None):
 def test_zero_param_is_identity(rg_a2):
     g = rg_a2.algebra
     alpha = rg_a2.roots[0]
-    m = root_element(rg_a2, QQ, alpha, [QQ.zero()] * g.dim)
-    assert linalg.is_identity(QQ, m.matrix)
+    m = word_matrix(rg_a2, QQ, [(alpha, [QQ.zero()] * g.dim)])
+    assert is_identity(QQ, m.matrix)
 
 
 def test_inverse_letter(rg_a2):
     alpha = rg_a2.roots[0]
     v = place(rg_a2.algebra, QQ, alpha, Fraction(5, 3))
-    x = root_element(rg_a2, QQ, alpha, v)
-    xi = root_element(rg_a2, QQ, alpha, [-a for a in v])
-    assert linalg.is_identity(QQ, x.mul(xi).matrix)
+    x = word_matrix(rg_a2, QQ, [(alpha, v), (alpha, [-a for a in v])])
+    assert is_identity(QQ, x.matrix)
 
 
 def test_non_root_rejected(rg_a2):
@@ -71,7 +73,7 @@ def test_unipotent_roundtrip_a2(rg_a2):
         u = word_matrix(rg_a2, QQ, RootElementWord(letters))
         factors = unipotent_factor(rg_a2, QQ, u, rg_a2.data.positive)
         rebuilt = word_matrix(rg_a2, QQ, RootElementWord(factors))
-        assert linalg.mat_eq(u.matrix, rebuilt.matrix)
+        assert mat_eq(u.matrix, rebuilt.matrix)
 
 
 def test_unipotent_roundtrip_bc1(rg_bc1):
@@ -82,12 +84,37 @@ def test_unipotent_roundtrip_bc1(rg_bc1):
         u = word_matrix(rg_bc1, R, RootElementWord(letters))
         factors = unipotent_factor(rg_bc1, R, u, rg_bc1.data.positive)
         rebuilt = word_matrix(rg_bc1, R, RootElementWord(factors))
-        assert linalg.mat_eq(u.matrix, rebuilt.matrix)
+        assert mat_eq(u.matrix, rebuilt.matrix)
+
+
+def test_element_path_forms_no_dense_matrix(monkeypatch, rg_a2, rg_bc1):
+    # words, unipotent factorization, commutator tables and the series
+    # engine work on sparse rows alone
+    rg_w, R_w, word, _ = parse_word_file(
+        (FIXTURES / "word_three.txt").read_text())
+
+    def no_dense(*args):
+        raise AssertionError("a dense matrix was formed")
+    monkeypatch.setattr(linalg, "dense", no_dense)
+    letters = _random_positive_word(rg_a2, QQ, random.Random(21), Fraction)
+    u = word_matrix(rg_a2, QQ, RootElementWord(letters))
+    assert unipotent_factor(rg_a2, QQ, u, rg_a2.data.positive)
+    a, b = rg_a2.data.simple
+    assert commutator_table(rg_a2, QQ, a, b, place(rg_a2.algebra, QQ, a, 2),
+                            place(rg_a2.algebra, QQ, b, -3))
+    R = rg_bc1.algebra.dom
+    a = rg_bc1.data.simple[0]
+    assert commutator_table(
+        rg_bc1, R, a, a, place(rg_bc1.algebra, R, a, [R.one(), R.zero()]),
+        place(rg_bc1.algebra, R, a, [R.zero(), R.one()]))
+    g1, g2, cert = factor_loop_series(rg_w, R_w, word, 8)
+    assert cert.residual_identity
 
 
 def test_unipotent_factor_identity(rg_a2):
-    from multiloop.elemgroup import ElementMatrix
-    ident = ElementMatrix(linalg.identity(QQ, rg_a2.algebra.dim), QQ, None)
+    dim = rg_a2.algebra.dim
+    ident = ElementMatrix(linalg.sparse(QQ, linalg.identity(QQ, dim)), dim,
+                          QQ)
     assert unipotent_factor(rg_a2, QQ, ident, rg_a2.data.positive) == []
 
 
@@ -107,11 +134,12 @@ def test_unipotent_factor_simple_product(rg_a2):
 
 
 def test_non_unipotent_rejected(rg_a2):
-    from multiloop.elemgroup import ElementMatrix
-    m = linalg.identity(QQ, rg_a2.algebra.dim)
+    dim = rg_a2.algebra.dim
+    m = linalg.identity(QQ, dim)
     m[-1][-1] = Fraction(2)
     with pytest.raises(ElementError):
-        unipotent_factor(rg_a2, QQ, ElementMatrix(m, QQ, None),
+        unipotent_factor(rg_a2, QQ,
+                         ElementMatrix(linalg.sparse(QQ, m), dim, QQ),
                          rg_a2.data.positive)
 
 
@@ -127,7 +155,8 @@ def test_perturbed_root_block_is_not_unipotent(rg_a2):
     k, j = next((k, j) for j, ej in enumerate(g.entries)
                 for k, ek in enumerate(g.entries)
                 if ek.qdeg == tuple(a + b for a, b in zip(ej.qdeg, alpha)))
-    u.matrix[k][j] += 1
+    row = u.rows.setdefault(k, {})
+    row[j] = row.get(j, 0) + 1
     with pytest.raises(ElementError) as info:
         unipotent_factor(rg_a2, QQ, u, rg_a2.data.positive)
     message = str(info.value)
@@ -246,6 +275,11 @@ def test_torus_conjugate(rg_a2):
     assert w == [weight * x for x in v]
 
 
+def _degrees(x):
+    """The degrees of the nonzero stored coefficients of a series."""
+    return [x.low + i for i, c in enumerate(x.num) if c]
+
+
 def test_factor_single_letter_split(rg_a2):
     # X(t^-1 + t^2) = X(t^2) X(t^-1) when the root piece is one-dimensional
     R = DomainSeries(QQ)
@@ -258,8 +292,8 @@ def test_factor_single_letter_split(rg_a2):
     (a1, v1), = g1.letters
     (a2_, v2), = g2.letters
     assert a1 == alpha and a2_ == alpha
-    assert [x for x in v1 if x][0].degrees() == [2]
-    assert [x for x in v2 if x][0].degrees() == [-1]
+    assert _degrees([x for x in v1 if x][0]) == [2]
+    assert _degrees([x for x in v2 if x][0]) == [-1]
 
 
 def test_factor_residual_verifies(rg_a2):
@@ -284,8 +318,9 @@ def test_factor_residual_verifies(rg_a2):
             for x in v:
                 assert x.is_polynomial()
         total = RootElementWord(list(g1.letters) + list(g2.letters))
-        res = word_matrix(rg_a2, R, word_inverse(total)).mul(
-            word_matrix(rg_a2, R, word))
+        res = ElementMatrix(linalg.mat_mul(
+            R, word_matrix(rg_a2, R, word_inverse(total)).rows,
+            word_matrix(rg_a2, R, word).rows), rg_a2.algebra.dim, R)
         ident = linalg.identity(R, rg_a2.algebra.dim)
         for i in range(rg_a2.algebra.dim):
             for j in range(rg_a2.algebra.dim):
@@ -449,7 +484,8 @@ def test_certificate_sound_under_exact_completions(rg_a2):
             res = word_matrix(rg_a2, R, residual_word(
                 _complete_word(word, rng), _complete_word(g1, rng),
                 _complete_word(g2, rng)))
-            achieved, where = linalg.identity_residual(R, res.matrix)
+            achieved, where = linalg.identity_residual(
+                R, res.rows, None, range(rg_a2.algebra.dim))
             assert achieved is None or claimed <= achieved, \
                 (word_show(rg_a2, R, word), claimed, achieved, where)
     assert certified >= 10 and exhausted >= 10
@@ -462,10 +498,10 @@ def test_zero_at_precision_entries_take_part():
     o3 = TruncSeries.zero_at(QQ, 3)
     one, zero = R.one(), R.zero()
     assert not R.nonzero(zero) and R.nonzero(o3)
-    prod = linalg.mat_mul_dense(R, [[one, o3], [zero, one]],
-                                linalg.identity(R, 2))
+    prod = mat_mul_dense(R, [[one, o3], [zero, one]], linalg.identity(R, 2))
     assert prod[0][1].prec == 3
-    assert linalg.identity_residual(R, prod) == (3, None)
+    assert linalg.identity_residual(R, linalg.sparse(R, prod), None,
+                                    range(2)) == (3, None)
     sparse = linalg.mat_mul(R, {1: {0: o3}, 0: {1: zero}},
                             linalg.sparse(R, linalg.identity(R, 2)))
     assert list(sparse) == [1] and sparse[1][0].prec == 3
@@ -474,10 +510,12 @@ def test_zero_at_precision_entries_take_part():
 def test_identity_residual_names_first_offending_entry():
     R = DomainSeries(QQ)
     one, zero = R.one(), R.zero()
-    m = [[one, series(5, [1], prec=9)], [series(2, [1]), one]]
-    assert linalg.identity_residual(R, m, 4) == (2, (1, 0))
-    assert linalg.identity_residual(R, m) == (2, (0, 1))
-    assert linalg.identity_residual(QQ, linalg.identity(QQ, 3)) == \
+    m = linalg.sparse(R, [[one, series(5, [1], prec=9)],
+                          [series(2, [1]), one]])
+    assert linalg.identity_residual(R, m, 4, range(2)) == (2, (1, 0))
+    assert linalg.identity_residual(R, m, None, range(2)) == (2, (0, 1))
+    assert linalg.identity_residual(
+        QQ, linalg.sparse(QQ, linalg.identity(QQ, 3)), None, range(3)) == \
         (None, None)
 
 
@@ -496,10 +534,10 @@ def test_root_element_sparse_matches_dense_exp(rg_a2):
         term = linalg.identity(QQ, g.dim)
         for i in range(1, g.dim + 1):
             term = [[Fraction(x, i) for x in row] for row in
-                    linalg.mat_mul_dense(QQ, ad, term)]
+                    mat_mul_dense(QQ, ad, term)]
             dense = [[a + b for a, b in zip(ra, rb)]
                      for ra, rb in zip(dense, term)]
-        assert root_element(rg_a2, QQ, alpha, v).matrix == dense
+        assert word_matrix(rg_a2, QQ, [(alpha, v)]).matrix == dense
 
 
 def test_factor_zero_at_precision_letter_exhausts(rg_a2):
@@ -556,7 +594,7 @@ def _oracle_left_apply(dom, N, M):
 def _oracle_word_matrix(rg, R, letters):
     M = linalg.identity(R, rg.algebra.dim)
     for alpha, v in reversed(letters):
-        M = _oracle_left_apply(R, root_element(rg, R, alpha, v).ad, M)
+        M = _oracle_left_apply(R, root_element(rg, R, alpha, v), M)
     return M
 
 
@@ -647,7 +685,7 @@ def test_exp_kernel_refuses_non_nilpotent(a2):
             _oracle_left_apply(QQ, N, I)
         with pytest.raises(ValueError, match="not nilpotent"):
             linalg.exp_nilpotent(QQ, N, linalg.sparse(QQ, I))
-    h = a2.basis_vector(QQ, len(a2.roots))
+    h = basis_vector(a2, QQ, len(a2.roots))
     with pytest.raises(ChevalleyError, match="^ad_v is not nilpotent$"):
         exp_ad(QQ, a2, h)
 
@@ -863,7 +901,7 @@ def test_rationals_out_of_the_kernels_are_int_or_fraction(name, ints, qs):
     letters = [(gamma, place(g, QQ, gamma, next(ints)))
                for gamma in rg.data.positive]
     for alpha, v in letters:
-        N = root_element(rg, QQ, alpha, v).ad
+        N = root_element(rg, QQ, alpha, v)
         E = linalg.exp_nilpotent(QQ, N, linalg.sparse(
             QQ, linalg.identity(QQ, g.dim)))
         assert all(type(y) is int for y in _leaves(E))

@@ -10,14 +10,14 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                GradingError, MultiloopSpec, _build_table,
                                build_multiloop, from_chevalley,
                                graded_from_spec, irreducible_components,
-                               opposite_unipotent_pair, parse_spec_file,
+                               parse_spec_file,
                                q_grading_from_cartan, relative_roots,
                                verify_multiloop_spec)
 from multiloop.lietorus import lie_torus_check
 from multiloop.rootsys import make_relative_system
 from multiloop.scalars import QQ
 
-from conftest import FIXTURES, algebra, dense_bracket
+from conftest import FIXTURES, algebra, dense_bracket, mat_vec
 
 
 def twisted_form_dims_check(g, base_dim):
@@ -91,14 +91,7 @@ def test_bc1_support(g_flip, rg_bc1):
 def test_quaternion_anisotropic(g_quat):
     rg = relative_roots(g_quat)
     assert rg.anisotropic and rg.roots == []
-    with pytest.raises(GradingError):
-        opposite_unipotent_pair(rg)
-
-
-def test_opposite_unipotent_pair(rg_a2):
-    pos, neg = opposite_unipotent_pair(rg_a2)
-    assert {tuple(-x for x in a) for a in pos} == set(neg)
-    assert len(pos) == 3
+    assert rg.data is None
 
 
 def test_wrong_order_rejected():
@@ -243,8 +236,8 @@ def _dense_build_table(dom, entries, nvars, period, alg):
             if lam not in coords:
                 raise GradingError("bracket lands in an empty piece %s" % (lam,))
             idxs, L, M = coords[lam]
-            cs = linalg.mat_vec(dom, L, w)
-            back = linalg.mat_vec(dom, M, cs)
+            cs = mat_vec(dom, L, w)
+            back = mat_vec(dom, M, cs)
             if any(a != b for a, b in zip(back, w)):
                 raise GradingError("bracket escapes the graded span at %d,%d"
                                    % (i, j))
@@ -275,7 +268,7 @@ def _dense_eigenspaces(dom, alg, cartan, basis):
                 continue
             M = [[vs[j][t] for j in range(len(vs))] for t in range(len(vs[0]))]
             L = left_inverse_coords(dom, M)
-            cols = [linalg.mat_vec(dom, L, dense_bracket(alg, dom, h, v))
+            cols = [mat_vec(dom, L, dense_bracket(alg, dom, h, v))
                     for v in vs]
             A = [[cols[j][i] for j in range(len(vs))] for i in range(len(vs))]
             found, bound, pieces = 0, 4, []

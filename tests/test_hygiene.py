@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,56 @@ def test_unused_import_is_caught(tmp_path):
                       "from fractions import Fraction\n"
                       "print(system.argv, Fraction)\n")
     assert _unused_imports(module) == [(2, "os")]
+
+
+def _uncalled_functions(defining, referencing):
+    """(module file name, function) of every public module-level function of
+    the defining files that no Name or Attribute node of the referencing
+    files names outside its own body; docstrings and comments do not
+    count."""
+    refs = Counter()
+    for path in referencing:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+    out = []
+    for path in defining:
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            own = sum(1 for n in ast.walk(fn)
+                      if getattr(n, "id", getattr(n, "attr", None)) == fn.name)
+            if refs[fn.name] <= own:
+                out.append((path.name, fn.name))
+    return out
+
+
+# Paper objects the library keeps although only the tests call them.
+_PAPER_OBJECTS = {"exp_ad", "killing_form", "extract_q_maps",
+                  "torus_conjugate"}
+
+
+def test_library_functions_have_callers():
+    """Every public module-level function of the library is used by the
+    library, the scripts or the benchmark, or is a listed paper object."""
+    root = SRC.parent.parent
+    referencing = [p for d in ("src", "scripts", "perfbench")
+                   for p in sorted((root / d).rglob("*.py"))]
+    assert [(m, f) for m, f in _uncalled_functions(
+        sorted(SRC.glob("*.py")), referencing)
+        if f not in _PAPER_OBJECTS] == []
+
+
+def test_uncalled_function_is_caught(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text('"""used() is documented here; orphan() is not called."""\n'
+                   "def used():\n    return 1\n"
+                   "def orphan(n):\n    return orphan(n - 1) if n else 0\n"
+                   "def _private():\n    return 2\n")
+    user.write_text("import lib\nprint(lib.used())\n")
+    assert _uncalled_functions([lib], [lib, user]) == [("lib.py", "orphan")]
 
 
 _FLOAT_MATH = ("sqrt", "log", "exp")
