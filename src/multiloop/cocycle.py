@@ -5,9 +5,15 @@ Everything is exhaustive: group axioms, cocycle identities, and exactness
 statements are verified by enumeration within configured budgets, which
 ``check_budget`` tests on orders alone, before anything is built.  Groups
 are integer Cayley tables and every check runs on element positions, but
-none is shortened: associativity covers all |G|^3 triples, the cocycle
-identity all |G|^2 pairs, and the action all |G|^2 * |A| homomorphism
-conditions.
+none is shortened: associativity covers all |G|^3 triples and the action
+all |G|^2 * |A| homomorphism conditions.  A cocycle that h1_enumerate
+returns is proved by its propagation, which checks the cocycle identity
+on every edge g -> gs of the Cayley graph of a generating sequence over
+all of G: with z(e) = 1 and an action by automorphisms, induction on word
+length gives it on all |G|^2 pairs.  Every cocycle built otherwise (the
+CLI discrepancy, the power pullback, the twisted difference and theta of
+the diagonal argument) passes ``is_cocycle``, which checks all |G|^2
+pairs.
 
 A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
@@ -323,6 +329,24 @@ def twist_cocycle(z: Cocycle, a) -> Cocycle:
                                  in zip(z.pos, z.coeff.perm)])
 
 
+def _class_orbit(z: Cocycle):
+    """(class_key(z), the position tuples of all twists of z)."""
+    A = z.coeff.A
+    rank = [0] * len(A)
+    for r, a in enumerate(sorted(range(len(A)), key=A.elements.__getitem__)):
+        rank[a] = r
+    orbit = [tuple(twist_cocycle(z, a).pos) for a in A.elements]
+    return min(tuple([rank[x] for x in w]) for w in orbit), orbit
+
+
+def class_key(z: Cocycle):
+    """The key of the cohomology class of z: the least tuple of label ranks
+    among its twists.  The twists of z are its whole class, so two maps
+    over the same coefficients have equal keys exactly when they are
+    cohomologous."""
+    return _class_orbit(z)[0]
+
+
 def cohomologous(z1: Cocycle, z2: Cocycle):
     """A witness a with z2 = a^{-1} z1 (g . a), or None; both cocycles list
     the same cover elements and take values in the same A."""
@@ -337,13 +361,16 @@ def h1_enumerate(coeff: CoefficientGroup,
                  budget_coeff=DEFAULT_BUDGET_COEFF):
     """All cocycles, partitioned into cohomology classes.
 
-    Returns (class representatives sorted, all cocycles).  Values on a
-    generating sequence are assigned depth first, in itertools.product
-    order; a prefix survives if it propagates consistently over the span of
-    its generators, as every restriction of a cocycle does, and each full
-    assignment is verified exhaustively.  The twists of a cocycle are its
-    whole class, so each class is twisted once; its key is the least label
-    tuple among them, compared by label ranks.
+    Returns (class representatives sorted by class_key, all cocycles).
+    Values on a generating sequence are assigned depth first, in
+    itertools.product order; a prefix survives if it propagates
+    consistently over the span of its generators, as every restriction of
+    a cocycle does.  A full assignment that propagates over all of G is a
+    cocycle: propagation has checked z(gs) = z(g) (g . z(s)) on every
+    Cayley edge, and with z(e) = 1 and an action by automorphisms that
+    gives z(gh) = z(g) (g . z(h)) on all pairs, by induction on the length
+    of h as a word in the generators.  Each class is twisted once, for its
+    key and its members.
     """
     G = coeff.cover
     A = coeff.A
@@ -355,23 +382,21 @@ def h1_enumerate(coeff: CoefficientGroup,
     while stack:
         prefix, pos = stack.pop()
         if len(prefix) == len(gens):
-            z = Cocycle(coeff, pos=pos)
-            if is_cocycle(z)[0]:
-                cocycles.append(z)
+            if None in pos:
+                raise CocycleError("generators of %s do not span it"
+                                   % G.name)
+            cocycles.append(Cocycle(coeff, pos=pos))
             continue
         for x in reversed(range(len(A))):      # x = 0 is popped first
             longer = prefix + (x,)
             pos = _propagate(coeff, gens, longer)
             if pos is not None:
                 stack.append((longer, pos))
-    order = sorted(range(len(A)), key=A.elements.__getitem__)
-    rank = [order.index(a) for a in range(len(A))]
     keys = {}
     classes = {}
     for z in cocycles:
         if tuple(z.pos) not in keys:
-            orbit = [tuple(twist_cocycle(z, a).pos) for a in A.elements]
-            key = min(tuple([rank[x] for x in w]) for w in orbit)
+            key, orbit = _class_orbit(z)
             keys.update((w, key) for w in orbit)
         classes.setdefault(keys[tuple(z.pos)], []).append(z)
     reps = [classes[k][0] for k in sorted(classes)]
@@ -453,24 +478,30 @@ def inflate(setup: DiagonalSetup, coeff_q: CoefficientGroup,
     return Cocycle(coeff, pos=list(map(z_q.pos.__getitem__, setup.proj)))
 
 
-def _restrict_positions(coeff: CoefficientGroup, positions, z: Cocycle):
+def _restricted_coefficients(coeff: CoefficientGroup, positions):
+    """The coefficients over the subgroup at positions, with the induced
+    action; its closure and action are checked."""
     perm = list(map(coeff.perm.__getitem__, positions))
-    sub_coeff = CoefficientGroup(coeff.A, coeff.cover.restrict(positions),
-                                 perm=perm)
+    return CoefficientGroup(coeff.A, coeff.cover.restrict(positions),
+                            perm=perm)
+
+
+def _restrict(sub_coeff: CoefficientGroup, positions, z: Cocycle):
     return Cocycle(sub_coeff, pos=list(map(z.pos.__getitem__, positions)))
 
 
-def _trivial_on(coeff: CoefficientGroup, positions, z: Cocycle) -> bool:
-    """Whether z restricts to a coboundary on the subgroup at positions."""
-    rz = _restrict_positions(coeff, positions, z)
-    return cohomologous(rz, trivial_cocycle(rz.coeff)) is not None
+def _trivial_on(sub_coeff: CoefficientGroup, positions, z: Cocycle) -> bool:
+    """Whether z restricts to a coboundary on the subgroup at positions,
+    sub_coeff being the coefficients restricted there."""
+    rz = _restrict(sub_coeff, positions, z)
+    return cohomologous(rz, trivial_cocycle(sub_coeff)) is not None
 
 
 def restrict_to_subgroup(coeff: CoefficientGroup, sub_elements,
                          z: Cocycle):
     """Restriction as a cocycle on the subgroup (with the induced action)."""
-    index = coeff.cover.index
-    return _restrict_positions(coeff, [index[g] for g in sub_elements], z)
+    positions = [coeff.cover.index[g] for g in sub_elements]
+    return _restrict(_restricted_coefficients(coeff, positions), positions, z)
 
 
 def quotient_coefficients(setup: DiagonalSetup,
@@ -492,16 +523,21 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
     reps_q, _ = h1_enumerate(coeff_q, budget_gamma, budget_coeff)
     reps, _ = h1_enumerate(coeff, budget_gamma, budget_coeff)
     inflated = [inflate(setup, coeff_q, coeff, z) for z in reps_q]
-    # injectivity of inflation on classes
-    for i, j in itertools.combinations(range(len(inflated)), 2):
-        if cohomologous(inflated[i], inflated[j]) is not None:
-            raise CocycleError(
-                "inflation identifies distinct classes %d, %d" % (i, j))
+    # injectivity of inflation on classes: the first pair (i, j) in
+    # lexicographic order with equal class keys
+    seen = {}
+    for j, key in enumerate(map(class_key, inflated)):
+        seen.setdefault(key, []).append(j)
+    clash = min((js[:2] for js in seen.values() if len(js) > 1),
+                default=None)
+    if clash:
+        raise CocycleError(
+            "inflation identifies distinct classes %d, %d" % tuple(clash))
     # image of inflation = kernel of restriction; inflation classes always
     # restrict trivially, so a size mismatch means exactness fails
-    kernel = [z for z in reps if _trivial_on(coeff, setup.m_pos, z)]
-    image_count = sum(any(cohomologous(z, w) is not None for w in inflated)
-                      for z in kernel)
+    m_coeff = _restricted_coefficients(coeff, setup.m_pos)
+    kernel = [z for z in reps if _trivial_on(m_coeff, setup.m_pos, z)]
+    image_count = sum(class_key(z) in seen for z in kernel)
     exact = image_count == len(kernel) == len(inflated) <= len(reps)
     return {
         "quotient_classes": len(reps_q),
@@ -550,8 +586,9 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     e1 = eta1.pos
     if e1 != [e1[setup.sub[q]] for q in setup.proj]:
         raise CocycleError("eta1 must be independent of the M coordinate")
-    r1 = _restrict_positions(coeff, setup.sub, eta1)
-    r2 = _restrict_positions(coeff, setup.sub, eta2)
+    sub_coeff = _restricted_coefficients(coeff, setup.sub)
+    r1 = _restrict(sub_coeff, setup.sub, eta1)
+    r2 = _restrict(sub_coeff, setup.sub, eta2)
     if cohomologous(r1, r2) is None:
         raise CocycleError(
             "eta1 and eta2 do not agree on the diagonal copy")
@@ -563,9 +600,10 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     if not ok:
         raise CocycleError("twisted difference is not a cocycle at %s" % (wit,))
     tw_q = quotient_coefficients(setup, tw)
+    m_coeff = _restricted_coefficients(tw, setup.m_pos)
     for d in range(1, setup.m + 1):
         xi_d = power_pullback(setup, tw, xi, d)
-        if not _trivial_on(tw, setup.m_pos, xi_d):
+        if not _trivial_on(m_coeff, setup.m_pos, xi_d):
             continue
         theta = Cocycle(tw_q, pos=list(map(xi_d.pos.__getitem__, setup.sub)))
         ok, _ = is_cocycle(theta)

@@ -71,12 +71,11 @@ class RootElementWord:
 
 
 class ElementMatrix:
-    """The sparse rows of a dim x dim matrix over ring (precision None for
-    exact); .matrix is a dense view, built on first use."""
+    """The sparse rows of a dim x dim matrix over ring; .matrix is a dense
+    view, built on first use."""
 
-    def __init__(self, rows, dim, ring, precision=None):
-        self.rows, self.dim, self.ring, self.precision = \
-            rows, dim, ring, precision
+    def __init__(self, rows, dim, ring):
+        self.rows, self.dim, self.ring = rows, dim, ring
 
     @cached_property
     def matrix(self):
@@ -282,7 +281,7 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
         out.append((gamma, v))
         cur = linalg.exp_nilpotent(
             R, root_element(rg, R, gamma, [-x for x in v]), cur)
-    _, where = linalg.identity_residual(R, cur, u.precision, range(g.dim))
+    _, where = linalg.identity_residual(R, cur, None, range(g.dim))
     if where is not None:
         raise ElementError("element is not unipotent over psi: residual at "
                            "block (%d,%d)" % where)

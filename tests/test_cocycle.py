@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from multiloop import cocycle
 from multiloop.cocycle import (BudgetExceeded, Cocycle, CocycleError,
                                CoefficientGroup, DiagonalSetup, FiniteGroup,
-                               check_budget, cohomologous, cover_group,
+                               check_budget, class_key, cohomologous,
+                               cover_group,
                                cyclic_group, diagonal_argument, direct_product,
                                galois_action, h1_enumerate, inf_res_sequence,
                                inflate, is_cocycle, m_acts_trivially,
@@ -374,6 +376,76 @@ def test_is_cocycle_witness_matches_label_oracle(name, coeff):
             assert got == _oracle_is_cocycle(coeff, vals)
             broken += not got[0]
     assert broken > 0
+
+
+@pytest.mark.parametrize("name, coeff", [
+    p for p in ORACLE_CONFIGS
+    if len(p.values[1].A) ** len(p.values[1].cover) <= 4096])
+def test_cocycles_match_brute_force_z1(name, coeff):
+    # every map G -> A that is_cocycle accepts: an oracle independent of
+    # the propagation by which h1_enumerate proves its cocycles
+    G, A = coeff.cover, coeff.A
+    want = [pos for pos in itertools.product(range(len(A)), repeat=len(G))
+            if is_cocycle(Cocycle(coeff, pos=list(pos)))[0]]
+    _, cocycles = h1_enumerate(coeff)
+    assert sorted(tuple(z.pos) for z in cocycles) == want
+
+
+@pytest.mark.parametrize("name, coeff", ORACLE_CONFIGS)
+def test_enumerated_cocycles_pass_is_cocycle(name, coeff):
+    _, cocycles = h1_enumerate(coeff)
+    assert cocycles
+    for z in cocycles:
+        assert is_cocycle(z) == (True, None)
+
+
+@pytest.mark.parametrize("name, coeff", [
+    p for p in ORACLE_CONFIGS if len(h1_enumerate(p.values[1])[1]) <= 40])
+def test_class_key_decides_cohomology(name, coeff):
+    reps, cocycles = h1_enumerate(coeff)
+    keys = [class_key(z) for z in cocycles]
+    for (z1, k1), (z2, k2) in itertools.product(zip(cocycles, keys),
+                                                repeat=2):
+        assert (k1 == k2) == (cohomologous(z1, z2) is not None)
+    assert sorted(set(keys)) == [class_key(z) for z in reps]
+
+
+def _oracle_identified_pair(inflated):
+    """The first pair of cohomologous inflations, in combinations order."""
+    return next((i, j) for i, j in itertools.combinations(
+        range(len(inflated)), 2)
+        if cohomologous(inflated[i], inflated[j]) is not None)
+
+
+@pytest.mark.parametrize("order", ["0 1 1' 0'", "1 0 0' 1'", "0 1 1'",
+                                   "1 1' 0", "0 1 1", "1' 0 0'"])
+def test_inflation_injectivity_names_the_first_pair(monkeypatch, order):
+    # quotient representatives repeated (i': class i twisted by an a that
+    # moves the transposition, equal in class but not in values); the error
+    # names the pair that pairwise comparison in combinations order finds
+    # first
+    setup = DiagonalSetup(1, 2, trivial_group(), {})
+    coeff = trivial_action(setup.cover, symmetric_group_3())
+    coeff_q = quotient_coefficients(setup, coeff)
+    reps_q, _ = h1_enumerate(coeff_q)
+    assert len(reps_q) == 2
+    swap = next(a for a in coeff.A.elements
+                if twist_cocycle(reps_q[1], a).pos != reps_q[1].pos)
+    twisted = [twist_cocycle(z, swap) for z in reps_q]
+    fake = [twisted[int(w[0])] if w.endswith("'") else reps_q[int(w)]
+            for w in order.split()]
+    enumerate_ = cocycle.h1_enumerate
+
+    def patched(c, *budgets):
+        reps, all_c = enumerate_(c, *budgets)
+        return (fake, all_c) if c.cover is setup.quotient else (reps, all_c)
+
+    monkeypatch.setattr(cocycle, "h1_enumerate", patched)
+    inflated = [inflate(setup, coeff_q, coeff, z) for z in fake]
+    i, j = _oracle_identified_pair(inflated)
+    with pytest.raises(CocycleError, match=r"^inflation identifies distinct "
+                                           r"classes %d, %d$" % (i, j)):
+        inf_res_sequence(setup, coeff)
 
 
 def test_cayley_table_matches_product():
