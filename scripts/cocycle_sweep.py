@@ -5,7 +5,8 @@ from multiloop.cocycle import (DiagonalSetup, trivial_group, cyclic_group,
                                symmetric_group_3, trivial_action,
                                galois_action, h1_enumerate, inf_res_sequence,
                                diagonal_argument, trivial_cocycle,
-                               restrict_to_subgroup, cohomologous)
+                               quotient_coefficients, restrict_to_quotient,
+                               class_key)
 
 
 def configs():
@@ -33,12 +34,11 @@ def main():
         reps, all_c = h1_enumerate(coeff)
         rep = inf_res_sequence(setup, coeff)
         eta1 = trivial_cocycle(coeff)
-        sub = [setup.include(q) for q in setup.quotient.elements]
-        r1 = restrict_to_subgroup(coeff, sub, eta1)
+        coeff_q = quotient_coefficients(setup, coeff)
+        key1 = class_key(restrict_to_quotient(setup, coeff_q, eta1))
         ds = []
         for z in all_c:
-            r2 = restrict_to_subgroup(coeff, sub, z)
-            if cohomologous(r1, r2) is None:
+            if class_key(restrict_to_quotient(setup, coeff_q, z)) != key1:
                 continue
             d, _ = diagonal_argument(setup, coeff, eta1, z)
             ds.append(d)

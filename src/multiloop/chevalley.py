@@ -1,17 +1,18 @@
 """Split simple Lie algebras over Z via Chevalley bases.
 
 Structure constants are fixed by the extraspecial-pair convention: positive
-roots are ordered by height then lexicographically; for each non-simple
-positive root the minimal decomposition gets N = +(p+1), and every other
-constant follows from antisymmetry, N(-a,-b) = -N(a,b), and the cyclic
-identity N(a,b)/|c|^2 = N(b,c)/|a|^2 for a+b+c = 0.  Before an algebra is
-returned, antisymmetry is verified on every basis pair and the Jacobi
-identity on every basis triple, in integer arithmetic on the sparse table.
+roots are ordered by height (the sum of simple-root coordinates) then
+lexicographically; for each non-simple positive root the minimal
+decomposition gets N = +(p+1), and every other constant follows from
+antisymmetry, N(-a,-b) = -N(a,b), and the cyclic identity
+N(a,b)/|c|^2 = N(b,c)/|a|^2 for a+b+c = 0.  Before an algebra is returned,
+antisymmetry is verified on every basis pair and the Jacobi identity on
+every basis triple, in integer arithmetic on the sparse table.
 
 `sparse_bracket` is the one bracket over a sparse structure-constant table:
-the graded tables, LT4, `GradedLieAlgebra.closure` (which LT5 and the
-generating columns of `elemgroup` close on) and the automorphism check go
-through it.
+the graded tables, `GradedLieAlgebra.bracket` (of sparse vectors only),
+LT4, `GradedLieAlgebra.closure` (which LT5 and the generating columns of
+`elemgroup` close on) and the automorphism check go through it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
 `exp_ad`, `killing_form` and the root elements of `elemgroup` use it.  It
 reads the table grouped by first slot (`group_cells`, kept as
@@ -56,8 +57,8 @@ class ChevalleyAlgebra:
             raise ChevalleyError("Chevalley basis requires a reduced system")
         self.rs = rs
         self.rank = rs.rank
-        pos = sorted((a for a in rs.roots if _height(rs, a) > 0),
-                     key=lambda a: (_height(rs, a), a))
+        pos = sorted((a for a in rs.roots if _height(a) > 0),
+                     key=lambda a: (_height(a), a))
         self.positive = pos
         self.roots = pos + [_vneg(a) for a in pos]
         self.dim = len(self.roots) + rs.rank
@@ -83,7 +84,7 @@ class ChevalleyAlgebra:
     def _compute_positive_constants(self):
         by_height = {}
         for g in self.positive:
-            by_height.setdefault(_height(self.rs, g), []).append(g)
+            by_height.setdefault(_height(g), []).append(g)
         for h in sorted(by_height):
             if h < 2:
                 continue
@@ -91,7 +92,7 @@ class ChevalleyAlgebra:
                 pairs = []
                 for a in self.positive:
                     b = _vsub(g, a)
-                    if b in self.rs.root_set and _height(self.rs, b) > 0 \
+                    if b in self.rs.root_set and _height(b) > 0 \
                             and self._pos_order[a] < self._pos_order[b]:
                         pairs.append((a, b))
                 pairs.sort(key=lambda p: self._pos_order[p[0]])
@@ -119,7 +120,7 @@ class ChevalleyAlgebra:
         """N(a, b) for arbitrary roots with a+b a root."""
         s = _vadd(a, b)
         assert s in self.rs.root_set
-        ha, hb = _height(self.rs, a), _height(self.rs, b)
+        ha, hb = _height(a), _height(b)
         if ha > 0 and hb > 0:
             if self._pos_order[a] < self._pos_order[b]:
                 return self._npos[(a, b)]
@@ -129,7 +130,7 @@ class ChevalleyAlgebra:
         # mixed signs; arrange a positive
         if ha < 0:
             return -self._n(b, a)
-        if _height(self.rs, s) > 0:
+        if _height(s) > 0:
             # N(a,b) = -(|s|^2/|a|^2) N(-b, s), a positive pair summing to a
             val, rem = divmod(-self._len2[s] * self._n(_vneg(b), s),
                               self._len2[a])
@@ -244,7 +245,7 @@ class ChevalleyAlgebra:
         return "\n".join(lines)
 
 
-def _height(rs, a):
+def _height(a):
     return sum(a)
 
 
@@ -335,23 +336,9 @@ class AlgebraAutomorphism:
                     raise ChevalleyError(
                         "bracket not preserved on basis pair (%d,%d)" % (i, j))
 
-    def apply(self, v):
-        out = [self.dom.zero()] * self.alg.dim
-        for i, row in self.rows.items():
-            for j, a in row.items():
-                if v[j]:
-                    out[i] = out[i] + a * v[j]
-        return out
-
     def compose(self, other) -> "AlgebraAutomorphism":
         rows = linalg.mat_mul(self.dom, self.rows, other.rows)
         return AlgebraAutomorphism(self.alg, self.dom, rows, check=False)
-
-    def inverse(self) -> "AlgebraAutomorphism":
-        dom, d = self.dom, self.alg.dim
-        inv = linalg.matrix_inverse(dom, linalg.dense(dom, self.rows, d))
-        return AlgebraAutomorphism(self.alg, dom, linalg.sparse(dom, inv),
-                                   check=False)
 
     def order(self, bound=64):
         cur = self
@@ -457,7 +444,7 @@ def _extend_diagram(alg, perm, signs):
         for a in alg.positive:
             bmat = _vsub(g, a)
             if bmat in img and a in img and bmat in rs.root_set \
-                    and _height(rs, bmat) > 0:
+                    and _height(bmat) > 0:
                 (pa, ca), (pb, cb) = img[a], img[bmat]
                 s = _vadd(pa, pb)
                 if s not in rs.root_set:

@@ -19,10 +19,16 @@ A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
 significant, and (t1, g1)(t2, g2) = (t1 + u(g1) t2, g1 g2) is read off an
 addition table of (Z/m)^n, one scaling table per unit u and Gamma0's table.
-The labels (t, g) serve display and serialization.  A subgroup (the
-quotient of a DiagonalSetup as the M = 0 copy in its cover, the subgroups
-of restrict_to_subgroup) is cut from a checked table: its closure is
-checked, and it inherits associativity, its product being the ambient one.
+The labels (t, g) serve display and serialization.  The quotient of a
+DiagonalSetup is cut from its cover's checked table as the M = 0 copy: its
+closure is checked, and it inherits associativity, its product being the
+ambient one.  Cocycles restrict to it by ``restrict_to_quotient``.
+
+Cohomology classes are compared by one function, ``class_key``.  A class
+is restricted to M only where M acts trivially, which ``trivial_on_m``
+checks; then every coboundary on M is 1, so the restriction is trivial
+exactly when z is 1 on M (Serre, Galois Cohomology, I.5.8, gives the
+exactness of inflation-restriction).
 """
 
 from __future__ import annotations
@@ -128,14 +134,12 @@ class FiniteGroup:
                 raise CocycleError("%s: associativity fails at %s,%s,%s"
                                    % (self.name, el[a], el[b], el[c]))
 
-    def restrict(self, positions, name="sub", elements=None):
-        """The subgroup on ``positions``, labelled by ``elements`` or its
-        labels here; closure is checked and associativity inherited."""
+    def restrict(self, positions, elements, name="sub"):
+        """The subgroup on ``positions``, labelled by ``elements``; closure
+        is checked and associativity inherited."""
         back = {p: i for i, p in enumerate(positions)}
         rows = [list(map(back.get, map(self.rows[p].__getitem__, positions)))
                 for p in positions]
-        if elements is None:
-            elements = map(self.elements.__getitem__, positions)
         return FiniteGroup(elements, name=name, verify=False, rows=rows)
 
     def mul(self, a, b):
@@ -261,10 +265,6 @@ class CoefficientGroup:
                 raise CocycleError("action is not a homomorphism at %s,%s"
                                    % (cover.elements[g], cover.elements[h]))
 
-    def apply(self, g, a):
-        A = self.A
-        return A.elements[self.perm[self.cover.index[g]][A.index[a]]]
-
 
 def trivial_action(cover: FiniteGroup, A: FiniteGroup) -> CoefficientGroup:
     return CoefficientGroup(A, cover, perm=[list(range(len(A)))] * len(cover))
@@ -283,7 +283,9 @@ def galois_action(cover: FiniteGroup, A: FiniteGroup,
 class Cocycle:
     """A map z from the cover to A: ``pos[g]`` is the A-position of z(g) at
     the cover position g, given directly or read from ``values``, a dict of
-    labels, which is otherwise made on demand.  Neither changes once made.
+    labels, which is otherwise made on demand.  Neither changes once made,
+    and neither does ``key``, the class key, which h1_enumerate sets on the
+    cocycles it returns and ``class_key`` computes for any other.
     """
 
     def __init__(self, coeff: CoefficientGroup, values=None, pos=None):
@@ -295,6 +297,10 @@ class Cocycle:
     def values(self):
         labels = map(self.coeff.A.elements.__getitem__, self.pos)
         return dict(zip(self.coeff.cover.elements, labels))
+
+    @cached_property
+    def key(self):
+        return _class_orbit(self)[0]
 
     def serialize(self):
         return "\n".join(["cocycle"] + ["  %s -> %s" % ga
@@ -343,17 +349,8 @@ def class_key(z: Cocycle):
     """The key of the cohomology class of z: the least tuple of label ranks
     among its twists.  The twists of z are its whole class, so two maps
     over the same coefficients have equal keys exactly when they are
-    cohomologous."""
-    return _class_orbit(z)[0]
-
-
-def cohomologous(z1: Cocycle, z2: Cocycle):
-    """A witness a with z2 = a^{-1} z1 (g . a), or None; both cocycles list
-    the same cover elements and take values in the same A."""
-    for a in z1.coeff.A.elements:
-        if twist_cocycle(z1, a).pos == z2.pos:
-            return a
-    return None
+    cohomologous.  This is the one test of cohomology classes."""
+    return z.key
 
 
 def h1_enumerate(coeff: CoefficientGroup,
@@ -370,7 +367,7 @@ def h1_enumerate(coeff: CoefficientGroup,
     Cayley edge, and with z(e) = 1 and an action by automorphisms that
     gives z(gh) = z(g) (g . z(h)) on all pairs, by induction on the length
     of h as a word in the generators.  Each class is twisted once, for its
-    key and its members.
+    key and its members, and every returned cocycle carries its key.
     """
     G = coeff.cover
     A = coeff.A
@@ -398,7 +395,8 @@ def h1_enumerate(coeff: CoefficientGroup,
         if tuple(z.pos) not in keys:
             key, orbit = _class_orbit(z)
             keys.update((w, key) for w in orbit)
-        classes.setdefault(keys[tuple(z.pos)], []).append(z)
+        z.key = keys[tuple(z.pos)]
+        classes.setdefault(z.key, []).append(z)
     reps = [classes[k][0] for k in sorted(classes)]
     return reps, cocycles
 
@@ -450,16 +448,12 @@ class DiagonalSetup:
         self.proj = [x // (m * k) * k + x % k for x in range(len(self.cover))]
         self.m_pos = [j * k + gamma0.e for j in range(m)]
         self.quotient = self.cover.restrict(
-            self.sub, "(Z/%d)^%d:%s" % (m, n, gamma0.name),
-            [self.project(self.cover.elements[x]) for x in self.sub])
+            self.sub, [self.project(self.cover.elements[x]) for x in self.sub],
+            "(Z/%d)^%d:%s" % (m, n, gamma0.name))
 
     def project(self, g):
         t, k = g
         return (t[:-1], k)
-
-    def include(self, q):
-        t, k = q
-        return (t + (0,), k)
 
     def power_positions(self, d):
         """Each cover position with its M coordinate multiplied by d."""
@@ -473,35 +467,19 @@ def m_acts_trivially(setup: DiagonalSetup, coeff: CoefficientGroup) -> bool:
     return all(coeff.perm[x] == ident for x in setup.m_pos)
 
 
-def inflate(setup: DiagonalSetup, coeff_q: CoefficientGroup,
-            coeff: CoefficientGroup, z_q: Cocycle) -> Cocycle:
+def trivial_on_m(setup: DiagonalSetup, z: Cocycle) -> bool:
+    """Whether z restricts to the trivial class of H^1(M, A).  M must act
+    trivially, and then every coboundary on M is 1: the class is trivial
+    exactly when z is 1 on M."""
+    if not m_acts_trivially(setup, z.coeff):
+        raise CocycleError("M must act trivially on the coefficients")
+    e = z.coeff.A.e
+    return all(z.pos[x] == e for x in setup.m_pos)
+
+
+def inflate(setup: DiagonalSetup, coeff: CoefficientGroup,
+            z_q: Cocycle) -> Cocycle:
     return Cocycle(coeff, pos=list(map(z_q.pos.__getitem__, setup.proj)))
-
-
-def _restricted_coefficients(coeff: CoefficientGroup, positions):
-    """The coefficients over the subgroup at positions, with the induced
-    action; its closure and action are checked."""
-    perm = list(map(coeff.perm.__getitem__, positions))
-    return CoefficientGroup(coeff.A, coeff.cover.restrict(positions),
-                            perm=perm)
-
-
-def _restrict(sub_coeff: CoefficientGroup, positions, z: Cocycle):
-    return Cocycle(sub_coeff, pos=list(map(z.pos.__getitem__, positions)))
-
-
-def _trivial_on(sub_coeff: CoefficientGroup, positions, z: Cocycle) -> bool:
-    """Whether z restricts to a coboundary on the subgroup at positions,
-    sub_coeff being the coefficients restricted there."""
-    rz = _restrict(sub_coeff, positions, z)
-    return cohomologous(rz, trivial_cocycle(sub_coeff)) is not None
-
-
-def restrict_to_subgroup(coeff: CoefficientGroup, sub_elements,
-                         z: Cocycle):
-    """Restriction as a cocycle on the subgroup (with the induced action)."""
-    positions = [coeff.cover.index[g] for g in sub_elements]
-    return _restrict(_restricted_coefficients(coeff, positions), positions, z)
 
 
 def quotient_coefficients(setup: DiagonalSetup,
@@ -510,6 +488,13 @@ def quotient_coefficients(setup: DiagonalSetup,
         raise CocycleError("M must act trivially on the coefficients")
     return CoefficientGroup(coeff.A, setup.quotient,
                             perm=list(map(coeff.perm.__getitem__, setup.sub)))
+
+
+def restrict_to_quotient(setup: DiagonalSetup, coeff_q: CoefficientGroup,
+                         z: Cocycle) -> Cocycle:
+    """z restricted to the M = 0 copy of the quotient, over coeff_q, the
+    quotient_coefficients of z's."""
+    return Cocycle(coeff_q, pos=list(map(z.pos.__getitem__, setup.sub)))
 
 
 def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
@@ -521,12 +506,15 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
     """
     coeff_q = quotient_coefficients(setup, coeff)
     reps_q, _ = h1_enumerate(coeff_q, budget_gamma, budget_coeff)
-    reps, _ = h1_enumerate(coeff, budget_gamma, budget_coeff)
-    inflated = [inflate(setup, coeff_q, coeff, z) for z in reps_q]
+    reps, cocycles = h1_enumerate(coeff, budget_gamma, budget_coeff)
+    # an inflation is a cocycle of the cover: its key is looked up among
+    # those the enumeration of the cover has set
+    keys = {tuple(z.pos): class_key(z) for z in cocycles}
+    inflated = [keys[tuple(inflate(setup, coeff, z).pos)] for z in reps_q]
     # injectivity of inflation on classes: the first pair (i, j) in
     # lexicographic order with equal class keys
     seen = {}
-    for j, key in enumerate(map(class_key, inflated)):
+    for j, key in enumerate(inflated):
         seen.setdefault(key, []).append(j)
     clash = min((js[:2] for js in seen.values() if len(js) > 1),
                 default=None)
@@ -535,8 +523,7 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
             "inflation identifies distinct classes %d, %d" % tuple(clash))
     # image of inflation = kernel of restriction; inflation classes always
     # restrict trivially, so a size mismatch means exactness fails
-    m_coeff = _restricted_coefficients(coeff, setup.m_pos)
-    kernel = [z for z in reps if _trivial_on(m_coeff, setup.m_pos, z)]
+    kernel = [z for z in reps if trivial_on_m(setup, z)]
     image_count = sum(class_key(z) in seen for z in kernel)
     exact = image_count == len(kernel) == len(inflated) <= len(reps)
     return {
@@ -581,15 +568,12 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     Returns (d, theta) with theta the quotient cocycle i*(xi_d) whose
     inflation is cohomologous to xi_d.
     """
-    if not m_acts_trivially(setup, coeff):
-        raise CocycleError("M must act trivially on the coefficients")
+    coeff_q = quotient_coefficients(setup, coeff)
     e1 = eta1.pos
     if e1 != [e1[setup.sub[q]] for q in setup.proj]:
         raise CocycleError("eta1 must be independent of the M coordinate")
-    sub_coeff = _restricted_coefficients(coeff, setup.sub)
-    r1 = _restrict(sub_coeff, setup.sub, eta1)
-    r2 = _restrict(sub_coeff, setup.sub, eta2)
-    if cohomologous(r1, r2) is None:
+    if class_key(restrict_to_quotient(setup, coeff_q, eta1)) != \
+            class_key(restrict_to_quotient(setup, coeff_q, eta2)):
         raise CocycleError(
             "eta1 and eta2 do not agree on the diagonal copy")
     A = coeff.A
@@ -600,16 +584,15 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     if not ok:
         raise CocycleError("twisted difference is not a cocycle at %s" % (wit,))
     tw_q = quotient_coefficients(setup, tw)
-    m_coeff = _restricted_coefficients(tw, setup.m_pos)
     for d in range(1, setup.m + 1):
         xi_d = power_pullback(setup, tw, xi, d)
-        if not _trivial_on(m_coeff, setup.m_pos, xi_d):
+        if not trivial_on_m(setup, xi_d):
             continue
-        theta = Cocycle(tw_q, pos=list(map(xi_d.pos.__getitem__, setup.sub)))
+        theta = restrict_to_quotient(setup, tw_q, xi_d)
         ok, _ = is_cocycle(theta)
         if not ok:
             continue
-        if cohomologous(inflate(setup, tw_q, tw, theta), xi_d) is not None:
+        if class_key(inflate(setup, tw, theta)) == class_key(xi_d):
             return d, theta
     raise CocycleError("no power d <= %d trivializes the M restriction"
                        % setup.m)

@@ -8,9 +8,10 @@ sends the piece of q-degree beta to beta + alpha, and acts on the sparse
 rows of a matrix M as M + E M, where E = exp(ad_v) - I is built once from
 the few entries of ad_v and applied in one sparse product
 (linalg.exp_nilpotent).  A word is evaluated on the sparse rows of the
-identity, or of some of its columns, by left-applying its letters, last
-first; an ElementMatrix holds the result, and its dense .matrix is only a
-view for a caller that asks for it.
+identity, or of some of its columns, which store its ones alone
+(R.zero() is an exact zero), by left-applying its letters, last first; an
+ElementMatrix holds the result, and its dense .matrix is only a view for a
+caller that asks for it.
 
 Coefficients come from a ring of the scalar tower.  Only exact zeros are
 skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
@@ -117,18 +118,12 @@ def word_matrix(rg: RelativeGrading, R, word, columns=None) -> ElementMatrix:
     """The product of a word's letters: the sparse identity with the
     letters left-applied, last first.  With columns given, only those
     columns of the identity are carried, and the result holds the
-    product's entries in those columns alone.  Its zeros are R.zero(), so
-    a zero with a horizon (a DomainSeries with default_prec) is kept in
-    every off-diagonal entry, as in linalg.sparse of the identity."""
+    product's entries in those columns alone."""
     dim = rg.algebra.dim
     if columns is None:
         columns = range(dim)
-    one, zero = R.one(), R.zero()
-    if R.nonzero(zero):
-        rows = {i: {s: one if s == i else zero for s in columns}
-                for i in range(dim)}
-    else:
-        rows = {s: {s: one} for s in columns}
+    one = R.one()
+    rows = {s: {s: one} for s in columns}
     for alpha, v in reversed(list(word)):
         rows = linalg.exp_nilpotent(R, root_element(rg, R, alpha, v), rows)
     return ElementMatrix(rows, dim, R)

@@ -186,17 +186,10 @@ class GradedLieAlgebra:
         return out
 
     def bracket(self, x, y):
-        """Bracket of graded-coordinate vectors: of dense vectors as a dense
-        vector, of sparse vectors {t: x_t} as a sparse vector without
-        zeros."""
-        if isinstance(x, dict):
-            return {k: z for k, z in sparse_bracket(self.table, x, y).items()
-                    if z}
-        out = [self.dom.zero()] * self.dim
-        for k, z in sparse_bracket(self.table, sparse_vector(x),
-                                   sparse_vector(y)).items():
-            out[k] = z
-        return out
+        """Bracket of sparse graded-coordinate vectors {t: x_t}, as a sparse
+        vector without zeros."""
+        return {k: z for k, z in sparse_bracket(self.table, x, y).items()
+                if z}
 
     @cached_property
     def cells_by_first(self):

@@ -6,11 +6,11 @@ exact zero, and no exact zero is stored.  The one product kernel,
 E = exp(N) - I built once), and the one residual certifier,
 `identity_residual`, work on sparse rows.  Dense lists of row lists are
 left to elimination (`rref`, `kernel_basis`, `solve`, `span_coords`,
-`matrix_inverse`, `smith_invariants`); `sparse` and `dense` convert at that
-boundary.  The coefficient domain is passed explicitly and decides what
-counts as zero: an entry zero only up to a precision horizon, O(t^p), is
-kept, and how to divide by an int (`dom.over`) and put a field entry in
-canonical form (`dom.canon`), so integral data over Q stays on ints.
+`smith_invariants`); `dense` converts at that boundary.  The coefficient
+domain is passed explicitly and decides what counts as zero: an entry zero
+only up to a precision horizon, O(t^p), is kept, and how to divide by an
+int (`dom.over`) and put a field entry in canonical form (`dom.canon`), so
+integral data over Q stays on ints.
 Elimination uses first-nonzero pivoting so results are deterministic for a
 given input.
 """
@@ -23,15 +23,6 @@ from math import gcd
 def identity(dom, n):
     one, zero = dom.one(), dom.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def sparse(dom, M):
-    """The sparse rows of a dense matrix: exact zeros and empty rows are
-    dropped, entries zero only up to a horizon kept."""
-    nonzero = dom.nonzero
-    rows = ((i, {j: x for j, x in enumerate(row) if nonzero(x)})
-            for i, row in enumerate(M))
-    return {i: row for i, row in rows if row}
 
 
 def dense(dom, rows, n):
@@ -201,16 +192,6 @@ def span_coords(dom, vs, n):
             return None
         return [canon(x) for x in c]
     return coords
-
-
-def matrix_inverse(dom, A):
-    n = len(A)
-    aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]
-           for i in range(n)]
-    R, pivots = rref(dom, aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [R[i][n:] for i in range(n)]
 
 
 def smith_invariants(A):

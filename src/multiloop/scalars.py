@@ -399,12 +399,6 @@ class LaurentPoly:
     def constant(nvars: int, c) -> "LaurentPoly":
         return LaurentPoly(nvars, {(0,) * nvars: c})
 
-    @staticmethod
-    def variable(nvars: int, i: int, one) -> "LaurentPoly":
-        expo = [0] * nvars
-        expo[i] = 1
-        return LaurentPoly(nvars, {tuple(expo): one})
-
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             if other.nvars != self.nvars:
@@ -842,7 +836,6 @@ class DomainQ(_ExactDomain):
     an int when it is integral."""
 
     name = "Q"
-    is_field = True
     integral_zero = 0
     integral = staticmethod(rat_integral)
     over = staticmethod(rat_over)
@@ -888,8 +881,6 @@ class DomainQ(_ExactDomain):
 
 class DomainCyclotomic(_ExactDomain):
     """Q(zeta_m) on the power basis."""
-
-    is_field = True
 
     def __init__(self, order: int):
         self.order = order
@@ -966,8 +957,6 @@ class DomainLaurent(_ExactDomain):
     Q(zeta_m).
     """
 
-    is_field = False
-
     def __init__(self, nvars: int, ground):
         self.nvars = nvars
         self.ground = ground
@@ -997,9 +986,6 @@ class DomainLaurent(_ExactDomain):
 
     def from_int(self, n):
         return LaurentPoly.constant(self.nvars, self.ground.from_int(n))
-
-    def variable(self, i):
-        return LaurentPoly.variable(self.nvars, i, self.ground.one())
 
     def lift(self, x):
         if isinstance(x, LaurentPoly):
@@ -1048,15 +1034,12 @@ class DomainLaurent(_ExactDomain):
 class DomainSeries:
     """Truncated Laurent series in t over a base domain."""
 
-    is_field = False
-
-    def __init__(self, base, default_prec=None):
+    def __init__(self, base):
         self.base = base
-        self.default_prec = default_prec
         self.name = "%s((t))" % base.name
 
     def zero(self):
-        return TruncSeries.zero_at(self.base, self.default_prec)
+        return TruncSeries.zero_at(self.base, None)
 
     def one(self):
         return TruncSeries.constant(self.base, self.base.one())

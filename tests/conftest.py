@@ -3,10 +3,11 @@ from pathlib import Path
 import pytest
 
 from multiloop import linalg
-from multiloop.chevalley import (build_chevalley_by_type, sparse_bracket,
-                                 sparse_vector)
+from multiloop.chevalley import (AlgebraAutomorphism, build_chevalley_by_type,
+                                 sparse_bracket, sparse_vector)
 from multiloop.grading import (from_chevalley, graded_from_spec,
                                parse_spec_file, relative_roots)
+from multiloop.scalars import LaurentPoly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,7 +22,8 @@ def algebra(type_label, rank):
 
 
 def dense_bracket(alg, dom, x, y):
-    """[x, y] of dense coefficient vectors on the ambient table of alg."""
+    """[x, y] of dense coefficient vectors on the table of alg, a Chevalley
+    or a graded algebra."""
     out = [dom.zero()] * alg.dim
     for k, z in sparse_bracket(alg.table, sparse_vector(x),
                                sparse_vector(y)).items():
@@ -40,10 +42,45 @@ def root_vector(alg, dom, a):
 # Dense matrix oracles: the library holds matrices as sparse rows and keeps
 # dense lists for elimination only.
 
+def sparse(dom, M):
+    """The sparse rows of a dense matrix: exact zeros and empty rows are
+    dropped, entries zero only up to a horizon kept."""
+    rows = ((i, {j: x for j, x in enumerate(row) if dom.nonzero(x)})
+            for i, row in enumerate(M))
+    return {i: row for i, row in rows if row}
+
+
+def aut_apply(a, v):
+    """The automorphism a applied to a dense coefficient vector v."""
+    out = [a.dom.zero()] * a.alg.dim
+    for i, row in a.rows.items():
+        for j, x in row.items():
+            if v[j]:
+                out[i] = out[i] + x * v[j]
+    return out
+
+
+def aut_inverse(a):
+    """The inverse of the automorphism a, by elimination on [A | I]."""
+    dom, n = a.dom, a.alg.dim
+    aug = [row + [dom.one() if i == j else dom.zero() for j in range(n)]
+           for i, row in enumerate(linalg.dense(dom, a.rows, n))]
+    R, pivots = linalg.rref(dom, aug)
+    assert pivots[:n] == list(range(n)), "singular automorphism"
+    return AlgebraAutomorphism(a.alg, dom, sparse(dom, [r[n:] for r in R]),
+                               check=False)
+
+
+def variable(dom, i):
+    """The i-th variable of the Laurent polynomial domain dom."""
+    expo = tuple(int(k == i) for k in range(dom.nvars))
+    return LaurentPoly(dom.nvars, {expo: dom.ground.one()})
+
+
 def mat_mul_dense(dom, A, B):
     """The dense product of square dense matrices A and B, by mat_mul."""
-    return linalg.dense(dom, linalg.mat_mul(dom, linalg.sparse(dom, A),
-                                            linalg.sparse(dom, B)), len(A))
+    return linalg.dense(dom, linalg.mat_mul(dom, sparse(dom, A),
+                                            sparse(dom, B)), len(A))
 
 
 def mat_vec(dom, A, v):

@@ -1,20 +1,41 @@
 import itertools
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from multiloop import cocycle
 from multiloop.cocycle import (BudgetExceeded, Cocycle, CocycleError,
                                CoefficientGroup, DiagonalSetup, FiniteGroup,
-                               check_budget, class_key, cohomologous,
-                               cover_group,
+                               check_budget, class_key, cover_group,
                                cyclic_group, diagonal_argument, direct_product,
                                galois_action, h1_enumerate, inf_res_sequence,
                                inflate, is_cocycle, m_acts_trivially,
                                power_pullback, quotient_coefficients,
-                               restrict_to_subgroup, symmetric_group_3,
+                               restrict_to_quotient, symmetric_group_3,
                                trivial_action, trivial_cocycle, trivial_group,
-                               twist_cocycle, twisted_coefficients)
+                               trivial_on_m, twist_cocycle,
+                               twisted_coefficients)
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def cohomologous(z1, z2):
+    """A witness a with z2 = a^{-1} z1 (g . a), or None: the brute-force
+    search of twists that class_key and trivial_on_m are checked against.
+    Both cocycles list the same cover elements and take values in the same
+    A."""
+    for a in z1.coeff.A.elements:
+        if twist_cocycle(z1, a).pos == z2.pos:
+            return a
+    return None
+
+
+def apply(coeff, g, a):
+    """g . a on labels."""
+    A = coeff.A
+    return A.elements[coeff.perm[coeff.cover.index[g]][A.index[a]]]
 
 
 def test_group_constructors():
@@ -130,8 +151,8 @@ def test_diagonal_setup_projection():
     setup = DiagonalSetup(1, 2, trivial_group(), {})
     assert len(setup.cover.elements) == 4
     assert len(setup.quotient.elements) == 2
-    for q in setup.quotient.elements:
-        assert setup.project(setup.include(q)) == q
+    assert [setup.project(setup.cover.elements[x]) for x in setup.sub] == \
+        setup.quotient.elements
     assert len(setup.m_pos) == 2
 
 
@@ -160,14 +181,18 @@ def test_power_pullback_composes():
         assert z1.values == z.values
 
 
+def _agrees_on_quotient(setup, coeff, eta1):
+    """Whether a cocycle's restriction to the diagonal copy is in eta1's
+    class there."""
+    coeff_q = quotient_coefficients(setup, coeff)
+    key = class_key(restrict_to_quotient(setup, coeff_q, eta1))
+    return lambda z: class_key(restrict_to_quotient(setup, coeff_q, z)) == key
+
+
 def _diagonal_eligible(setup, coeff, eta1):
     """Cocycles whose restriction to the diagonal copy matches eta1's."""
     _, all_c = h1_enumerate(coeff)
-    sub = [setup.include(q) for q in setup.quotient.elements]
-    r1 = restrict_to_subgroup(coeff, sub, eta1)
-    return [z for z in all_c
-            if cohomologous(r1, restrict_to_subgroup(coeff, sub, z))
-            is not None]
+    return list(filter(_agrees_on_quotient(setup, coeff, eta1), all_c))
 
 
 def test_diagonal_argument_spec_examples():
@@ -201,12 +226,10 @@ def test_diagonal_argument_preconditions():
     assert m_acts_trivially(setup, coeff)
     eta1 = trivial_cocycle(coeff)
     _, all_c = h1_enumerate(coeff)
-    sub = [setup.include(q) for q in setup.quotient.elements]
-    r1 = restrict_to_subgroup(coeff, sub, eta1)
+    agrees = _agrees_on_quotient(setup, coeff, eta1)
     agreeing = 0
     for z in all_c:
-        r2 = restrict_to_subgroup(coeff, sub, z)
-        if cohomologous(r1, r2) is None:
+        if not agrees(z):
             with pytest.raises(CocycleError):
                 diagonal_argument(setup, coeff, eta1, z)
         else:
@@ -221,16 +244,15 @@ def test_diagonal_argument_nontrivial_eta1():
     coeff = trivial_action(setup.cover, symmetric_group_3())
     coeff_q = quotient_coefficients(setup, coeff)
     _, q_cocycles = h1_enumerate(coeff_q)
-    eta1 = next(inflate(setup, coeff_q, coeff, z) for z in q_cocycles
+    eta1 = next(inflate(setup, coeff, z) for z in q_cocycles
                 if any(v != coeff.A.identity for v in z.values.values()))
     ok, _ = is_cocycle(eta1)
     assert ok
     _, all_c = h1_enumerate(coeff)
-    sub = [setup.include(q) for q in setup.quotient.elements]
-    r1 = restrict_to_subgroup(coeff, sub, eta1)
+    agrees = _agrees_on_quotient(setup, coeff, eta1)
     ran = 0
     for z in all_c:
-        if cohomologous(r1, restrict_to_subgroup(coeff, sub, z)) is None:
+        if not agrees(z):
             continue
         d, _ = diagonal_argument(setup, coeff, eta1, z)
         assert 1 <= d <= setup.m
@@ -259,7 +281,7 @@ def _oracle_is_cocycle(coeff, values):
     for g in G.elements:
         for h in G.elements:
             if values[G.mul(g, h)] != A.mul(values[g],
-                                            coeff.apply(g, values[h])):
+                                            apply(coeff, g, values[h])):
                 return False, (g, h)
     return True, None
 
@@ -289,7 +311,7 @@ def _oracle_propagate(coeff, gens, assignment):
         for g in frontier:
             for s, x in zip(gens, assignment):
                 gs = G.mul(g, s)
-                v = A.mul(vals[g], coeff.apply(g, x))
+                v = A.mul(vals[g], apply(coeff, g, x))
                 if gs not in vals:
                     vals[gs] = v
                     nxt.append(gs)
@@ -311,7 +333,7 @@ def _oracle_h1(coeff):
             cocycles.append(vals)
     classes = {}
     for vals in cocycles:
-        key = min(tuple(A.mul(A.mul(A.inv(a), vals[g]), coeff.apply(g, a))
+        key = min(tuple(A.mul(A.mul(A.inv(a), vals[g]), apply(coeff, g, a))
                         for g in G.elements) for a in A.elements)
         classes.setdefault(key, []).append(vals)
     return [classes[k][0] for k in sorted(classes)], cocycles
@@ -324,31 +346,44 @@ def _inverting(cover, gamma0, A):
                                     for g in gamma0.elements})
 
 
-def _oracle_configs():
-    z2, s3 = cyclic_group(2), symmetric_group_3()
-    v4 = direct_product(cyclic_group(2), cyclic_group(2))
-    yield "Z2 on S3", trivial_action(cover_group(1, 2, trivial_group(), {}),
-                                     s3)
-    yield "Z4^2 on V4", trivial_action(
-        cover_group(2, 4, trivial_group(), {}), v4)
-    yield "Z3:Z2 inverts Z3", _inverting(
-        cover_group(1, 3, z2, {1: 2}), z2, cyclic_group(3))
-    yield "Z4^2:Z2 inverts Z4", _inverting(
-        cover_group(2, 4, z2, {1: 3}), z2, cyclic_group(4))
-    yield "Z2^2:Z2 inverts V4", _inverting(
-        cover_group(2, 2, z2, {1: 1}), z2, v4)
-    yield "order 48 on S3", trivial_action(
-        cover_group(2, 4, cyclic_group(3), {}), s3)
-    yield "Z2^3:S3 on Z2", trivial_action(cover_group(3, 2, s3, {}), z2)
-    # S3 acted on by conjugation through a nontrivial cocycle
-    coeff = trivial_action(cover_group(1, 4, trivial_group(), {}), s3)
+def _conjugating(cover, s3):
+    """S3 acted on by conjugation through a nontrivial cocycle."""
+    coeff = trivial_action(cover, s3)
     eta = next(z for z in h1_enumerate(coeff)[0]
                if set(z.values.values()) != {s3.identity})
-    yield "Z4 on S3 by conjugation", twisted_coefficients(coeff, eta)
+    return twisted_coefficients(coeff, eta)
 
 
+def _oracle_configs():
+    """(name, setup, coefficients): each cover is the cover of a
+    DiagonalSetup, whose M is its last translation coordinate."""
+    z2, s3 = cyclic_group(2), symmetric_group_3()
+    v4 = direct_product(cyclic_group(2), cyclic_group(2))
+    for name, args, make in [
+            ("Z2 on S3", (0, 2, trivial_group(), {}),
+             lambda c: trivial_action(c, s3)),
+            ("Z4^2 on V4", (1, 4, trivial_group(), {}),
+             lambda c: trivial_action(c, v4)),
+            ("Z3:Z2 inverts Z3", (0, 3, z2, {1: 2}),
+             lambda c: _inverting(c, z2, cyclic_group(3))),
+            ("Z4^2:Z2 inverts Z4", (1, 4, z2, {1: 3}),
+             lambda c: _inverting(c, z2, cyclic_group(4))),
+            ("Z2^2:Z2 inverts V4", (1, 2, z2, {1: 1}),
+             lambda c: _inverting(c, z2, v4)),
+            ("order 48 on S3", (1, 4, cyclic_group(3), {}),
+             lambda c: trivial_action(c, s3)),
+            ("Z2^3:S3 on Z2", (2, 2, s3, {}),
+             lambda c: trivial_action(c, z2)),
+            ("Z4 on S3 by conjugation", (0, 4, trivial_group(), {}),
+             lambda c: _conjugating(c, s3))]:
+        setup = DiagonalSetup(*args)
+        yield name, setup, make(setup.cover)
+
+
+_CONFIGS = list(_oracle_configs())
 ORACLE_CONFIGS = [pytest.param(name, coeff, id=name)
-                  for name, coeff in _oracle_configs()]
+                  for name, _, coeff in _CONFIGS]
+ORACLE_SETUPS = {name: setup for name, setup, _ in _CONFIGS}
 
 
 @pytest.mark.parametrize("name, coeff", ORACLE_CONFIGS)
@@ -404,10 +439,83 @@ def test_enumerated_cocycles_pass_is_cocycle(name, coeff):
 def test_class_key_decides_cohomology(name, coeff):
     reps, cocycles = h1_enumerate(coeff)
     keys = [class_key(z) for z in cocycles]
+    # the keys the enumeration sets are those computed afresh
+    assert keys == [class_key(Cocycle(coeff, pos=z.pos)) for z in cocycles]
     for (z1, k1), (z2, k2) in itertools.product(zip(cocycles, keys),
                                                 repeat=2):
         assert (k1 == k2) == (cohomologous(z1, z2) is not None)
     assert sorted(set(keys)) == [class_key(z) for z in reps]
+
+
+def _restricted_to_m(setup, z):
+    """z as a cocycle on the subgroup M, with the induced action."""
+    cover = z.coeff.cover
+    m_coeff = CoefficientGroup(
+        z.coeff.A, cover.restrict(setup.m_pos, [cover.elements[x]
+                                                for x in setup.m_pos]),
+        perm=[z.coeff.perm[x] for x in setup.m_pos])
+    return Cocycle(m_coeff, pos=[z.pos[x] for x in setup.m_pos])
+
+
+def _restricts_to_coboundary(setup, z):
+    rz = _restricted_to_m(setup, z)
+    return cohomologous(rz, trivial_cocycle(rz.coeff)) is not None
+
+
+@pytest.mark.parametrize("name, coeff", [
+    p for p in ORACLE_CONFIGS
+    if m_acts_trivially(ORACLE_SETUPS[p.values[0]], p.values[1])])
+def test_trivial_on_m_matches_brute_force(name, coeff):
+    # every enumerated cocycle, and its difference from eta1 as the
+    # diagonal argument twists it, eta1 being inflated from the quotient
+    setup = ORACLE_SETUPS[name]
+    reps_q, _ = h1_enumerate(quotient_coefficients(setup, coeff))
+    eta1 = inflate(setup, coeff, reps_q[-1])
+    tw = twisted_coefficients(coeff, eta1)
+    A = coeff.A
+    _, cocycles = h1_enumerate(coeff)
+    trivial = 0
+    for z in cocycles:
+        xi = Cocycle(tw, pos=[A.rows[b][A.inv_index[a]]
+                              for a, b in zip(eta1.pos, z.pos)])
+        assert is_cocycle(xi)[0]
+        for w in (z, xi):
+            assert trivial_on_m(setup, w) == _restricts_to_coboundary(setup, w)
+            trivial += trivial_on_m(setup, w)
+    assert 0 < trivial < 2 * len(cocycles)
+
+
+def test_trivial_on_m_refuses_a_nontrivial_action_on_m():
+    # M acts on S3 by conjugation: some coboundary is not 1 on M, so "z is 1
+    # on M" would not decide the class there
+    name = "Z4 on S3 by conjugation"
+    setup, coeff = next((s, c) for n, s, c in _CONFIGS if n == name)
+    assert not m_acts_trivially(setup, coeff)
+    one = trivial_cocycle(coeff)
+    e = coeff.A.e
+    assert any(any(twist_cocycle(one, a).pos[x] != e for x in setup.m_pos)
+               for a in coeff.A.elements)
+    with pytest.raises(CocycleError, match="^M must act trivially"):
+        trivial_on_m(setup, one)
+    with pytest.raises(CocycleError, match="^M must act trivially"):
+        inf_res_sequence(setup, coeff)
+    with pytest.raises(CocycleError, match="^M must act trivially"):
+        diagonal_argument(setup, coeff, one, one)
+
+
+def test_cocycle_sweep_output(capsys):
+    runpy.run_path(str(SCRIPTS / "cocycle_sweep.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "n=1 m=2 A=Z2                 classes=4 cocycles=4 exact=True "
+        "diag-d=[1, 2]",
+        "n=1 m=3 A=Z3                 classes=9 cocycles=9 exact=True "
+        "diag-d=[1, 3]",
+        "n=2 m=2 A=Z2                 classes=8 cocycles=8 exact=True "
+        "diag-d=[1, 2]",
+        "n=1 m=2 A=S3                 classes=4 cocycles=10 exact=True "
+        "diag-d=[1, 2]",
+        "n=1 m=3 Gal=Z2 A=Z3 inv      classes=9 cocycles=27 exact=True "
+        "diag-d=[1, 3]"]
 
 
 def _oracle_identified_pair(inflated):
@@ -441,7 +549,7 @@ def test_inflation_injectivity_names_the_first_pair(monkeypatch, order):
         return (fake, all_c) if c.cover is setup.quotient else (reps, all_c)
 
     monkeypatch.setattr(cocycle, "h1_enumerate", patched)
-    inflated = [inflate(setup, coeff_q, coeff, z) for z in fake]
+    inflated = [inflate(setup, coeff, z) for z in fake]
     i, j = _oracle_identified_pair(inflated)
     with pytest.raises(CocycleError, match=r"^inflation identifies distinct "
                                            r"classes %d, %d$" % (i, j)):
@@ -614,7 +722,7 @@ def test_diagonal_quotient_is_the_smaller_cover(n, m, gamma0, units):
     assert setup.quotient.name == small.name
     cover = setup.cover
     assert [cover.elements[x] for x in setup.sub] == \
-        [setup.include(q) for q in small.elements]
+        [(t + (0,), k) for t, k in small.elements]
     assert [small.elements[q] for q in setup.proj] == \
         [setup.project(g) for g in cover.elements]
     for d in range(1, m + 1):
@@ -658,9 +766,9 @@ def test_given_rows_must_be_a_closed_table(rows):
 
 def test_restriction_must_be_closed():
     G = cyclic_group(4)
-    assert G.restrict([0, 2]).rows == [[0, 1], [1, 0]]
+    assert G.restrict([0, 2], [0, 2]).rows == [[0, 1], [1, 0]]
     with pytest.raises(CocycleError, match="not closed"):
-        G.restrict([0, 1])
+        G.restrict([0, 1], [0, 1])
 
 
 def test_check_budget_group_before_coefficients():

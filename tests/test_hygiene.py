@@ -42,27 +42,55 @@ def test_unused_import_is_caught(tmp_path):
     assert _unused_imports(module) == [(2, "os")]
 
 
+def _load(path):
+    """The module at path: a library module by its package name."""
+    if path.parent == SRC:
+        return importlib.import_module("multiloop." + path.stem)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _uncalled_functions(defining, referencing):
-    """(module file name, function) of every public module-level function of
-    the defining files that no Name or Attribute node of the referencing
-    files names outside its own body; docstrings and comments do not
-    count."""
-    refs = Counter()
+    """(module file name, name) of every public module-level function and
+    every public method of a module-level class ("Class.method") of the
+    defining files that the referencing files never name outside its own
+    body.  A function is named by a Name or an Attribute node, a method by
+    an Attribute node only; docstrings and comments do not count, and a
+    method that overrides one of a base class is exempt."""
+    names, attrs = Counter(), Counter()
     for path in referencing:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                refs[node.id] += 1
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                refs[node.attr] += 1
+                attrs[node.attr] += 1
+
+    def own(fn, kinds):
+        return sum(1 for n in ast.walk(fn) if isinstance(n, kinds) and
+                   getattr(n, "id", getattr(n, "attr", None)) == fn.name)
+
     out = []
     for path in defining:
-        for fn in ast.parse(path.read_text()).body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+        module = None
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_") and \
+                    names[node.name] + attrs[node.name] <= \
+                    own(node, (ast.Name, ast.Attribute)):
+                out.append((path.name, node.name))
+            if not isinstance(node, ast.ClassDef):
                 continue
-            own = sum(1 for n in ast.walk(fn)
-                      if getattr(n, "id", getattr(n, "attr", None)) == fn.name)
-            if refs[fn.name] <= own:
-                out.append((path.name, fn.name))
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or \
+                        fn.name.startswith("_") or \
+                        attrs[fn.name] > own(fn, ast.Attribute):
+                    continue
+                module = module or _load(path)
+                bases = getattr(module, node.name).__mro__[1:]
+                if not any(hasattr(b, fn.name) for b in bases):
+                    out.append((path.name, "%s.%s" % (node.name, fn.name)))
     return out
 
 
@@ -72,8 +100,9 @@ _PAPER_OBJECTS = {"exp_ad", "killing_form", "extract_q_maps",
 
 
 def test_library_functions_have_callers():
-    """Every public module-level function of the library is used by the
-    library, the scripts or the benchmark, or is a listed paper object."""
+    """Every public module-level function and public method of the library
+    is used by the library, the scripts or the benchmark, or is a listed
+    paper object."""
     root = SRC.parent.parent
     referencing = [p for d in ("src", "scripts", "perfbench")
                    for p in sorted((root / d).rglob("*.py"))]
@@ -85,11 +114,23 @@ def test_library_functions_have_callers():
 def test_uncalled_function_is_caught(tmp_path):
     lib, user = tmp_path / "lib.py", tmp_path / "user.py"
     lib.write_text('"""used() is documented here; orphan() is not called."""\n'
+                   "import argparse\n"
                    "def used():\n    return 1\n"
                    "def orphan(n):\n    return orphan(n - 1) if n else 0\n"
-                   "def _private():\n    return 2\n")
-    user.write_text("import lib\nprint(lib.used())\n")
-    assert _uncalled_functions([lib], [lib, user]) == [("lib.py", "orphan")]
+                   "def _private():\n    return 2\n"
+                   "class Thing:\n"
+                   "    def size(self):\n        return 1\n"
+                   "    def dead(self, n):\n"
+                   "        return self.dead(n - 1) if n else 0\n"
+                   "    def apply(self):\n        return 3\n"
+                   "class Parser(argparse.ArgumentParser):\n"
+                   "    def error(self, message):\n        raise ValueError\n")
+    user.write_text("import lib\n"
+                    "def apply(x):\n    return x\n"
+                    "print(lib.used(), lib.Thing().size(), apply(1))\n")
+    assert _uncalled_functions([lib], [lib, user]) == [
+        ("lib.py", "orphan"), ("lib.py", "Thing.dead"),
+        ("lib.py", "Thing.apply")]
 
 
 _FLOAT_MATH = ("sqrt", "log", "exp")

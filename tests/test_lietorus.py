@@ -13,7 +13,7 @@ from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
                                 pairing_from_strings)
 from multiloop.scalars import QQ
 
-from conftest import FIXTURES, algebra, load_spec
+from conftest import FIXTURES, algebra, dense_bracket, load_spec
 
 
 def test_sl2_loop_passes(g_sl2loop):
@@ -86,10 +86,10 @@ def test_lt4_witnesses_reverify(g_flip):
     for alpha, lam, ei, f_shown in rep.witnesses:
         e = [dom.one() if t == ei else dom.zero() for t in range(g_flip.dim)]
         f = [dom.parse(s) for s in f_shown]
-        h = g_flip.bracket(e, f)
-        he = g_flip.bracket(h, e)
+        h = dense_bracket(g_flip, g_flip.dom, e, f)
+        he = dense_bracket(g_flip, g_flip.dom, h, e)
         assert he == [x * 2 for x in e]
-        hf = g_flip.bracket(h, f)
+        hf = dense_bracket(g_flip, g_flip.dom, h, f)
         assert hf == [x * (-2) for x in f]
         # eigenvalue identity on every basis vector
         for k, ent in enumerate(g_flip.entries):
@@ -97,7 +97,7 @@ def test_lt4_witnesses_reverify(g_flip):
                 pairing_from_strings(ent.qdeg, alpha, support)
             x = [dom.one() if t == k else dom.zero()
                  for t in range(g_flip.dim)]
-            hx = g_flip.bracket(h, x)
+            hx = dense_bracket(g_flip, g_flip.dom, h, x)
             assert hx == [xi * expect for xi in x]
 
 
@@ -161,7 +161,7 @@ def _lt5_oracle(g):
         new = []
         for v in frontier:
             for u in gens:
-                w = g.bracket(u, v)
+                w = dense_bracket(g, g.dom, u, v)
                 if any(w):
                     new.append(w)
         before = rank(span)
@@ -255,20 +255,20 @@ def _lt4_oracle(g, delta_set):
             ei, fi = idxs[0], fidx[0]
             e = [dom.one() if t == ei else dom.zero() for t in range(g.dim)]
             f = [dom.one() if t == fi else dom.zero() for t in range(g.dim)]
-            h = g.bracket(e, f)
-            he = g.bracket(h, e)
+            h = dense_bracket(g, g.dom, e, f)
+            he = dense_bracket(g, g.dom, h, e)
             mu = he[ei]
             if any(x for t, x in enumerate(he) if t != ei) or not mu:
                 return False, ("no-sl2-scaling", alpha, lam), []
             c = dom.inv(mu) * 2
             f = [x * c for x in f]
-            h = g.bracket(e, f)
+            h = dense_bracket(g, g.dom, e, f)
             for k, ent in enumerate(g.entries):
                 beta = ent.qdeg
                 expect = 0 if beta == zero else \
                     pairing_from_strings(beta, alpha, support)
                 x = [dom.one() if t == k else dom.zero() for t in range(g.dim)]
-                hx = g.bracket(h, x)
+                hx = dense_bracket(g, g.dom, h, x)
                 want = [dom.from_int(expect) * xi for xi in x]
                 if any(a != b for a, b in zip(hx, want)):
                     return False, ("identity-fails", alpha, lam, beta), []
