@@ -10,10 +10,11 @@ all |G|^2 * |A| homomorphism conditions.  A cocycle that h1_enumerate
 returns is proved by its propagation, which checks the cocycle identity
 on every edge g -> gs of the Cayley graph of a generating sequence over
 all of G: with z(e) = 1 and an action by automorphisms, induction on word
-length gives it on all |G|^2 pairs.  Every cocycle built otherwise (the
-CLI discrepancy, the power pullback, the twisted difference and theta of
-the diagonal argument) passes ``is_cocycle``, which checks all |G|^2
-pairs.
+length gives it on all |G|^2 pairs.  The CLI discrepancy, the power
+pullback and the twisted difference of the diagonal argument pass
+``is_cocycle``, which checks all |G|^2 pairs.  The diagonal argument's
+theta, the restriction of a cocycle xi_d that is 1 on M, is certified by
+its inflation being xi_d position for position.
 
 A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
@@ -565,8 +566,9 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
 
     Requires: M acts trivially on A; eta1 is independent of the M
     coordinate; eta1 and eta2 agree on the M = 0 copy of the quotient.
-    Returns (d, theta) with theta the quotient cocycle i*(xi_d) whose
-    inflation is cohomologous to xi_d.
+    Returns (d, theta) with theta the quotient cocycle i*(xi_d), the
+    restriction of xi_d to the M = 0 copy, certified by its inflation
+    being xi_d position for position.
     """
     coeff_q = quotient_coefficients(setup, coeff)
     e1 = eta1.pos
@@ -588,11 +590,13 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
         xi_d = power_pullback(setup, tw, xi, d)
         if not trivial_on_m(setup, xi_d):
             continue
+        # M acts trivially, so xi_d(m g) = xi_d(m) (m . xi_d(g)) = xi_d(g):
+        # the inflation of theta is xi_d itself, and theta, a restriction
+        # of the cocycle xi_d, is a cocycle
         theta = restrict_to_quotient(setup, tw_q, xi_d)
-        ok, _ = is_cocycle(theta)
-        if not ok:
-            continue
-        if class_key(inflate(setup, tw, theta)) == class_key(xi_d):
-            return d, theta
+        if inflate(setup, tw, theta).pos != xi_d.pos:
+            raise CocycleError("xi_%d is not inflated from its restriction"
+                               % d)
+        return d, theta
     raise CocycleError("no power d <= %d trivializes the M restriction"
                        % setup.m)

@@ -22,7 +22,10 @@ carry.  Residual words are certified on the generating columns of the
 algebra (generator_residual): an automorphism that fixes them modulo t^a,
 a >= 0, fixes every column modulo t^a.  Unipotent factorization reads each
 parameter off a block of the matrix with one linalg.span_coords solver per
-root, which certifies it, straight from the sparse rows.
+root, which certifies it, straight from the sparse rows, and ends by
+certifying that what is left is the identity on every column, which proves
+u = prod X(v_i): the one certificate of commutator tables and of the q-map
+corrections (extract_q_maps, which the series engine shares).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cached_property
 from . import linalg
 from .chevalley import ad_rows, character
 from .grading import GradedLieAlgebra, RelativeGrading
-from .lietorus import _proportionality
+from .rootsys import proportionality
 from .scalars import TruncSeries, series_split
 
 
@@ -253,7 +256,8 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
     The gamma-shift block of what is left must be the block of ad_v for a
     v on the gamma piece; every entry R.nonzero accepts takes part in that
     certificate, and what is left at the end is certified against the
-    identity."""
+    identity on every column, which proves u = prod X_gamma(v_gamma).
+    Raises ElementError otherwise."""
     g = rg.algebra
     if keyfunc is None:
         keyfunc = lambda gamma: (rg.data.height(gamma), gamma)
@@ -295,12 +299,8 @@ def extract_q_maps(rg: RelativeGrading, R, alpha, v, w):
                           "additivity fails for a non-multipliable root")
         return []
     f = _positivity_functional(rg, alpha, alpha)
-    corrections = unipotent_factor(rg, R, word_matrix(rg, R, rem_word),
-                                   higher, keyfunc=lambda gam: (f(gam), gam))
-    _require_identity(
-        rg, R, word_inverse(RootElementWord(corrections)).letters + rem_word,
-        "correction verification failed")
-    return corrections
+    return unipotent_factor(rg, R, word_matrix(rg, R, rem_word), higher,
+                            keyfunc=lambda gam: (f(gam), gam))
 
 
 def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
@@ -315,7 +315,7 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
     comm_word = [(alpha, u), (beta, v), (alpha, [-x for x in u]),
                  (beta, [-x for x in v])]
     comm = word_matrix(rg, R, comm_word)
-    if alpha == beta or _proportionality(alpha, beta) is not None:
+    if alpha == beta or proportionality(alpha, beta) is not None:
         psi = sorted(set(multiples_above(rg, alpha))
                      | set(multiples_above(rg, beta)))
     else:
@@ -325,12 +325,8 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
             for i in range(1, 6) for j in range(1, 6))
             if gam in rg.system.root_set)
     f = _positivity_functional(rg, alpha, beta)
-    factors = unipotent_factor(rg, R, comm, psi,
-                               keyfunc=lambda gam: (f(gam), gam))
-    _require_identity(
-        rg, R, word_inverse(RootElementWord(factors)).letters + comm_word,
-        "commutator factorization failed verification")
-    return factors
+    return unipotent_factor(rg, R, comm, psi,
+                            keyfunc=lambda gam: (f(gam), gam))
 
 
 def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
@@ -408,14 +404,9 @@ def _expand_letter(rg, R, alpha, v, out):
         return
     out.append((alpha, positive))
     out.append((alpha, nonpos))
-    higher = multiples_above(rg, alpha)
-    if higher:
+    if multiples_above(rg, alpha):
         # X(v) = X(pos) X(nonpos) C^{-1} with C supported on multiples
-        rem = word_matrix(rg, R, [(alpha, [-x for x in v]),
-                                  (alpha, positive), (alpha, nonpos)])
-        f = _positivity_functional(rg, alpha, alpha)
-        for gam, q in unipotent_factor(rg, R, rem, higher,
-                                       keyfunc=lambda g_: (f(g_), g_)):
+        for gam, q in extract_q_maps(rg, R, alpha, positive, nonpos):
             _expand_letter(rg, R, gam, [-x for x in q], out)
 
 

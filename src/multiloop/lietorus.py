@@ -9,11 +9,11 @@ closes the generated subalgebra with GradedLieAlgebra.closure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .chevalley import sparse_bracket
 from .grading import GradedLieAlgebra
+from .rootsys import proportionality
 from .scalars import QQ
 
 
@@ -96,26 +96,10 @@ def check_LT3(g: GradedLieAlgebra) -> tuple:
     return False, ("cokernel-invariants", inv)
 
 
-def _proportionality(beta, alpha):
-    """beta = c * alpha componentwise, or None."""
-    c = None
-    for b, a in zip(beta, alpha):
-        if a == 0:
-            if b != 0:
-                return None
-        else:
-            r = Fraction(b, a)
-            if c is None:
-                c = r
-            elif c != r:
-                return None
-    return c
-
-
 def pairing_from_strings(beta, alpha, root_set):
     """<beta, alpha^vee> from the alpha-string through beta inside the given
     root set, with the proportional cases handled directly."""
-    c = _proportionality(beta, alpha)
+    c = proportionality(beta, alpha)
     if c is not None:
         val = 2 * c
         if val.denominator != 1:
@@ -206,7 +190,7 @@ def classify_system(roots) -> str:
     count = len(roots)
     names = {(1, 2, True): "A1", (1, 4, False): "BC1",
              (2, 6, True): "A2", (2, 8, True): "B2", (2, 12, True): "G2",
-             (2, 16, False): "BC2"}
+             (2, 12, False): "BC2"}
     return names.get((rank, count, reduced),
                      "rank%d-%droots-%s" % (rank, count,
                                             "red" if reduced else "nonred"))

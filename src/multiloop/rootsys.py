@@ -204,6 +204,22 @@ def _build_bc(rank: int) -> RootSystem:
     return RootSystem("BC", r, simples, roots, gram)
 
 
+def proportionality(beta, alpha):
+    """The c with beta = c * alpha componentwise, as a Fraction, or None."""
+    c = None
+    for b, a in zip(beta, alpha):
+        if a == 0:
+            if b != 0:
+                return None
+        else:
+            r = Fraction(b, a)
+            if c is None:
+                c = r
+            elif c != r:
+                return None
+    return c
+
+
 def make_relative_system(weights) -> RootSystem:
     """Wrap a set of nonzero weight vectors (from a torus grading) as a root
     system labelled 'relative'; the standard dot product serves as Gram data."""

@@ -71,6 +71,16 @@ def aut_inverse(a):
                                check=False)
 
 
+def aut_order(a, bound=64):
+    """The order of the automorphism a, or None when it exceeds bound."""
+    cur = a
+    for k in range(1, bound + 1):
+        if cur.is_identity():
+            return k
+        cur = cur.compose(a)
+    return None
+
+
 def variable(dom, i):
     """The i-th variable of the Laurent polynomial domain dom."""
     expo = tuple(int(k == i) for k in range(dom.nvars))

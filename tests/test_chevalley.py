@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError,
 from multiloop.rootsys import build_root_system
 from multiloop.scalars import QQ, Cyclotomic, DomainCyclotomic
 
-from conftest import (algebra, aut_apply, aut_inverse, basis_vector,
-                      dense_bracket, root_vector, sparse)
+from conftest import (algebra, aut_apply, aut_inverse, aut_order,
+                      basis_vector, dense_bracket, root_vector, sparse)
 
 DIMS = {("A", 1): 3, ("A", 2): 8, ("B", 2): 10, ("G", 2): 14,
         ("A", 3): 15, ("D", 4): 28, ("E", 6): 78}
@@ -149,9 +150,50 @@ def test_nonnilpotent_rejected():
 
 def test_diagram_automorphism_orders():
     a2 = algebra("A", 2)
-    assert diagram_automorphism(a2, [1, 0]).order() == 2
+    assert aut_order(diagram_automorphism(a2, [1, 0])) == 2
     a3 = algebra("A", 3)
-    assert diagram_automorphism(a3, [2, 1, 0]).order() == 2
+    assert aut_order(diagram_automorphism(a3, [2, 1, 0])) == 2
+
+
+def _perm_order(perm):
+    k, cur = 1, list(perm)
+    while cur != list(range(len(perm))):
+        cur = [perm[i] for i in cur]
+        k += 1
+    return k
+
+
+def _diagram_symmetries(alg):
+    """Every permutation of the simple roots that fixes the Cartan
+    matrix, the identity included."""
+    A, r = alg.rs.cartan_pairings(), alg.rank
+    return [p for p in itertools.permutations(range(r))
+            if all(A[p[i]][p[j]] == A[i][j] for i in range(r)
+                   for j in range(r))]
+
+
+@pytest.mark.parametrize("type_label, rank, count", [
+    ("A", 2, 2), ("A", 3, 2), ("A", 4, 2), ("A", 5, 2), ("D", 4, 6),
+    ("D", 5, 2), ("E", 6, 2)])
+def test_diagram_automorphism_extends_the_plain_permutation(type_label, rank,
+                                                           count):
+    # e_(+-alpha_i) -> e_(+-alpha_perm(i)) with coefficient 1 extends to an
+    # automorphism of the order of perm, with no sign to choose
+    alg = algebra(type_label, rank)
+    symmetries = _diagram_symmetries(alg)
+    assert len(symmetries) == count
+    nroots = len(alg.roots)
+    for perm in symmetries:
+        sigma = diagram_automorphism(alg, perm)
+        sigma.verify()
+        for i, image in enumerate(perm):
+            for sign in (1, -1):
+                a = tuple(sign * (k == i) for k in range(rank))
+                b = tuple(sign * (k == image) for k in range(rank))
+                assert sigma.rows[alg.root_index[b]] == \
+                    {alg.root_index[a]: 1}
+            assert sigma.rows[nroots + image] == {nroots + i: 1}
+        assert aut_order(sigma) == _perm_order(perm)
 
 
 def test_diagram_automorphism_identity_perm():
@@ -169,7 +211,7 @@ def test_diagram_automorphism_bad_perm():
 def test_torus_automorphism():
     alg = algebra("A", 2)
     sigma = torus_automorphism(alg, QQ, [Fraction(-1), Fraction(1)])
-    assert sigma.order() == 2
+    assert aut_order(sigma) == 2
     e1 = root_vector(alg, QQ, alg.rs.simple_roots[0])
     assert aut_apply(sigma, e1) == [-x for x in e1]
     with pytest.raises(ZeroDivisionError):
@@ -432,7 +474,7 @@ def test_sparse_automorphisms_match_dense_oracle(case):
     rng = random.Random(17)
     v = [dom.from_int(rng.randint(-3, 3)) for _ in range(d)]
     for a, A in zip(autos, dense):
-        assert a.order() == _dense_order(dom, A)
+        assert aut_order(a) == _dense_order(dom, A)
         assert a.is_identity() == (A == I)
         inverse = linalg.dense(dom, aut_inverse(a).rows, d)
         assert _dense_mul(dom, A, inverse) == I
@@ -443,6 +485,6 @@ def test_sparse_automorphisms_match_dense_oracle(case):
             AB, BA = _dense_mul(dom, A, B), _dense_mul(dom, B, A)
             assert linalg.dense(dom, a.compose(b).rows, d) == AB
             assert a.commutes_with(b) == (AB == BA)
-    assert [a.order() for a in autos] == {
+    assert [aut_order(a) for a in autos] == {
         "A2": [2, 2, 2, None], "A2 over Q(z3)": [3, 3], "A3": [2, 2],
         "D4": [2, 3, 2], "E6": [2, 2]}[case]

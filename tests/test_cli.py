@@ -64,19 +64,16 @@ def test_lietorus_pass_and_fail(capsys):
 
 
 @pytest.mark.parametrize("name, label", [
-    ("sl4_flip.ml", "B2"), ("sl5_flip.ml", None), ("so8_triality.ml", "G2"),
+    ("sl4_flip.ml", "B2"), ("sl5_flip.ml", "BC2"), ("so8_triality.ml", "G2"),
 ])
 def test_twisted_fixtures_are_lie_tori(capsys, name, label):
-    # the relative type of 2A4 is BC2, which classify_system does not name
-    # yet, so its label is not pinned
     code, out, _ = run(capsys, "lietorus", str(FIXTURES / name))
     assert code == 0
     lines = [ln.strip() for ln in out.splitlines()]
     assert ["LT%d pass" % k for k in range(1, 6)] == \
         [ln for ln in lines if ln.startswith("LT")]
     assert "overall pass" in lines and "verdict: pass" in lines
-    if label:
-        assert "lietorus type=%s nullity=1" % label in lines
+    assert "lietorus type=%s nullity=1" % label in lines
 
 
 def test_factor_and_verify(capsys, tmp_path):

@@ -195,6 +195,24 @@ def _diagonal_eligible(setup, coeff, eta1):
     return list(filter(_agrees_on_quotient(setup, coeff, eta1), all_c))
 
 
+def _check_theta(setup, coeff, eta1, eta2, d, theta):
+    """theta is the restriction of xi_d, the d-th power pullback of the
+    eta1-twisted difference of eta2 and eta1, to the M = 0 copy; and the
+    checks diagonal_argument leaves to its inflation certificate, by the
+    test-local oracles: theta is a cocycle, and its inflation is
+    cohomologous to xi_d."""
+    A = coeff.A
+    tw = twisted_coefficients(coeff, eta1)
+    xi = Cocycle(tw, values={g: A.mul(eta2.values[g], A.inv(eta1.values[g]))
+                             for g in setup.cover.elements})
+    xi_d = power_pullback(setup, tw, xi, d)
+    assert theta.pos == [xi_d.pos[x] for x in setup.sub]
+    assert _oracle_is_cocycle(theta.coeff, theta.values) == (True, None)
+    inflated = inflate(setup, tw, theta)
+    assert cohomologous(inflated, xi_d) is not None
+    assert class_key(inflated) == class_key(xi_d)
+
+
 def test_diagonal_argument_spec_examples():
     # untwisted Z2: the nontrivial class needs d = 2, trivial one d = 1
     setup = DiagonalSetup(1, 2, trivial_group(), {})
@@ -207,13 +225,17 @@ def test_diagonal_argument_spec_examples():
         # theta is itself a quotient cocycle
         ok, _ = is_cocycle(theta)
         assert ok
+        _check_theta(setup, coeff, eta1, z, d, theta)
     assert ds == {1, 2}
 
     setup = DiagonalSetup(1, 3, trivial_group(), {})
     coeff = trivial_action(setup.cover, cyclic_group(3))
     eta1 = trivial_cocycle(coeff)
-    ds = {diagonal_argument(setup, coeff, eta1, z)[0]
-          for z in _diagonal_eligible(setup, coeff, eta1)}
+    ds = set()
+    for z in _diagonal_eligible(setup, coeff, eta1):
+        d, theta = diagonal_argument(setup, coeff, eta1, z)
+        ds.add(d)
+        _check_theta(setup, coeff, eta1, z, d, theta)
     assert ds == {1, 3}
 
 
@@ -233,8 +255,9 @@ def test_diagonal_argument_preconditions():
             with pytest.raises(CocycleError):
                 diagonal_argument(setup, coeff, eta1, z)
         else:
-            d, _ = diagonal_argument(setup, coeff, eta1, z)
+            d, theta = diagonal_argument(setup, coeff, eta1, z)
             assert 1 <= d <= 2
+            _check_theta(setup, coeff, eta1, z, d, theta)
             agreeing += 1
     assert agreeing >= 1
 
@@ -254,8 +277,9 @@ def test_diagonal_argument_nontrivial_eta1():
     for z in all_c:
         if not agrees(z):
             continue
-        d, _ = diagonal_argument(setup, coeff, eta1, z)
+        d, theta = diagonal_argument(setup, coeff, eta1, z)
         assert 1 <= d <= setup.m
+        _check_theta(setup, coeff, eta1, z, d, theta)
         ran += 1
     assert ran >= 2
 

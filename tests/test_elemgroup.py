@@ -165,6 +165,21 @@ def test_perturbed_root_block_is_not_unipotent(rg_a2):
     assert str(alpha) in message
 
 
+def test_component_outside_psi_is_refused(rg_a2):
+    # u has a component at the highest root, which psi leaves out: every
+    # block solve succeeds, and only the closing identity check refuses u,
+    # the one certificate of commutator tables and q-map corrections
+    g = rg_a2.algebra
+    positive = rg_a2.data.positive
+    top = max(positive, key=rg_a2.data.height)
+    u = word_matrix(rg_a2, QQ, RootElementWord(
+        [(gamma, place(g, QQ, gamma, Fraction(i + 2)))
+         for i, gamma in enumerate(positive)]))
+    psi = [gamma for gamma in positive if gamma != top]
+    with pytest.raises(ElementError, match="residual at block"):
+        unipotent_factor(rg_a2, QQ, u, psi)
+
+
 def test_q_maps_empty_for_reduced(rg_a2):
     alpha = rg_a2.roots[0]
     v = place(rg_a2.algebra, QQ, alpha, Fraction(2))

@@ -95,8 +95,7 @@ def _uncalled_functions(defining, referencing):
 
 
 # Paper objects the library keeps although only the tests call them.
-_PAPER_OBJECTS = {"exp_ad", "killing_form", "extract_q_maps",
-                  "torus_conjugate"}
+_PAPER_OBJECTS = {"exp_ad", "killing_form", "torus_conjugate"}
 
 
 def test_library_functions_have_callers():
@@ -225,6 +224,29 @@ def test_cli_imports_are_caught(tmp_path):
         (1, "multiloop.cli"), (2, "multiloop.cli.main"), (3, "multiloop.cli"),
         (4, "multiloop.cli._graded"), (4, "multiloop.cli.main")]
     assert _private_cli_imports(module) == [(4, "multiloop.cli._graded")]
+
+
+def _private_library_imports(path):
+    """(line, name) of every underscore name a library module imports from
+    another: each module keeps its internals to itself."""
+    return [(line, name) for line, name in _imported_names(path, "multiloop")
+            if _ours(name) and name.rsplit(".", 1)[-1].startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_library_modules(path):
+    assert _private_library_imports(path) == []
+
+
+def test_private_library_imports_are_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "from operator import add as _add\n"
+                      "from . import linalg\n"
+                      "from .lietorus import _proportionality, check_LT1\n"
+                      "from .rootsys import proportionality\n")
+    assert _private_library_imports(module) == [
+        (4, "multiloop.lietorus._proportionality")]
 
 
 def _resolves(modname, path):

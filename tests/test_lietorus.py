@@ -117,6 +117,12 @@ def test_classify_system():
     assert classify_system({(1,), (-1,), (2,), (-2,)}) == "BC1"
     assert classify_system({(2, -1), (-1, 2), (1, 1),
                             (-2, 1), (1, -2), (-1, -1)}) == "A2"
+    # +-e_i, +-2 e_i and +-e_1 +- e_2
+    bc2 = {(x, y) for x in range(-2, 3) for y in range(-2, 3)
+           if (x, y) != (0, 0) and (abs(x), abs(y)) not in
+           {(2, 1), (1, 2), (2, 2)}}
+    assert len(bc2) == 12
+    assert classify_system(bc2) == "BC2"
     assert classify_system(set()) == "empty"
 
 
