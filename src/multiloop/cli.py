@@ -268,15 +268,14 @@ def _factor_verify(cfg, args, rg, R, word, meta):
                   for k in ("g1", "g2"))
     except WordSyntaxError as e:
         raise UsageError("report %s" % e) from None
-    # certified on the generating columns; a failure or a bound below
-    # --precision there is replayed on every column, where a coefficient
-    # below --precision disproves the report and a horizon below it only
-    # leaves the replay short of precision
+    # certified on the generating columns, where a coefficient below
+    # --precision already disproves the report; a bound below --precision
+    # with no such coefficient is replayed on every column, where a horizon
+    # below it only leaves the replay short of precision
     letters = residual_word(word, g1, g2)
     achieved, where = word_residual(rg, R, letters, cfg.precision,
                                     rg.algebra.generating_columns)
-    if where is not None or (achieved is not None
-                             and achieved < cfg.precision):
+    if where is None and achieved is not None and achieved < cfg.precision:
         achieved, where = word_residual(rg, R, letters, cfg.precision)
     ok = where is None
     if ok and achieved is not None and achieved < cfg.precision:

@@ -25,7 +25,8 @@ parameter off a block of the matrix with one linalg.span_coords solver per
 root, which certifies it, straight from the sparse rows, and ends by
 certifying that what is left is the identity on every column, which proves
 u = prod X(v_i): the one certificate of commutator tables and of the q-map
-corrections (extract_q_maps, which the series engine shares).
+corrections (extract_q_maps, which the series engine shares); for a root
+with no multiples it proves X_a(v) X_a(w) = X_a(v+w).
 """
 
 from __future__ import annotations
@@ -163,19 +164,6 @@ def generator_residual(rg: RelativeGrading, R, letters, N=None):
     return achieved, where
 
 
-def _require_identity(rg, R, letters, message):
-    """Raise ElementError unless the letters multiply to the identity; an
-    entry zero up to its horizon does not count against it.  An exact
-    identity on the generating columns is one on every column; otherwise
-    every column is evaluated, to name the offending entry."""
-    if word_residual(rg, R, letters,
-                     columns=rg.algebra.generating_columns)[0] is None:
-        return
-    _, where = word_residual(rg, R, letters)
-    if where is not None:
-        raise ElementError("%s at entry (%d,%d)" % ((message,) + where))
-
-
 # ---------------------------------------------------------------------------
 # unipotent factorization
 
@@ -288,18 +276,16 @@ def unipotent_factor(rg: RelativeGrading, R, u: ElementMatrix, psi,
 
 
 def extract_q_maps(rg: RelativeGrading, R, alpha, v, w):
-    """Corrections in X_a(v) X_a(w) = X_a(v+w) prod_{i>1} X_{ia}(q_i)."""
+    """Corrections in X_a(v) X_a(w) = X_a(v+w) prod_{i>1} X_{ia}(q_i).
+    With no multiples of a, unipotent_factor's final certificate is the
+    proof that X_a(v) X_a(w) = X_a(v+w)."""
     alpha = tuple(alpha)
-    higher = multiples_above(rg, alpha)
     # X_a(v+w)^-1 X_a(v) X_a(w)
     rem_word = [(alpha, [-(a + b) for a, b in zip(v, w)]), (alpha, v),
                 (alpha, w)]
-    if not higher:
-        _require_identity(rg, R, rem_word,
-                          "additivity fails for a non-multipliable root")
-        return []
     f = _positivity_functional(rg, alpha, alpha)
-    return unipotent_factor(rg, R, word_matrix(rg, R, rem_word), higher,
+    return unipotent_factor(rg, R, word_matrix(rg, R, rem_word),
+                            multiples_above(rg, alpha),
                             keyfunc=lambda gam: (f(gam), gam))
 
 
@@ -329,26 +315,25 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
                             keyfunc=lambda gam: (f(gam), gam))
 
 
-def torus_conjugate(rg: RelativeGrading, R, s, letter, verify=True):
+def torus_conjugate(rg: RelativeGrading, R, s, letter):
     """Conjugation of X_alpha(v) by the grading torus point s (one unit per
-    q-lattice coordinate) replaces v by alpha(s) v."""
+    q-lattice coordinate) replaces v by alpha(s) v; the identity is
+    checked on every column."""
     alpha, v = letter
     alpha = tuple(alpha)
     g = rg.algebra
     s = list(s)
     sinv = [R.inv(x) for x in s]
     new_v = [character(R, alpha, s, sinv) * x for x in v]
-    if verify:
-        # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
-        diag = [character(R, e.qdeg, s, sinv) for e in g.entries]
-        diag_inv = [R.inv(c) for c in diag]
-        conj = {i: {j: diag[i] * x * diag_inv[j] for j, x in row.items()}
-                for i, row in word_matrix(rg, R, [letter]).rows.items()}
-        res = linalg.exp_nilpotent(
-            R, root_element(rg, R, alpha, [-x for x in new_v]), conj)
-        if linalg.identity_residual(R, res, None, range(g.dim))[1] \
-                is not None:
-            raise ElementError("torus conjugation identity failed")
+    # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
+    diag = [character(R, e.qdeg, s, sinv) for e in g.entries]
+    diag_inv = [R.inv(c) for c in diag]
+    conj = {i: {j: diag[i] * x * diag_inv[j] for j, x in row.items()}
+            for i, row in word_matrix(rg, R, [letter]).rows.items()}
+    res = linalg.exp_nilpotent(
+        R, root_element(rg, R, alpha, [-x for x in new_v]), conj)
+    if linalg.identity_residual(R, res, None, range(g.dim))[1] is not None:
+        raise ElementError("torus conjugation identity failed")
     return (alpha, new_v)
 
 

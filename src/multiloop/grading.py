@@ -421,17 +421,17 @@ def build_multiloop(spec: MultiloopSpec) -> GradedLieAlgebra:
     return GradedLieAlgebra(dom, spec.n, spec.m, entries, ambient=spec.base)
 
 
-def from_chevalley(alg: ChevalleyAlgebra, dom=QQ) -> GradedLieAlgebra:
-    """The split algebra itself as a bi-graded object with trivial lattice
-    grading and q-degrees read off the full Cartan subalgebra."""
+def from_chevalley(alg: ChevalleyAlgebra) -> GradedLieAlgebra:
+    """The split algebra itself over Q, as a bi-graded object with trivial
+    lattice grading and q-degrees read off the full Cartan subalgebra."""
     entries = []
     for i in range(alg.dim):
-        v = tuple(dom.one() if t == i else dom.zero() for t in range(alg.dim))
+        v = tuple(QQ.one() if t == i else QQ.zero() for t in range(alg.dim))
         entries.append(GradedBasisVector(alg.q_degree(i), (), v))
     table = {}
     for (i, j), terms in alg.table.items():
-        table[(i, j)] = [(k, dom.from_int(c)) for k, c in terms]
-    return GradedLieAlgebra(dom, 0, 1, entries, table, alg)
+        table[(i, j)] = [(k, QQ.from_int(c)) for k, c in terms]
+    return GradedLieAlgebra(QQ, 0, 1, entries, table, alg)
 
 
 def q_grading_from_cartan(g: GradedLieAlgebra, cartan) -> GradedLieAlgebra:

@@ -234,14 +234,11 @@ def make_relative_system(weights) -> RootSystem:
 
 
 class RelativeRootData:
-    """A root system with a chosen positivity functional and heights."""
+    """A root system with its generic positivity functional and heights."""
 
-    def __init__(self, system: RootSystem, functional=None):
+    def __init__(self, system: RootSystem):
         self.system = system
-        dim = len(system.roots[0])
-        if functional is None:
-            functional = generic_functional(system.roots)
-        self.functional = tuple(functional)
+        self.functional = generic_functional(system.roots)
         for a in system.roots:
             if self._dot(a) == 0:
                 raise RootSystemError(

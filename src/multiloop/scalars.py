@@ -585,12 +585,12 @@ class TruncSeries:
         return _ts(base, 0, prec, (), 1)
 
     @staticmethod
-    def constant(base, c, prec=None) -> "TruncSeries":
-        return TruncSeries(base, 0, prec, [c])
+    def constant(base, c) -> "TruncSeries":
+        return TruncSeries(base, 0, None, [c])
 
     @staticmethod
-    def monomial(base, c, deg: int, prec=None) -> "TruncSeries":
-        return TruncSeries(base, deg, prec, [c])
+    def monomial(base, c, deg: int) -> "TruncSeries":
+        return TruncSeries(base, deg, None, [c])
 
     def with_precision(self, prec) -> "TruncSeries":
         new = _pmin(self.prec, prec)

@@ -118,6 +118,16 @@ def test_cocycle_commands(capsys):
     assert code == 0
 
 
+def test_cocycle_diagonal_on_a_1029_element_cover(capsys):
+    # (Z/7)^3 : Z3, proved associative by Light's test on its 4
+    # generators: 4 * 1029 row comparisons, not 1029^2
+    code, out, _ = run(capsys, "--conductor", "7", "--budget-gamma", "1029",
+                       "cocycle", "diagonal", "--n", "2", "--gamma0", "Z3",
+                       "--coeff", "Z2")
+    assert code == 0
+    assert "power: 1" in out.splitlines()
+
+
 def test_machine_format_json(capsys):
     code, out, _ = run(capsys, "--format", "machine", "algebra", "build",
                        "A", "1")

@@ -509,6 +509,24 @@ def test_trivial_on_m_matches_brute_force(name, coeff):
     assert 0 < trivial < 2 * len(cocycles)
 
 
+@pytest.mark.parametrize("name, coeff", [
+    p for p in ORACLE_CONFIGS
+    if m_acts_trivially(ORACLE_SETUPS[p.values[0]], p.values[1])])
+def test_power_pullbacks_are_cocycles(name, coeff):
+    # power_pullback does not check its result: p_d is an endomorphism
+    # that leaves the action unchanged; every pullback of every cocycle,
+    # and of its eta1-twisted difference, is checked here on all pairs
+    setup = ORACLE_SETUPS[name]
+    reps_q, _ = h1_enumerate(quotient_coefficients(setup, coeff))
+    tw = twisted_coefficients(coeff, inflate(setup, coeff, reps_q[-1]))
+    _, cocycles = h1_enumerate(coeff)
+    _, twisted = h1_enumerate(tw)
+    for z in cocycles + twisted:
+        for d in range(1, setup.m + 1):
+            assert is_cocycle(power_pullback(setup, z.coeff, z, d)) == \
+                (True, None)
+
+
 def test_trivial_on_m_refuses_a_nontrivial_action_on_m():
     # M acts on S3 by conjugation: some coboundary is not 1 on M, so "z is 1
     # on M" would not decide the class there
@@ -618,6 +636,23 @@ def test_associativity_failure_matches_label_oracle(mult_fn):
         FiniteGroup(elements, mult_fn, "bad")
     assert str(err.value) == want
     FiniteGroup(elements, mult_fn, "bad", verify=False)
+
+
+def test_light_test_checks_every_generator():
+    # loop5 x Z2: the first generator, (0, 1), is the identity of the loop
+    # times a generator of Z2, and passes Light's test; only the later
+    # ones, from the loop, fail it
+    elements = [(a, b) for a in range(5) for b in range(2)]
+
+    def mul(x, y):
+        return _loop5(x[0], y[0]), (x[1] + y[1]) % 2
+
+    magma = FiniteGroup(elements, mul, "bad", verify=False)
+    assert magma.elements[magma.generators[0]] == (0, 1)
+    assert len(magma.generators) > 1
+    with pytest.raises(CocycleError) as err:
+        FiniteGroup(elements, mul, "bad")
+    assert str(err.value) == _oracle_associativity(elements, mul, "bad")
 
 
 def test_associativity_failure_names_first_triple():
@@ -754,6 +789,50 @@ def test_diagonal_quotient_is_the_smaller_cover(n, m, gamma0, units):
             [(t[:-1] + (t[-1] * d % m,), k) for t, k in cover.elements]
 
 
+@pytest.mark.parametrize("n, m, gamma0, units", [
+    p for p in COVER_GRID if len(p.values[2]) * p.values[1] ** p.values[0]
+    >= 3])
+def test_light_test_matches_label_oracle_on_corruptions(n, m, gamma0, units):
+    # one entry (x, y) of a group table set to z, keeping the identity and
+    # the inverses (x, y != e, y != x^-1, z != e): the result is no group,
+    # as its rows are not Latin, so Light's test must find a failure, and
+    # the scan that names it must name the oracle's first triple.  One
+    # corruption touches non-generator positions only, one the last row.
+    # No corruption can fail first at the last a: for every a outside
+    # {e, x}, (a, a^-1 x, y) fails, so the first failing a is among the
+    # first three positions.
+    G = cover_group(n, m, gamma0, units)
+    rng = random.Random("%d %d %s" % (n, m, gamma0.name))
+    e, size, gens = G.e, len(G), set(G.generators)
+    pairs = [(x, y) for x in range(size) for y in range(size)
+             if e not in (x, y) and y != G.inv_index[x]]
+
+    def corruption(x, y, avoid=()):
+        return x, y, rng.choice([z for z in range(size)
+                                 if z not in (e, G.rows[x][y], *avoid)])
+    chosen = [corruption(x, y)
+              for x, y in rng.sample(pairs, min(3, len(pairs)))]
+    chosen.append(corruption(*pairs[-1]))
+    assert chosen[-1][0] == size - 1
+    outside = [(x, y) for x, y in pairs if not {x, y} & gens]
+    if size - len(gens) > 3:
+        chosen.append(corruption(*rng.choice(outside), avoid=gens))
+    for x, y, z in chosen:
+        rows = [list(r) for r in G.rows]
+        rows[x][y] = z
+        bad = FiniteGroup(G.elements, name="bad", verify=False, rows=rows)
+        assert bad.e == e
+        if (x, y) in outside and z not in gens:
+            assert bad.generators == G.generators
+        want = _oracle_associativity(
+            G.elements, lambda a, b: G.elements[rows[G.index[a]][G.index[b]]],
+            "bad")
+        assert want is not None
+        with pytest.raises(CocycleError) as err:
+            FiniteGroup(G.elements, name="bad", rows=rows)
+        assert str(err.value) == want
+
+
 def test_wrong_unit_in_one_row_is_rejected():
     # (Z/3) : Z2 with Z2 inverting; the row of ((1,), 1) is rebuilt with the
     # unit 1, so that one row no longer belongs to a group table
@@ -770,8 +849,8 @@ def test_wrong_unit_in_one_row_is_rejected():
 @pytest.mark.parametrize("k", [200, 257])
 def test_associativity_check_on_both_sides_of_256(k):
     # Z/k with 1 * 1 = 3: identity and inverses survive, and (1 1) 2 = 5
-    # differs from 1 (1 2) = 4; past 256 elements the check no longer
-    # packs positions into bytes
+    # differs from 1 (1 2) = 4, on groups of either side of 256 elements,
+    # where a position no longer fits a byte
     rows = [[(a + b) % k for b in range(k)] for a in range(k)]
     FiniteGroup(range(k), name="Z", rows=[list(r) for r in rows])
     rows[1][1] = 3

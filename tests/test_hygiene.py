@@ -132,6 +132,98 @@ def test_uncalled_function_is_caught(tmp_path):
         ("lib.py", "Thing.apply")]
 
 
+def _unpassed_defaults(defining, referencing):
+    """(module file name, function, parameter) of every defaulted parameter
+    of a public module-level function, a public method or a constructor
+    of the defining files that no call in the referencing files passes, by
+    keyword or by position.  Callers are counted by name, as in
+    _uncalled_functions: a call of any function or attribute of the same
+    name counts, a constructor's name being its class's; *args and
+    **kwargs in a call pass every parameter."""
+    calls = {}
+    for path in referencing:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(names, skip, param, index):
+        for call in (c for n in names for c in calls.get(n, ())):
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(k.arg in (None, param) for k in call.keywords) or \
+                    index is not None and len(call.args) > index - skip:
+                return True
+        return False
+
+    def defaults(fn):
+        args = fn.args.posonlyargs + fn.args.args
+        out = [(a.arg, i) for i, a in enumerate(args)
+               if i >= len(args) - len(fn.args.defaults)]
+        return out + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                                    fn.args.kw_defaults) if d]
+
+    out = []
+    for path in defining:
+        module = None
+        for node in ast.parse(path.read_text()).body:
+            targets = []
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_"):
+                targets.append((node.name, [node.name], 0, node))
+            elif isinstance(node, ast.ClassDef):
+                module = module or _load(path)
+                bases = getattr(module, node.name).__mro__[1:]
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef) or \
+                            any(hasattr(b, fn.name) for b in bases
+                                if fn.name != "__init__") or \
+                            fn.name.startswith("_") and fn.name != "__init__":
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    names = [node.name, "__init__"] \
+                        if fn.name == "__init__" else [fn.name]
+                    targets.append(("%s.%s" % (node.name, fn.name), names,
+                                    0 if static else 1, fn))
+            for label, names, skip, fn in targets:
+                out += [(path.name, label, param)
+                        for param, index in defaults(fn)
+                        if not passed(names, skip, param, index)]
+    return out
+
+
+def test_library_defaults_are_passed():
+    """A default that no call overrides is a knob nobody turns: it should
+    be a constant of the function instead."""
+    root = SRC.parent.parent
+    referencing = [p for d in ("src", "scripts", "perfbench", "tests")
+                   for p in sorted((root / d).rglob("*.py"))]
+    assert _unpassed_defaults(sorted(SRC.glob("*.py")), referencing) == []
+
+
+def test_unpassed_default_is_caught(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+                   "def g(a, b=1):\n    return a\n"
+                   "def _h(a, b=1):\n    return a\n"
+                   "class Thing:\n"
+                   "    def __init__(self, a, b=1, c=2):\n        pass\n"
+                   "    def size(self, k=0, j=1):\n        return k\n"
+                   "    @staticmethod\n"
+                   "    def make(a, b=1):\n        return a\n"
+                   "    def __repr__(self, x=0):\n        return ''\n")
+    user.write_text("import lib\n"
+                    "lib.f(1, 2, e=5)\n"
+                    "lib.g(*[1, 2])\n"
+                    "lib.Thing(1, 2).size(3)\n"
+                    "lib.Thing.make(1)\n")
+    assert _unpassed_defaults([lib], [lib, user]) == [
+        ("lib.py", "f", "c"), ("lib.py", "f", "d"),
+        ("lib.py", "Thing.__init__", "c"), ("lib.py", "Thing.size", "j"),
+        ("lib.py", "Thing.make", "b")]
+
+
 _FLOAT_MATH = ("sqrt", "log", "exp")
 
 
