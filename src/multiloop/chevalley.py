@@ -6,18 +6,18 @@ lexicographically; for each non-simple positive root the minimal
 decomposition gets N = +(p+1), and every other constant follows from
 antisymmetry, N(-a,-b) = -N(a,b), and the cyclic identity
 N(a,b)/|c|^2 = N(b,c)/|a|^2 for a+b+c = 0.  Before an algebra is returned,
-antisymmetry is verified on every basis pair and the Jacobi identity on
-every basis triple, in integer arithmetic on the sparse table.
+the table is proved antisymmetric and Jacobi in integer arithmetic: ad_s is
+a derivation for each s in `ChevalleyAlgebra.generators`, which generate g.
 
 `sparse_bracket` is the one bracket over a sparse structure-constant table:
 the graded tables, `GradedLieAlgebra.bracket` (of sparse vectors only),
-LT4, `GradedLieAlgebra.closure` (which LT5 and the generating columns of
-`elemgroup` close on) and the automorphism check go through it.
+LT4, the closures of `linalg.lie_closure` (which LT5, the generating
+columns of `elemgroup` and the generation step above close on) and the
+automorphism check go through it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
-`exp_ad`, `killing_form` and the root elements of `elemgroup` use it.  It
-reads the table grouped by first slot (`group_cells`, kept as
-`cells_by_first` by each algebra), so it visits only the cells whose first
-slot is in x.
+the root elements of `elemgroup` use it.  It reads the table grouped by
+first slot (`group_cells`, kept as `cells_by_first` by each graded
+algebra), so it visits only the cells whose first slot is in x.
 An `AlgebraAutomorphism` is held as sparse rows too: it composes by
 `linalg.mat_mul`, compares by dict equality, and is verified on the columns
 of its rows.
@@ -26,6 +26,7 @@ of its rows.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, mul
 
 from . import linalg
 from .rootsys import RootSystem, build_root_system
@@ -65,21 +66,12 @@ class ChevalleyAlgebra:
         self.root_index = {a: i for i, a in enumerate(self.roots)}
         self._pos_order = {a: i for i, a in enumerate(pos)}
         self._len2 = {a: rs.inner(a, a) for a in self.roots}
-        self._npos = {}
+        self._nval = {}
         self._compute_positive_constants()
         self.table = self._build_table()
         self._verify_jacobi()
 
     # -- structure constants --------------------------------------------------
-
-    def _p(self, a, b):
-        """Largest k with b - k a a root."""
-        k = 0
-        cur = _vsub(b, a)
-        while cur in self.rs.root_set:
-            k += 1
-            cur = _vsub(cur, a)
-        return k
 
     def _compute_positive_constants(self):
         by_height = {}
@@ -97,9 +89,12 @@ class ChevalleyAlgebra:
                         pairs.append((a, b))
                 pairs.sort(key=lambda p: self._pos_order[p[0]])
                 eps, eta = pairs[0]
-                self._npos[(eps, eta)] = self._p(eps, eta) + 1
+                p, cur = 0, _vsub(eta, eps)     # N = p + 1, p the largest
+                while cur in self.rs.root_set:  # with eta - p eps a root
+                    p, cur = p + 1, _vsub(cur, eps)
+                self._nval[(eps, eta)] = p + 1
                 for a, b in pairs[1:]:
-                    self._npos[(a, b)] = self._special_constant(a, b, eps)
+                    self._nval[(a, b)] = self._special_constant(a, b, eps)
 
     def _special_constant(self, a, b, eps):
         g = _vadd(a, b)
@@ -117,20 +112,21 @@ class ChevalleyAlgebra:
         return val
 
     def _n(self, a, b):
-        """N(a, b) for arbitrary roots with a+b a root."""
+        """N(a, b) for arbitrary roots with a+b a root, each pair computed
+        once: _nval holds the positive pairs in order from the start."""
+        val = self._nval.get((a, b))
+        if val is not None:
+            return val
         s = _vadd(a, b)
         assert s in self.rs.root_set
         ha, hb = _height(a), _height(b)
         if ha > 0 and hb > 0:
-            if self._pos_order[a] < self._pos_order[b]:
-                return self._npos[(a, b)]
-            return -self._npos[(b, a)]
-        if ha < 0 and hb < 0:
-            return -self._n(_vneg(a), _vneg(b))
-        # mixed signs; arrange a positive
-        if ha < 0:
-            return -self._n(b, a)
-        if _height(s) > 0:
+            val, rem = -self._nval[(b, a)], 0
+        elif ha < 0 and hb < 0:
+            val, rem = -self._n(_vneg(a), _vneg(b)), 0
+        elif ha < 0:        # mixed signs; arrange a positive
+            val, rem = -self._n(b, a), 0
+        elif _height(s) > 0:
             # N(a,b) = -(|s|^2/|a|^2) N(-b, s), a positive pair summing to a
             val, rem = divmod(-self._len2[s] * self._n(_vneg(b), s),
                               self._len2[a])
@@ -140,60 +136,93 @@ class ChevalleyAlgebra:
                               self._len2[b])
         if rem:
             raise ChevalleyError("non-integral constant for %s,%s" % (a, b))
+        self._nval[(a, b)] = val
         return val
 
-    def coroot_coeffs(self, a):
-        """a^vee as an integer combination of the simple coroots."""
-        out = []
-        la = self._len2[a]
-        for i, s in enumerate(self.rs.simple_roots):
-            c, rem = divmod(a[i] * self._len2[s], la)
-            if rem:
-                raise ChevalleyError("non-integral coroot for %s" % (a,))
-            out.append(c)
-        return out
-
     def _build_table(self):
-        """Sparse bracket table: (i, j) -> list of (k, integer)."""
+        """Sparse bracket table: (i, j) -> list of (k, integer), terms in k
+        order; each coroot and each N(a, b) is computed once."""
         table = {}
-        nroots = len(self.roots)
-
-        def put(i, j, k, c):
-            if c:
-                table.setdefault((i, j), []).append((k, c))
-
-        for i, a in enumerate(self.roots):
-            for j, b in enumerate(self.roots):
-                if i == j:
-                    continue
-                s = _vadd(a, b)
-                if all(x == 0 for x in s):
-                    for t, c in enumerate(self.coroot_coeffs(a)):
-                        put(i, j, nroots + t, c)
-                elif s in self.rs.root_set:
-                    put(i, j, self.root_index[s], self._n(a, b))
-        for t in range(self.rank):
+        roots, index, len2 = self.roots, self.root_index, self._len2
+        nroots, npos = len(roots), len(self.positive)
+        for i, a in enumerate(roots):
+            neg = (i + npos) % nroots           # the index of -a
+            for j, b in enumerate(roots):
+                k = index.get(tuple(map(add, a, b)))
+                if k is not None:
+                    table[(i, j)] = [(k, self._n(a, b))]
+                elif j == neg:      # [e_a, e_-a] = a^vee on the coroots
+                    terms = []
+                    for t, simple in enumerate(self.rs.simple_roots):
+                        c, rem = divmod(a[t] * len2[simple], len2[a])
+                        if rem:
+                            raise ChevalleyError(
+                                "non-integral coroot for %s" % (a,))
+                        if c:
+                            terms.append((nroots + t, c))
+                    table[(i, j)] = terms
+        for t, row in enumerate(self.rs.cartan_pairings()):
             ht = nroots + t
-            simple = self.rs.simple_roots[t]
-            for j, b in enumerate(self.roots):
-                c = self.rs.pairing(b, simple)
-                put(ht, j, j, c)
-                put(j, ht, j, -c)
-        for key in table:
-            table[key].sort()
+            for j, b in enumerate(roots):
+                c = sum(map(mul, b, row))
+                if c:
+                    table[(ht, j)] = [(j, c)]
+                    table[(j, ht)] = [(j, -c)]
         return table
 
     # -- bracket and verification ---------------------------------------------
 
     @cached_property
-    def cells_by_first(self):
-        """The table grouped by first slot (group_cells), for ad_rows."""
-        return group_cells(self.table)
-
-    def bracket_basis(self, i, j):
-        return self.table.get((i, j), [])
+    def generators(self):
+        """The sorted indices of e_alpha_i and e_-(alpha_1 + ... + alpha_r),
+        which generate g: the ad e_alpha_i lower the latter, of full support,
+        to each e_-alpha_i.  _verify_jacobi certifies it by one closure."""
+        r = self.rank
+        simple = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+        return tuple(sorted(self.root_index[a] for a in simple + [(-1,) * r]))
 
     def _verify_jacobi(self):
+        """Prove self.table antisymmetric and Jacobi: (1) antisymmetric cell
+        by cell, with no [e_i, e_i] cell; (2) generated by `generators`
+        (one closure); (3) with ad_s a derivation for each generator s,
+        [s, [e_j, e_k]] = [[s, e_j], e_k] + [e_j, [s, e_k]] for j < k (both
+        sides alternate in j, k), summed over the table cells.  The x with
+        ad_x a derivation form a subalgebra, as ad_[x,y] = [ad_x, ad_y] is
+        then a derivation (Jacobson, Lie Algebras, I.1); it holds the
+        generators, so it is g.  When a step fails, _jacobi_scan decides,
+        naming the first failure."""
+        table = self.table
+        for (i, j), terms in table.items():
+            if i == j or table.get((j, i)) != [(k, -c) for k, c in terms]:
+                return self._jacobi_scan()
+        if len(linalg.lie_closure(
+                QQ, lambda x, y: sparse_bracket(table, x, y),
+                [{s: 1} for s in self.generators], self.dim)) < self.dim:
+            return self._jacobi_scan()
+        cells = group_cells(table)
+
+        def put(acc, j, k, c, terms):
+            for n, d in terms:
+                acc[(j, k, n)] = acc.get((j, k, n), 0) + c * d
+
+        for s in self.generators:
+            ad, acc = dict(cells.get(s, ())), {}
+            for (j, k), terms in table.items():     # [s, [e_j, e_k]]
+                if j < k:
+                    for m, c in terms:
+                        put(acc, j, k, c, ad.get(m, ()))
+            # - [[s, e_j], e_k] for j < k, - [e_k, [s, e_j]] for k < j
+            for j, terms in ad.items():
+                for m, c in terms:
+                    for k, tk in cells.get(m, ()):
+                        if j < k:
+                            put(acc, j, k, -c, tk)
+                        elif k < j:
+                            put(acc, k, j, c, tk)
+            if any(acc.values()):
+                return self._jacobi_scan()
+
+    def _jacobi_scan(self):
         """Antisymmetry on every basis pair and the Jacobi identity on every
         basis triple i < j < k, in integers straight from the table."""
         table = self.table
@@ -326,7 +355,7 @@ class AlgebraAutomorphism:
         for i in range(d):
             for j in range(d):
                 expected = {}
-                for k, c in alg.bracket_basis(i, j):
+                for k, c in alg.table.get((i, j), ()):
                     for t, x in cols[k].items():
                         expected[t] = expected[t] + x * c if t in expected \
                             else x * c
@@ -346,19 +375,6 @@ class AlgebraAutomorphism:
 
     def commutes_with(self, other) -> bool:
         return self.compose(other).rows == other.compose(self).rows
-
-
-def exp_ad(dom, alg, v, check=True) -> AlgebraAutomorphism:
-    """exp(ad_v) as an exact finite sum; v must be ad-nilpotent."""
-    ad = ad_rows(alg.cells_by_first,
-                 {i: x for i, x in enumerate(v) if dom.nonzero(x)})
-    one = dom.one()
-    try:
-        rows = linalg.exp_nilpotent(dom, ad,
-                                    {i: {i: one} for i in range(alg.dim)})
-    except ValueError:
-        raise ChevalleyError("ad_v is not nilpotent")
-    return AlgebraAutomorphism(alg, dom, rows, check=check)
 
 
 def torus_automorphism(alg, dom, weights) -> AlgebraAutomorphism:
@@ -434,16 +450,3 @@ def chevalley_involution(alg) -> AlgebraAutomorphism:
     for i in range(len(alg.roots), alg.dim):
         rows[i] = {i: -1}
     return AlgebraAutomorphism(alg, QQ, rows)
-
-
-def killing_form(alg):
-    """Killing form on basis pairs, over Q."""
-    d = alg.dim
-    ads = [ad_rows(alg.cells_by_first, {i: 1}) for i in range(d)]
-    K = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            M = linalg.mat_mul(QQ, ads[i], ads[j])
-            tr = sum(row.get(t, 0) for t, row in M.items())
-            K[i][j] = K[j][i] = tr
-    return K

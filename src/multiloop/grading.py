@@ -26,7 +26,6 @@ The sparse graded table is also what lietorus.check_LT4 brackets on.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,33 +202,8 @@ class GradedLieAlgebra:
 
     def closure(self, gens):
         """The echelon basis {pivot: row} of the subalgebra generated by the
-        sparse vectors gens, each row a sparse vector 1 at its pivot and 0
-        before it.
-
-        The generated subalgebra is closed incrementally (de Graaf, Lie
-        Algebras: Theory and Algorithms, 1.6) in one echelon basis.  If
-        S_k = S_(k-1) + span(new_k) then [gens, S_k] lies in
-        S_k + [gens, new_k], so each round brackets the generators only with
-        the rows the last round added, and the closure is reached when a
-        round adds none.
-        """
-        basis = {}
-        gens = [row for row in (_echelon_insert(self.dom, basis, v)
-                                for v in gens) if row is not None]
-        return self._close(basis, gens, gens)
-
-    def _close(self, basis, gens, frontier):
-        """Close the echelon basis under brackets with gens, given that
-        only the rows in frontier may leave it."""
-        while frontier and len(basis) < self.dim:
-            new = []
-            for v in frontier:
-                for u in gens:
-                    row = _echelon_insert(self.dom, basis, self.bracket(u, v))
-                    if row is not None:
-                        new.append(row)
-            frontier = new
-        return basis
+        sparse vectors gens (linalg.lie_closure)."""
+        return linalg.lie_closure(self.dom, self.bracket, gens, self.dim)
 
     def certify_generating(self, columns):
         """Raise GradingError unless the basis vectors at columns generate
@@ -251,14 +225,11 @@ class GradedLieAlgebra:
         phi[y, z] - [y, z] = [phi y - y, phi z] + [y, phi z - z]; residual
         words are certified on these columns (elemgroup).
 
-        When the ambient root vectors e_alpha_i of the simple roots and
-        e_-beta, beta = alpha_1 + ... + alpha_r, are basis vectors, S is
-        their indices: e_alpha_i generate n+, and [e_alpha_i, e_-gamma]
-        is a nonzero multiple of e_-(gamma - alpha_i) when that is a root,
-        so the generated subalgebra holds every e_-alpha_i, since beta has
-        full support, and with them all of g.  Otherwise S is
-        chosen greedily: each step adds the index whose vector most enlarges
-        the generated subalgebra, the lower index on a tie."""
+        When the vectors at the ambient generators (ChevalleyAlgebra
+        .generators: e_alpha_i and e_-(alpha_1 + ... + alpha_r)) are basis
+        vectors, S is their indices.  Otherwise S is chosen greedily: each
+        step adds the index whose vector most enlarges the generated
+        subalgebra, the lower index on a tie."""
         S = self._split_generators()
         if S is None:
             S = self._greedy_generators()
@@ -267,19 +238,15 @@ class GradedLieAlgebra:
 
     def _split_generators(self):
         """The sorted indices of the basis vectors that are multiples of
-        the ambient e_alpha_i and e_-(alpha_1 + ... + alpha_r), or None."""
-        alg = self.ambient
-        if alg is None or not alg.rank:
+        the ambient generators, or None."""
+        if self.ambient is None:
             return None
         at = {}
         for i, e in enumerate(self.entries):
             support = [t for t, x in enumerate(e.vector) if x]
             if len(support) == 1:
                 at[support[0]] = i
-        r = alg.rank
-        roots = [tuple(int(k == i) for k in range(r)) for i in range(r)]
-        idx = [at.get(alg.root_index.get(a))
-               for a in roots + [(-1,) * r]]
+        idx = [at.get(t) for t in self.ambient.generators]
         return None if None in idx else tuple(sorted(idx))
 
     def _greedy_generators(self):
@@ -292,14 +259,15 @@ class GradedLieAlgebra:
             best = None
             for i in range(self.dim):
                 trial = dict(basis)
-                x = _echelon_insert(self.dom, trial, {i: one})
+                x = linalg.echelon_insert(self.dom, trial, {i: one})
                 if x is None:
                     # a vector in the subalgebra S generates enlarges nothing
                     continue
                 seed = [x] + [row for row in (
-                    _echelon_insert(self.dom, trial, self.bracket(x, b))
+                    linalg.echelon_insert(self.dom, trial, self.bracket(x, b))
                     for b in basis.values()) if row is not None]
-                self._close(trial, gens + [x], seed)
+                linalg.lie_closure(self.dom, self.bracket, gens + [x],
+                                   self.dim, trial, seed)
                 if best is None or len(trial) > len(best[1]):
                     best = (i, trial, x)
                     if len(trial) == self.dim:
@@ -337,38 +305,6 @@ class GradedLieAlgebra:
         return "\n".join(lines)
 
 
-def _echelon_insert(dom, basis, w):
-    """Reduce the sparse vector w against the echelon basis {pivot: row} of
-    sparse rows, each 1 at its pivot and 0 before it, pivot by pivot in
-    increasing order (a row changes w only past its pivot).  A nonzero
-    remainder is normalized, added to the basis and returned; None means w
-    lies in the span."""
-    w = {t: x for t, x in w.items() if x}
-    todo = [t for t in w if t in basis]
-    heapq.heapify(todo)
-    while todo:
-        c = heapq.heappop(todo)
-        x = w.pop(c, None)
-        if x is None:
-            continue
-        for t, b in basis[c].items():
-            if t == c:
-                continue
-            y = w[t] - x * b if t in w else -x * b
-            if y:
-                if t not in w and t in basis:
-                    heapq.heappush(todo, t)
-                w[t] = y
-            else:
-                w.pop(t, None)
-    if not w:
-        return None
-    pivot = min(w)
-    inv = dom.inv(w[pivot])
-    basis[pivot] = {t: x * inv for t, x in w.items()}
-    return basis[pivot]
-
-
 def _build_table(dom, entries, nvars, period, alg):
     """Structure constants in graded coordinates, from the sparse ambient
     bracket and one pivot solve per lattice piece (linalg.span_coords).
@@ -376,8 +312,8 @@ def _build_table(dom, entries, nvars, period, alg):
     Every bracket is certified to lie in the span of its piece.  The table
     is filled in row-major order, and only pairs i < j are bracketed: for
     j <= i, [e_i, e_j] = -[e_j, e_i] is already known (and [e_i, e_i] = 0),
-    since the ambient table is antisymmetric, as ChevalleyAlgebra checks on
-    every pair.  The failing pairs are therefore symmetric, so the first
+    since the ambient table is antisymmetric, as ChevalleyAlgebra proves
+    cell by cell.  The failing pairs are therefore symmetric, so the first
     one in row-major order has i < j and is the first one met here.
     """
     pieces = {}

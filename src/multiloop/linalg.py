@@ -6,8 +6,10 @@ exact zero, and no exact zero is stored.  The one product kernel,
 E = exp(N) - I built once), and the one residual certifier,
 `identity_residual`, work on sparse rows.  Dense lists of row lists are
 left to elimination (`rref`, `kernel_basis`, `solve`, `span_coords`,
-`smith_invariants`); `dense` converts at that boundary.  The coefficient
-domain is passed explicitly and decides what counts as zero: an entry zero
+`smith_invariants`); `dense` converts at that boundary.  The one closure
+of a generated subalgebra, `lie_closure`, keeps sparse echelon rows
+(`echelon_insert`) under a given bracket.  The coefficient domain is
+passed explicitly and decides what counts as zero: an entry zero
 only up to a precision horizon, O(t^p), is kept, and how to divide by an
 int (`dom.over`) and put a field entry in canonical form (`dom.canon`), so
 integral data over Q stays on ints.
@@ -17,6 +19,7 @@ given input.
 
 from __future__ import annotations
 
+import heapq
 from math import gcd
 
 
@@ -192,6 +195,66 @@ def span_coords(dom, vs, n):
             return None
         return [canon(x) for x in c]
     return coords
+
+
+def echelon_insert(dom, basis, w):
+    """Reduce the sparse vector w against the echelon basis {pivot: row} of
+    sparse rows, each 1 at its pivot and 0 before it, pivot by pivot in
+    increasing order (a row changes w only past its pivot).  A nonzero
+    remainder is normalized, added to the basis and returned; None means w
+    lies in the span."""
+    w = {t: x for t, x in w.items() if x}
+    todo = [t for t in w if t in basis]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        x = w.pop(c, None)
+        if x is None:
+            continue
+        for t, b in basis[c].items():
+            if t == c:
+                continue
+            y = w[t] - x * b if t in w else -x * b
+            if y:
+                if t not in w and t in basis:
+                    heapq.heappush(todo, t)
+                w[t] = y
+            else:
+                w.pop(t, None)
+    if not w:
+        return None
+    pivot = min(w)
+    inv = dom.inv(w[pivot])
+    basis[pivot] = {t: x * inv for t, x in w.items()}
+    return basis[pivot]
+
+
+def lie_closure(dom, bracket, gens, dim, basis=None, frontier=None):
+    """The echelon basis {pivot: row} of the subalgebra generated by the
+    sparse vectors gens in an algebra of dimension dim, under the bilinear
+    bracket(x, y) of sparse vectors; each row is 1 at its pivot and 0
+    before it.  Given an echelon basis, whose rows gens already are, it is
+    closed in place instead, only the rows in frontier being new to it.
+
+    The subalgebra is closed incrementally (de Graaf, Lie Algebras: Theory
+    and Algorithms, 1.6) in one echelon basis.  If S_k = S_(k-1) +
+    span(new_k) then [gens, S_k] lies in S_k + [gens, new_k], so each round
+    brackets the generators only with the rows the last round added, and
+    the closure is reached when a round adds none.
+    """
+    if basis is None:
+        basis = {}
+        gens = frontier = [row for row in (echelon_insert(dom, basis, v)
+                                           for v in gens) if row is not None]
+    while frontier and len(basis) < dim:
+        new = []
+        for v in frontier:
+            for u in gens:
+                row = echelon_insert(dom, basis, bracket(u, v))
+                if row is not None:
+                    new.append(row)
+        frontier = new
+    return basis
 
 
 def smith_invariants(A):

@@ -222,7 +222,9 @@ def proportionality(beta, alpha):
 
 def make_relative_system(weights) -> RootSystem:
     """Wrap a set of nonzero weight vectors (from a torus grading) as a root
-    system labelled 'relative'; the standard dot product serves as Gram data."""
+    system labelled 'relative'; the standard dot product serves as Gram data.
+    They are nonzero (grading.relative_roots drops the zero degree), so
+    RelativeRootData's generic_functional makes each positive or negative."""
     weights = sorted(set(tuple(int(x) for x in w) for w in weights))
     if not weights:
         raise RootSystemError("empty weight set")
@@ -239,10 +241,6 @@ class RelativeRootData:
     def __init__(self, system: RootSystem):
         self.system = system
         self.functional = generic_functional(system.roots)
-        for a in system.roots:
-            if self._dot(a) == 0:
-                raise RootSystemError(
-                    "positivity functional vanishes on root %s" % (a,))
         self.positive = sorted(a for a in system.roots if self._dot(a) > 0)
         self.negative = sorted(a for a in system.roots if self._dot(a) < 0)
         self.simple = self._simple_roots()

@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from multiloop import linalg
-from multiloop.chevalley import (AlgebraAutomorphism, build_chevalley_by_type,
+from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError, ad_rows,
+                                 build_chevalley_by_type, group_cells,
                                  sparse_bracket, sparse_vector)
 from multiloop.grading import (from_chevalley, graded_from_spec,
                                parse_spec_file, relative_roots)
@@ -29,6 +30,20 @@ def dense_bracket(alg, dom, x, y):
                                sparse_vector(y)).items():
         out[k] = z
     return out
+
+
+def exp_ad(dom, alg, v, check=True):
+    """exp(ad_v) as an AlgebraAutomorphism, an exact finite sum; v must be
+    ad-nilpotent."""
+    ad = ad_rows(group_cells(alg.table),
+                 {i: x for i, x in enumerate(v) if dom.nonzero(x)})
+    one = dom.one()
+    try:
+        rows = linalg.exp_nilpotent(dom, ad,
+                                    {i: {i: one} for i in range(alg.dim)})
+    except ValueError:
+        raise ChevalleyError("ad_v is not nilpotent")
+    return AlgebraAutomorphism(alg, dom, rows, check=check)
 
 
 def basis_vector(alg, dom, i):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from multiloop import linalg
-from multiloop.chevalley import build_chevalley_by_type, exp_ad
+from multiloop.chevalley import build_chevalley_by_type
 from multiloop.cli import main as cli_main
 from multiloop.cocycle import (DiagonalSetup, class_key, cyclic_group,
                                diagonal_argument, galois_action, h1_enumerate,
@@ -25,7 +25,8 @@ from multiloop.scalars import (QQ, DomainLaurent, DomainSeries, LaurentPoly,
                                TruncSeries)
 
 from conftest import (algebra, build_quaternion, build_sl2_loop,
-                      build_sl3_flip, dense_bracket, mat_eq, place, sparse)
+                      build_sl3_flip, dense_bracket, exp_ad, mat_eq, place,
+                      sparse)
 
 
 def _verdict(num, name, ok):

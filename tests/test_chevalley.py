@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from multiloop import linalg
-from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyError,
-                                 ad_rows, build_chevalley_by_type,
+from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyAlgebra,
+                                 ChevalleyError, ad_rows,
+                                 build_chevalley_by_type,
                                  chevalley_involution, diagram_automorphism,
-                                 exp_ad, killing_form, sparse_vector,
+                                 group_cells, sparse_bracket, sparse_vector,
                                  torus_automorphism)
-from multiloop.rootsys import build_root_system
+from multiloop.rootsys import build_root_system, split_dimension
 from multiloop.scalars import QQ, Cyclotomic, DomainCyclotomic
 
 from conftest import (algebra, aut_apply, aut_inverse, aut_order,
-                      basis_vector, dense_bracket, root_vector, sparse)
+                      basis_vector, dense_bracket, exp_ad, root_vector,
+                      sparse)
 
 DIMS = {("A", 1): 3, ("A", 2): 8, ("B", 2): 10, ("G", 2): 14,
         ("A", 3): 15, ("D", 4): 28, ("E", 6): 78}
@@ -69,8 +71,21 @@ def test_coroot_action():
 
 def test_non_reduced_rejected():
     with pytest.raises(ChevalleyError):
-        from multiloop.chevalley import ChevalleyAlgebra
         ChevalleyAlgebra(build_root_system("BC", 2))
+
+
+def killing_form(alg):
+    """Killing form on basis pairs, over Q: tr(ad_e_i ad_e_j)."""
+    d = alg.dim
+    cells = group_cells(alg.table)
+    ads = [ad_rows(cells, {i: 1}) for i in range(d)]
+    K = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            M = linalg.mat_mul(QQ, ads[i], ads[j])
+            tr = sum(row.get(t, 0) for t, row in M.items())
+            K[i][j] = K[j][i] = tr
+    return K
 
 
 def test_killing_form_sl2_oracle():
@@ -231,8 +246,8 @@ def test_inner_automorphism_composition():
 
 def _ad_matrix(dom, alg, x):
     """Matrix of ad_x on the Chevalley basis; column j is [x, b_j]."""
-    return linalg.dense(dom, ad_rows(alg.cells_by_first, sparse_vector(x)),
-                        alg.dim)
+    rows = ad_rows(group_cells(alg.table), sparse_vector(x))
+    return linalg.dense(dom, rows, alg.dim)
 
 
 def test_ad_matrix_trace_free():
@@ -253,7 +268,7 @@ def test_ad_rows_match_dense_bracket(t, r):
     xs.append({i: Fraction(rng.choice([-3, -1, 2, 5]))
                for i in sorted(rng.sample(range(d), 3))})
     for x in xs:
-        rows = ad_rows(alg.cells_by_first, x)
+        rows = ad_rows(group_cells(alg.table), x)
         dense = [x.get(i, Fraction(0)) for i in range(d)]
         for j in range(d):
             col = dense_bracket(alg, QQ, dense, basis_vector(alg, QQ, j))
@@ -358,6 +373,140 @@ def test_jacobi_detects_broken_antisymmetry(t, r):
     assert _jacobi_oracle(alg) is None
 
 
+# -- the Jacobi proof: derivations on a generating set -------------------------
+
+PROVED_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+                ("E", 6)]
+
+
+@pytest.mark.parametrize("t,r", PROVED_TYPES)
+def test_jacobi_is_proved_without_the_scan(t, r, monkeypatch):
+    def scan(self):
+        raise AssertionError("the fallback scan ran")
+
+    monkeypatch.setattr(ChevalleyAlgebra, "_jacobi_scan", scan)
+    alg = ChevalleyAlgebra(build_root_system(t, r))
+    assert alg.dim == split_dimension(t, r)
+    assert len(alg.generators) == r + 1
+    assert [alg.roots[i] for i in alg.generators if i < len(alg.positive)] \
+        == sorted(a for a in alg.positive if sum(a) == 1)
+
+
+def _verdict(alg):
+    """The message _verify_jacobi raises, or None when it accepts."""
+    try:
+        alg._verify_jacobi()
+    except ChevalleyError as err:
+        return str(err)
+    return None
+
+
+def _pair_corrupted(alg, i, j, f):
+    """A copy of alg whose constants c at (i, j) become f(c) and those at
+    (j, i) become -f(c), so that antisymmetry still holds."""
+    bad = copy.copy(alg)
+    bad.table = dict(alg.table)
+    bad.table[(i, j)] = [(k, f(c)) for k, c in alg.table[(i, j)]]
+    bad.table[(j, i)] = [(k, -f(c)) for k, c in alg.table[(i, j)]]
+    return bad
+
+
+def _generates(alg):
+    """Whether alg.generators generate on the table of alg."""
+    size = len(linalg.lie_closure(
+        QQ, lambda x, y: sparse_bracket(alg.table, x, y),
+        [{s: 1} for s in alg.generators], alg.dim))
+    return size == alg.dim
+
+
+CORRUPTIONS = [lambda c: -c, lambda c: 0, lambda c: 2 * c, lambda c: c + 1]
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2), ("A", 3),
+                                 ("B", 3)])
+def test_corrupted_cells_get_the_scan_verdict(t, r):
+    # seeded cells i < j, and the first cell whose zeroing leaves the
+    # generators generating a proper subalgebra; each corrupted copy gets
+    # the dense oracle's verdict and message
+    alg = algebra(t, r)
+    pairs = sorted(key for key in alg.table if key[0] < key[1])
+    cells = random.Random(19 + 10 * r + ord(t)).sample(pairs, 3)
+    cells.append(next(key for key in pairs if not _generates(
+        _pair_corrupted(alg, *key, CORRUPTIONS[1]))))
+    table = dict(alg.table)
+    failures = 0
+    for i, j in cells:
+        for f in CORRUPTIONS:
+            bad = _pair_corrupted(alg, i, j, f)
+            want = _jacobi_oracle(bad)
+            assert _verdict(bad) == want
+            failures += want is not None
+    assert failures >= len(cells)
+    assert alg.table == table and _verdict(alg) is None
+
+
+def test_generation_is_needed_by_the_proof():
+    # ad_s = 0 for every generator s, so each is a derivation, but the
+    # generators span an abelian subalgebra; on three other basis vectors
+    # the bracket [a,b] = a, [a,c] = a, [b,c] = b is antisymmetric and
+    # [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = a
+    alg = algebra("A", 2)
+    a, b, c = [i for i in range(alg.dim) if i not in alg.generators][:3]
+    bad = copy.copy(alg)
+    bad.table = {}
+    for i, j, k in ((a, b, a), (a, c, a), (b, c, b)):
+        bad.table[(i, j)], bad.table[(j, i)] = [(k, 1)], [(k, -1)]
+    assert not _generates(bad)
+    want = "Jacobi fails at triple (%d,%d,%d)" % (a, b, c)
+    assert _jacobi_oracle(bad) == want and _verdict(bad) == want
+
+
+def test_antisymmetry_is_needed_by_the_proof():
+    # on B2, [e_3, e_2] = 0 becomes e_0 while [e_2, e_3] stays 0: the
+    # derivation identities on pairs j < k still hold and the generators
+    # generate, so only the antisymmetry step sends the table to the scan
+    alg = algebra("B", 2)
+    bad = copy.copy(alg)
+    bad.table = dict(alg.table)
+    assert (3, 2) not in bad.table
+    bad.table[(3, 2)] = [(0, 1)]
+    assert _generates(bad)
+    want = "antisymmetry fails at (2,3)"
+    assert _jacobi_oracle(bad) == want and _verdict(bad) == want
+
+
+def _not_a_derivation(alg, s):
+    """Whether ad_(e_s) fails [s,[y,z]] = [[s,y],z] + [y,[s,z]] on some
+    pair of basis vectors, by dense brackets over Q."""
+    e = [basis_vector(alg, QQ, i) for i in range(alg.dim)]
+
+    def br(x, y):
+        return dense_bracket(alg, QQ, x, y)
+
+    return any(any(a - b - c for a, b, c in zip(
+        br(e[s], br(y, z)), br(br(e[s], y), z), br(y, br(e[s], z))))
+        for y in e for z in e)
+
+
+@pytest.mark.parametrize("u,v,w,only", [(0, 2, 3, 0), (1, 2, 4, 1),
+                                        (3, 5, 2, 2)])
+def test_every_generator_is_checked(u, v, w, only):
+    # on A2, [e_u, e_v] = 0 gains e_w (and [e_v, e_u] gains -e_w): the
+    # generators still generate, and ad_s stops being a derivation for one
+    # generator s only, a different one in each case
+    alg = algebra("A", 2)
+    bad = copy.copy(alg)
+    bad.table = dict(alg.table)
+    assert (u, v) not in bad.table
+    bad.table[(u, v)], bad.table[(v, u)] = [(w, 1)], [(w, -1)]
+    assert _generates(bad)
+    assert [s for s in alg.generators if _not_a_derivation(bad, s)] == \
+        [alg.generators[only]]
+    want = _jacobi_oracle(bad)
+    assert want is not None and _verdict(bad) == want
+
+
 def _dense_verify_failure(alg, M):
     """The dense check, kept as an oracle: the first basis pair (i, j), in
     row-major order, with [M e_i, M e_j] != M [e_i, e_j], or None."""
@@ -376,9 +525,9 @@ def _dense_verify_failure(alg, M):
             actual = [Fraction(0)] * d
             for a in range(d):
                 for b in range(d):
-                    for k, c in alg.bracket_basis(a, b):
+                    for k, c in alg.table.get((a, b), []):
                         actual[k] += cols[i][a] * cols[j][b] * c
-            if actual != image(alg.bracket_basis(i, j)):
+            if actual != image(alg.table.get((i, j), [])):
                 return i, j
     return None
 

@@ -30,6 +30,16 @@ def test_algebra_build(capsys):
     assert "elapsed" in err and "elapsed" not in out
 
 
+def test_algebra_build_e8(capsys):
+    # E8 is built and its table proved; |Phi| + rank from sympy.liealgebras
+    # is the oracle for the dimension
+    sympy_rs = pytest.importorskip("sympy.liealgebras.root_system")
+    code, out, _ = run(capsys, "algebra", "build", "E", "8")
+    assert code == 0
+    assert "dimension: 248" in out.splitlines()
+    assert len(sympy_rs.RootSystem("E8").all_roots()) + 8 == 248
+
+
 def test_algebra_invalid_type(capsys):
     code, out, _ = run(capsys, "algebra", "build", "H", "1")
     assert code == 1

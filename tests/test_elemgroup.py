@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiloop import linalg
-from multiloop.chevalley import ChevalleyError, exp_ad
+from multiloop.chevalley import ChevalleyError
 from multiloop.elemgroup import (ElementError, ElementMatrix,
                                  PrecisionExhausted,
                                  RankOneComponent, RootElementWord,
@@ -23,8 +23,8 @@ from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
                                DomainSeries, LaurentPoly, TruncSeries)
 
 from conftest import (FIXTURES, algebra, basis_vector, build_sl3_flip,
-                      is_identity, mat_eq, mat_mul_dense, place, sparse,
-                      variable)
+                      exp_ad, is_identity, mat_eq, mat_mul_dense, place,
+                      sparse, variable)
 
 
 def series(low, coeffs, prec=None):

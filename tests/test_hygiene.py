@@ -95,7 +95,7 @@ def _uncalled_functions(defining, referencing):
 
 
 # Paper objects the library keeps although only the tests call them.
-_PAPER_OBJECTS = {"exp_ad", "killing_form", "torus_conjugate"}
+_PAPER_OBJECTS = {"torus_conjugate"}
 
 
 def test_library_functions_have_callers():
