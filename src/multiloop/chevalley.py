@@ -332,8 +332,7 @@ def build_chevalley_by_type(type_label: str, rank: int) -> ChevalleyAlgebra:
 
 class AlgebraAutomorphism:
     """An invertible bracket-preserving matrix acting on the Chevalley basis
-    (or on any graded basis of the same dimension), held as sparse rows
-    {i: {j: x}} with no exact zero stored."""
+    of alg, held as sparse rows {i: {j: x}} with no exact zero stored."""
 
     def __init__(self, alg, dom, rows, check=True):
         self.alg = alg
@@ -343,8 +342,10 @@ class AlgebraAutomorphism:
             self.verify()
 
     def verify(self):
-        """[M e_i, M e_j] = M [e_i, e_j] on every basis pair, in sparse
-        columns."""
+        """[M e_s, M e_j] = M [e_s, e_j] for each s in alg.generators and
+        every j, in sparse columns.  That suffices: by Jacobi the x with
+        M [x, y] = [M x, M y] for all y form a subalgebra, and one holding
+        the generators is g."""
         alg = self.alg
         d = alg.dim
         zero = self.dom.zero()
@@ -352,7 +353,7 @@ class AlgebraAutomorphism:
         for i, row in self.rows.items():
             for j, x in row.items():
                 cols[j][i] = x
-        for i in range(d):
+        for i in alg.generators:
             for j in range(d):
                 expected = {}
                 for k, c in alg.table.get((i, j), ()):

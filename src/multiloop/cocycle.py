@@ -172,12 +172,6 @@ class FiniteGroup:
                     span |= new
         return gens
 
-    def serialize(self):
-        lines = ["group %s order=%d" % (self.name, len(self.elements))]
-        for row in self.rows:
-            lines.append("  " + " ".join(str(self.elements[c]) for c in row))
-        return "\n".join(lines)
-
 
 def cyclic_group(k, name=None) -> FiniteGroup:
     return FiniteGroup(range(k), lambda a, b: (a + b) % k,

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .chevalley import ad_rows, character
+from .chevalley import ad_rows
 from .grading import GradedLieAlgebra, RelativeGrading
 from .rootsys import proportionality
 from .scalars import TruncSeries, series_split
@@ -313,28 +313,6 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
     f = _positivity_functional(rg, alpha, beta)
     return unipotent_factor(rg, R, comm, psi,
                             keyfunc=lambda gam: (f(gam), gam))
-
-
-def torus_conjugate(rg: RelativeGrading, R, s, letter):
-    """Conjugation of X_alpha(v) by the grading torus point s (one unit per
-    q-lattice coordinate) replaces v by alpha(s) v; the identity is
-    checked on every column."""
-    alpha, v = letter
-    alpha = tuple(alpha)
-    g = rg.algebra
-    s = list(s)
-    sinv = [R.inv(x) for x in s]
-    new_v = [character(R, alpha, s, sinv) * x for x in v]
-    # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
-    diag = [character(R, e.qdeg, s, sinv) for e in g.entries]
-    diag_inv = [R.inv(c) for c in diag]
-    conj = {i: {j: diag[i] * x * diag_inv[j] for j, x in row.items()}
-            for i, row in word_matrix(rg, R, [letter]).rows.items()}
-    res = linalg.exp_nilpotent(
-        R, root_element(rg, R, alpha, [-x for x in new_v]), conj)
-    if linalg.identity_residual(R, res, None, range(g.dim))[1] is not None:
-        raise ElementError("torus conjugation identity failed")
-    return (alpha, new_v)
 
 
 # ---------------------------------------------------------------------------

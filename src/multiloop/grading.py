@@ -88,23 +88,21 @@ def simultaneous_eigenspaces(spec: MultiloopSpec):
     dom = eigen_domain(m)
     d = spec.base.dim
     zeta = dom.one() if m == 1 else Cyclotomic.root(m, 1)
-    powers = [dom.one()]
+    zero, powers = dom.zero(), [dom.one()]
     for _ in range(m - 1):
         powers.append(powers[-1] * zeta)
-    mats = [linalg.dense(dom, {i: {j: dom.lift(x) for j, x in row.items()}
-                               for i, row in s.rows.items()}, d)
-            for s in spec.sigma]
+    sigmas = [{i: {j: dom.lift(x) for j, x in row.items()}
+               for i, row in s.rows.items()} for s in spec.sigma]
     out = {}
     total = 0
     for idx in itertools.product(range(m), repeat=n):
-        rows = []
-        for j in range(n):
+        rows = []      # sigma_j - zeta^k I for k = idx[j], zeros kept
+        for s, k in zip(sigmas, idx):
             for i in range(d):
-                row = list(mats[j][i])
-                row[i] = row[i] - powers[idx[j]]
+                row = dict(s.get(i, ()))
+                row[i] = row.get(i, zero) - powers[k]
                 rows.append(row)
-        basis = linalg.kernel_basis(dom, rows) if rows \
-            else linalg.identity(dom, d)
+        basis = linalg.kernel_basis(dom, rows, d)
         if basis:
             out[idx] = basis
             total += len(basis)
@@ -475,8 +473,8 @@ def irreducible_components(system: RootSystem):
         comps.setdefault(find(i), []).append(a)
     out = []
     for group in comps.values():
-        _, pivots = linalg.rref(QQ, [list(a) for a in group])
-        out.append({"roots": sorted(group), "rank": len(pivots)})
+        rank = len(linalg.rref(QQ, [sparse_vector(a) for a in group]))
+        out.append({"roots": sorted(group), "rank": rank})
     out.sort(key=lambda c: c["roots"][0])
     return out
 

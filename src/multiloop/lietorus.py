@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .chevalley import sparse_bracket
+from .chevalley import sparse_bracket, sparse_vector
 from .grading import GradedLieAlgebra
 from .rootsys import proportionality
 from .scalars import QQ
@@ -182,9 +182,7 @@ def classify_system(roots) -> str:
     roots = sorted(roots)
     if not roots:
         return "empty"
-    M = [list(a) for a in roots]
-    _, pivots = linalg.rref(QQ, M)
-    rank = len(pivots)
+    rank = len(linalg.rref(QQ, [sparse_vector(a) for a in roots]))
     rset = set(roots)
     reduced = all(tuple(2 * x for x in a) not in rset for a in roots)
     count = len(roots)

@@ -4,28 +4,24 @@ A matrix is held as sparse rows {i: {j: entry}}: an absent entry is an
 exact zero, and no exact zero is stored.  The one product kernel,
 `mat_mul`, the one exp of a nilpotent, `exp_nilpotent` (M + E M with
 E = exp(N) - I built once), and the one residual certifier,
-`identity_residual`, work on sparse rows.  Dense lists of row lists are
-left to elimination (`rref`, `kernel_basis`, `solve`, `span_coords`,
-`smith_invariants`); `dense` converts at that boundary.  The one closure
-of a generated subalgebra, `lie_closure`, keeps sparse echelon rows
-(`echelon_insert`) under a given bracket.  The coefficient domain is
-passed explicitly and decides what counts as zero: an entry zero
-only up to a precision horizon, O(t^p), is kept, and how to divide by an
-int (`dom.over`) and put a field entry in canonical form (`dom.canon`), so
-integral data over Q stays on ints.
-Elimination uses first-nonzero pivoting so results are deterministic for a
-given input.
+`identity_residual`, work on sparse rows.  So does elimination: its one
+step, `echelon_insert`, reduces a sparse row against an echelon basis
+{pivot: row}, and `rref` (with `kernel_basis`, `solve` and `span_coords`
+reading its basis) and the one closure of a generated subalgebra,
+`lie_closure`, are built on it.  Pivots are the least nonzero columns, so
+results are deterministic for a given input.  `dense` writes sparse rows
+out in full (the dense view of `elemgroup.ElementMatrix`), and
+`smith_invariants` works on a small table of ints.  The coefficient
+domain is passed explicitly and decides what counts as zero: an entry
+zero only up to a precision horizon, O(t^p), is kept, and how to divide
+by an int (`dom.over`) and put a field entry in canonical form
+(`dom.canon`), so integral data over Q stays on ints.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd
-
-
-def identity(dom, n):
-    one, zero = dom.one(), dom.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def dense(dom, rows, n):
@@ -90,67 +86,61 @@ def exp_nilpotent(dom, N, M):
     return out
 
 
-def rref(dom, A):
-    """Reduced row echelon form over a field domain.
-
-    Returns (R, pivots): R is the reduced matrix, whose first len(pivots)
-    rows are nonzero, and pivots lists their pivot columns in order.  Its
-    entries are in canonical form (dom.canon).
-    """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    R = [list(row) for row in A]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if R[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = dom.inv(R[r][c])
-        R[r] = [x * inv for x in R[r]]
-        for i in range(n):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+def rref(dom, rows):
+    """The reduced row echelon form of a list of sparse rows {j: x} over a
+    field domain, as {pivot: row} in increasing pivot order: each row is 1
+    at its pivot and 0 at every other pivot, with entries in canonical form
+    (dom.canon).  The rows are inserted one by one (echelon_insert) and
+    then reduced from the last pivot down; the form is unique, so it does
+    not depend on the order of the rows."""
+    basis = {}
+    for w in rows:
+        echelon_insert(dom, basis, w)
+    pivots = sorted(basis)
+    for p in reversed(pivots):
+        row = basis[p]
+        for q, x in [(q, x) for q, x in row.items() if q != p and q in basis]:
+            for t, b in basis[q].items():
+                y = row[t] - x * b if t in row else -x * b
+                if y:
+                    row[t] = y
+                else:
+                    del row[t]
     canon = dom.canon
-    return [[canon(x) for x in row] for row in R], pivots
+    return {p: {t: canon(x) for t, x in basis[p].items()} for p in pivots}
 
 
-def kernel_basis(dom, A):
-    """Basis of the right null space of A over a field domain."""
-    m = len(A[0]) if A else 0
-    R, pivots = rref(dom, A)
-    free = [c for c in range(m) if c not in pivots]
+def kernel_basis(dom, rows, m):
+    """Basis of the right null space of the sparse rows, of length m, over
+    a field domain, as dense vectors: one per free column c, 1 at c and 0
+    at the other free columns.  No rows give the identity basis."""
+    R = rref(dom, rows)
+    zero, one = dom.zero(), dom.one()
     basis = []
-    for fc in free:
-        v = [dom.zero()] * m
-        v[fc] = dom.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
+    for c in range(m):
+        if c in R:
+            continue
+        v = [zero] * m
+        v[c] = one
+        for p, row in R.items():
+            if c in row:
+                v[p] = -row[c]
         basis.append(v)
     return basis
 
 
-def solve(dom, A, b):
-    """One solution of A x = b over a field domain, or None."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
-    R, pivots = rref(dom, aug)
-    if m in pivots:
+def solve(dom, rows, b, m):
+    """One solution x, of length m, of A x = b over a field domain, or
+    None; A is the list of sparse rows and b the list of right-hand
+    sides."""
+    aug = [{**row, m: y} if y else row for row, y in zip(rows, b)]
+    R = rref(dom, aug)
+    if m in R:
         return None
     x = [dom.zero()] * m
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][m]
+    for p, row in R.items():
+        if m in row:
+            x[p] = row[m]
     return x
 
 
@@ -169,14 +159,11 @@ def span_coords(dom, vs, n):
     """
     k = len(vs)
     zero, one, canon = dom.zero(), dom.one(), dom.canon
-    aug = [[v.get(t, zero) for t in range(n)]
-           + [one if j == i else zero for j in range(k)]
-           for i, v in enumerate(vs)]
-    R, pivots = rref(dom, aug)
-    if len(pivots) < k or (k and pivots[k - 1] >= n):
+    R = rref(dom, [{**v, n + i: one} for i, v in enumerate(vs)])
+    if k and max(R) >= n:
         raise ValueError("matrix is not injective")
-    solve_rows = [(pc, [(j, e) for j, e in enumerate(R[r][n:]) if e])
-                  for r, pc in enumerate(pivots[:k])]
+    solve_rows = [(pc, [(j - n, e) for j, e in row.items() if j >= n])
+                  for pc, row in R.items()]
 
     def coords(w):
         c = [zero] * k

@@ -142,10 +142,6 @@ class RootSystem:
     def is_reduced(self) -> bool:
         return all(tuple(2 * x for x in a) not in self.root_set for a in self.roots)
 
-    def serialize(self) -> str:
-        body = " ".join("(%s)" % ",".join(map(str, a)) for a in self.roots)
-        return "%s%d %s" % (self.type_label, self.rank, body)
-
     def __repr__(self):
         return "RootSystem(%s%d, %d roots)" % (self.type_label, self.rank,
                                                len(self.roots))
@@ -262,10 +258,11 @@ class RelativeRootData:
 
     def _compute_heights(self):
         # coefficients of each positive root over the simple relative roots
-        mat = [[s[i] for s in self.simple] for i in range(len(self.simple[0]))]
+        rows = [{j: s[i] for j, s in enumerate(self.simple)}
+                for i in range(len(self.simple[0]))]
         heights = {}
         for a in self.positive:
-            sol = linalg.solve(QQ, mat, list(a))
+            sol = linalg.solve(QQ, rows, a, len(self.simple))
             if sol is None:
                 raise RootSystemError(
                     "root %s is not a combination of simple roots" % (a,))

@@ -568,12 +568,6 @@ class TruncSeries:
     def valuation(self):
         return self.low if self.num else None
 
-    def coeff(self, d: int):
-        i = d - self.low
-        if 0 <= i < len(self.num):
-            return self.coeffs[i]
-        return self.base.zero()
-
     def is_polynomial(self) -> bool:
         """All stored data exact (no truncation horizon)."""
         return self.prec is None
@@ -914,9 +908,6 @@ class DomainCyclotomic(_ExactDomain):
 
     def from_int(self, n):
         return Cyclotomic.from_rational(n, self.order)
-
-    def root(self, k=1):
-        return Cyclotomic.root(self.order, k)
 
     def lift(self, x):
         if isinstance(x, (int, Fraction)):

@@ -54,8 +54,57 @@ def root_vector(alg, dom, a):
     return basis_vector(alg, dom, alg.root_index[tuple(a)])
 
 
-# Dense matrix oracles: the library holds matrices as sparse rows and keeps
-# dense lists for elimination only.
+# Dense matrix oracles: the library holds matrices as sparse rows, for
+# elimination too.
+
+def identity(dom, n):
+    """The dense n x n identity matrix over dom."""
+    one, zero = dom.one(), dom.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def dense_rref(dom, A):
+    """Reduced row echelon form of a dense matrix over a field domain, by
+    first-nonzero pivot search and dense row operations: the oracle for
+    linalg.rref.  Returns (R, pivots): the first len(pivots) rows of R are
+    nonzero, and pivots lists their pivot columns in order.  Entries are in
+    canonical form (dom.canon)."""
+    n = len(A)
+    m = len(A[0]) if n else 0
+    R = [list(row) for row in A]
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = dom.inv(R[r][c])
+        R[r] = [x * inv for x in R[r]]
+        for i in range(n):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return [[dom.canon(x) for x in row] for row in R], pivots
+
+
+def dense_kernel_basis(dom, A):
+    """Basis of the right null space of a dense matrix, from dense_rref."""
+    m = len(A[0]) if A else 0
+    R, pivots = dense_rref(dom, A)
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [dom.zero()] * m
+        v[fc] = dom.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
 
 def sparse(dom, M):
     """The sparse rows of a dense matrix: exact zeros and empty rows are
@@ -80,7 +129,7 @@ def aut_inverse(a):
     dom, n = a.dom, a.alg.dim
     aug = [row + [dom.one() if i == j else dom.zero() for j in range(n)]
            for i, row in enumerate(linalg.dense(dom, a.rows, n))]
-    R, pivots = linalg.rref(dom, aug)
+    R, pivots = dense_rref(dom, aug)
     assert pivots[:n] == list(range(n)), "singular automorphism"
     return AlgebraAutomorphism(a.alg, dom, sparse(dom, [r[n:] for r in R]),
                                check=False)
@@ -124,7 +173,7 @@ def mat_eq(A, B):
 
 
 def is_identity(dom, A):
-    return mat_eq(A, linalg.identity(dom, len(A)))
+    return mat_eq(A, identity(dom, len(A)))
 
 
 @pytest.fixture(scope="session")

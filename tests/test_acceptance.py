@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from multiloop import linalg
 from multiloop.chevalley import build_chevalley_by_type
 from multiloop.cli import main as cli_main
 from multiloop.cocycle import (DiagonalSetup, class_key, cyclic_group,
@@ -25,8 +24,8 @@ from multiloop.scalars import (QQ, DomainLaurent, DomainSeries, LaurentPoly,
                                TruncSeries)
 
 from conftest import (algebra, build_quaternion, build_sl2_loop,
-                      build_sl3_flip, dense_bracket, exp_ad, mat_eq, place,
-                      sparse)
+                      build_sl3_flip, dense_bracket, exp_ad, identity, mat_eq,
+                      place, sparse)
 
 
 def _verdict(num, name, ok):
@@ -144,7 +143,7 @@ def test_criterion_05_unipotent_roundtrip():
             dim = rg.algebra.dim
             for _ in range(100):
                 ident = ElementMatrix(
-                    sparse(R, linalg.identity(R, dim)), dim, R)
+                    sparse(R, identity(R, dim)), dim, R)
                 if unipotent_factor(rg, R, ident, []) != []:
                     ok = False
             continue

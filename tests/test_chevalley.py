@@ -16,8 +16,8 @@ from multiloop.rootsys import build_root_system, split_dimension
 from multiloop.scalars import QQ, Cyclotomic, DomainCyclotomic
 
 from conftest import (algebra, aut_apply, aut_inverse, aut_order,
-                      basis_vector, dense_bracket, exp_ad, root_vector,
-                      sparse)
+                      basis_vector, dense_bracket, exp_ad, identity,
+                      root_vector, sparse)
 
 DIMS = {("A", 1): 3, ("A", 2): 8, ("B", 2): 10, ("G", 2): 14,
         ("A", 3): 15, ("D", 4): 28, ("E", 6): 78}
@@ -507,9 +507,9 @@ def test_every_generator_is_checked(u, v, w, only):
     assert want is not None and _verdict(bad) == want
 
 
-def _dense_verify_failure(alg, M):
-    """The dense check, kept as an oracle: the first basis pair (i, j), in
-    row-major order, with [M e_i, M e_j] != M [e_i, e_j], or None."""
+def _dense_verify_failures(alg, M):
+    """The dense check, kept as an oracle: the basis pairs (i, j), in
+    row-major order, with [M e_i, M e_j] != M [e_i, e_j]."""
     d = alg.dim
     cols = [[M[i][j] for i in range(d)] for j in range(d)]
 
@@ -528,14 +528,15 @@ def _dense_verify_failure(alg, M):
                     for k, c in alg.table.get((a, b), []):
                         actual[k] += cols[i][a] * cols[j][b] * c
             if actual != image(alg.table.get((i, j), [])):
-                return i, j
-    return None
+                yield i, j
 
 
 @pytest.mark.parametrize("t, r", [("A", 1), ("B", 2), ("G", 2)])
 def test_automorphism_check_names_the_oracle_pair(t, r):
     # scaling one basis vector, dropping one, or adding a Cartan term to a
-    # root vector breaks the bracket; chevalley_involution keeps it
+    # root vector breaks the bracket; chevalley_involution keeps it.  verify
+    # checks the generator rows only: it fails exactly when the full oracle
+    # does, naming the oracle's first failing pair in a generator row
     alg = algebra(t, r)
     d, h = alg.dim, len(alg.roots)
     rng = random.Random(7)
@@ -552,11 +553,19 @@ def test_automorphism_check_names_the_oracle_pair(t, r):
             M[h + rng.randrange(r)][rng.randrange(h)] = Fraction(1)
         mats.append(M)
     mats.append(linalg.dense(QQ, chevalley_involution(alg).rows, d))
+    # e_-gamma -> e_-gamma + e_theta, gamma = alpha_1 + ... + alpha_r and
+    # theta the highest root: on A_r, where gamma = theta, every e_alpha_i
+    # row holds, so only the row of e_-gamma names the failure
+    M = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    M[alg.root_index[max(alg.roots, key=sum)]][
+        alg.root_index[(-1,) * r]] = Fraction(1)
+    mats.append(M)
     for M in mats:
-        want = _dense_verify_failure(alg, M)
-        if want is None:
+        failures = list(_dense_verify_failures(alg, M))
+        if not failures:
             AlgebraAutomorphism(alg, QQ, sparse(QQ, M))
             continue
+        want = next(p for p in failures if p[0] in alg.generators)
         with pytest.raises(ChevalleyError) as e:
             AlgebraAutomorphism(alg, QQ, sparse(QQ, M))
         assert str(e.value) == "bracket not preserved on basis pair (%d,%d)" \
@@ -579,7 +588,7 @@ def _dense_mul(dom, A, B):
 
 
 def _dense_order(dom, A, bound=64):
-    I, cur = linalg.identity(dom, len(A)), A
+    I, cur = identity(dom, len(A)), A
     for k in range(1, bound + 1):
         if cur == I:
             return k
@@ -619,7 +628,7 @@ def test_sparse_automorphisms_match_dense_oracle(case):
     dom, autos = _automorphisms(case)
     d = autos[0].alg.dim
     dense = [linalg.dense(dom, a.rows, d) for a in autos]
-    I = linalg.identity(dom, d)
+    I = identity(dom, d)
     rng = random.Random(17)
     v = [dom.from_int(rng.randint(-3, 3)) for _ in range(d)]
     for a, A in zip(autos, dense):

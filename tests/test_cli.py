@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -482,6 +483,77 @@ def test_cocycle_golden_stdout(capsys, argv, expected):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and out == expected
     assert err.startswith("elapsed ")
+
+
+# Specs beyond the fixtures whose reports are pinned: the outer form 2E6,
+# the nullity-2 form of A3 (relative type B2; LT2 fails), and B2 with no
+# loop variable, whose grading is the kernel of no rows.
+GOLDEN_SPECS = {
+    "e6_outer.ml": ["multiloop type=E rank=6 n=1 m=2",
+                    "sigma diagram 4 3 2 1 0 5",
+                    "cartan h 1 0 0 0 1 0", "cartan h 0 1 0 1 0 0",
+                    "cartan h 0 0 1 0 0 0", "cartan h 0 0 0 0 0 1"],
+    "a3_nullity2.ml": ["multiloop type=A rank=3 n=2 m=2",
+                       "sigma diagram 2 1 0", "sigma torus -1 1 -1",
+                       "cartan h 1 0 1", "cartan h 0 1 0"],
+    "b2_untwisted.ml": ["multiloop type=B rank=2 n=0 m=1", "cartan full"],
+}
+
+# (command, spec, exit code, SHA-256 of stdout), run in the spec's
+# directory so the echoed command line is the bare file name.
+GOLDEN_GRADING = [
+    ("grading", "sl2_quaternion.ml", 0,
+     "419977434094d4a5352cffaec8b8e84f0e43b1faf58b93827fd1abe88ae17f18"),
+    ("lietorus", "sl2_quaternion.ml", 2,
+     "c07271d715b62d3d03953a7890a32278d23689080ceab1bee2fa55ddbb16ccb9"),
+    ("grading", "sl2_untwisted.ml", 0,
+     "a065dfc471a82bf47ab331b1e82caea71705421159b52490ab1ed15c9215b394"),
+    ("lietorus", "sl2_untwisted.ml", 0,
+     "b4b7d4678ad9a7874791a863f4e18df180b5e30ba8889bdf91e9ef094b1ea8b9"),
+    ("grading", "sl3_flip.ml", 0,
+     "8b399a3ad6ded07198c4ee33c159e08ddefa9ab6f174f7ab38dd5059ebd82f86"),
+    ("lietorus", "sl3_flip.ml", 0,
+     "f5bd41c27a10df00846904afe7f3cce4013b18ba9dddc53fbc4470d6a56e7527"),
+    ("grading", "sl4_flip.ml", 0,
+     "ac4dcad82fdf54e7513cb88f21cc9fbe5190df631f2a41198d8b4814770cdcdb"),
+    ("lietorus", "sl4_flip.ml", 0,
+     "4d9451aa546f9b322f32bf1843c68c6c7f2ecc44fd385e4466eb80539ce5704c"),
+    ("grading", "sl5_flip.ml", 0,
+     "2ab983d9a3c0d987d0657077a9f0dfbf2630a8a13a9f265272ea22907cc55177"),
+    ("lietorus", "sl5_flip.ml", 0,
+     "b31e84778d129bb7c6c9394c23280355f30c681d3127584b9adfbb732cdb462d"),
+    ("grading", "so8_triality.ml", 0,
+     "dc3118fcccec8191adbe47c8a484eeccfaa292f58eb47675c8e18e4277cb73d8"),
+    ("lietorus", "so8_triality.ml", 0,
+     "ccf13168f4adb2806b0f9224a24bc7f3497e1cc8f849e93fcc8903a1bdd443f4"),
+    ("grading", "e6_outer.ml", 0,
+     "7c7aed3ad3064d4570b03c48aa5ce31794d9330f95703fcbd25f02a81f79b8a5"),
+    ("lietorus", "e6_outer.ml", 0,
+     "821d9f400216b278cfc96082d6d87cae241042e423480aa3197a68a228efeed2"),
+    ("grading", "a3_nullity2.ml", 0,
+     "164dd242d3e25eb55be44a130f9cf7851fe49ff78a206c035a2ae5c6f95cfa84"),
+    ("lietorus", "a3_nullity2.ml", 2,
+     "23b97bd92dd8d5ab33605b013e4d9ff811f2b8c0fae5d875b5d8e36a7cdf4d32"),
+    ("grading", "b2_untwisted.ml", 0,
+     "04ccd86e242c7ea7f2205e0384a7d01659c9a8702e43cfa2b9c5863ce6efb996"),
+    ("lietorus", "b2_untwisted.ml", 0,
+     "cd8c39f84f957dbd8965876d0103c959f890f4ca8e270b4968a0ed2f12e81cfe"),
+]
+
+
+@pytest.mark.parametrize("command, name, code, digest", GOLDEN_GRADING,
+                         ids=["%s-%s" % (c, n[:-3])
+                              for c, n, _, _ in GOLDEN_GRADING])
+def test_grading_and_lietorus_golden_stdout(capsys, monkeypatch, tmp_path,
+                                            command, name, code, digest):
+    if name in GOLDEN_SPECS:
+        (tmp_path / name).write_text("\n".join(GOLDEN_SPECS[name]) + "\n")
+        monkeypatch.chdir(tmp_path)
+    else:
+        monkeypatch.chdir(FIXTURES)
+    got, out, _ = run(capsys, command, name)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _refuse_building(monkeypatch):

@@ -607,13 +607,11 @@ def test_cayley_table_matches_product():
                 (g1 + g2) % 2)
 
     G = cover_group(2, 3, cyclic_group(2), units)
-    lines = ["group %s order=18" % G.name]
+    assert len(G.elements) == 18
     for a in G.elements:
         for b in G.elements:
             assert G.mul(a, b) == mul(a, b)
         assert G.mul(a, G.inv(a)) == G.identity == G.mul(G.inv(a), a)
-        lines.append("  " + " ".join(str(mul(a, b)) for b in G.elements))
-    assert G.serialize() == "\n".join(lines)
 
 
 def _loop5(a, b):

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiloop import linalg
-from multiloop.chevalley import ChevalleyError
+from multiloop.chevalley import ChevalleyError, character
 from multiloop.elemgroup import (ElementError, ElementMatrix,
                                  PrecisionExhausted,
                                  RankOneComponent, RootElementWord,
                                  commutator_table, depth_bound,
                                  depth_conjugation_check, extract_q_maps,
                                  factor_loop_series, generator_residual,
-                                 residual_word, root_element,
-                                 torus_conjugate, word_residual,
+                                 residual_word, root_element, word_residual,
                                  unipotent_factor, word_inverse, word_matrix,
                                  word_parse, word_show)
 from multiloop.cli import parse_word_file
@@ -23,8 +22,8 @@ from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
                                DomainSeries, LaurentPoly, TruncSeries)
 
 from conftest import (FIXTURES, algebra, basis_vector, build_sl3_flip,
-                      exp_ad, is_identity, mat_eq, mat_mul_dense, place,
-                      sparse, variable)
+                      exp_ad, identity, is_identity, mat_eq, mat_mul_dense,
+                      place, sparse, variable)
 
 
 def series(low, coeffs, prec=None):
@@ -114,8 +113,7 @@ def test_element_path_forms_no_dense_matrix(monkeypatch, rg_a2, rg_bc1):
 
 def test_unipotent_factor_identity(rg_a2):
     dim = rg_a2.algebra.dim
-    ident = ElementMatrix(sparse(QQ, linalg.identity(QQ, dim)), dim,
-                          QQ)
+    ident = ElementMatrix(sparse(QQ, identity(QQ, dim)), dim, QQ)
     assert unipotent_factor(rg_a2, QQ, ident, rg_a2.data.positive) == []
 
 
@@ -136,7 +134,7 @@ def test_unipotent_factor_simple_product(rg_a2):
 
 def test_non_unipotent_rejected(rg_a2):
     dim = rg_a2.algebra.dim
-    m = linalg.identity(QQ, dim)
+    m = identity(QQ, dim)
     m[-1][-1] = Fraction(2)
     with pytest.raises(ElementError):
         unipotent_factor(rg_a2, QQ,
@@ -279,6 +277,27 @@ def test_commutator_bc1_proportional(rg_bc1):
         assert gamma == (2,)
 
 
+def torus_conjugate(rg, R, s, letter):
+    """Conjugation of X_alpha(v) by the grading torus point s (one unit per
+    q-lattice coordinate) replaces v by alpha(s) v; the identity is
+    checked on every column."""
+    alpha, v = letter
+    alpha = tuple(alpha)
+    g = rg.algebra
+    s = list(s)
+    sinv = [R.inv(x) for x in s]
+    new_v = [character(R, alpha, s, sinv) * x for x in v]
+    # s X_alpha(v) s^-1 scales entry (i, j) by s^(qdeg_i) s^(-qdeg_j)
+    diag = [character(R, e.qdeg, s, sinv) for e in g.entries]
+    diag_inv = [R.inv(c) for c in diag]
+    conj = {i: {j: diag[i] * x * diag_inv[j] for j, x in row.items()}
+            for i, row in word_matrix(rg, R, [letter]).rows.items()}
+    res = linalg.exp_nilpotent(
+        R, root_element(rg, R, alpha, [-x for x in new_v]), conj)
+    assert linalg.identity_residual(R, res, None, range(g.dim))[1] is None
+    return (alpha, new_v)
+
+
 def test_torus_conjugate(rg_a2):
     alpha = rg_a2.data.simple[0]
     v = place(rg_a2.algebra, QQ, alpha, Fraction(1))
@@ -337,7 +356,7 @@ def test_factor_residual_verifies(rg_a2):
         res = ElementMatrix(linalg.mat_mul(
             R, word_matrix(rg_a2, R, word_inverse(total)).rows,
             word_matrix(rg_a2, R, word).rows), rg_a2.algebra.dim, R)
-        ident = linalg.identity(R, rg_a2.algebra.dim)
+        ident = identity(R, rg_a2.algebra.dim)
         for i in range(rg_a2.algebra.dim):
             for j in range(rg_a2.algebra.dim):
                 d = res.matrix[i][j] - ident[i][j]
@@ -440,7 +459,8 @@ def _complete(x, rng):
     if x.prec is None:
         return x
     low = x.low if x.coeffs else x.prec
-    known = [x.coeff(d) for d in range(low, x.prec)]
+    known = list(x.coeffs)
+    known += [x.base.zero()] * (x.prec - low - len(known))
     tail = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
     return TruncSeries(x.base, low, None, known + tail)
 
@@ -514,12 +534,12 @@ def test_zero_at_precision_entries_take_part():
     o3 = TruncSeries.zero_at(QQ, 3)
     one, zero = R.one(), R.zero()
     assert not R.nonzero(zero) and R.nonzero(o3)
-    prod = mat_mul_dense(R, [[one, o3], [zero, one]], linalg.identity(R, 2))
+    prod = mat_mul_dense(R, [[one, o3], [zero, one]], identity(R, 2))
     assert prod[0][1].prec == 3
     assert linalg.identity_residual(R, sparse(R, prod), None,
                                     range(2)) == (3, None)
     rows = linalg.mat_mul(R, {1: {0: o3}, 0: {1: zero}},
-                          sparse(R, linalg.identity(R, 2)))
+                          sparse(R, identity(R, 2)))
     assert list(rows) == [1] and rows[1][0].prec == 3
 
 
@@ -531,7 +551,7 @@ def test_identity_residual_names_first_offending_entry():
     assert linalg.identity_residual(R, m, 4, range(2)) == (2, (1, 0))
     assert linalg.identity_residual(R, m, None, range(2)) == (2, (0, 1))
     assert linalg.identity_residual(
-        QQ, sparse(QQ, linalg.identity(QQ, 3)), None, range(3)) == \
+        QQ, sparse(QQ, identity(QQ, 3)), None, range(3)) == \
         (None, None)
 
 
@@ -546,8 +566,8 @@ def test_root_element_sparse_matches_dense_exp(rg_a2):
             for j in range(g.dim):
                 for k, c in g.table.get((i, j), []):
                     ad[k][j] += x * c
-        dense = linalg.identity(QQ, g.dim)
-        term = linalg.identity(QQ, g.dim)
+        dense = identity(QQ, g.dim)
+        term = identity(QQ, g.dim)
         for i in range(1, g.dim + 1):
             term = [[Fraction(x, i) for x in row] for row in
                     mat_mul_dense(QQ, ad, term)]
@@ -608,7 +628,7 @@ def _oracle_left_apply(dom, N, M):
 
 
 def _oracle_word_matrix(rg, R, letters):
-    M = linalg.identity(R, rg.algebra.dim)
+    M = identity(R, rg.algebra.dim)
     for alpha, v in reversed(letters):
         M = _oracle_left_apply(R, root_element(rg, R, alpha, v), M)
     return M
@@ -696,7 +716,7 @@ def test_exp_kernel_refuses_non_nilpotent(a2):
     one = Fraction(1)
     for N in ({0: {1: one}, 1: {0: one}}, {0: {0: one}},
               {0: {1: one}, 1: {2: one}, 2: {0: one}}):
-        I = linalg.identity(QQ, 3)
+        I = identity(QQ, 3)
         with pytest.raises(ValueError):
             _oracle_left_apply(QQ, N, I)
         with pytest.raises(ValueError, match="not nilpotent"):
@@ -882,10 +902,10 @@ def test_rationals_out_of_the_kernels_are_int_or_fraction(name, ints, qs):
     for q in qs:
         if q:
             assert _canonical(QQ.inv(q))
-    A = [qs[0:4], qs[4:8], [a + b for a, b in zip(qs[0:4], qs[4:8])]]
-    R, _ = linalg.rref(QQ, A)
-    assert all(_canonical(x) for x in _leaves(R))
-    x = linalg.solve(QQ, A, [1, 2, 3])
+    A = [dict(enumerate(row)) for row in
+         [qs[0:4], qs[4:8], [a + b for a, b in zip(qs[0:4], qs[4:8])]]]
+    assert all(_canonical(x) for x in _leaves(linalg.rref(QQ, A)))
+    x = linalg.solve(QQ, A, [1, 2, 3], 4)
     assert x is None or all(_canonical(c) for c in x)
     # independent vectors v_j = 2 e_j + q_j e_(j+1) and a combination of them
     vs = [{j: 2, j + 1: qs[j]} for j in range(3)]
@@ -901,7 +921,7 @@ def test_rationals_out_of_the_kernels_are_int_or_fraction(name, ints, qs):
     for alpha, v in letters:
         N = root_element(rg, QQ, alpha, v)
         E = linalg.exp_nilpotent(QQ, N, sparse(
-            QQ, linalg.identity(QQ, g.dim)))
+            QQ, identity(QQ, g.dim)))
         assert all(type(y) is int for y in _leaves(E))
     u = word_matrix(rg, QQ, RootElementWord(letters))
     assert all(type(y) is int for y in _leaves(u.rows))

@@ -15,9 +15,10 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                verify_multiloop_spec)
 from multiloop.lietorus import lie_torus_check
 from multiloop.rootsys import make_relative_system
-from multiloop.scalars import QQ
+from multiloop.scalars import QQ, Cyclotomic, DomainCyclotomic
 
-from conftest import FIXTURES, algebra, dense_bracket, mat_vec
+from conftest import (FIXTURES, algebra, dense_bracket, dense_kernel_basis,
+                      dense_rref, mat_vec)
 
 
 def twisted_form_dims_check(g, base_dim):
@@ -207,7 +208,7 @@ def left_inverse_coords(dom, A):
     d = len(A[0]) if n else 0
     aug = [list(A[i]) + [dom.one() if i == j else dom.zero() for j in range(n)]
            for i in range(n)]
-    R, pivots = linalg.rref(dom, aug)
+    R, pivots = dense_rref(dom, aug)
     if pivots[:d] != list(range(d)):
         raise ValueError("matrix is not injective")
     return [R[r][d:] for r in range(d)]
@@ -277,7 +278,7 @@ def _dense_eigenspaces(dom, alg, cartan, basis):
                 for c in range(-bound, bound + 1):
                     B = [[A[i][j] - (dom.from_int(c) if i == j else dom.zero())
                           for j in range(len(vs))] for i in range(len(vs))]
-                    ker = linalg.kernel_basis(dom, B)
+                    ker = dense_kernel_basis(dom, B)
                     if ker:
                         pieces.append((c, [_combine(dom, vs, kv)
                                            for kv in ker]))
@@ -421,11 +422,11 @@ def _brute_force_rank(g, idxs):
     bracket everything spanned so far with everything, and recompute the
     rank with a full rref, until it stops rising."""
     span = [[g.dom.from_int(int(t == i)) for t in range(g.dim)] for i in idxs]
-    rank = len(linalg.rref(g.dom, span)[1])
+    rank = len(dense_rref(g.dom, span)[1])
     while True:
         span = span + [dense_bracket(g, g.dom, u, v)
                        for u in span for v in span]
-        R, pivots = linalg.rref(g.dom, span)
+        R, pivots = dense_rref(g.dom, span)
         if len(pivots) == rank:
             return rank
         rank, span = len(pivots), R[:len(pivots)]
@@ -531,10 +532,62 @@ def test_echelon_insert_matches_rref():
         for k, v in enumerate(vecs):
             row = linalg.echelon_insert(
                 QQ, basis, {t: x for t, x in enumerate(v) if x})
-            rank = len(linalg.rref(QQ, vecs[:k + 1])[1])
+            rank = len(dense_rref(QQ, vecs[:k + 1])[1])
             assert len(basis) == rank
             assert (row is not None) == (rank > len(
-                linalg.rref(QQ, vecs[:k])[1]) if k else any(v))
+                dense_rref(QQ, vecs[:k])[1]) if k else any(v))
             if row is not None:
                 pivot = min(row)
                 assert row[pivot] == 1 and basis[pivot] is row
+
+
+@pytest.mark.parametrize("dom", [QQ, DomainCyclotomic(3)], ids=["Q", "Qz3"])
+def test_rref_matches_dense_oracle(dom):
+    # seeded matrices with zero rows, repeated rows and rows that are
+    # combinations of others: the sparse rref, kernel and solve agree with
+    # the dense oracle entry for entry, in any row order
+    rng = random.Random(5)
+    z = dom.one() if dom == QQ else Cyclotomic.root(3)
+    values = [dom.zero()] * 4 + [dom.one(), -dom.one(), dom.from_int(2),
+                                 dom.lift(Fraction(1, 2)), z, z + dom.one()]
+    deficient = 0
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        A = [[rng.choice(values) for _ in range(m)]
+             for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                A.append([dom.zero()] * m)
+            elif kind == 1:
+                A.append(list(rng.choice(A)))
+            else:
+                u, v, c = rng.choice(A), rng.choice(A), rng.choice(values)
+                A.append([x + c * y for x, y in zip(u, v)])
+        R, pivots = dense_rref(dom, A)
+        deficient += len(pivots) < len(A)
+        want = {p: {t: x for t, x in enumerate(R[r]) if x}
+                for r, p in enumerate(pivots)}
+        rows = [{t: x for t, x in enumerate(row) if x} for row in A]
+        got = linalg.rref(dom, rows)
+        assert got == want and list(got) == pivots
+        assert {(p, t): type(x) for p, row in got.items()
+                for t, x in row.items()} == \
+            {(p, t): type(x) for p, row in want.items() for t, x in row.items()}
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert linalg.rref(dom, shuffled) == want
+        assert linalg.kernel_basis(dom, rows, m) == dense_kernel_basis(dom, A)
+        b = [rng.choice(values) for _ in A]
+        Rb, pb = dense_rref(dom, [row + [y] for row, y in zip(A, b)])
+        x = linalg.solve(dom, rows, b, m)
+        if m in pb:
+            assert x is None
+        else:
+            assert x == [next((Rb[r][m] for r, p in enumerate(pb) if p == c),
+                              dom.zero()) for c in range(m)]
+    assert deficient > 100
+    # no rows: the kernel is the identity basis
+    assert linalg.rref(dom, []) == {}
+    assert linalg.kernel_basis(dom, [], 2) == [[dom.one(), dom.zero()],
+                                               [dom.zero(), dom.one()]]

@@ -94,20 +94,13 @@ def _uncalled_functions(defining, referencing):
     return out
 
 
-# Paper objects the library keeps although only the tests call them.
-_PAPER_OBJECTS = {"torus_conjugate"}
-
-
 def test_library_functions_have_callers():
     """Every public module-level function and public method of the library
-    is used by the library, the scripts or the benchmark, or is a listed
-    paper object."""
+    is used by the library, the scripts or the benchmark."""
     root = SRC.parent.parent
     referencing = [p for d in ("src", "scripts", "perfbench")
                    for p in sorted((root / d).rglob("*.py"))]
-    assert [(m, f) for m, f in _uncalled_functions(
-        sorted(SRC.glob("*.py")), referencing)
-        if f not in _PAPER_OBJECTS] == []
+    assert _uncalled_functions(sorted(SRC.glob("*.py")), referencing) == []
 
 
 def test_uncalled_function_is_caught(tmp_path):

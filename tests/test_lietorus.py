@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from multiloop import linalg
 from multiloop.chevalley import torus_automorphism
 from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                MultiloopSpec, build_multiloop,
@@ -13,7 +12,7 @@ from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
                                 pairing_from_strings)
 from multiloop.scalars import QQ
 
-from conftest import FIXTURES, algebra, dense_bracket, load_spec
+from conftest import FIXTURES, algebra, dense_bracket, dense_rref, load_spec
 
 
 def test_sl2_loop_passes(g_sl2loop):
@@ -157,7 +156,7 @@ def _lt5_oracle(g):
     dom = g.dom
 
     def rank(vs):
-        return len(linalg.rref(dom, vs)[1]) if vs else 0
+        return len(dense_rref(dom, vs)[1]) if vs else 0
 
     gens = [[dom.one() if t == i else dom.zero() for t in range(g.dim)]
             for i, e in enumerate(g.entries) if e.qdeg != zero]
