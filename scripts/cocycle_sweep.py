@@ -5,8 +5,7 @@ from multiloop.cocycle import (DiagonalSetup, trivial_group, cyclic_group,
                                symmetric_group_3, trivial_action,
                                galois_action, h1_enumerate, inf_res_sequence,
                                diagonal_argument, trivial_cocycle,
-                               quotient_coefficients, restrict_to_quotient,
-                               class_key)
+                               quotient_coefficients, restrict_to_quotient)
 
 
 def configs():
@@ -35,10 +34,10 @@ def main():
         rep = inf_res_sequence(setup, coeff)
         eta1 = trivial_cocycle(coeff)
         coeff_q = quotient_coefficients(setup, coeff)
-        key1 = class_key(restrict_to_quotient(setup, coeff_q, eta1))
+        key1 = restrict_to_quotient(setup, coeff_q, eta1).key
         ds = []
         for z in all_c:
-            if class_key(restrict_to_quotient(setup, coeff_q, z)) != key1:
+            if restrict_to_quotient(setup, coeff_q, z).key != key1:
                 continue
             d, _ = diagonal_argument(setup, coeff, eta1, z)
             ds.append(d)

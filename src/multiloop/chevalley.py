@@ -69,6 +69,10 @@ class ChevalleyAlgebra:
         self._nval = {}
         self._compute_positive_constants()
         self.table = self._build_table()
+        # past the table only diagram_automorphism reads N, on positive
+        # pairs; _n recomputes any other pair on demand
+        self._nval = {ab: v for ab, v in self._nval.items()
+                      if ab[0] in self._pos_order and ab[1] in self._pos_order}
         self._verify_jacobi()
 
     # -- structure constants --------------------------------------------------

@@ -13,12 +13,12 @@ the elements that pass are closed under products, so they are all of G
 is proved by its propagation, which checks the cocycle identity on every
 edge g -> gs of the Cayley graph of S over all of G: with z(e) = 1 and an
 action by automorphisms, induction on word length gives it on all |G|^2
-pairs.  A power pullback of a cocycle is one, p_d being an endomorphism
-of the cover that leaves the action unchanged (power_pullback).  The CLI
-discrepancy and the twisted difference of the diagonal argument pass
-``is_cocycle``, which checks all |G|^2 pairs.  The diagonal argument's
-theta, the restriction of a cocycle xi_d that is 1 on M, is certified by
-its inflation being xi_d position for position.
+pairs.  The twisted difference xi of the diagonal argument passes
+``is_cocycle``, which checks all |G|^2 pairs.  M acts trivially, so xi is
+a homomorphism on M = Z/m, and the power d the argument returns is the
+order of xi(m1), m1 the generator of M; its theta is xi restricted to
+the M = 0 copy, whose class is always trivial, so only d carries
+information.
 
 A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
@@ -29,7 +29,7 @@ DiagonalSetup is cut from its cover's checked table as the M = 0 copy: its
 closure is checked, and it inherits associativity, its product being the
 ambient one.  Cocycles restrict to it by ``restrict_to_quotient``.
 
-Cohomology classes are compared by one function, ``class_key``.  A class
+Cohomology classes are compared by one key, ``Cocycle.key``.  A class
 is restricted to M only where M acts trivially, which ``trivial_on_m``
 checks; then every coboundary on M is 1, so the restriction is trivial
 exactly when z is 1 on M (Serre, Galois Cohomology, I.5.8, gives the
@@ -287,7 +287,7 @@ class Cocycle:
     the cover position g, given directly or read from ``values``, a dict of
     labels, which is otherwise made on demand.  Neither changes once made,
     and neither does ``key``, the class key, which h1_enumerate sets on the
-    cocycles it returns and ``class_key`` computes for any other.
+    cocycles it returns and is computed on demand for any other.
     """
 
     def __init__(self, coeff: CoefficientGroup, values=None, pos=None):
@@ -302,6 +302,10 @@ class Cocycle:
 
     @cached_property
     def key(self):
+        """The key of the cohomology class of z: the least tuple of label
+        ranks among its twists.  The twists of z are its whole class, so two
+        maps over the same coefficients have equal keys exactly when they
+        are cohomologous.  This is the one test of cohomology classes."""
         return _class_orbit(self)[0]
 
     def serialize(self):
@@ -338,7 +342,7 @@ def twist_cocycle(z: Cocycle, a) -> Cocycle:
 
 
 def _class_orbit(z: Cocycle):
-    """(class_key(z), the position tuples of all twists of z)."""
+    """(z.key, the position tuples of all twists of z)."""
     A = z.coeff.A
     rank = [0] * len(A)
     for r, a in enumerate(sorted(range(len(A)), key=A.elements.__getitem__)):
@@ -347,20 +351,12 @@ def _class_orbit(z: Cocycle):
     return min(tuple([rank[x] for x in w]) for w in orbit), orbit
 
 
-def class_key(z: Cocycle):
-    """The key of the cohomology class of z: the least tuple of label ranks
-    among its twists.  The twists of z are its whole class, so two maps
-    over the same coefficients have equal keys exactly when they are
-    cohomologous.  This is the one test of cohomology classes."""
-    return z.key
-
-
 def h1_enumerate(coeff: CoefficientGroup,
                  budget_gamma=DEFAULT_BUDGET_GAMMA,
                  budget_coeff=DEFAULT_BUDGET_COEFF):
     """All cocycles, partitioned into cohomology classes.
 
-    Returns (class representatives sorted by class_key, all cocycles).
+    Returns (class representatives sorted by key, all cocycles).
     Values on G.generators are assigned depth first, in itertools.product
     order; a prefix survives if it propagates consistently over the span
     of its generators, as every restriction of a cocycle does.  The full
@@ -455,12 +451,6 @@ class DiagonalSetup:
         t, k = g
         return (t[:-1], k)
 
-    def power_positions(self, d):
-        """Each cover position with its M coordinate multiplied by d."""
-        m, k = self.m, len(self.gamma0)
-        return [x + (x // k % m * d % m - x // k % m) * k
-                for x in range(len(self.cover))]
-
 
 def m_acts_trivially(setup: DiagonalSetup, coeff: CoefficientGroup) -> bool:
     ident = list(range(len(coeff.A)))
@@ -509,7 +499,7 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
     reps, cocycles = h1_enumerate(coeff, budget_gamma, budget_coeff)
     # an inflation is a cocycle of the cover: its key is looked up among
     # those the enumeration of the cover has set
-    keys = {tuple(z.pos): class_key(z) for z in cocycles}
+    keys = {tuple(z.pos): z.key for z in cocycles}
     inflated = [keys[tuple(inflate(setup, coeff, z).pos)] for z in reps_q]
     # injectivity of inflation on classes: the first pair (i, j) in
     # lexicographic order with equal class keys
@@ -524,7 +514,7 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
     # image of inflation = kernel of restriction; inflation classes always
     # restrict trivially, so a size mismatch means exactness fails
     kernel = [z for z in reps if trivial_on_m(setup, z)]
-    image_count = sum(class_key(z) in seen for z in kernel)
+    image_count = sum(z.key in seen for z in kernel)
     exact = image_count == len(kernel) == len(inflated) <= len(reps)
     return {
         "quotient_classes": len(reps_q),
@@ -533,20 +523,6 @@ def inf_res_sequence(setup: DiagonalSetup, coeff: CoefficientGroup,
         "inflation_image": len(inflated),
         "exact": exact,
     }
-
-
-def power_pullback(setup: DiagonalSetup, coeff: CoefficientGroup,
-                   z: Cocycle, d: int) -> Cocycle:
-    """z o p_d, where p_d multiplies the M coordinate by d.
-
-    p_d is an endomorphism of the cover, the units of Gamma0 commuting with
-    multiplication by d, and p_d(g) = m g for some m in M.  M acts
-    trivially (this is checked), so p_d(g) . a = g . a, and the pullback of
-    a cocycle z is a cocycle: z(p_d(gh)) = z(p_d g) (g . z(p_d h))."""
-    if not m_acts_trivially(setup, coeff):
-        raise CocycleError("M must act trivially for the power pullback")
-    return Cocycle(coeff, pos=list(map(z.pos.__getitem__,
-                                       setup.power_positions(d))))
 
 
 def twisted_coefficients(coeff: CoefficientGroup,
@@ -560,21 +536,26 @@ def twisted_coefficients(coeff: CoefficientGroup,
 
 def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
                       eta1: Cocycle, eta2: Cocycle):
-    """Find the least d <= m such that the eta1-twisted difference class,
-    pulled back by the d-th power map on M, is inflated from the quotient.
+    """The least d such that the eta1-twisted difference class, pulled back
+    by the d-th power map p_d on M, is inflated from the quotient.
 
     Requires: M acts trivially on A; eta1 is independent of the M
     coordinate; eta1 and eta2 agree on the M = 0 copy of the quotient.
-    Returns (d, theta) with theta the quotient cocycle i*(xi_d), the
-    restriction of xi_d to the M = 0 copy, certified by its inflation
-    being xi_d position for position.
+    Returns (d, theta).  The twisted difference xi is a cocycle (checked),
+    and M acts trivially under the twisted action too, so xi is a
+    homomorphism on M = Z/m, and xi_d = xi o p_d is 1 on M exactly when d
+    is a multiple of the order of xi(m1): d is that order.  Then
+    xi_d(m g) = xi_d(m) (m . xi_d(g)) = xi_d(g), so xi_d is the inflation
+    of its restriction theta to the M = 0 copy, which p_d fixes: theta is
+    xi restricted there.  eta1 and eta2 agree in class on that copy, so
+    theta's class is always trivial; only d carries information.
     """
     coeff_q = quotient_coefficients(setup, coeff)
     e1 = eta1.pos
     if e1 != [e1[setup.sub[q]] for q in setup.proj]:
         raise CocycleError("eta1 must be independent of the M coordinate")
-    if class_key(restrict_to_quotient(setup, coeff_q, eta1)) != \
-            class_key(restrict_to_quotient(setup, coeff_q, eta2)):
+    if restrict_to_quotient(setup, coeff_q, eta1).key != \
+            restrict_to_quotient(setup, coeff_q, eta2).key:
         raise CocycleError(
             "eta1 and eta2 do not agree on the diagonal copy")
     A = coeff.A
@@ -584,18 +565,9 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     ok, wit = is_cocycle(xi)
     if not ok:
         raise CocycleError("twisted difference is not a cocycle at %s" % (wit,))
-    tw_q = quotient_coefficients(setup, tw)
-    for d in range(1, setup.m + 1):
-        xi_d = power_pullback(setup, tw, xi, d)
-        if not trivial_on_m(setup, xi_d):
-            continue
-        # M acts trivially, so xi_d(m g) = xi_d(m) (m . xi_d(g)) = xi_d(g):
-        # the inflation of theta is xi_d itself, and theta, a restriction
-        # of the cocycle xi_d, is a cocycle
-        theta = restrict_to_quotient(setup, tw_q, xi_d)
-        if inflate(setup, tw, theta).pos != xi_d.pos:
-            raise CocycleError("xi_%d is not inflated from its restriction"
-                               % d)
-        return d, theta
-    raise CocycleError("no power d <= %d trivializes the M restriction"
-                       % setup.m)
+    theta = restrict_to_quotient(setup, quotient_coefficients(setup, tw), xi)
+    a = xi.pos[setup.m_pos[1 % setup.m]]
+    d, x = 1, a
+    while x != A.e:
+        d, x = d + 1, A.rows[x][a]
+    return d, theta

@@ -488,8 +488,9 @@ def parse_spec_file(text: str, conductor: int):
     Lines: "multiloop type=<T> rank=<r> n=<n> m=<m>", then one "sigma ..."
     per loop variable (torus w1..wr | diagram p1..pr | chevalley | identity),
     then optional "cartan h c1..cr" lines or "cartan full".  A cartan row
-    holds coefficients on the simple coroots; "cartan full" stands for the
-    identity rows and overrides every "cartan h" line.
+    holds r coefficients on the simple coroots; "cartan full" stands for
+    the identity rows and overrides every "cartan h" line, whatever its
+    length.
     """
     lines = [(lno, ln.split("#", 1)[0].strip())
              for lno, ln in enumerate(text.splitlines(), start=1)]
@@ -514,7 +515,7 @@ def parse_spec_file(text: str, conductor: int):
     alg = build_chevalley_by_type(tlabel, rank)
     sigmas = []
     cartan_rows, cartan_lines = [], []
-    cartan_full = False
+    cartan_full, short = False, None
     for lno, ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "sigma":
@@ -527,6 +528,8 @@ def parse_spec_file(text: str, conductor: int):
                 cartan_rows.append([_spec_number(QQ.parse, x, lno,
                                                  "cartan coefficient")
                                     for x in parts[2:]])
+                if len(cartan_rows[-1]) != rank and short is None:
+                    short = lno
             else:
                 raise SpecError("spec line %d: bad cartan line" % lno)
         else:
@@ -538,6 +541,9 @@ def parse_spec_file(text: str, conductor: int):
     if cartan_full:
         cartan_rows = [[int(j == i) for j in range(rank)]
                        for i in range(rank)]
+    elif short:
+        raise SpecError("spec line %d: cartan row needs %d coefficients"
+                        % (short, rank))
     return MultiloopSpec(alg, sigmas, m, tuple(cartan_lines)), cartan_rows
 
 
@@ -586,8 +592,6 @@ def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:
     nroots = len(alg.roots)
     cartan = []
     for row in cartan_rows:
-        if len(row) != alg.rank:
-            raise SpecError("cartan row needs %d coefficients" % alg.rank)
         h = [dom.zero()] * alg.dim
         for i, c in enumerate(row):
             h[nroots + i] = dom.lift(c)

@@ -9,11 +9,11 @@ import pytest
 
 from multiloop.chevalley import build_chevalley_by_type
 from multiloop.cli import main as cli_main
-from multiloop.cocycle import (DiagonalSetup, class_key, cyclic_group,
-                               diagonal_argument, galois_action, h1_enumerate,
-                               inf_res_sequence, quotient_coefficients,
-                               restrict_to_quotient, symmetric_group_3,
-                               trivial_action, trivial_cocycle, trivial_group)
+from multiloop.cocycle import (DiagonalSetup, cyclic_group, diagonal_argument,
+                               galois_action, h1_enumerate, inf_res_sequence,
+                               quotient_coefficients, restrict_to_quotient,
+                               symmetric_group_3, trivial_action,
+                               trivial_cocycle, trivial_group)
 from multiloop.elemgroup import (RootElementWord, commutator_table,
                                  depth_bound, depth_conjugation_check,
                                  factor_loop_series, root_element,
@@ -338,10 +338,10 @@ def test_criterion_09_cocycle_level():
         eta1 = trivial_cocycle(coeff)
         _, all_c = h1_enumerate(coeff)
         coeff_q = quotient_coefficients(setup, coeff)
-        key1 = class_key(restrict_to_quotient(setup, coeff_q, eta1))
+        key1 = restrict_to_quotient(setup, coeff_q, eta1).key
         eligible = 0
         for z in all_c:
-            if class_key(restrict_to_quotient(setup, coeff_q, z)) != key1:
+            if restrict_to_quotient(setup, coeff_q, z).key != key1:
                 continue
             eligible += 1
             d, _theta = diagonal_argument(setup, coeff, eta1, z)

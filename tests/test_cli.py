@@ -257,7 +257,7 @@ def test_cartan_eigenvalue_errors(capsys, tmp_path, spec, dim):
     (["multiloop type=A rank=1 n=2 m=1", "sigma identity"],
      "spec declares n=2 but has 1 sigma lines"),
     (["multiloop type=A rank=2 n=1 m=1", "sigma identity", "cartan h 1"],
-     "cartan row needs 2 coefficients"),
+     "spec line 3: cartan row needs 2 coefficients"),
     (["multiloop type=A rank=2 n=1 m=2", "sigma identity", "cartan"],
      "spec line 3: bad cartan line"),
     (["multiloop type=A rank=2 n=1 bogus", "sigma identity"],

@@ -8,22 +8,21 @@ import pytest
 from multiloop import cocycle
 from multiloop.cocycle import (BudgetExceeded, Cocycle, CocycleError,
                                CoefficientGroup, DiagonalSetup, FiniteGroup,
-                               check_budget, class_key, cover_group,
-                               cyclic_group, diagonal_argument, direct_product,
+                               check_budget, cover_group, cyclic_group,
+                               diagonal_argument, direct_product,
                                galois_action, h1_enumerate, inf_res_sequence,
                                inflate, is_cocycle, m_acts_trivially,
-                               power_pullback, quotient_coefficients,
-                               restrict_to_quotient, symmetric_group_3,
-                               trivial_action, trivial_cocycle, trivial_group,
-                               trivial_on_m, twist_cocycle,
-                               twisted_coefficients)
+                               quotient_coefficients, restrict_to_quotient,
+                               symmetric_group_3, trivial_action,
+                               trivial_cocycle, trivial_group, trivial_on_m,
+                               twist_cocycle, twisted_coefficients)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def cohomologous(z1, z2):
     """A witness a with z2 = a^{-1} z1 (g . a), or None: the brute-force
-    search of twists that class_key and trivial_on_m are checked against.
+    search of twists that Cocycle.key and trivial_on_m are checked against.
     Both cocycles list the same cover elements and take values in the same
     A."""
     for a in z1.coeff.A.elements:
@@ -36,6 +35,25 @@ def apply(coeff, g, a):
     """g . a on labels."""
     A = coeff.A
     return A.elements[coeff.perm[coeff.cover.index[g]][A.index[a]]]
+
+
+def power_positions(setup, d):
+    """Each cover position of a DiagonalSetup with its M coordinate
+    multiplied by d: the power map p_d on positions."""
+    m, k = setup.m, len(setup.gamma0)
+    return [x + (x // k % m * d % m - x // k % m) * k
+            for x in range(len(setup.cover))]
+
+
+def power_pullback(setup, coeff, z, d):
+    """z o p_d, where p_d multiplies the M coordinate by d.
+
+    p_d is an endomorphism of the cover, the units of Gamma0 commuting with
+    multiplication by d, and p_d(g) = m g for some m in M.  M acts
+    trivially (this is checked), so p_d(g) . a = g . a, and the pullback of
+    a cocycle z is a cocycle: z(p_d(gh)) = z(p_d g) (g . z(p_d h))."""
+    assert m_acts_trivially(setup, coeff)
+    return Cocycle(coeff, pos=[z.pos[x] for x in power_positions(setup, d)])
 
 
 def test_group_constructors():
@@ -185,8 +203,8 @@ def _agrees_on_quotient(setup, coeff, eta1):
     """Whether a cocycle's restriction to the diagonal copy is in eta1's
     class there."""
     coeff_q = quotient_coefficients(setup, coeff)
-    key = class_key(restrict_to_quotient(setup, coeff_q, eta1))
-    return lambda z: class_key(restrict_to_quotient(setup, coeff_q, z)) == key
+    key = restrict_to_quotient(setup, coeff_q, eta1).key
+    return lambda z: restrict_to_quotient(setup, coeff_q, z).key == key
 
 
 def _diagonal_eligible(setup, coeff, eta1):
@@ -198,8 +216,8 @@ def _diagonal_eligible(setup, coeff, eta1):
 def _check_theta(setup, coeff, eta1, eta2, d, theta):
     """theta is the restriction of xi_d, the d-th power pullback of the
     eta1-twisted difference of eta2 and eta1, to the M = 0 copy; and the
-    checks diagonal_argument leaves to its inflation certificate, by the
-    test-local oracles: theta is a cocycle, and its inflation is
+    checks diagonal_argument leaves to its lemma xi_d(m g) = xi_d(g), by
+    the test-local oracles: theta is a cocycle, and its inflation is
     cohomologous to xi_d."""
     A = coeff.A
     tw = twisted_coefficients(coeff, eta1)
@@ -210,7 +228,7 @@ def _check_theta(setup, coeff, eta1, eta2, d, theta):
     assert _oracle_is_cocycle(theta.coeff, theta.values) == (True, None)
     inflated = inflate(setup, tw, theta)
     assert cohomologous(inflated, xi_d) is not None
-    assert class_key(inflated) == class_key(xi_d)
+    assert inflated.key == xi_d.key
 
 
 def test_diagonal_argument_spec_examples():
@@ -282,6 +300,58 @@ def test_diagonal_argument_nontrivial_eta1():
         _check_theta(setup, coeff, eta1, z, d, theta)
         ran += 1
     assert ran >= 2
+
+
+def _power_search(setup, coeff, eta1, eta2):
+    """(d, theta) by pulling the twisted difference xi back along p_d for
+    d = 1, ..., m in turn, until xi_d is 1 on M, and restricting xi_d to
+    the M = 0 copy, its inflation checked to be xi_d: the search that
+    diagonal_argument replaces by the order of xi(m1)."""
+    A = coeff.A
+    tw = twisted_coefficients(coeff, eta1)
+    xi = Cocycle(tw, pos=[A.rows[b][A.inv_index[a]]
+                          for a, b in zip(eta1.pos, eta2.pos)])
+    tw_q = quotient_coefficients(setup, tw)
+    for d in range(1, setup.m + 1):
+        xi_d = power_pullback(setup, tw, xi, d)
+        if trivial_on_m(setup, xi_d):
+            theta = restrict_to_quotient(setup, tw_q, xi_d)
+            assert inflate(setup, tw, theta).pos == xi_d.pos
+            return d, theta
+    raise AssertionError("no power d <= m trivializes xi on M")
+
+
+def _inflated_pairs(configs):
+    """(setup, coeff, eta1, eta2) for every eta1 inflated from a quotient
+    cocycle and every eta2 that agrees with it on the M = 0 copy."""
+    for setup, coeff in configs:
+        _, q_cocycles = h1_enumerate(quotient_coefficients(setup, coeff))
+        _, cocycles = h1_enumerate(coeff)
+        for z_q in q_cocycles:
+            eta1 = inflate(setup, coeff, z_q)
+            for eta2 in filter(_agrees_on_quotient(setup, coeff, eta1),
+                               cocycles):
+                yield setup, coeff, eta1, eta2
+
+
+def test_diagonal_argument_matches_power_search():
+    # every (eta1, eta2) pair over the configurations of the sweep script,
+    # and m = 1, where M is trivial and d = 1
+    sweep = runpy.run_path(str(SCRIPTS / "cocycle_sweep.py"))["configs"]
+    pairs = list(_inflated_pairs((s, make(s)) for _, s, make in sweep()))
+    setup = DiagonalSetup(1, 1, cyclic_group(2), {})
+    A = cyclic_group(3)
+    coeff = galois_action(setup.cover, A, {
+        0: {a: a for a in A.elements}, 1: {a: -a % 3 for a in A.elements}})
+    pairs.extend(_inflated_pairs([(setup, coeff)]))
+    assert len(pairs) == 124 + 9
+    ds = []
+    for p in pairs:
+        d, theta = diagonal_argument(*p)
+        want_d, want_theta = _power_search(*p)
+        assert (d, theta.pos) == (want_d, want_theta.pos)
+        ds.append(d)
+    assert set(ds[:124]) == {1, 2, 3} and set(ds[124:]) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +532,13 @@ def test_enumerated_cocycles_pass_is_cocycle(name, coeff):
     p for p in ORACLE_CONFIGS if len(h1_enumerate(p.values[1])[1]) <= 40])
 def test_class_key_decides_cohomology(name, coeff):
     reps, cocycles = h1_enumerate(coeff)
-    keys = [class_key(z) for z in cocycles]
+    keys = [z.key for z in cocycles]
     # the keys the enumeration sets are those computed afresh
-    assert keys == [class_key(Cocycle(coeff, pos=z.pos)) for z in cocycles]
+    assert keys == [Cocycle(coeff, pos=z.pos).key for z in cocycles]
     for (z1, k1), (z2, k2) in itertools.product(zip(cocycles, keys),
                                                 repeat=2):
         assert (k1 == k2) == (cohomologous(z1, z2) is not None)
-    assert sorted(set(keys)) == [class_key(z) for z in reps]
+    assert sorted(set(keys)) == [z.key for z in reps]
 
 
 def _restricted_to_m(setup, z):
@@ -783,7 +853,7 @@ def test_diagonal_quotient_is_the_smaller_cover(n, m, gamma0, units):
     assert [small.elements[q] for q in setup.proj] == \
         [setup.project(g) for g in cover.elements]
     for d in range(1, m + 1):
-        assert [cover.elements[x] for x in setup.power_positions(d)] == \
+        assert [cover.elements[x] for x in power_positions(setup, d)] == \
             [(t[:-1] + (t[-1] * d % m,), k) for t, k in cover.elements]
 
 
