@@ -5,13 +5,13 @@ Sparse rows {i: {j: x}}, with no exact zero stored, are the one form of a
 group element here.  A letter X_alpha(v) = exp(ad_v) is given by the rows
 of ad_v (root_element, chevalley.ad_rows over the graded table), which
 sends the piece of q-degree beta to beta + alpha, and acts on the sparse
-rows of a matrix M as M + E M, where E = exp(ad_v) - I is built once from
-the few entries of ad_v and applied in one sparse product
-(linalg.exp_nilpotent).  A word is evaluated on the sparse rows of the
-identity, or of some of its columns, which store its ones alone
-(R.zero() is an exact zero), by left-applying its letters, last first; an
-ElementMatrix holds the result, and its dense .matrix is only a view for a
-caller that asks for it.
+rows of a matrix M term by term, as M + ad_v M + ad_v (ad_v M) / 2 + ...
+(linalg.exp_nilpotent), so the work is on M's columns alone; a letter
+touches only the nonzero coordinates of v.  A word is evaluated on the
+sparse rows of the identity, or of some of its columns, which store its
+ones alone (R.zero() is an exact zero), by left-applying its letters, last
+first; an ElementMatrix holds the result, and its dense .matrix is only a
+view for a caller that asks for it.
 
 Coefficients come from a ring of the scalar tower.  Only exact zeros are
 skipped: entries zero only up to a horizon, O(t^p), are never skipped, so
@@ -39,7 +39,7 @@ from . import linalg
 from .chevalley import ad_rows
 from .grading import GradedLieAlgebra, RelativeGrading
 from .rootsys import proportionality
-from .scalars import TruncSeries, series_split
+from .scalars import DomainSeries, TruncSeries, series_split
 
 
 class ElementError(ValueError):
@@ -94,7 +94,7 @@ def _param_is_zero(v):
 def _homogeneous_support(g: GradedLieAlgebra, R, alpha, v):
     """The entries of v that R.nonzero accepts, as {i: v_i}; each must lie
     on the alpha piece."""
-    allowed = set(g.piece(qdeg=alpha))
+    allowed = g.qdeg_pieces.get(alpha, ())
     x = {}
     for i, a in enumerate(v):
         if R.nonzero(a):
@@ -112,7 +112,7 @@ def root_element(rg: RelativeGrading, R, alpha, v):
     linalg.exp_nilpotent(R, ad_v, M)."""
     g = rg.algebra
     alpha = tuple(alpha)
-    if alpha not in set(rg.roots):
+    if rg.system is None or alpha not in rg.system.root_set:
         raise ElementError("%s is not a relative root" % (alpha,))
     x = _homogeneous_support(g, R, alpha, v)
     return ad_rows(g.cells_by_first, x)
@@ -134,7 +134,8 @@ def word_matrix(rg: RelativeGrading, R, word, columns=None) -> ElementMatrix:
 
 
 def word_inverse(word: RootElementWord) -> RootElementWord:
-    letters = [(alpha, [-x for x in v]) for alpha, v in reversed(word.letters)]
+    letters = [(alpha, [-x if x else x for x in v])
+               for alpha, v in reversed(word.letters)]
     return RootElementWord(letters, word.ring_tag)
 
 
@@ -204,9 +205,7 @@ def _shift_pairs(g, gamma):
     pairs = []
     for j, ej in enumerate(g.entries):
         target_q = tuple(a + b for a, b in zip(ej.qdeg, gamma))
-        for k, ek in enumerate(g.entries):
-            if ek.qdeg == target_q:
-                pairs.append((k, j))
+        pairs += [(k, j) for k in sorted(g.qdeg_pieces.get(target_q, ()))]
     return pairs
 
 
@@ -345,10 +344,11 @@ def assert_factorable(rg: RelativeGrading):
 
 
 def _split_param(v):
-    """Coordinatewise series split; returns (laurent part, positive part)."""
+    """Coordinatewise series split; returns (laurent part, positive part).
+    An exact zero is its own two halves."""
     nonpos, positive = [], []
     for x in v:
-        a, b = series_split(x)
+        a, b = series_split(x) if DomainSeries.nonzero(x) else (x, x)
         nonpos.append(a)
         positive.append(b)
     return nonpos, positive
@@ -397,7 +397,7 @@ def factor_loop_series(rg: RelativeGrading, R, word: RootElementWord,
         _expand_letter(rg, R, tuple(alpha), [R.lift(x) for x in v], expanded)
     g1, g2, dropped = [], [], []
     for alpha, v in expanded:
-        vals = [x.valuation() for x in v if x.coeffs]
+        vals = [x.low for x in v if x.num]
         minval = min(vals) if vals else 0
         exact = all(x.prec is None for x in v)
         if not g2:

@@ -170,6 +170,11 @@ class GradedLieAlgebra:
             out.append(i)
         return out
 
+    @cached_property
+    def qdeg_pieces(self):
+        """{qdeg: the set of basis indices of that q-degree}, built once."""
+        return {q: frozenset(self.piece(qdeg=q)) for q in self.q_keys()}
+
     def lam_keys(self):
         return sorted(set(e.lam for e in self.entries))
 
@@ -488,9 +493,9 @@ def parse_spec_file(text: str, conductor: int):
     Lines: "multiloop type=<T> rank=<r> n=<n> m=<m>", then one "sigma ..."
     per loop variable (torus w1..wr | diagram p1..pr | chevalley | identity),
     then optional "cartan h c1..cr" lines or "cartan full".  A cartan row
-    holds r coefficients on the simple coroots; "cartan full" stands for
-    the identity rows and overrides every "cartan h" line, whatever its
-    length.
+    holds r coefficients on the simple coroots, and a row of any other
+    length is an error; "cartan full" stands for the identity rows and
+    overrides every "cartan h" line.
     """
     lines = [(lno, ln.split("#", 1)[0].strip())
              for lno, ln in enumerate(text.splitlines(), start=1)]
@@ -538,12 +543,12 @@ def parse_spec_file(text: str, conductor: int):
     if len(sigmas) != n:
         raise SpecError("spec declares n=%d but has %d sigma lines"
                         % (n, len(sigmas)))
+    if short:
+        raise SpecError("spec line %d: cartan row needs %d coefficients"
+                        % (short, rank))
     if cartan_full:
         cartan_rows = [[int(j == i) for j in range(rank)]
                        for i in range(rank)]
-    elif short:
-        raise SpecError("spec line %d: cartan row needs %d coefficients"
-                        % (short, rank))
     return MultiloopSpec(alg, sigmas, m, tuple(cartan_lines)), cartan_rows
 
 

@@ -2,8 +2,8 @@
 
 A matrix is held as sparse rows {i: {j: entry}}: an absent entry is an
 exact zero, and no exact zero is stored.  The one product kernel,
-`mat_mul`, the one exp of a nilpotent, `exp_nilpotent` (M + E M with
-E = exp(N) - I built once), and the one residual certifier,
+`mat_mul`, the one exp of a nilpotent, `exp_nilpotent` (M + N M +
+N (N M) / 2 + ..., applied term by term), and the one residual certifier,
 `identity_residual`, work on sparse rows.  So does elimination: its one
 step, `echelon_insert`, reduces a sparse row against an echelon basis
 {pivot: row}, and `rref` (with `kernel_basis`, `solve` and `span_coords`
@@ -65,24 +65,24 @@ def _add_into(dom, out, rows):
 
 
 def exp_nilpotent(dom, N, M):
-    """exp(N) M = M + E M, as sparse rows, for sparse rows N and M: E is
-    the sum of P_1 = N, P_i = (N P_(i-1)) / i (dom.over) up to the first
-    vanishing term, built from the few entries of N and applied in one
-    product.
-    Raises ValueError when N is not nilpotent: N^k != 0, where k is the
-    number of indices N touches."""
+    """exp(N) M = M + N M + N (N M) / 2 + ..., as sparse rows, for sparse
+    rows N and M: each term, N times the one before over i (dom.over), is
+    added into a copy of M up to the first vanishing term, so exp(N) is
+    never formed.  Raises ValueError when N^k M != 0, where k is the number
+    of indices N touches (N^k = 0 when N is nilpotent).  Otherwise the
+    result is exactly exp(N) M: the finite sum of the terms before N^i M,
+    even for an N that is not nilpotent, when N^i M = 0."""
     k = len(N.keys() | {j for row in N.values() for j in row})
     over = dom.over
-    E, P, i = {}, N, 1
+    out = {r: dict(row) for r, row in M.items()}
+    P, i = mat_mul(dom, N, M), 1
     while P:
         if i >= k:
             raise ValueError("matrix is not nilpotent")
-        _add_into(dom, E, P)
+        _add_into(dom, out, P)
         i += 1
         P = {r: {j: over(x, i) for j, x in row.items()}
              for r, row in mat_mul(dom, N, P).items()}
-    out = {r: dict(row) for r, row in M.items()}
-    _add_into(dom, out, mat_mul(dom, E, M))
     return out
 
 

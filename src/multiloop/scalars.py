@@ -798,7 +798,8 @@ def ts_show(s: TruncSeries) -> str:
 #
 # Every domain divides by a nonzero int: ``over(x, n)`` is x / n, in the
 # domain's canonical form (an int over Q when integral), which is how
-# linalg.exp_nilpotent forms N^i / i!.  An exact domain also gives
+# linalg.exp_nilpotent divides its i-th term N^i M / (i-1)! by i, as it
+# applies exp(N) to M term by term.  An exact domain also gives
 # ``canon(x)``, x in that canonical form, for entries formed by field
 # arithmetic (linalg.rref, linalg.span_coords); it passes values of a ring
 # above it through.

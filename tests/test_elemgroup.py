@@ -11,15 +11,17 @@ from multiloop.elemgroup import (ElementError, ElementMatrix,
                                  RankOneComponent, RootElementWord,
                                  commutator_table, depth_bound,
                                  depth_conjugation_check, extract_q_maps,
-                                 factor_loop_series, generator_residual,
-                                 residual_word, root_element, word_residual,
+                                 _split_param, factor_loop_series,
+                                 generator_residual, residual_word,
+                                 root_element, word_residual,
                                  unipotent_factor, word_inverse, word_matrix,
                                  word_parse, word_show)
 from multiloop.cli import parse_word_file
 from multiloop.grading import GradingError
 from multiloop.grading import from_chevalley, relative_roots
 from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
-                               DomainSeries, LaurentPoly, TruncSeries)
+                               DomainSeries, LaurentPoly, TruncSeries,
+                               series_split)
 
 from conftest import (FIXTURES, algebra, basis_vector, build_sl3_flip,
                       exp_ad, identity, is_identity, mat_eq, mat_mul_dense,
@@ -724,6 +726,122 @@ def test_exp_kernel_refuses_non_nilpotent(a2):
     h = basis_vector(a2, QQ, len(a2.roots))
     with pytest.raises(ChevalleyError, match="^ad_v is not nilpotent$"):
         exp_ad(QQ, a2, h)
+
+
+def test_exp_kernel_sums_terms_up_to_the_first_vanishing_one():
+    # N fixes e3, so N is not nilpotent; on the column e0 it is the chain
+    # e0 -> e1 -> e2 -> 0, and N^3 e0 = 0 with k = 4 indices touched
+    one = Fraction(1)
+    N = {1: {0: one}, 2: {1: one}, 3: {3: one}}
+    assert linalg.exp_nilpotent(QQ, N, {0: {7: one}}) == \
+        {0: {7: 1}, 1: {7: 1}, 2: {7: Fraction(1, 2)}}
+    assert linalg.exp_nilpotent(QQ, N, {}) == {}
+    for M in ({3: {7: one}}, {0: {7: one}, 3: {5: one}}):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            linalg.exp_nilpotent(QQ, N, M)
+
+
+def _column_fields(rows, columns):
+    """The fields of every stored entry of rows in the given columns."""
+    out = {}
+    for i, row in rows.items():
+        kept = {j: _fields(x) for j, x in row.items() if j in columns}
+        if kept:
+            out[i] = kept
+    return out
+
+
+def _assert_columns_match_full_product(rg, R, letters, columns):
+    full = word_matrix(rg, R, letters).rows
+    block = word_matrix(rg, R, letters, columns).rows
+    assert _column_fields(block, set(columns)) == \
+        _column_fields(full, set(columns))
+    assert all(j in columns for row in block.values() for j in row)
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), "flip"])
+def test_word_matrix_columns_match_full_product_exact(key):
+    # Q for the split gradings, Q(zeta_2) for the sl3 flip, whose root
+    # pieces are 2-dimensional; integral and rational parameters
+    rg = _grading(key)
+    R = rg.algebra.dom
+    rng = random.Random(17)
+    for n in range(8):
+        letters = _exact_word(rg, rng, rng.randint(1, 4))
+        if n % 2:
+            letters = [(alpha, [x * Fraction(1, rng.randint(2, 3))
+                                for x in v]) for alpha, v in letters]
+        for columns in (rg.algebra.generating_columns,
+                        sorted(rng.sample(range(rg.algebra.dim), 3))):
+            _assert_columns_match_full_product(rg, R, letters, columns)
+
+
+@given(_series_words(), st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_word_matrix_columns_match_full_product_over_series(case, data):
+    # parameters with horizons O(t^p), zero-at-precision entries among them
+    rg, R, letters = case
+    dim = rg.algebra.dim
+    columns = data.draw(st.sampled_from([
+        rg.algebra.generating_columns, (0,), tuple(range(0, dim, 2))]))
+    _assert_columns_match_full_product(rg, R, letters, columns)
+
+
+# -- letters touch only their nonzero coordinates ----------------------------
+
+def _dense_word_inverse(word):
+    """word_inverse as it was, negating every entry."""
+    return RootElementWord([(alpha, [-x for x in v])
+                            for alpha, v in reversed(word.letters)],
+                           word.ring_tag)
+
+
+def _dense_split_param(v):
+    """_split_param as it was, splitting every entry."""
+    halves = [series_split(x) for x in v]
+    return [a for a, _ in halves], [b for _, b in halves]
+
+
+@st.composite
+def _sparse_params(draw):
+    """A series parameter vector of length 8 mixing exact zeros,
+    zero-at-precision entries and series with and without a horizon."""
+    base = draw(st.sampled_from([QQ, DomainLaurent(1, QQ)]))
+    out = []
+    for _ in range(8):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            out.append(TruncSeries.zero_at(base, None))
+        elif kind == 1:
+            out.append(TruncSeries.zero_at(base, draw(st.integers(-2, 4))))
+        else:
+            low = draw(st.integers(-3, 2))
+            prec = None if kind == 2 else draw(st.integers(low + 1, low + 5))
+            coeffs = draw(st.lists(st.integers(-4, 4), min_size=1,
+                                   max_size=3))
+            out.append(TruncSeries(base, low, prec,
+                                   [Fraction(c, 2) for c in coeffs]))
+    return out
+
+
+@given(st.lists(_sparse_params(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sparse_letter_paths_match_dense_versions(params):
+    def fields(v):
+        return [_fields(x) for x in v]
+
+    word = RootElementWord([((1, 0), v) for v in params])
+    got, want = word_inverse(word), _dense_word_inverse(word)
+    assert got.ring_tag == want.ring_tag
+    assert [(a, fields(v)) for a, v in got] == \
+        [(a, fields(v)) for a, v in want]
+    for v in params:
+        got, want = _split_param(v), _dense_split_param(v)
+        assert [fields(h) for h in got] == [fields(h) for h in want]
+    zero, one = QQ.zero(), Fraction(1)
+    exact = RootElementWord([((1, 0), [zero, one, Fraction(0), -one])])
+    assert [(a, [(type(x), x) for x in v]) for a, v in word_inverse(exact)] \
+        == [((1, 0), [(int, 0), (Fraction, -1), (Fraction, 0), (Fraction, 1)])]
 
 
 # -- certificates on the generating columns ----------------------------------

@@ -10,7 +10,7 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                GradingError, MultiloopSpec, _build_table,
                                build_multiloop, from_chevalley,
                                graded_from_spec, irreducible_components,
-                               parse_spec_file,
+                               SpecError, parse_spec_file,
                                q_grading_from_cartan, relative_roots,
                                verify_multiloop_spec)
 from multiloop.lietorus import lie_torus_check
@@ -304,13 +304,19 @@ def _graded_pair(text):
 
 
 def test_cartan_full_overrides_cartan_h_lines():
-    # the short "cartan h" row is dropped unread, before or after "full"
+    # a full "cartan h" row is replaced, before or after "full"; a short
+    # one is rejected by its line either way
     head = ["multiloop type=A rank=2 n=1 m=1", "sigma identity"]
-    for cartan in (["cartan h 1", "cartan full"],
-                   ["cartan full", "cartan h 1"]):
+    for cartan in (["cartan h 1 1", "cartan full"],
+                   ["cartan full", "cartan h 1 1"]):
         spec, rows = parse_spec_file("\n".join(head + cartan), 2)
         assert rows == [[1, 0], [0, 1]]
         assert graded_from_spec(spec, rows).qrank == 2
+    for cartan, lno in ((["cartan h 1", "cartan full"], 3),
+                        (["cartan full", "cartan h 1"], 4)):
+        with pytest.raises(SpecError, match="spec line %d: cartan row "
+                                            "needs 2 coefficients" % lno):
+            parse_spec_file("\n".join(head + cartan), 2)
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_TEXTS))

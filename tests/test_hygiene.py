@@ -125,6 +125,66 @@ def test_uncalled_function_is_caught(tmp_path):
         ("lib.py", "Thing.apply")]
 
 
+def _shared_method_names(defining):
+    """The public method names defined on two or more module-level classes
+    of the defining files, sorted.  _uncalled_functions counts a call of
+    one such method for all of them, so each needs a review of its own."""
+    owners = {}
+    for path in defining:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and \
+                            not fn.name.startswith("_"):
+                        owners.setdefault(fn.name, set()).add(node.name)
+    return sorted(n for n, classes in owners.items() if len(classes) > 1)
+
+
+# Reviewed by grep: every class that defines one of these names has a
+# caller that reaches it.  The domain members (content, from_int, integral,
+# inv, lift, one, over, parse, t_order, zero) form the protocol that
+# linalg, TruncSeries and LaurentPoly call on whichever domain they are
+# given; DomainSeries.inv is its refusal, and DomainLaurent.inv and the
+# series-base members of DomainCyclotomic serve a ring over Q(zeta_m),
+# which the TruncSeries and DomainLaurent docstrings promise.
+_SHARED_METHODS = [
+    "coeffs",       # Cyclotomic: cyc_show; TruncSeries: ts_show, lift
+    "constant",     # LaurentPoly, TruncSeries: their domains' one()
+    "content",
+    "from_int",
+    "generators",   # ChevalleyAlgebra: the Jacobi proof and generating
+                    # columns; FiniteGroup: Light's test, h1_enumerate
+    "integral",
+    "inv",          # also FiniteGroup (cli) and Cyclotomic (its domain)
+    "lift",
+    "one",
+    "over",
+    "parse",
+    "serialize",    # the five reports the cli prints
+    "t_order",
+    "zero",
+]
+
+
+def test_shared_method_names_are_reviewed():
+    """A new method name shared by two library classes fails here until
+    it is reviewed and added to _SHARED_METHODS."""
+    assert _shared_method_names(sorted(SRC.glob("*.py"))) == _SHARED_METHODS
+
+
+def test_shared_method_name_is_caught(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class A:\n"
+                   "    def size(self):\n        return 1\n"
+                   "    def _key(self):\n        return 2\n"
+                   "class B:\n"
+                   "    def size(self):\n        return 3\n"
+                   "    def _key(self):\n        return 4\n"
+                   "    def dead(self):\n        return 5\n"
+                   "def size():\n    return 6\n")
+    assert _shared_method_names([lib]) == ["size"]
+
+
 def _unpassed_defaults(defining, referencing):
     """(module file name, function, parameter) of every defaulted parameter
     of a public module-level function, a public method or a constructor
