@@ -387,8 +387,8 @@ def cmd_cocycle(cfg, args):
                                for g in setup.cover.elements})
     else:
         eta2 = eta1
-    d, theta = diagonal_argument(setup, coeff, eta1, eta2)
-    return {"power": d, "theta": theta.serialize(), "verdict": "pass"}, EXIT_OK
+    return ({"power": diagonal_argument(setup, coeff, eta1, eta2),
+             "verdict": "pass"}, EXIT_OK)
 
 
 def _action_for(cov, A, gamma0, args):

@@ -16,9 +16,7 @@ action by automorphisms, induction on word length gives it on all |G|^2
 pairs.  The twisted difference xi of the diagonal argument passes
 ``is_cocycle``, which checks all |G|^2 pairs.  M acts trivially, so xi is
 a homomorphism on M = Z/m, and the power d the argument returns is the
-order of xi(m1), m1 the generator of M; its theta is xi restricted to
-the M = 0 copy, whose class is always trivial, so only d carries
-information.
+order of xi(m1), m1 the generator of M.
 
 A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
@@ -308,10 +306,6 @@ class Cocycle:
         are cohomologous.  This is the one test of cohomology classes."""
         return _class_orbit(self)[0]
 
-    def serialize(self):
-        return "\n".join(["cocycle"] + ["  %s -> %s" % ga
-                                        for ga in self.values.items()])
-
 
 def is_cocycle(z: Cocycle):
     """Exhaustive check of z(gh) = z(g) (g . z(h)); returns (ok, witness)."""
@@ -541,14 +535,10 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
 
     Requires: M acts trivially on A; eta1 is independent of the M
     coordinate; eta1 and eta2 agree on the M = 0 copy of the quotient.
-    Returns (d, theta).  The twisted difference xi is a cocycle (checked),
-    and M acts trivially under the twisted action too, so xi is a
-    homomorphism on M = Z/m, and xi_d = xi o p_d is 1 on M exactly when d
-    is a multiple of the order of xi(m1): d is that order.  Then
-    xi_d(m g) = xi_d(m) (m . xi_d(g)) = xi_d(g), so xi_d is the inflation
-    of its restriction theta to the M = 0 copy, which p_d fixes: theta is
-    xi restricted there.  eta1 and eta2 agree in class on that copy, so
-    theta's class is always trivial; only d carries information.
+    Returns d.  The twisted difference xi is a cocycle (checked), and M
+    acts trivially under the twisted action too, so xi is a homomorphism
+    on M = Z/m, and xi_d = xi o p_d is 1 on M exactly when d is a multiple
+    of the order of xi(m1): d is that order.
     """
     coeff_q = quotient_coefficients(setup, coeff)
     e1 = eta1.pos
@@ -565,9 +555,8 @@ def diagonal_argument(setup: DiagonalSetup, coeff: CoefficientGroup,
     ok, wit = is_cocycle(xi)
     if not ok:
         raise CocycleError("twisted difference is not a cocycle at %s" % (wit,))
-    theta = restrict_to_quotient(setup, quotient_coefficients(setup, tw), xi)
     a = xi.pos[setup.m_pos[1 % setup.m]]
     d, x = 1, a
     while x != A.e:
         d, x = d + 1, A.rows[x][a]
-    return d, theta
+    return d

@@ -292,11 +292,8 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
     """[X_a(u), X_b(v)] as an ordered product over the open cone
     {i a + j b : i, j >= 1}."""
     alpha, beta = tuple(alpha), tuple(beta)
-    for m in range(1, 5):
-        for k in range(1, 5):
-            if all(m * a == -k * b for a, b in zip(alpha, beta)):
-                raise ElementError(
-                    "opposite proportional roots %s, %s" % (alpha, beta))
+    # raises ElementError on opposite-proportional roots
+    f = _positivity_functional(rg, alpha, beta)
     comm_word = [(alpha, u), (beta, v), (alpha, [-x for x in u]),
                  (beta, [-x for x in v])]
     comm = word_matrix(rg, R, comm_word)
@@ -309,7 +306,6 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
             tuple(i * a + j * b for a, b in zip(alpha, beta))
             for i in range(1, 6) for j in range(1, 6))
             if gam in rg.system.root_set)
-    f = _positivity_functional(rg, alpha, beta)
     return unipotent_factor(rg, R, comm, psi,
                             keyfunc=lambda gam: (f(gam), gam))
 

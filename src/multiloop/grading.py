@@ -3,7 +3,7 @@ assembly, torus-action refinements, and relative root extraction.
 
 Spec files (`fixtures/*.ml`) are read here: `parse_spec_file` gives a
 MultiloopSpec and the cartan rows, and `graded_from_spec` builds the refined
-graded algebra from them.  The CLI, the tests and the scripts all load specs
+graded algebra from them.  The CLI, the tests and the paper report load specs
 through this one pair.
 
 Lambda-degrees are stored in the rescaled lattice (exponent i/m becomes the

@@ -209,26 +209,17 @@ def lie_torus_check(g: GradedLieAlgebra, delta=None) -> LieTorusReport:
         rep.notes.append("delta discovered from grading support")
     if not delta_set:
         rep.notes.append("anisotropic")
-    v1, c1 = check_LT1(g, delta_set)
-    rep.verdicts["LT1"] = v1
-    if not v1:
-        rep.counterexamples["LT1"] = c1
-    v2, c2 = check_LT2(g, delta_set)
-    rep.verdicts["LT2"] = v2
-    if not v2:
-        rep.counterexamples["LT2"] = c2
-    v3, c3 = check_LT3(g)
-    rep.verdicts["LT3"] = v3
-    if not v3:
-        rep.counterexamples["LT3"] = c3
-    res4 = check_LT4(g, delta_set)
-    rep.verdicts["LT4"] = res4[0]
-    if res4[0]:
-        rep.witnesses.extend(res4[2])
-    else:
-        rep.counterexamples["LT4"] = res4[1]
-    v5, c5 = check_LT5(g)
-    rep.verdicts["LT5"] = v5
-    if not v5:
-        rep.counterexamples["LT5"] = c5
+    # the checks are looked up at call time, so that a wrapped check_LT*
+    # is the one that runs
+    for name, check, args in (("LT1", check_LT1, (g, delta_set)),
+                              ("LT2", check_LT2, (g, delta_set)),
+                              ("LT3", check_LT3, (g,)),
+                              ("LT4", check_LT4, (g, delta_set)),
+                              ("LT5", check_LT5, (g,))):
+        verdict, witness, *found = check(*args)
+        rep.verdicts[name] = verdict
+        if not verdict:
+            rep.counterexamples[name] = witness
+        elif found:
+            rep.witnesses.extend(found[0])
     return rep

@@ -344,7 +344,7 @@ def test_criterion_09_cocycle_level():
             if restrict_to_quotient(setup, coeff_q, z).key != key1:
                 continue
             eligible += 1
-            d, _theta = diagonal_argument(setup, coeff, eta1, z)
+            d = diagonal_argument(setup, coeff, eta1, z)
             if not (1 <= d <= setup.m):
                 ok = False
         if eligible == 0:

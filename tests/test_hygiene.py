@@ -12,6 +12,13 @@ from types import SimpleNamespace
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multiloop"
+SCRIPTS = SRC.parent.parent / "scripts"
+# the library modules, by file name, and the scripts, as scripts/<name>
+PROGRAM = sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+
+
+def _program_id(path):
+    return path.name if path.parent == SRC else "scripts/" + path.name
 
 
 def _unused_imports(path):
@@ -28,7 +35,7 @@ def _unused_imports(path):
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PROGRAM, ids=_program_id)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
@@ -300,9 +307,10 @@ def _float_uses(path):
     return sorted(out)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PROGRAM, ids=_program_id)
 def test_no_floating_point(path):
-    """The library computes exactly: no float ever reaches a scalar."""
+    """The library and the scripts compute exactly: no float ever reaches a
+    scalar."""
     assert _float_uses(path) == []
 
 
@@ -353,7 +361,7 @@ def test_library_does_not_import_cli(path):
 
 @pytest.mark.parametrize("path", sorted(
     list((SRC.parent.parent / "tests").glob("*.py"))
-    + list((SRC.parent.parent / "scripts").glob("*.py"))),
+    + list(SCRIPTS.glob("*.py"))),
     ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_private_cli_names_outside_src(path):
     assert _private_cli_imports(path) == []
