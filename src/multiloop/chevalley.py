@@ -15,9 +15,9 @@ LT4, the closures of `linalg.lie_closure` (which LT5, the generating
 columns of `elemgroup` and the generation step above close on) and the
 automorphism check go through it.
 `ad_rows` is the one builder of the sparse rows of ad_x over such a table:
-the root elements of `elemgroup` use it.  It reads the table grouped by
-first slot (`group_cells`, kept as `cells_by_first` by each graded
-algebra), so it visits only the cells whose first slot is in x.
+the root elements of `elemgroup` and the ad_h of LT4 use it.  It reads the
+table grouped by first slot (`group_cells`, kept as `cells_by_first` by
+each graded algebra), so it visits only the cells whose first slot is in x.
 An `AlgebraAutomorphism` is held as sparse rows too: it composes by
 `linalg.mat_mul`, compares by dict equality, and is verified on the columns
 of its rows.

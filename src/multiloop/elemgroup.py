@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .chevalley import ad_rows
@@ -112,7 +113,7 @@ def root_element(rg: RelativeGrading, R, alpha, v):
     linalg.exp_nilpotent(R, ad_v, M)."""
     g = rg.algebra
     alpha = tuple(alpha)
-    if rg.system is None or alpha not in rg.system.root_set:
+    if rg.data is None or alpha not in rg.data.root_set:
         raise ElementError("%s is not a relative root" % (alpha,))
     x = _homogeneous_support(g, R, alpha, v)
     return ad_rows(g.cells_by_first, x)
@@ -168,13 +169,11 @@ def generator_residual(rg: RelativeGrading, R, letters, N=None):
 # ---------------------------------------------------------------------------
 # unipotent factorization
 
-def _positivity_functional(rg, alpha, beta):
+def _positivity_functional(alpha, beta):
     """A rational functional positive on both roots (they must not be
-    opposite-proportional)."""
-    sys = rg.system
-    aa = sys.inner(alpha, alpha)
-    bb = sys.inner(beta, beta)
-    ab = sys.inner(alpha, beta)
+    opposite-proportional), built from their dot products."""
+    aa, bb, ab = (sum(map(mul, x, y)) for x, y in
+                  ((alpha, alpha), (beta, beta), (alpha, beta)))
     if ab >= 0:
         w = [Fraction(a) / aa + Fraction(b) / bb
              for a, b in zip(alpha, beta)]
@@ -188,16 +187,6 @@ def _positivity_functional(rg, alpha, beta):
              for a, b in zip(alpha, beta)]
     # w is used through the inner product with the root coordinates
     return lambda x: sum(Fraction(c) * wc for c, wc in zip(x, w))
-
-
-def multiples_above(rg, alpha):
-    """Roots i*alpha with i >= 2."""
-    out = []
-    for i in range(2, 5):
-        cand = tuple(i * a for a in alpha)
-        if cand in rg.system.root_set:
-            out.append(cand)
-    return out
 
 
 def _shift_pairs(g, gamma):
@@ -214,10 +203,7 @@ def _peel_data(rg, gamma):
     (linalg.span_coords) taking the entries of ad_v at those pairs, as
     {pair position: entry}, to the coordinates of v on the piece, or to
     None when no v has those entries."""
-    cache = getattr(rg, "_peel_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(rg, "_peel_cache", cache)
+    cache = rg._peel_cache
     if gamma in cache:
         return cache[gamma]
     g = rg.algebra
@@ -282,9 +268,9 @@ def extract_q_maps(rg: RelativeGrading, R, alpha, v, w):
     # X_a(v+w)^-1 X_a(v) X_a(w)
     rem_word = [(alpha, [-(a + b) for a, b in zip(v, w)]), (alpha, v),
                 (alpha, w)]
-    f = _positivity_functional(rg, alpha, alpha)
+    f = _positivity_functional(alpha, alpha)
     return unipotent_factor(rg, R, word_matrix(rg, R, rem_word),
-                            multiples_above(rg, alpha),
+                            rg.data.multiples(alpha),
                             keyfunc=lambda gam: (f(gam), gam))
 
 
@@ -293,19 +279,19 @@ def commutator_table(rg: RelativeGrading, R, alpha, beta, u, v):
     {i a + j b : i, j >= 1}."""
     alpha, beta = tuple(alpha), tuple(beta)
     # raises ElementError on opposite-proportional roots
-    f = _positivity_functional(rg, alpha, beta)
+    f = _positivity_functional(alpha, beta)
     comm_word = [(alpha, u), (beta, v), (alpha, [-x for x in u]),
                  (beta, [-x for x in v])]
     comm = word_matrix(rg, R, comm_word)
     if alpha == beta or proportionality(alpha, beta) is not None:
-        psi = sorted(set(multiples_above(rg, alpha))
-                     | set(multiples_above(rg, beta)))
+        psi = sorted(set(rg.data.multiples(alpha))
+                     | set(rg.data.multiples(beta)))
     else:
         # alpha, beta are not proportional: each i, j gives its own root
         psi = sorted(gam for gam in (
             tuple(i * a + j * b for a, b in zip(alpha, beta))
             for i in range(1, 6) for j in range(1, 6))
-            if gam in rg.system.root_set)
+            if gam in rg.data.root_set)
     return unipotent_factor(rg, R, comm, psi,
                             keyfunc=lambda gam: (f(gam), gam))
 
@@ -332,7 +318,7 @@ class FactorizationCertificate:
 def assert_factorable(rg: RelativeGrading):
     if rg.anisotropic:
         raise RankOneComponent("anisotropic grading: no relative roots")
-    for comp in rg.components:
+    for comp in rg.data.components:
         if comp["rank"] < 2:
             raise RankOneComponent(
                 "irreducible component of rank %d at %s: the factorization "
@@ -363,7 +349,7 @@ def _expand_letter(rg, R, alpha, v, out):
         return
     out.append((alpha, positive))
     out.append((alpha, nonpos))
-    if multiples_above(rg, alpha):
+    if rg.data.multiples(alpha):
         # X(v) = X(pos) X(nonpos) C^{-1} with C supported on multiples
         for gam, q in extract_q_maps(rg, R, alpha, positive, nonpos):
             _expand_letter(rg, R, gam, [-x for x in q], out)

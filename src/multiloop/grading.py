@@ -1,5 +1,7 @@
 """Z^n-gradings from commuting finite-order automorphisms, multiloop
-assembly, torus-action refinements, and relative root extraction.
+assembly, torus-action refinements, and the relative grading: the nonzero
+q-degrees, which rootsys.RelativeRootData makes the relative root system
+(simple roots, heights, multiples, components and label).
 
 Spec files (`fixtures/*.ml`) are read here: `parse_spec_file` gives a
 MultiloopSpec and the cartan rows, and `graded_from_spec` builds the refined
@@ -27,7 +29,7 @@ The sparse graded table is also what lietorus.check_LT4 brackets on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
@@ -35,8 +37,7 @@ from .chevalley import (ChevalleyAlgebra, build_chevalley_by_type,
                         chevalley_involution, diagram_automorphism,
                         group_cells, sparse_bracket, sparse_vector,
                         torus_automorphism)
-from .rootsys import (RootSystem, RootSystemError, RelativeRootData,
-                      make_relative_system)
+from .rootsys import RootSystemError, RelativeRootData
 from .scalars import QQ, DomainCyclotomic, Cyclotomic
 
 
@@ -430,18 +431,14 @@ def q_grading_from_cartan(g: GradedLieAlgebra, cartan) -> GradedLieAlgebra:
 class RelativeGrading:
     algebra: GradedLieAlgebra
     roots: list                      # sorted nonzero q-degrees with support
-    system: object = None            # RootSystem over the roots, or None
     data: object = None              # RelativeRootData, or None
+    # elemgroup's unipotent peeling data, by root
+    _peel_cache: dict = field(default_factory=dict, repr=False,
+                              compare=False)
 
     @property
     def anisotropic(self):
         return not self.roots
-
-    @cached_property
-    def components(self):
-        """The irreducible components of the relative root system, as
-        irreducible_components gives them; computed once."""
-        return irreducible_components(self.system)
 
 
 def relative_roots(g: GradedLieAlgebra) -> RelativeGrading:
@@ -454,34 +451,7 @@ def relative_roots(g: GradedLieAlgebra) -> RelativeGrading:
     roots = sorted(q for q in g.q_keys() if q != zero)
     if not roots:
         return RelativeGrading(g, [])
-    system = make_relative_system(roots)
-    return RelativeGrading(g, roots, system, RelativeRootData(system))
-
-
-def irreducible_components(system: RootSystem):
-    """Connected components of the non-orthogonality graph, with ranks."""
-    roots = list(system.roots)
-    parent = list(range(len(roots)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if system.inner(roots[i], roots[j]):
-                parent[find(i)] = find(j)
-    comps = {}
-    for i, a in enumerate(roots):
-        comps.setdefault(find(i), []).append(a)
-    out = []
-    for group in comps.values():
-        rank = len(linalg.rref(QQ, [sparse_vector(a) for a in group]))
-        out.append({"roots": sorted(group), "rank": rank})
-    out.sort(key=lambda c: c["roots"][0])
-    return out
+    return RelativeGrading(g, roots, RelativeRootData(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Checks run over one periodicity block of lattice degrees.  Every failure
 carries a concrete counterexample; LT4 witnesses re-verify exactly.  LT4
-brackets on the sparse graded table with chevalley.sparse_bracket; LT5
-closes the generated subalgebra with GradedLieAlgebra.closure.
+brackets on the sparse graded table with chevalley.sparse_bracket and reads
+each ad_h from chevalley.ad_rows; LT5 closes the generated subalgebra with
+GradedLieAlgebra.closure.  The root set and its label come from the
+relative root system (rootsys.RelativeRootData) of the grading.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .chevalley import sparse_bracket, sparse_vector
+from .chevalley import ad_rows, sparse_bracket
 from .grading import GradedLieAlgebra
 from .rootsys import proportionality
-from .scalars import QQ
 
 
 @dataclass
@@ -122,8 +123,9 @@ def check_LT4(g: GradedLieAlgebra, delta_set) -> tuple:
     """For each nonzero-root piece, locate the sl2 pair (e, f) and verify the
     eigenvalue identity on every basis vector.
 
-    [e, f], [h, e] and every [h, x_k] are sparse brackets on the graded
-    table (chevalley.sparse_bracket)."""
+    [e, f] and [h, e] are sparse brackets on the graded table
+    (chevalley.sparse_bracket); ad_h is read once, by chevalley.ad_rows,
+    and its columns are checked in basis order."""
     zero = _zero_q(g)
     dom = g.dom
     one = dom.one()
@@ -133,6 +135,7 @@ def check_LT4(g: GradedLieAlgebra, delta_set) -> tuple:
         if alpha not in delta_set:
             continue
         neg = tuple(-x for x in alpha)
+        expect = {zero: dom.zero()}      # eigenvalue by q-degree
         for lam in sorted(set(e.lam for e in g.entries if e.qdeg == alpha)):
             idxs = g.piece(qdeg=alpha, lam=lam)
             if len(idxs) > 1:
@@ -149,14 +152,18 @@ def check_LT4(g: GradedLieAlgebra, delta_set) -> tuple:
             if any(x for t, x in he.items() if t != ei) or not mu:
                 return False, ("no-sl2-scaling", alpha, lam), []
             c = dom.inv(mu) * 2
-            h = sparse_bracket(g.table, e, {fi: c})
+            ad = ad_rows(g.cells_by_first,
+                         sparse_bracket(g.table, e, {fi: c}))
+            # columns k of ad_h with a nonzero entry off the diagonal
+            off = {k for r, row in ad.items() for k, x in row.items()
+                   if x and k != r}
             for k, ent in enumerate(g.entries):
                 beta = ent.qdeg
-                expect = 0 if beta == zero else \
-                    pairing_from_strings(beta, alpha, support)
-                hx = sparse_bracket(g.table, h, {k: one})
-                if hx.get(k, dom.zero()) != dom.from_int(expect) or \
-                        any(x for t, x in hx.items() if t != k):
+                if beta not in expect:
+                    expect[beta] = dom.from_int(
+                        pairing_from_strings(beta, alpha, support))
+                if k in off or \
+                        ad.get(k, {}).get(k, dom.zero()) != expect[beta]:
                     return False, ("identity-fails", alpha, lam, beta), []
             f = [dom.zero()] * g.dim
             f[fi] = c
@@ -177,37 +184,15 @@ def check_LT5(g: GradedLieAlgebra) -> tuple:
     return False, ("generated-dimension", size, g.dim)
 
 
-def classify_system(roots) -> str:
-    """Coarse label for a relative root set."""
-    roots = sorted(roots)
-    if not roots:
-        return "empty"
-    rank = len(linalg.rref(QQ, [sparse_vector(a) for a in roots]))
-    rset = set(roots)
-    reduced = all(tuple(2 * x for x in a) not in rset for a in roots)
-    count = len(roots)
-    names = {(1, 2, True): "A1", (1, 4, False): "BC1",
-             (2, 6, True): "A2", (2, 8, True): "B2", (2, 12, True): "G2",
-             (2, 12, False): "BC2"}
-    return names.get((rank, count, reduced),
-                     "rank%d-%droots-%s" % (rank, count,
-                                            "red" if reduced else "nonred"))
-
-
-def lie_torus_check(g: GradedLieAlgebra, delta=None) -> LieTorusReport:
-    """Run all five axioms; with delta=None the root set is discovered from
-    the q-grading support and then verified."""
+def lie_torus_check(g: GradedLieAlgebra) -> LieTorusReport:
+    """Run all five axioms on the root set discovered from the q-grading
+    support (GradedLieAlgebra.relative_grading)."""
     rep = LieTorusReport(nullity=g.nvars)
-    discovered = False
-    if delta is None:
-        rg = g.relative_grading
-        delta = rg.roots
-        discovered = True
-    delta_set = set(tuple(a) for a in delta)
-    rep.delta_label = classify_system(delta_set)
-    if discovered:
-        rep.notes.append("delta discovered from grading support")
-    if not delta_set:
+    rg = g.relative_grading
+    delta_set = set(rg.roots)
+    rep.delta_label = rg.data.label if rg.data else "empty"
+    rep.notes.append("delta discovered from grading support")
+    if rg.anisotropic:
         rep.notes.append("anisotropic")
     # the checks are looked up at call time, so that a wrapped check_LT*
     # is the one that runs

@@ -1,16 +1,20 @@
-"""Finite root systems, reduced and non-reduced, with Cartan data,
-positivity, and heights.
+"""Finite root systems, reduced and non-reduced, with Cartan data, and the
+relative root system of a torus grading.
 
-Roots are stored as integer vectors of simple-root coordinates (for the
-classified types) or as raw weight vectors (for relative systems read off
-a torus grading).  The bilinear form is an integer Gram matrix, so inner
-products are int dot products and pairings exact integer quotients.
+A classified system (RootSystem) stores its roots as integer vectors of
+simple-root coordinates, with an integer Gram matrix, so inner products are
+int dot products and pairings exact integer quotients.  The relative
+system (RelativeRootData) is the one object for the q-degrees of a graded
+algebra: it takes them as raw weight vectors and owns their positivity,
+simple roots, coordinates and heights, multiples, irreducible components
+and label.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index, mul
+from functools import cached_property
+from operator import add, index, mul, sub
 
 from . import linalg
 from .scalars import QQ
@@ -216,65 +220,87 @@ def proportionality(beta, alpha):
     return c
 
 
-def make_relative_system(weights) -> RootSystem:
-    """Wrap a set of nonzero weight vectors (from a torus grading) as a root
-    system labelled 'relative'; the standard dot product serves as Gram data.
-    They are nonzero (grading.relative_roots drops the zero degree), so
-    RelativeRootData's generic_functional makes each positive or negative."""
-    weights = sorted(set(tuple(int(x) for x in w) for w in weights))
-    if not weights:
-        raise RootSystemError("empty weight set")
-    dim = len(weights[0])
-    gram = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    # simple-root coordinates coincide with the raw weight coordinates here
-    simples = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    return RootSystem("relative", dim, simples, weights, gram)
-
-
 class RelativeRootData:
-    """A root system with its generic positivity functional and heights."""
+    """The relative root system of a torus grading: its nonzero q-degrees,
+    made positive or negative by generic_functional, the simple roots (the
+    positive roots that are no sum of two positive ones) and every root's
+    coordinates over them, which give its height."""
 
-    def __init__(self, system: RootSystem):
-        self.system = system
-        self.functional = generic_functional(system.roots)
-        self.positive = sorted(a for a in system.roots if self._dot(a) > 0)
-        self.negative = sorted(a for a in system.roots if self._dot(a) < 0)
-        self.simple = self._simple_roots()
-        self._heights = self._compute_heights()
-
-    def _dot(self, a):
-        return sum(x * w for x, w in zip(a, self.functional))
-
-    def _simple_roots(self):
+    def __init__(self, weights):
+        self.roots = sorted(set(map(tuple, weights)))
+        if not self.roots:
+            raise RootSystemError("empty weight set")
+        self.root_set = set(self.roots)
+        functional = generic_functional(self.roots)
+        value = {a: sum(map(mul, a, functional)) for a in self.roots}
+        self.positive = [a for a in self.roots if value[a] > 0]
         pos = set(self.positive)
-        simple = []
-        for a in self.positive:
-            decomposable = any(
-                tuple(x - y for x, y in zip(a, b)) in pos
-                for b in self.positive if b != a and self._dot(b) < self._dot(a))
-            if not decomposable:
-                simple.append(a)
-        return simple
+        self.simple = [a for a in self.positive if not any(
+            value[b] < value[a] and tuple(map(sub, a, b)) in pos
+            for b in self.positive)]
+        self.coords = self._coordinates()
 
-    def _compute_heights(self):
-        # coefficients of each positive root over the simple relative roots
+    def _coordinates(self):
+        """{root: its coefficients over the simple roots}, one linalg.solve
+        per positive root; the height, their sum, must be an integer."""
         rows = [{j: s[i] for j, s in enumerate(self.simple)}
                 for i in range(len(self.simple[0]))]
-        heights = {}
+        coords = {}
         for a in self.positive:
             sol = linalg.solve(QQ, rows, a, len(self.simple))
             if sol is None:
                 raise RootSystemError(
                     "root %s is not a combination of simple roots" % (a,))
-            h = sum(sol)
-            if h.denominator != 1:
+            if sum(sol).denominator != 1:
                 raise RootSystemError("non-integral height for %s" % (a,))
-            heights[a] = int(h)
-            heights[tuple(-x for x in a)] = -int(h)
-        return heights
+            coords[a] = tuple(sol)
+            coords[tuple(-x for x in a)] = tuple(-x for x in sol)
+        return coords
 
     def height(self, root):
-        return self._heights[tuple(root)]
+        return int(sum(self.coords[tuple(root)]))
+
+    def multiples(self, alpha):
+        """The roots i * alpha with 2 <= i <= 4."""
+        return [m for m in (tuple(i * a for a in alpha) for i in range(2, 5))
+                if m in self.root_set]
+
+    @cached_property
+    def components(self):
+        """The irreducible components, [{"roots": sorted roots, "rank": r}]
+        ordered by least root, r the number of simple roots they hold.
+
+        Simple roots a_i, a_j are joined when a_i + a_j is a root: as
+        a_i - a_j is never one, that is exactly when their pairing is
+        nonzero, so these are the components of the Dynkin diagram.  A
+        root joins the component its coordinate support lies in."""
+        n = len(self.simple)
+        comp = list(range(n))
+        for i in range(n):
+            for j in range(i):
+                if tuple(map(add, self.simple[i], self.simple[j])) \
+                        in self.root_set:
+                    old = comp[i]
+                    comp = [comp[j] if c == old else c for c in comp]
+        groups = {}
+        for a in self.roots:
+            first = next(t for t, x in enumerate(self.coords[a]) if x)
+            groups.setdefault(comp[first], []).append(a)
+        return sorted(({"roots": rs, "rank": comp.count(c)}
+                       for c, rs in groups.items()),
+                      key=lambda c: c["roots"][0])
+
+    @cached_property
+    def label(self):
+        """A coarse name read off the rank, the root count and reducedness
+        (no root has multiples)."""
+        key = (len(self.simple), len(self.roots),
+               not any(map(self.multiples, self.roots)))
+        names = {(1, 2, True): "A1", (1, 4, False): "BC1",
+                 (2, 6, True): "A2", (2, 8, True): "B2", (2, 12, True): "G2",
+                 (2, 12, False): "BC2"}
+        return names.get(key, "rank%d-%droots-%s"
+                         % (key[0], key[1], "red" if key[2] else "nonred"))
 
 
 def generic_functional(roots):

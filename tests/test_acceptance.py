@@ -5,8 +5,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from multiloop.chevalley import build_chevalley_by_type
 from multiloop.cli import main as cli_main
 from multiloop.cocycle import (DiagonalSetup, cyclic_group, diagonal_argument,
@@ -16,8 +14,8 @@ from multiloop.cocycle import (DiagonalSetup, cyclic_group, diagonal_argument,
                                trivial_cocycle, trivial_group)
 from multiloop.elemgroup import (RootElementWord, commutator_table,
                                  depth_bound, depth_conjugation_check,
-                                 factor_loop_series, root_element,
-                                 unipotent_factor, word_matrix)
+                                 factor_loop_series, unipotent_factor,
+                                 word_matrix)
 from multiloop.grading import from_chevalley, relative_roots
 from multiloop.lietorus import lie_torus_check
 from multiloop.scalars import (QQ, DomainLaurent, DomainSeries, LaurentPoly,

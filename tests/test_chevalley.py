@@ -8,7 +8,6 @@ import pytest
 from multiloop import linalg
 from multiloop.chevalley import (AlgebraAutomorphism, ChevalleyAlgebra,
                                  ChevalleyError, ad_rows,
-                                 build_chevalley_by_type,
                                  chevalley_involution, diagram_automorphism,
                                  group_cells, sparse_bracket, sparse_vector,
                                  torus_automorphism)

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import runpy
 import tempfile
 import traceback

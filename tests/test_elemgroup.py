@@ -19,9 +19,8 @@ from multiloop.elemgroup import (ElementError, ElementMatrix,
 from multiloop.cli import parse_word_file
 from multiloop.grading import GradingError
 from multiloop.grading import from_chevalley, relative_roots
-from multiloop.scalars import (QQ, DomainCyclotomic, DomainLaurent,
-                               DomainSeries, LaurentPoly, TruncSeries,
-                               series_split)
+from multiloop.scalars import (QQ, DomainLaurent, DomainSeries,
+                               LaurentPoly, TruncSeries, series_split)
 
 from conftest import (FIXTURES, algebra, basis_vector, build_sl3_flip,
                       exp_ad, identity, is_identity, mat_eq, mat_mul_dense,
@@ -251,7 +250,7 @@ def test_commutator_orthogonal_roots(rg_a3):
     for a in simples:
         for b in simples:
             s = tuple(x + y for x, y in zip(a, b))
-            if a != b and s not in rg_a3.system.root_set:
+            if a != b and s not in rg_a3.data.root_set:
                 pair = (a, b)
     assert pair is not None
     a, b = pair

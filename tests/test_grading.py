@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from multiloop import grading, linalg
-from multiloop.chevalley import (chevalley_involution, diagram_automorphism,
-                                 torus_automorphism)
+from multiloop.chevalley import diagram_automorphism, torus_automorphism
 from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                GradingError, MultiloopSpec, _build_table,
                                build_multiloop, from_chevalley,
-                               graded_from_spec, irreducible_components,
-                               SpecError, parse_spec_file,
+                               graded_from_spec, SpecError, parse_spec_file,
                                q_grading_from_cartan, relative_roots,
                                verify_multiloop_spec)
 from multiloop.lietorus import lie_torus_check
-from multiloop.rootsys import make_relative_system
+from multiloop.rootsys import RelativeRootData
 from multiloop.scalars import QQ, Cyclotomic, DomainCyclotomic
 
 from conftest import (FIXTURES, algebra, dense_bracket, dense_kernel_basis,
@@ -153,14 +151,15 @@ def test_from_chevalley_q_support(a2, rg_a2):
 
 
 def test_irreducible_components():
-    one = make_relative_system([(1, 0), (-1, 0), (0, 1), (0, -1),
+    one = RelativeRootData([(1, 0), (-1, 0), (0, 1), (0, -1),
                                 (1, 1), (-1, -1)])
-    comps = irreducible_components(one)
-    assert len(comps) == 1
-    two = make_relative_system([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    comps = irreducible_components(two)
+    comps = one.components
+    assert len(comps) == 1 and comps[0]["rank"] == 2
+    two = RelativeRootData([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    comps = two.components
     assert len(comps) == 2
-    assert sorted(len(c) for c in comps) == [2, 2]
+    assert sorted(len(c["roots"]) for c in comps) == [2, 2]
+    assert [c["rank"] for c in comps] == [1, 1]
 
 
 def test_quaternion_brackets_nonabelian(g_quat):

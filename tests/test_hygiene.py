@@ -11,14 +11,17 @@ from types import SimpleNamespace
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "multiloop"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "multiloop"
 SCRIPTS = SRC.parent.parent / "scripts"
 # the library modules, by file name, and the scripts, as scripts/<name>
 PROGRAM = sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
 
 
 def _program_id(path):
-    return path.name if path.parent == SRC else "scripts/" + path.name
+    """A library module by file name, any other file as <dir>/<name>."""
+    return path.name if path.parent == SRC else \
+        "%s/%s" % (path.parent.name, path.name)
 
 
 def _unused_imports(path):
@@ -35,7 +38,8 @@ def _unused_imports(path):
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", PROGRAM, ids=_program_id)
+@pytest.mark.parametrize("path", PROGRAM + sorted(TESTS.glob("*.py")),
+                         ids=_program_id)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

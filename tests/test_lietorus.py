@@ -8,8 +8,8 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                q_grading_from_cartan)
 from multiloop.grading import relative_roots
 from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
-                                classify_system, lie_torus_check,
-                                pairing_from_strings)
+                                lie_torus_check, pairing_from_strings)
+from multiloop.rootsys import RelativeRootData
 from multiloop.scalars import QQ
 
 from conftest import FIXTURES, algebra, dense_bracket, dense_rref, load_spec
@@ -20,6 +20,8 @@ def test_sl2_loop_passes(g_sl2loop):
     assert rep.overall
     assert rep.delta_label == "A1"
     assert rep.nullity == 1
+    # the discovered root set
+    assert g_sl2loop.relative_grading.roots == [(-2,), (2,)]
 
 
 def test_sl3_loop_passes():
@@ -111,23 +113,19 @@ def test_pairing_from_strings_oracle():
     assert pairing_from_strings((-1,), (1,), bc1) == -2
 
 
-def test_classify_system():
-    assert classify_system({(1,), (-1,)}) == "A1"
-    assert classify_system({(1,), (-1,), (2,), (-2,)}) == "BC1"
-    assert classify_system({(2, -1), (-1, 2), (1, 1),
-                            (-2, 1), (1, -2), (-1, -1)}) == "A2"
+def test_relative_root_data_label(g_quat):
+    assert RelativeRootData({(1,), (-1,)}).label == "A1"
+    assert RelativeRootData({(1,), (-1,), (2,), (-2,)}).label == "BC1"
+    assert RelativeRootData({(2, -1), (-1, 2), (1, 1),
+                             (-2, 1), (1, -2), (-1, -1)}).label == "A2"
     # +-e_i, +-2 e_i and +-e_1 +- e_2
     bc2 = {(x, y) for x in range(-2, 3) for y in range(-2, 3)
            if (x, y) != (0, 0) and (abs(x), abs(y)) not in
            {(2, 1), (1, 2), (2, 2)}}
     assert len(bc2) == 12
-    assert classify_system(bc2) == "BC2"
-    assert classify_system(set()) == "empty"
-
-
-def test_explicit_delta_passes(g_sl2loop):
-    rep = lie_torus_check(g_sl2loop, delta=[(2,), (-2,)])
-    assert rep.overall
+    assert RelativeRootData(bc2).label == "BC2"
+    # an anisotropic grading has no relative root system
+    assert lie_torus_check(g_quat).delta_label == "empty"
 
 
 def test_lt4_counterexample_on_fat_piece():
@@ -304,6 +302,14 @@ def test_lt4_identity_fails():
     g = _hand_built([1, -1, 0, 3], {(e, f): [(h, 1)], (h, e): [(e, 2)],
                                     (h, f): [(f, -2)]})
     want = (False, ("identity-fails", (-1,), (), (3,)), [])
+    assert check_LT4(g, {(1,), (-1,)}) == _lt4_oracle(g, {(1,), (-1,)}) \
+        == want
+    # h moves v onto a vector w of the same q-degree 0: the eigenvalue on
+    # v's own coordinate is the expected 0, the entry off the diagonal fails
+    w = 4
+    g = _hand_built([1, -1, 0, 0, 0], {(e, f): [(h, 1)], (h, e): [(e, 2)],
+                                       (h, f): [(f, -2)], (h, v): [(w, 1)]})
+    want = (False, ("identity-fails", (-1,), (), (0,)), [])
     assert check_LT4(g, {(1,), (-1,)}) == _lt4_oracle(g, {(1,), (-1,)}) \
         == want
     # without v the same table passes, with the oracle's witnesses

@@ -1,13 +1,20 @@
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multiloop import linalg
+from multiloop.grading import from_chevalley, relative_roots
+from multiloop.lietorus import lie_torus_check
 from multiloop.rootsys import (RelativeRootData, RootSystemError,
                                build_root_system, cartan_matrix,
-                               generic_functional,
-                               make_relative_system, split_dimension,
+                               generic_functional, split_dimension,
                                _reflect)
+from multiloop.scalars import QQ
+
+from conftest import FIXTURES, algebra, load_spec
 
 # classical root counts (textbook values)
 ROOT_COUNTS = {
@@ -40,9 +47,6 @@ def test_cartan_matrix_properties():
 
 def test_cartan_determinants():
     # det A_n = n+1, det B_n = 2, det G_2 = 1
-    from multiloop import linalg
-    from multiloop.scalars import QQ
-
     def det(A):
         M = [[Fraction(x) for x in row] for row in A]
         n = len(M)
@@ -141,23 +145,28 @@ def test_unknown_type_rejected():
         build_root_system("A", 0)
 
 
-def test_make_relative_system():
-    rs = make_relative_system([(1,), (-1,), (2,), (-2,)])
-    assert rs.roots == [(-2,), (-1,), (1,), (2,)]
-    assert not rs.is_reduced()
+def test_relative_root_data_multiples():
+    data = RelativeRootData([(1,), (-1,), (2,), (-2,), (1,)])
+    assert data.roots == [(-2,), (-1,), (1,), (2,)]
+    # non-reduced: 2a is a root
+    assert data.multiples((1,)) == [(2,)]
+    assert data.multiples((-1,)) == [(-2,)]
+    assert data.multiples((2,)) == []
+    assert data.label == "BC1"
+    with pytest.raises(RootSystemError, match="empty weight set"):
+        RelativeRootData([])
 
 
 def test_relative_root_data_heights():
-    rs = make_relative_system([(1, 0), (-1, 0), (0, 1), (0, -1),
-                               (1, 1), (-1, -1)])
-    data = RelativeRootData(rs)
+    data = RelativeRootData([(1, 0), (-1, 0), (0, 1), (0, -1),
+                             (1, 1), (-1, -1)])
     pos = set(data.positive)
     assert len(pos) == 3
-    assert {tuple(-x for x in a) for a in pos} == set(data.negative)
+    assert {tuple(-x for x in a) for a in pos} == data.root_set - pos
     simple = set(data.simple)
     assert len(simple) == 2
     tall = next(a for a in pos if a not in simple)
-    assert data.height(tall) == 2
+    assert data.height(tall) == 2 and data.coords[tall] == (1, 1)
     for s in simple:
         assert data.height(s) == 1
     assert data.height(tuple(-x for x in tall)) == -2
@@ -174,6 +183,111 @@ def test_generic_functional_positive(weights):
     f = generic_functional(sorted(weights))
     for w in weights:
         assert sum(x * y for x, y in zip(w, f)) != 0
+
+
+# -- components and label against the references they replaced -------------
+
+def _dot_components(roots):
+    """The old reference: components of the graph joining two roots with
+    a nonzero dot product, each ranked by one rref."""
+    roots = sorted(roots)
+    comp = list(range(len(roots)))
+    for i, j in itertools.combinations(range(len(roots)), 2):
+        if sum(map(mul, roots[i], roots[j])):
+            old = comp[i]
+            comp = [comp[j] if c == old else c for c in comp]
+    groups = {}
+    for c, a in zip(comp, roots):
+        groups.setdefault(c, []).append(a)
+    return sorted(({"roots": rs, "rank": _rref_rank(rs)}
+                   for rs in groups.values()), key=lambda c: c["roots"][0])
+
+
+def _rref_rank(roots):
+    return len(linalg.rref(QQ, [{t: x for t, x in enumerate(a) if x}
+                                for a in roots]))
+
+
+def _rref_label(roots):
+    """The old reference: the name table keyed by the rref rank, the root
+    count and whether no 2a is a root."""
+    if not roots:
+        return "empty"
+    rset = set(roots)
+    key = (_rref_rank(rset), len(rset),
+           all(tuple(2 * x for x in a) not in rset for a in rset))
+    names = {(1, 2, True): "A1", (1, 4, False): "BC1",
+             (2, 6, True): "A2", (2, 8, True): "B2", (2, 12, True): "G2",
+             (2, 12, False): "BC2"}
+    return names.get(key, "rank%d-%droots-%s"
+                     % (key[0], key[1], "red" if key[2] else "nonred"))
+
+
+def _assert_matches_references(roots):
+    data = RelativeRootData(roots)
+    assert data.components == _dot_components(roots)
+    assert data.label == _rref_label(roots)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ml")),
+                         ids=lambda p: p.name)
+def test_fixture_components_and_label_match_references(path):
+    rg = load_spec(path.read_text()).relative_grading
+    if rg.data is None:
+        assert lie_torus_check(rg.algebra).delta_label == _rref_label([])
+    else:
+        _assert_matches_references(rg.roots)
+
+
+@pytest.mark.parametrize("t,r", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                 ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+                                 ("D", 4), ("G", 2)])
+def test_split_components_and_label_match_references(t, r):
+    rg = relative_roots(from_chevalley(algebra(t, r)))
+    _assert_matches_references(rg.roots)
+    assert len(rg.data.components) == 1
+
+
+IRREDUCIBLE = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
+               ("G", 2), ("BC", 1), ("BC", 2)]
+
+
+@st.composite
+def orthogonal_sums(draw):
+    """Weights of a sum of irreducible systems, each in its own simple-root
+    coordinates, scaled, then under one signed permutation of all
+    coordinates; blocks stay orthogonal for the dot product, where the
+    dot-product reference is sound."""
+    blocks = draw(st.lists(st.sampled_from(IRREDUCIBLE), min_size=1,
+                           max_size=3))
+    dim = sum(r for _, r in blocks)
+    perm = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dim,
+                          max_size=dim))
+    weights, start = [], 0
+    for t, r in blocks:
+        k = draw(st.integers(1, 2))
+        for a in build_root_system(t, r).roots:
+            w = [0] * dim
+            w[start:start + r] = [k * x for x in a]
+            weights.append(tuple(signs[i] * w[perm[i]] for i in range(dim)))
+        start += r
+    return weights
+
+
+@given(orthogonal_sums())
+@settings(max_examples=40, deadline=None)
+def test_orthogonal_sums_components_and_label_match_references(weights):
+    _assert_matches_references(weights)
+
+
+def test_components_on_skewed_coordinates():
+    # A1 x A1 with its second root at (1, 1): the simple-root Dynkin graph
+    # splits it, where the dot-product reference joins the two roots
+    skew = [(1, 0), (-1, 0), (1, 1), (-1, -1)]
+    data = RelativeRootData(skew)
+    assert [c["rank"] for c in data.components] == [1, 1]
+    assert len(_dot_components(skew)) == 1
 
 
 # -- sympy.liealgebras as an independent oracle ------------------------------
