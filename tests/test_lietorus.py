@@ -7,8 +7,9 @@ from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                MultiloopSpec, build_multiloop,
                                q_grading_from_cartan)
 from multiloop.grading import relative_roots
-from multiloop.lietorus import (check_LT1, check_LT3, check_LT4, check_LT5,
-                                lie_torus_check, pairing_from_strings)
+from multiloop.lietorus import (check_LT1, check_LT2, check_LT3, check_LT4,
+                                check_LT5, lie_torus_check,
+                                pairing_from_strings)
 from multiloop.rootsys import RelativeRootData
 from multiloop.scalars import QQ
 
@@ -126,6 +127,14 @@ def test_relative_root_data_label(g_quat):
     assert RelativeRootData(bc2).label == "BC2"
     # an anisotropic grading has no relative root system
     assert lie_torus_check(g_quat).delta_label == "empty"
+
+
+def test_explicit_delta_passes(g_sl2loop):
+    # the axioms that take Delta pass on the sl2 loop with Delta given by hand
+    delta = {(2,), (-2,)}
+    assert check_LT1(g_sl2loop, delta)[0]
+    assert check_LT2(g_sl2loop, delta)[0]
+    assert check_LT4(g_sl2loop, delta)[0]
 
 
 def test_lt4_counterexample_on_fat_piece():
