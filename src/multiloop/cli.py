@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .chevalley import build_chevalley_by_type, ChevalleyError
 from .rootsys import RootSystemError, split_dimension
 from .grading import (parse_spec_file, graded_from_spec, relative_roots,
-                      from_chevalley, GradingError, SpecError)
+                      from_chevalley, no_root_system, GradingError,
+                      SpecError)
 from .lietorus import lie_torus_check
 from .elemgroup import (factor_loop_series, residual_word, word_parse,
                         word_show, word_residual, depth_bound,
@@ -303,8 +304,12 @@ def cmd_grading(cfg, args):
 
 
 def cmd_lietorus(cfg, args):
-    g = graded_from_spec(*parse_spec_file(_read(args.specfile), cfg.conductor))
-    rep = lie_torus_check(g)
+    spec, cartan_rows = parse_spec_file(_read(args.specfile), cfg.conductor)
+    g = graded_from_spec(spec, cartan_rows)
+    try:
+        rep = lie_torus_check(g)
+    except RootSystemError as e:
+        raise no_root_system(spec, e) from None
     return ({"report": rep.serialize(),
              "verdict": "pass" if rep.overall else "fail"},
             EXIT_OK if rep.overall else EXIT_MATH)

@@ -10,13 +10,15 @@ generating sequence S, (x s) y = x (s y) for every s in S and all x, y:
 the elements that pass are closed under products, so they are all of G
 (FiniteGroup._verify_associativity).  The action is checked on all
 |G|^2 * |A| homomorphism conditions.  A cocycle that h1_enumerate returns
-is proved by its propagation, which checks the cocycle identity on every
-edge g -> gs of the Cayley graph of S over all of G: with z(e) = 1 and an
-action by automorphisms, induction on word length gives it on all |G|^2
-pairs.  The twisted difference xi of the diagonal argument passes
-``is_cocycle``, which checks all |G|^2 pairs.  M acts trivially, so xi is
-a homomorphism on M = Z/m, and the power d the argument returns is the
-order of xi(m1), m1 the generator of M.
+is proved by its propagation, which runs level by level over the edges of
+FiniteGroup.cayley_levels: each value for a generator s_k runs only the
+edges level k adds, and across the levels every edge g -> gs of the
+Cayley graph of S over G is checked exactly once.  With z(e) = 1 and an
+action by automorphisms, induction on word length gives the cocycle
+identity on all |G|^2 pairs.  The twisted difference xi of the diagonal
+argument passes ``is_cocycle``, which checks all |G|^2 pairs.  M acts
+trivially, so xi is a homomorphism on M = Z/m, and the power d the
+argument returns is the order of xi(m1), m1 the generator of M.
 
 A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
@@ -107,13 +109,14 @@ class FiniteGroup:
         raise CocycleError("%s has no identity" % self.name)
 
     def _find_inverses(self):
+        """Each row's e gives the inverse h of g, which must also have
+        h g = e; the first element without one is named."""
         rows, e = self.rows, self.e
-        inv = [next((h for h, gh in enumerate(row)
-                     if gh == e and rows[h][g] == e), None)
-               for g, row in enumerate(rows)]
-        if None in inv:
-            raise CocycleError("%s: no inverse for %s"
-                               % (self.name, self.elements[inv.index(None)]))
+        inv = [row.index(e) if e in row else None for row in rows]
+        for g, h in enumerate(inv):
+            if h is None or rows[h][g] != e:
+                raise CocycleError("%s: no inverse for %s"
+                                   % (self.name, self.elements[g]))
         return inv
 
     def _verify_associativity(self):
@@ -159,16 +162,48 @@ class FiniteGroup:
         """The group's one generating sequence, as positions: each position
         outside the span of the earlier ones, spanned from e by right
         multiplication, so every element is e s1 ... sk, multiplied left to
-        right, for some s1, ..., sk in it."""
-        gens, span = [], {self.e}
-        for g in range(len(self.rows)):
-            if g not in span:
-                gens.append(g)
-                new = span
-                while new:
-                    new = {self.rows[a][s] for a in new for s in gens} - span
-                    span |= new
-        return gens
+        right, for some s1, ..., sk in it.  s_k is the end of the first
+        edge of level k of cayley_levels, e -> s_k."""
+        return [level[0][2] for level in self.cayley_levels]
+
+    @cached_property
+    def cayley_levels(self):
+        """The Cayley edges g -> g s_j of the generating sequence
+        S = (s_0, s_1, ...), one level per generator, each edge in exactly
+        one level.
+
+        ``cayley_levels[k]`` lists edges (g, j, g s_j, first) in BFS order:
+        the edges g -> g s_k from every g in H, the span of s_0, ...,
+        s_(k-1), then the edges g -> g s_j, j <= k, from every element new
+        at level k.  An edge is ``first`` when its end is reached by no
+        earlier level and no earlier edge of its own; every other edge
+        closes a cycle.  H is a subgroup and s_k is outside it, so the
+        edges from H reach the coset H s_k, all of them first.  The levels
+        up to k hold every edge from span(s_0, ..., s_k) with j <= k, and
+        no level repeats an edge of an earlier one: over all levels, each
+        of the |G| |S| edges appears once."""
+        rows = self.rows
+        gens, span, seen, levels = [], [self.e], {self.e}, []
+        for s in range(len(rows)):
+            if s in seen:
+                continue
+            k = len(gens)
+            gens.append(s)
+            edges = [(g, k, rows[g][s], True) for g in span]
+            new = [gs for _, _, gs, _ in edges]
+            seen.update(new)
+            for g in new:              # grows while it is read
+                row = rows[g]
+                for j in range(k + 1):
+                    gs = row[gens[j]]
+                    first = gs not in seen
+                    if first:
+                        seen.add(gs)
+                        new.append(gs)
+                    edges.append((g, j, gs, first))
+            span += new
+            levels.append(edges)
+        return levels
 
 
 def cyclic_group(k, name=None) -> FiniteGroup:
@@ -352,31 +387,37 @@ def h1_enumerate(coeff: CoefficientGroup,
 
     Returns (class representatives sorted by key, all cocycles).
     Values on G.generators are assigned depth first, in itertools.product
-    order; a prefix survives if it propagates consistently over the span
-    of its generators, as every restriction of a cocycle does.  The full
-    sequence spans G from e along the Cayley edges g -> gs, so a full
-    assignment that propagates consistently is a cocycle: propagation has
-    checked z(gs) = z(g) (g . z(s)) on every Cayley edge, and with
-    z(e) = 1 and an action by automorphisms that gives
-    z(gh) = z(g) (g . z(h)) on all pairs, by induction on the length of h
-    as a word in the generators.  Each class is twisted once, for its
-    key and its members, and every returned cocycle carries its key.
+    order.  A prefix of k values carries z over span(s_0, ..., s_(k-1)),
+    and a candidate value x for s_k extends it by the Cayley edges of
+    level k (FiniteGroup.cayley_levels) alone: the edges of the earlier
+    levels were checked when the prefix was.  A candidate survives if every
+    closing edge of its level agrees, as every restriction of a cocycle
+    does.  Across the levels each edge g -> gs of the Cayley graph of S
+    over G is checked exactly once, so a full assignment that survives has
+    z(gs) = z(g) (g . z(s)) on every Cayley edge, and with z(e) = 1 and an
+    action by automorphisms that gives z(gh) = z(g) (g . z(h)) on all
+    pairs, by induction on the length of h as a word in the generators.
+    Each class is twisted once, for its key and its members, and every
+    returned cocycle carries its key.
     """
     G = coeff.cover
     A = coeff.A
     check_budget(len(G), len(A), budget_gamma, budget_coeff)
-    gens = G.generators
+    levels = G.cayley_levels
     cocycles = []
-    # the values of the empty prefix are used only when G is trivial
-    stack = [((), [A.e] * len(G))]
+    # the empty prefix knows z(e) = 1 only, all of z when G is trivial
+    start = [None] * len(G)
+    start[G.e] = A.e
+    stack = [((), start)]
     while stack:
-        prefix, pos = stack.pop()
-        if len(prefix) == len(gens):
-            cocycles.append(Cocycle(coeff, pos=pos))
+        prefix, vals = stack.pop()
+        if len(prefix) == len(levels):
+            cocycles.append(Cocycle(coeff, pos=vals))
             continue
+        edges = levels[len(prefix)]
         for x in reversed(range(len(A))):      # x = 0 is popped first
             longer = prefix + (x,)
-            pos = _propagate(coeff, gens, longer)
+            pos = _propagate(coeff, edges, longer, vals)
             if pos is not None:
                 stack.append((longer, pos))
     keys = {}
@@ -391,28 +432,21 @@ def h1_enumerate(coeff: CoefficientGroup,
     return reps, cocycles
 
 
-def _propagate(coeff, gens, assignment):
-    """Positions z(g) over the subgroup spanned by the first
-    len(assignment) generators, from their values (None elsewhere), or
-    None when the Cayley graph gives a vertex two values."""
-    G = coeff.cover
-    A = coeff.A
-    vals = [None] * len(G)
-    vals[G.e] = A.e
-    frontier = [G.e]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            row, zg, pg = G.rows[g], A.rows[vals[g]], coeff.perm[g]
-            for s, x in zip(gens, assignment):
-                gs = row[s]
-                v = zg[pg[x]]
-                if vals[gs] is None:
-                    vals[gs] = v
-                    nxt.append(gs)
-                elif vals[gs] != v:
-                    return None
-        frontier = nxt
+def _propagate(coeff, edges, assignment, parent):
+    """The positions of z over the span of the first len(assignment)
+    generators (None elsewhere): parent, z over the span of one fewer,
+    copied and extended by edges, the level of the last generator.  A
+    first edge g -> g s_j sets z(g s_j) = z(g) (g . z(s_j)) and a closing
+    edge checks it; None at the first closing edge that disagrees."""
+    vals = parent[:]
+    rows = coeff.A.rows
+    perm = coeff.perm
+    for g, j, gs, first in edges:
+        v = rows[vals[g]][perm[g][assignment[j]]]
+        if first:
+            vals[gs] = v
+        elif vals[gs] != v:
+            return None
     return vals
 
 

@@ -575,10 +575,16 @@ def graded_from_spec(spec: MultiloopSpec, cartan_rows) -> GradedLieAlgebra:
     try:
         refined.relative_grading
     except RootSystemError as e:
-        lines = spec.cartan_lines
-        where = "spec line%s %s: " % ("s" if len(lines) > 1 else "",
-                                      ", ".join(map(str, lines))) \
-            if lines else ""
-        raise SpecError("%sthe cartan rows give no relative root system: %s"
-                        % (where, e)) from None
+        raise no_root_system(spec, e) from None
     return refined
+
+
+def no_root_system(spec: MultiloopSpec, err: RootSystemError) -> SpecError:
+    """The SpecError for cartan rows whose weights form no relative root
+    system, naming the spec's cartan lines and the RootSystemError."""
+    lines = spec.cartan_lines
+    where = "spec line%s %s: " % ("s" if len(lines) > 1 else "",
+                                  ", ".join(map(str, lines))) \
+        if lines else ""
+    return SpecError("%sthe cartan rows give no relative root system: %s"
+                     % (where, err))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .chevalley import ad_rows, sparse_bracket
 from .grading import GradedLieAlgebra
-from .rootsys import proportionality
+from .rootsys import RootSystemError, proportionality
 
 
 @dataclass
@@ -99,12 +99,14 @@ def check_LT3(g: GradedLieAlgebra) -> tuple:
 
 def pairing_from_strings(beta, alpha, root_set):
     """<beta, alpha^vee> from the alpha-string through beta inside the given
-    root set, with the proportional cases handled directly."""
+    root set, with the proportional cases handled directly; a
+    RootSystemError when a proportional pair gives no integer."""
     c = proportionality(beta, alpha)
     if c is not None:
         val = 2 * c
         if val.denominator != 1:
-            raise ValueError("non-integral pairing for %s, %s" % (beta, alpha))
+            raise RootSystemError("non-integral pairing for %s, %s"
+                                  % (beta, alpha))
         return int(val)
     r = 0
     cur = tuple(b - a for b, a in zip(beta, alpha))

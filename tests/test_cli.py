@@ -295,6 +295,18 @@ def test_malformed_spec_is_a_usage_error(capsys, tmp_path, lines, message):
     assert str(info.value) == message
 
 
+def test_lietorus_non_integral_pairing_is_a_usage_error(capsys, tmp_path):
+    # the weights pass the height check but pair to 8/5 in LT4
+    path = tmp_path / "spec.ml"
+    path.write_text("multiloop type=A rank=2 n=1 m=1\nsigma identity\n"
+                    "cartan h 1 3\n")
+    code, out, err = run(capsys, "lietorus", str(path))
+    assert code == 1 and out == ""
+    assert err == ("usage error: spec line 3: the cartan rows give no "
+                   "relative root system: non-integral pairing for (-4,), "
+                   "(-5,)\n")
+
+
 def test_flag_overrides_environment(capsys, monkeypatch):
     monkeypatch.setenv("MULTILOOP_PRECISION", "abc")
     monkeypatch.setenv("MULTILOOP_CONDUCTOR", "3")

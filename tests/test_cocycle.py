@@ -377,7 +377,7 @@ def _oracle_propagate(coeff, gens, assignment):
                 elif vals[gs] != v:
                     return None
         frontier = nxt
-    return vals if len(vals) == len(G.elements) else None
+    return vals
 
 
 def _oracle_h1(coeff):
@@ -388,7 +388,8 @@ def _oracle_h1(coeff):
     cocycles = []
     for assignment in itertools.product(A.elements, repeat=len(gens)):
         vals = _oracle_propagate(coeff, gens, assignment)
-        if vals is not None and _oracle_is_cocycle(coeff, vals)[0]:
+        if vals is not None and len(vals) == len(G.elements) and \
+                _oracle_is_cocycle(coeff, vals)[0]:
             cocycles.append(vals)
     classes = {}
     for vals in cocycles:
@@ -453,6 +454,61 @@ def test_h1_enumerate_matches_label_oracle(name, coeff):
     assert [z.values for z in reps] == want_reps
     if name == "order 48 on S3":
         assert len(coeff.cover) == 48 and len(reps) > 1
+
+
+def _span(G, gens):
+    span = new = {G.e}
+    while new:
+        new = {G.rows[a][s] for a in new for s in gens} - span
+        span |= new
+    return span
+
+
+@pytest.mark.parametrize("G", [pytest.param(coeff.cover, id=name)
+                               for name, _, coeff in _CONFIGS]
+                         + [pytest.param(trivial_group(), id="trivial")])
+def test_cayley_levels_schedule_each_edge_once(G):
+    # the proof obligation of h1_enumerate: each edge (g, s), s in S, in
+    # exactly one level, and each edge read when its start is known
+    S = G.generators
+    assert [G.elements[s] for s in S] == _oracle_generators(G)
+    levels = G.cayley_levels
+    assert len(levels) == len(S)
+    scheduled = [(g, S[j]) for level in levels for g, j, _, _ in level]
+    assert len(scheduled) == len(G) * len(S)
+    assert sorted(scheduled) == sorted(itertools.product(range(len(G)), S))
+    known = {G.e}
+    for k, level in enumerate(levels):
+        for g, j, gs, first in level:
+            assert j <= k and gs == G.rows[g][S[j]] and g in known
+            assert first == (gs not in known)
+            known.add(gs)
+        assert known == _span(G, S[:k + 1])
+    assert len(known) == len(G)
+
+
+@pytest.mark.parametrize("name, coeff", ORACLE_CONFIGS)
+def test_propagate_runs_once_per_candidate(name, coeff, monkeypatch):
+    # one _propagate call for each value x of s_k after each prefix that
+    # propagates over the span of s_0, ..., s_(k-1): what the benchmark's
+    # cocycle.propagate span and useful_ratio count
+    calls = []
+    propagate = cocycle._propagate
+
+    def counting(coeff, edges, assignment, parent):
+        calls.append(assignment)
+        return propagate(coeff, edges, assignment, parent)
+    monkeypatch.setattr(cocycle, "_propagate", counting)
+    _, cocycles = h1_enumerate(coeff)
+    G, A = coeff.cover, coeff.A
+    gens = [G.elements[s] for s in G.generators]
+    want = [tuple(map(A.index.__getitem__, prefix)) + (x,)
+            for k in range(len(gens))
+            for prefix in itertools.product(A.elements, repeat=k)
+            if _oracle_propagate(coeff, gens[:k], prefix) is not None
+            for x in range(len(A))]
+    assert sorted(calls) == sorted(want)
+    assert len(calls) >= len(cocycles) > 0
 
 
 @pytest.mark.parametrize("name, coeff", ORACLE_CONFIGS)
@@ -704,6 +760,13 @@ def test_element_without_inverse():
     # multiplication mod 2: 1 is the identity and 0 has no inverse
     with pytest.raises(CocycleError, match=r"^M: no inverse for 0$"):
         FiniteGroup([0, 1], lambda a, b: a * b, "M")
+
+
+def test_element_with_only_a_one_sided_inverse():
+    rows = [[0, 1, 2, 3], [1, 1, 0, 2], [2, 3, 0, 1], [3, 1, 1, 2]]
+    with pytest.raises(CocycleError) as err:
+        FiniteGroup("eabc", name="M", verify=False, rows=rows)
+    assert str(err.value) == "M: no inverse for a"
 
 
 def test_magma_not_closed():

@@ -504,3 +504,28 @@ def test_traced_element_layers_fire_required_spans(capsys):
         return parent >= 0
     assert any(name == "linalg.mat_mul" and under_word(parent)
                for name, _, _, parent, _ in tracer.log)
+
+
+def test_traced_cocycle_layer_fires_required_spans(capsys):
+    """Every span a traced cocycle_levels run requires fires on a small
+    request of each action, so a refactor that inlines _propagate or skips
+    twist_cocycle fails here and not only in a traced benchmark run."""
+    tracing = _load_tracing()
+    with _fresh_library(sorted({t[1] for t in tracing.TARGETS})) as lib:
+        tracer = tracing.Tracer()
+        uninstall = tracing.install(tracer, lib)
+        tracer.active = True
+        try:
+            for argv in (["enumerate", "--n", "1", "--coeff", "Z2"],
+                         ["infres", "--n", "1", "--coeff", "Z3"],
+                         ["diagonal", "--n", "1", "--coeff", "Z2",
+                          "--discrepancy", "2"]):
+                assert lib.cli.main(["--conductor", "2", "cocycle"]
+                                    + argv) == 0
+        finally:
+            tracer.active = False
+            uninstall()
+    capsys.readouterr()
+    required = tracing.REQUIRED["cocycle_levels"]
+    assert "cocycle.propagate" in required
+    assert [n for n in required if not tracer.calls[n]] == []
