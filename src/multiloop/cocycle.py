@@ -24,10 +24,18 @@ A cover's table is position arithmetic: (t, g) sits at index(t) * |Gamma0|
 + pos(g), with index(t) the base-m reading of t, first coordinate most
 significant, and (t1, g1)(t2, g2) = (t1 + u(g1) t2, g1 g2) is read off an
 addition table of (Z/m)^n, one scaling table per unit u and Gamma0's table.
-The labels (t, g) serve display and serialization.  The quotient of a
-DiagonalSetup is cut from its cover's checked table as the M = 0 copy: its
-closure is checked, and it inherits associativity, its product being the
-ambient one.  Cocycles restrict to it by ``restrict_to_quotient``.
+The labels (t, g) serve display and serialization.  Each cover is built and
+proved once per process: ``cover_group`` keeps one proved group per key,
+keyed by value (n, m, Gamma0's name, elements and table, and the units
+reduced mod m), checks the units on every call, and stores no group that
+fails a check.  Its generators and Cayley levels are cached on it, so
+they too are computed once per key.  Budgets are checked on orders before
+any lookup.
+
+The quotient of a DiagonalSetup is cut from its cover's checked table as
+the M = 0 copy: its closure is checked, and it inherits associativity, its
+product being the ambient one.  It is built for each setup, not kept.
+Cocycles restrict to it by ``restrict_to_quotient``.
 
 Cohomology classes are compared by one key, ``Cocycle.key``.  A class
 is restricted to M only where M acts trivially, which ``trivial_on_m``
@@ -231,11 +239,30 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
                        "%sx%s" % (G.name, H.name))
 
 
+# the proved covers of this process, by the value of their key
+_COVERS = {}
+
+
 def cover_group(n: int, m: int, gamma0: FiniteGroup, units) -> FiniteGroup:
     """(Z/m)^n semidirect gamma0, with gamma0 acting coordinatewise through
-    the unit units[gamma] of Z/m, its table built by position arithmetic."""
+    the unit units[gamma] of Z/m (1 where none is given), its table built by
+    position arithmetic.
+
+    The units are checked on every call: each key must be an element of
+    gamma0, each unit invertible mod m, and the action a homomorphism.
+    One proved cover is kept per key for the life of the process and
+    returned to every later call with an equal key.  The key is a value,
+    not an object: n, m, gamma0's name, elements and rows, and the units
+    reduced mod m, so two fresh copies of one gamma0 share an entry, as do
+    the units m - 1 and -1.  A cover that fails a check is never stored.
+    Budgets are checked on orders alone, by the callers and h1_enumerate,
+    before any lookup."""
     given = dict(units)
-    unit = [given.get(g, 1) % m for g in gamma0.elements]
+    for g in given:
+        if g not in gamma0.index:
+            raise CocycleError("action unit key %r is no element of %s"
+                               % (g, gamma0.name))
+    unit = tuple(given.get(g, 1) % m for g in gamma0.elements)
     if m > 1:
         for u in unit:
             if gcd(u, m) != 1:
@@ -245,6 +272,10 @@ def cover_group(n: int, m: int, gamma0: FiniteGroup, units) -> FiniteGroup:
                for a, row in enumerate(gamma0.rows)
                for b, ab in enumerate(row)):
             raise CocycleError("unit action is not a homomorphism")
+    key = (n, m, gamma0.name, tuple(gamma0.elements),
+           tuple(map(tuple, gamma0.rows)), unit)
+    if key in _COVERS:
+        return _COVERS[key]
     # add[i][j] = index(t_i + t_j), scale[u][j] = index(u t_j), grown one
     # least significant coordinate at a time
     shift = [[(a + b) % m for b in range(m)] for a in range(m)]
@@ -259,8 +290,9 @@ def cover_group(n: int, m: int, gamma0: FiniteGroup, units) -> FiniteGroup:
             for add_t in add for g, grow in enumerate(gamma0.rows)]
     elems = [(t, g) for t in itertools.product(range(m), repeat=n)
              for g in gamma0.elements]
-    return FiniteGroup(elems, name="(Z/%d)^%d:%s" % (m, n, gamma0.name),
-                       rows=rows)
+    cover = _COVERS[key] = FiniteGroup(
+        elems, name="(Z/%d)^%d:%s" % (m, n, gamma0.name), rows=rows)
+    return cover
 
 
 class CoefficientGroup:
@@ -457,7 +489,8 @@ class DiagonalSetup:
     """Cover (Z/m)^(n+1) : Gamma0 whose last translation coordinate is the
     distinguished copy M; the quotient drops that coordinate.
 
-    Only the cover is built; the quotient is its M = 0 copy, restricted.
+    Only the cover is built, by cover_group, which builds each key once
+    per process; the quotient is its M = 0 copy, restricted, each time.
     Position (i * m + j) * |Gamma0| + g is translation index i * m + j (j
     in M) with Galois position g; ``sub[q]`` is the cover position of the
     quotient position q, ``proj[x]`` the reverse, ``m_pos`` those of M.

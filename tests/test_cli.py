@@ -475,10 +475,15 @@ GOLDEN_COCYCLE = [
 @pytest.mark.parametrize("argv, expected", GOLDEN_COCYCLE,
                          ids=["enumerate", "infres", "galois-inverts",
                               "discrepancy-2", "discrepancy-4", "S3"])
-def test_cocycle_golden_stdout(capsys, argv, expected):
-    code, out, err = run(capsys, *argv.split())
-    assert code == 0 and out == expected
-    assert err.startswith("elapsed ")
+def test_cocycle_golden_stdout(capsys, monkeypatch, argv, expected):
+    # cold, on an empty cover cache, then warm: the second run reuses the
+    # cached covers and must print the same bytes
+    monkeypatch.setattr(cocycle, "_COVERS", {})
+    for _ in range(2):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and out == expected
+        assert err.startswith("elapsed ")
+    assert cocycle._COVERS
 
 
 # Specs beyond the fixtures whose reports are pinned: the outer form 2E6,
@@ -595,6 +600,16 @@ def test_over_budget_requests_build_nothing(capsys, monkeypatch, argv,
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err == "exhausted: %s\n" % message
+
+
+def test_cached_cover_does_not_bypass_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cocycle, "_COVERS", {})
+    big = cocycle.cover_group(3, 4, cocycle.cyclic_group(2), {})
+    assert len(big) == 128
+    code, out, err = run(capsys, "--conductor", "4", "cocycle", "enumerate",
+                         "--n", "3", "--gamma0", "Z2")
+    assert code == 3 and out == ""
+    assert err == "exhausted: cover group order 128 exceeds budget 96\n"
 
 
 def test_cocycle_group_orders_match_their_groups():

@@ -83,9 +83,71 @@ def test_cover_group_order():
     assert len(cov.elements) == 4
 
 
-def test_cover_group_bad_units():
-    with pytest.raises(CocycleError):
-        cover_group(1, 4, cyclic_group(2), {0: 1, 1: 2})  # 2 not a unit mod 4
+@pytest.fixture
+def covers(monkeypatch):
+    """An empty cover cache for the test; the process's is put back."""
+    monkeypatch.setattr(cocycle, "_COVERS", {})
+    return cocycle._COVERS
+
+
+def test_cover_group_bad_units(covers):
+    # checked on every call, also after a good cover of the same n, m and
+    # gamma0 is cached, and a failing input is never stored; a key outside
+    # gamma0 once built the direct product silently
+    for m, units, message in [
+            (4, {0: 1, 1: 2}, "action unit 2 is not invertible mod 4"),
+            (5, {1: 2}, "unit action is not a homomorphism"),
+            (5, {0: 4, 1: 4}, "unit action is not a homomorphism"),
+            (3, {5: 2}, "action unit key 5 is no element of Z/2")]:
+        covers.clear()
+        good = cover_group(1, m, cyclic_group(2), {})
+        for _ in range(2):
+            with pytest.raises(CocycleError, match="^%s$" % message):
+                cover_group(1, m, cyclic_group(2), units)
+        assert list(covers.values()) == [good]
+
+
+def test_cover_group_is_built_once_per_key(covers, monkeypatch):
+    # two fresh copies of Z/2, and the units m - 1 and -1 and an explicit
+    # 1 at the identity, all give one key; the (n + 1)-cover of a
+    # DiagonalSetup is looked up the same way
+    z2, z2_again = cyclic_group(2), cyclic_group(2)
+    s3, s3_again = symmetric_group_3(), symmetric_group_3()
+    proved = []
+    verify = FiniteGroup._verify_associativity
+
+    def counting(self):
+        proved.append(self.name)
+        return verify(self)
+    monkeypatch.setattr(FiniteGroup, "_verify_associativity", counting)
+    first = cover_group(1, 3, z2, {1: 2})
+    assert cover_group(1, 3, z2_again, {1: -1}) is first
+    assert cover_group(1, 3, z2, {0: 1, 1: 2}) is first
+    assert cover_group(1, 3, z2_again, {0: 4, 1: 5}) is first
+    assert DiagonalSetup(0, 3, z2_again, {1: -1}).cover is first
+    assert cover_group(2, 2, s3, {}) is cover_group(2, 2, s3, {})
+    assert DiagonalSetup(1, 2, s3_again, {}).cover is \
+        cover_group(2, 2, s3, {})
+    assert proved == ["(Z/3)^1:Z/2", "(Z/2)^2:S3"]
+    assert len(covers) == 2
+
+
+def test_cover_group_keys_differ_by_value(covers):
+    # identity at position 1: the same labels and name as Z/2, another table
+    z2_swapped = FiniteGroup([0, 1], name="Z/2", rows=[[1, 0], [0, 1]])
+    built = [cover_group(1, 3, cyclic_group(2), {}),
+             cover_group(2, 3, cyclic_group(2), {}),
+             cover_group(1, 5, cyclic_group(2), {}),
+             cover_group(1, 3, z2_swapped, {}),
+             cover_group(1, 3, cyclic_group(2, "C2"), {}),
+             cover_group(1, 3, cyclic_group(2), {1: 2})]
+    assert len({id(g) for g in built}) == len(built) == len(covers)
+    assert [g.name for g in built] == [
+        "(Z/3)^1:Z/2", "(Z/3)^2:Z/2", "(Z/5)^1:Z/2", "(Z/3)^1:Z/2",
+        "(Z/3)^1:C2", "(Z/3)^1:Z/2"]
+    assert built[3].e == 1 and built[0].e == 0
+    assert built[5].mul(((0,), 1), ((1,), 0)) == ((2,), 1)
+    assert built[0].mul(((0,), 1), ((1,), 0)) == ((1,), 1)
 
 
 def test_coefficient_action_verified():
