@@ -30,7 +30,8 @@ from .cocycle import (trivial_group, cyclic_group, symmetric_group_3,
                       direct_product, cover_group, trivial_action,
                       galois_action, h1_enumerate, DiagonalSetup,
                       inf_res_sequence, diagonal_argument, trivial_cocycle,
-                      Cocycle, check_budget, BudgetExceeded, CocycleError)
+                      Cocycle, check_budget, BudgetExceeded, CocycleError,
+                      DEFAULT_BUDGET_GAMMA, DEFAULT_BUDGET_COEFF)
 from .scalars import QQ, DomainSeries, DomainLaurent
 
 
@@ -49,24 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class SessionConfig:
-    precision: int = 8
-    seed: int = 0
-    conductor: int = 2
-    budget_gamma: int = 96
-    budget_coeff: int = 24
-    fmt: str = "text"
-
-    def validate(self):
-        if self.precision < 2:
-            raise UsageError("precision must be at least 2")
-        for name in ("conductor", "budget_gamma", "budget_coeff"):
-            if getattr(self, name) < 1:
-                raise UsageError("%s must be at least 1"
-                                 % name.replace("_", "-"))
-
-
+# name -> (default, least value) of each global integer setting: the flag
+# --<name> (underscores as dashes), else the variable MULTILOOP_<NAME>, else
+# the default; every report prints one config line per setting
+SETTINGS = {"precision": (8, 2), "seed": (0, None), "conductor": (2, 1),
+            "budget_gamma": (DEFAULT_BUDGET_GAMMA, 1),
+            "budget_coeff": (DEFAULT_BUDGET_COEFF, 1)}
 FORMATS = ("text", "machine")
 # name -> (order, constructor) of the groups `cocycle --gamma0` and
 # `--coeff` accept; the order lets a budget be checked before any building
@@ -84,38 +73,36 @@ COEFF_GROUPS = {"Z2": (2, lambda: cyclic_group(2)),
 # the Chevalley build grows about as dim^3; a one-letter word on E6 (78)
 # is factored in about 0.3 s, and `depth E 8` (248) takes about 3 s
 WORD_DIM_BUDGET = 78
-# SessionConfig field -> the environment variable read when its global flag
-# is not given; without either, the field keeps its default
-ENV_VARS = {"precision": "MULTILOOP_PRECISION", "seed": "MULTILOOP_SEED",
-            "conductor": "MULTILOOP_CONDUCTOR",
-            "budget_gamma": "MULTILOOP_BUDGET_GAMMA",
-            "budget_coeff": "MULTILOOP_BUDGET_COEFF",
-            "fmt": "MULTILOOP_FORMAT"}
 
 
-def session_config(args) -> SessionConfig:
-    cfg = SessionConfig()
-    for name, var in ENV_VARS.items():
-        value = getattr(args, name)
-        if value is None and var in os.environ:
-            value = _env_value(var, os.environ[var], getattr(cfg, name))
-        if value is not None:
-            setattr(cfg, name, value)
-    cfg.validate()
-    return cfg
+def resolve_settings(args):
+    """Each setting of SETTINGS, and the format, that ``args`` leaves None
+    is read from its variable, else set to its default; then the lower
+    bounds are checked.  Every variable is read, the format last, before
+    any bound is checked, so one error wins whatever else is wrong."""
+    for name, (default, _) in SETTINGS.items():
+        var = "MULTILOOP_" + name.upper()
+        if getattr(args, name) is None:
+            try:
+                setattr(args, name, int(os.environ.get(var, default)))
+            except ValueError:
+                raise UsageError("%s=%r is not an integer"
+                                 % (var, os.environ[var])) from None
+    if args.fmt is None:
+        args.fmt = os.environ.get("MULTILOOP_FORMAT", "text")
+        if args.fmt not in FORMATS:
+            raise UsageError("MULTILOOP_FORMAT=%r is not one of %s"
+                             % (args.fmt, ", ".join(FORMATS)))
+    _check_least(args, {name: least for name, (_, least) in SETTINGS.items()})
 
 
-def _env_value(var, text, default):
-    """``text`` read as the type of ``default``."""
-    if isinstance(default, str):
-        if text not in FORMATS:
-            raise UsageError("%s=%r is not one of %s"
-                             % (var, text, ", ".join(FORMATS)))
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError("%s=%r is not an integer" % (var, text)) from None
+def _check_least(args, bounds, dashes=""):
+    """A usage error for the first option of ``bounds``, name -> least
+    value (None for no bound), that ``args`` holds below its bound."""
+    for name, least in bounds.items():
+        if least is not None and getattr(args, name) < least:
+            raise UsageError("%s%s must be at least %d"
+                             % (dashes, name.replace("_", "-"), least))
 
 
 @dataclass
@@ -146,13 +133,10 @@ class ReportBundle:
 def build_parser():
     """The one parser of every request, built on first use."""
     p = _Parser(prog="multiloop", description=__doc__)
-    # global flags default to None: session_config resolves them per call
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--conductor", type=int, default=None)
-    p.add_argument("--budget-gamma", type=int, default=None)
-    p.add_argument("--budget-coeff", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
+    # global flags default to None: resolve_settings fills them per call
+    for name in SETTINGS:
+        p.add_argument("--" + name.replace("_", "-"), type=int)
+    p.add_argument("--format", dest="fmt", choices=FORMATS)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("algebra")
@@ -230,12 +214,12 @@ def parse_word_file(text: str):
     return rg, R, word, (alg[0], int(alg[1]), ground)
 
 
-def cmd_factor(cfg, args):
+def cmd_factor(args):
     text = _read(args.wordfile)
     rg, R, word, meta = parse_word_file(text)
     if args.verify:
-        return _factor_verify(cfg, args, rg, R, word, meta)
-    g1, g2, cert = factor_loop_series(rg, R, word, cfg.precision)
+        return _factor_verify(args, rg, R, word, meta)
+    g1, g2, cert = factor_loop_series(rg, R, word, args.precision)
     results = {
         "algebra": "%s%d over %s" % meta,
         "input": word_show(rg, R, word),
@@ -247,7 +231,7 @@ def cmd_factor(cfg, args):
     return results, EXIT_OK
 
 
-def _factor_verify(cfg, args, rg, R, word, meta):
+def _factor_verify(args, rg, R, word, meta):
     """Recompute the residual from a serialized factorization report."""
     report = _read(args.verify).splitlines()
     # each block is blank off its own lines, so that a parse error names
@@ -273,38 +257,39 @@ def _factor_verify(cfg, args, rg, R, word, meta):
     # with no such coefficient is replayed on every column, where a horizon
     # below it only leaves the replay short of precision
     letters = residual_word(word, g1, g2)
-    achieved, where = word_residual(rg, R, letters, cfg.precision,
+    achieved, where = word_residual(rg, R, letters, args.precision,
                                     rg.algebra.generating_columns)
-    if where is None and achieved is not None and achieved < cfg.precision:
-        achieved, where = word_residual(rg, R, letters, cfg.precision)
+    if where is None and achieved is not None and achieved < args.precision:
+        achieved, where = word_residual(rg, R, letters, args.precision)
     ok = where is None
-    if ok and achieved is not None and achieved < cfg.precision:
+    if ok and achieved is not None and achieved < args.precision:
         raise PrecisionExhausted(
             "replay certified only modulo t^%d < t^%d"
-            % (achieved, cfg.precision), achieved)
+            % (achieved, args.precision), achieved)
     results = {"replay": "residual congruent to identity mod t^%d: %s"
-               % (cfg.precision, ok), "verdict": "pass" if ok else "fail"}
+               % (args.precision, ok), "verdict": "pass" if ok else "fail"}
     return results, EXIT_OK if ok else EXIT_MATH
 
 
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def cmd_algebra(cfg, args):
+def cmd_algebra(args):
     alg = build_chevalley_by_type(args.type, args.rank)
     return {"algebra": alg.serialize(), "dimension": alg.dim}, EXIT_OK
 
 
-def cmd_grading(cfg, args):
-    g = graded_from_spec(*parse_spec_file(_read(args.specfile), cfg.conductor))
+def cmd_grading(args):
+    g = graded_from_spec(*parse_spec_file(_read(args.specfile),
+                                          args.conductor))
     dims = g.dims_by_lam()
     table = "\n".join("(%s): %d" % (",".join(map(str, k)), v)
                       for k, v in sorted(dims.items()))
     return {"dimension-table": table, "graded": g.serialize()}, EXIT_OK
 
 
-def cmd_lietorus(cfg, args):
-    spec, cartan_rows = parse_spec_file(_read(args.specfile), cfg.conductor)
+def cmd_lietorus(args):
+    spec, cartan_rows = parse_spec_file(_read(args.specfile), args.conductor)
     g = graded_from_spec(spec, cartan_rows)
     try:
         rep = lie_torus_check(g)
@@ -315,14 +300,15 @@ def cmd_lietorus(cfg, args):
             EXIT_OK if rep.overall else EXIT_MATH)
 
 
-def cmd_depth(cfg, args):
+def cmd_depth(args):
+    _check_least(args, {"target_precision": 1, "samples": 1}, "--")
     alg = build_chevalley_by_type(args.type, args.rank)
     rg = relative_roots(from_chevalley(alg))
     R = DomainSeries(QQ)
     M = args.target_precision
     n_exp = args.loop_degree
     N = depth_bound(rg, M, n_exp)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     g = rg.algebra
     roots = rg.roots
     alpha = rg.data.simple[0]
@@ -340,16 +326,13 @@ def cmd_depth(cfg, args):
             EXIT_OK if ok else EXIT_MATH)
 
 
-def _cocycle_setup(cfg, args):
+def _cocycle_setup(args):
     """Usage checks, then the budget of every cover the request needs, all
     before any group is built."""
-    if args.n < 0:
-        raise UsageError("--n must be at least 0")
-    if args.discrepancy < 0:
-        raise UsageError("--discrepancy must be at least 0")
+    _check_least(args, {"n": 0, "discrepancy": 0}, "--")
     if args.discrepancy and args.action != "diagonal":
         raise UsageError("--discrepancy applies to 'cocycle diagonal' only")
-    m = cfg.conductor
+    m = args.conductor
     units = {}
     if args.galois_inverts:
         if args.gamma0 != "Z2":
@@ -360,24 +343,24 @@ def _cocycle_setup(cfg, args):
     # the covers (Z/m)^(n+k) : Gamma0 the action works on, in the order the
     # library checks them: infres enumerates the quotient first
     for k in {"enumerate": (0,), "infres": (0, 1)}.get(args.action, (1,)):
-        check_budget(order0 * m ** (args.n + k), order_a, cfg.budget_gamma,
-                     cfg.budget_coeff)
+        check_budget(order0 * m ** (args.n + k), order_a, args.budget_gamma,
+                     args.budget_coeff)
     return make0(), make_a(), m, units
 
 
-def cmd_cocycle(cfg, args):
-    gamma0, A, m, units = _cocycle_setup(cfg, args)
+def cmd_cocycle(args):
+    gamma0, A, m, units = _cocycle_setup(args)
     if args.action == "enumerate":
         cov = cover_group(args.n, m, gamma0, units)
         coeff = _action_for(cov, A, gamma0, args)
-        reps, all_c = h1_enumerate(coeff, cfg.budget_gamma, cfg.budget_coeff)
+        reps, all_c = h1_enumerate(coeff, args.budget_gamma, args.budget_coeff)
         return {"classes": len(reps), "cocycles": len(all_c),
                 "verdict": "pass"}, EXIT_OK
     setup = DiagonalSetup(args.n, m, gamma0, units)
     coeff = _action_for(setup.cover, A, gamma0, args)
     if args.action == "infres":
-        rep = inf_res_sequence(setup, coeff, cfg.budget_gamma,
-                               cfg.budget_coeff)
+        rep = inf_res_sequence(setup, coeff, args.budget_gamma,
+                               args.budget_coeff)
         exact = rep.pop("exact")
         return (dict(rep, verdict="pass" if exact else "fail"),
                 EXIT_OK if exact else EXIT_MATH)
@@ -439,8 +422,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = session_config(args)
-        results, code = DISPATCH[args.cmd](cfg, args)
+        resolve_settings(args)
+        results, code = DISPATCH[args.cmd](args)
     except (UsageError, SpecError, WordSyntaxError) as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
@@ -455,11 +438,9 @@ def main(argv=None):
         return EXIT_MATH
     bundle = ReportBundle(
         command=" ".join(argv),
-        config={"precision": cfg.precision, "seed": cfg.seed,
-                "conductor": cfg.conductor, "budget_gamma": cfg.budget_gamma,
-                "budget_coeff": cfg.budget_coeff},
+        config={name: getattr(args, name) for name in SETTINGS},
         results=results)
-    print(bundle.render(cfg.fmt))
+    print(bundle.render(args.fmt))
     print("elapsed %.3fs" % (time.monotonic() - t0), file=sys.stderr)
     return code
 

@@ -32,10 +32,10 @@ fails a check.  Its generators and Cayley levels are cached on it, so
 they too are computed once per key.  Budgets are checked on orders before
 any lookup.
 
-The quotient of a DiagonalSetup is cut from its cover's checked table as
-the M = 0 copy: its closure is checked, and it inherits associativity, its
-product being the ambient one.  It is built for each setup, not kept.
-Cocycles restrict to it by ``restrict_to_quotient``.
+The quotient of a DiagonalSetup is the n-cover, which ``cover_group``
+keeps like any other, so it is proved once per key with its Cayley
+levels.  It is the M = 0 copy of the (n + 1)-cover, and cocycles restrict
+to it by ``restrict_to_quotient``.
 
 Cohomology classes are compared by one key, ``Cocycle.key``.  A class
 is restricted to M only where M acts trivially, which ``trivial_on_m``
@@ -147,14 +147,6 @@ class FiniteGroup:
                     el = self.elements
                     raise CocycleError("%s: associativity fails at %s,%s,%s"
                                        % (self.name, el[a], el[b], el[c]))
-
-    def restrict(self, positions, elements, name="sub"):
-        """The subgroup on ``positions``, labelled by ``elements``; closure
-        is checked and associativity inherited."""
-        back = {p: i for i, p in enumerate(positions)}
-        rows = [list(map(back.get, map(self.rows[p].__getitem__, positions)))
-                for p in positions]
-        return FiniteGroup(elements, name=name, verify=False, rows=rows)
 
     def mul(self, a, b):
         return self.elements[self.rows[self.index[a]][self.index[b]]]
@@ -487,30 +479,23 @@ def _propagate(coeff, edges, assignment, parent):
 
 class DiagonalSetup:
     """Cover (Z/m)^(n+1) : Gamma0 whose last translation coordinate is the
-    distinguished copy M; the quotient drops that coordinate.
-
-    Only the cover is built, by cover_group, which builds each key once
-    per process; the quotient is its M = 0 copy, restricted, each time.
+    distinguished copy M, and the quotient (Z/m)^n : Gamma0, both from
+    cover_group, which builds and proves each key once per process.
     Position (i * m + j) * |Gamma0| + g is translation index i * m + j (j
     in M) with Galois position g; ``sub[q]`` is the cover position of the
-    quotient position q, ``proj[x]`` the reverse, ``m_pos`` those of M.
+    quotient position q, in the M = 0 copy, ``proj[x]`` the reverse,
+    ``m_pos`` those of M.
     """
 
     def __init__(self, n: int, m: int, gamma0: FiniteGroup, units: dict):
         self.n, self.m, self.gamma0, self.units = n, m, gamma0, units
         self.cover = cover_group(n + 1, m, gamma0, units)
+        self.quotient = cover_group(n, m, gamma0, units)
         k = len(gamma0)
         self.sub = [q // k * m * k + q % k
                     for q in range(len(self.cover) // m)]
         self.proj = [x // (m * k) * k + x % k for x in range(len(self.cover))]
         self.m_pos = [j * k + gamma0.e for j in range(m)]
-        self.quotient = self.cover.restrict(
-            self.sub, [self.project(self.cover.elements[x]) for x in self.sub],
-            "(Z/%d)^%d:%s" % (m, n, gamma0.name))
-
-    def project(self, g):
-        t, k = g
-        return (t[:-1], k)
 
 
 def m_acts_trivially(setup: DiagonalSetup, coeff: CoefficientGroup) -> bool:

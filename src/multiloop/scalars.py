@@ -998,18 +998,21 @@ class DomainLaurent(_ExactDomain):
     show = staticmethod(lp_show)
 
     def parse(self, s):
+        """The inverse of ``show``; a variable other than x1, ..., x<nvars>,
+        one repeated in a term, or a repeated monomial is a ValueError."""
         s = s.strip()
         if s == "0":
             return self.zero()
+        names = ["x%d" % (i + 1) for i in range(self.nvars)]
         terms = {}
         for bit in s.split(" + "):
-            parts = bit.split("*")
-            c = self.ground.parse(parts[0])
-            expo = [0] * self.nvars
-            for p in parts[1:]:
-                var, e = p.split("^")
-                expo[int(var[1:]) - 1] = int(e)
-            terms[tuple(expo)] = c
+            c, *factors = bit.split("*")
+            powers = dict(p.split("^") for p in factors)
+            expo = tuple(int(powers.get(x, 0)) for x in names)
+            if len(powers) < len(factors) or not set(powers) <= set(names) \
+                    or expo in terms:
+                raise ValueError("bad term %r" % bit)
+            terms[expo] = self.ground.parse(c)
         return LaurentPoly(self.nvars, terms)
 
     def __eq__(self, other):

@@ -190,9 +190,35 @@ def test_budget_exhaustion_exit_code(capsys):
      "conductor must be at least 1"),
     ({"MULTILOOP_FORMAT": "xml"}, ["algebra", "build", "A", "1"],
      "MULTILOOP_FORMAT='xml' is not one of text, machine"),
+    ({}, ["--precision", "1", "algebra", "build", "A", "1"],
+     "precision must be at least 2"),
+    ({"MULTILOOP_SEED": "x"}, ["algebra", "build", "A", "1"],
+     "MULTILOOP_SEED='x' is not an integer"),
+    # every variable is read before any bound is checked, the format last
+    ({"MULTILOOP_FORMAT": "xml"}, ["--precision", "1", "algebra", "build",
+                                   "A", "1"],
+     "MULTILOOP_FORMAT='xml' is not one of text, machine"),
+    ({"MULTILOOP_SEED": "x", "MULTILOOP_PRECISION": "y",
+      "MULTILOOP_FORMAT": "xml"}, ["algebra", "build", "A", "1"],
+     "MULTILOOP_PRECISION='y' is not an integer"),
+    ({"MULTILOOP_BUDGET_COEFF": "0", "MULTILOOP_CONDUCTOR": "0"},
+     ["--precision", "1", "algebra", "build", "A", "1"],
+     "precision must be at least 2"),
+    ({"MULTILOOP_BUDGET_COEFF": "0", "MULTILOOP_CONDUCTOR": "0"},
+     ["algebra", "build", "A", "1"], "conductor must be at least 1"),
+    # a depth check over no samples, or to no precision, checks nothing
+    ({}, ["depth", "A", "2", "--samples", "-1"],
+     "--samples must be at least 1"),
+    ({}, ["depth", "A", "2", "--samples", "0"],
+     "--samples must be at least 1"),
+    ({}, ["depth", "A", "2", "--target-precision", "0", "--samples", "0"],
+     "--target-precision must be at least 1"),
 ], ids=["conductor-0", "conductor-neg", "budget-gamma-neg", "budget-coeff-0",
         "n-neg", "discrepancy-neg", "env-precision", "env-conductor",
-        "env-format"])
+        "env-format", "precision-1", "env-seed", "env-format-before-bound",
+        "env-precision-first", "precision-bound-first",
+        "conductor-bound-before-budget", "depth-samples-neg",
+        "depth-samples-0", "depth-target-precision-0"])
 def test_bad_settings_are_usage_errors(capsys, monkeypatch, env, argv,
                                        message):
     for var, value in env.items():
@@ -315,6 +341,35 @@ def test_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0
     config = json.loads(out)["config"]
     assert config["precision"] == 5 and config["conductor"] == 3
+
+
+# name -> (default, value of its MULTILOOP_ variable, value of its flag)
+_SETTING_VALUES = {"precision": (8, 11, 5), "seed": (0, 3, 7),
+                   "conductor": (2, 3, 5), "budget_gamma": (96, 50, 40),
+                   "budget_coeff": (24, 12, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(_SETTING_VALUES))
+def test_setting_resolves_flag_then_environment_then_default(
+        capsys, monkeypatch, name):
+    for other in _SETTING_VALUES:
+        monkeypatch.delenv("MULTILOOP_" + other.upper(), raising=False)
+    default, env_value, flag_value = _SETTING_VALUES[name]
+    flag = ["--" + name.replace("_", "-"), str(flag_value)]
+    argv = ["algebra", "build", "A", "1"]
+
+    def config_line(*extra):
+        code, out, _ = run(capsys, *extra, *argv)
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith("config ")]
+        assert [ln.split("=")[0] for ln in lines] == [
+            "config " + k for k in sorted(_SETTING_VALUES)]
+        return next(ln for ln in lines if ln.startswith("config %s=" % name))
+
+    assert config_line() == "config %s=%d" % (name, default)
+    monkeypatch.setenv("MULTILOOP_" + name.upper(), str(env_value))
+    assert config_line() == "config %s=%d" % (name, env_value)
+    assert config_line(*flag) == "config %s=%d" % (name, flag_value)
 
 
 def test_laurent_factor_multiplies_laurent_polynomials(capsys, monkeypatch):
@@ -635,6 +690,27 @@ def test_malformed_word_letter_is_a_usage_error(capsys, tmp_path, lines,
     code, out, err = run(capsys, "factor", path)
     assert code == 1 and out == ""
     assert err == "usage error: %s\n" % message
+
+
+@pytest.mark.parametrize("coeff", [
+    "1/1*x1^1 + 2/1*x1^1", "1/1*x1^1*x1^2", "1/1*y1^1", "1/1*x0^1",
+    "1/1*x2^1", "1/1*x01^1"], ids=["repeated-monomial", "repeated-variable",
+                                  "name-y1", "name-x0", "name-x2",
+                                  "name-x01"])
+def test_malformed_laurent_coefficient_is_a_usage_error(capsys, tmp_path,
+                                                        coeff):
+    # each was once read as another polynomial and factored, exit 0
+    letter = "X (1,1) [(0, inf, [%s])]" % coeff
+    path = tmp_path / "w.txt"
+    path.write_text("algebra A 2\nground laurent1\n"
+                    "word ring=series letters=1\n%s\n" % letter)
+    code, out, err = run(capsys, "factor", str(path))
+    assert code == 1 and out == ""
+    assert err == "usage error: word file line 4: bad letter %r\n" % letter
+    path.write_text(path.read_text().replace(coeff, "1/1*x1^1 + 2/1*x1^2"))
+    code, out, _ = run(capsys, "factor", str(path))
+    assert code == 0
+    assert "  X (1,1) [(0, inf, [1/1*x1^1 + 2/1*x1^2])]" in out.splitlines()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -109,8 +109,8 @@ def test_cover_group_bad_units(covers):
 
 def test_cover_group_is_built_once_per_key(covers, monkeypatch):
     # two fresh copies of Z/2, and the units m - 1 and -1 and an explicit
-    # 1 at the identity, all give one key; the (n + 1)-cover of a
-    # DiagonalSetup is looked up the same way
+    # 1 at the identity, all give one key; the (n + 1)-cover and the
+    # n-cover quotient of a DiagonalSetup are looked up the same way
     z2, z2_again = cyclic_group(2), cyclic_group(2)
     s3, s3_again = symmetric_group_3(), symmetric_group_3()
     proved = []
@@ -124,12 +124,18 @@ def test_cover_group_is_built_once_per_key(covers, monkeypatch):
     assert cover_group(1, 3, z2_again, {1: -1}) is first
     assert cover_group(1, 3, z2, {0: 1, 1: 2}) is first
     assert cover_group(1, 3, z2_again, {0: 4, 1: 5}) is first
-    assert DiagonalSetup(0, 3, z2_again, {1: -1}).cover is first
+    setup = DiagonalSetup(0, 3, z2_again, {1: -1})
+    assert setup.cover is first
+    assert setup.quotient is cover_group(0, 3, z2, {1: 2})
+    assert DiagonalSetup(0, 3, z2, {1: 2}).quotient is setup.quotient
     assert cover_group(2, 2, s3, {}) is cover_group(2, 2, s3, {})
-    assert DiagonalSetup(1, 2, s3_again, {}).cover is \
-        cover_group(2, 2, s3, {})
-    assert proved == ["(Z/3)^1:Z/2", "(Z/2)^2:S3"]
-    assert len(covers) == 2
+    setup = DiagonalSetup(1, 2, s3_again, {})
+    assert setup.cover is cover_group(2, 2, s3, {})
+    assert setup.quotient is cover_group(1, 2, s3, {})
+    assert DiagonalSetup(1, 2, s3, {}).quotient is setup.quotient
+    assert proved == ["(Z/3)^1:Z/2", "(Z/3)^0:Z/2", "(Z/2)^2:S3",
+                      "(Z/2)^1:S3"]
+    assert len(covers) == 4
 
 
 def test_cover_group_keys_differ_by_value(covers):
@@ -230,9 +236,11 @@ def test_budget_exceeded():
 def test_diagonal_setup_projection():
     setup = DiagonalSetup(1, 2, trivial_group(), {})
     assert len(setup.cover.elements) == 4
-    assert len(setup.quotient.elements) == 2
-    assert [setup.project(setup.cover.elements[x]) for x in setup.sub] == \
-        setup.quotient.elements
+    assert setup.quotient is cover_group(1, 2, trivial_group(), {})
+    assert [setup.cover.elements[x] for x in setup.sub] == \
+        [(t + (0,), g) for t, g in setup.quotient.elements]
+    assert [setup.quotient.elements[q] for q in setup.proj] == \
+        [(t[:-1], g) for t, g in setup.cover.elements]
     assert len(setup.m_pos) == 2
 
 
@@ -625,12 +633,15 @@ def test_class_key_decides_cohomology(name, coeff):
 
 
 def _restricted_to_m(setup, z):
-    """z as a cocycle on the subgroup M, with the induced action."""
+    """z as a cocycle on the subgroup M, with the induced action; M is
+    built from the cover's rows at the positions of M."""
     cover = z.coeff.cover
-    m_coeff = CoefficientGroup(
-        z.coeff.A, cover.restrict(setup.m_pos, [cover.elements[x]
-                                                for x in setup.m_pos]),
-        perm=[z.coeff.perm[x] for x in setup.m_pos])
+    back = {x: j for j, x in enumerate(setup.m_pos)}
+    M = FiniteGroup([cover.elements[x] for x in setup.m_pos], name="M",
+                    rows=[[back[cover.rows[x][y]] for y in setup.m_pos]
+                          for x in setup.m_pos])
+    m_coeff = CoefficientGroup(z.coeff.A, M,
+                               perm=[z.coeff.perm[x] for x in setup.m_pos])
     return Cocycle(m_coeff, pos=[z.pos[x] for x in setup.m_pos])
 
 
@@ -935,14 +946,15 @@ def test_cover_rows_match_label_oracle(n, m, gamma0, units):
 def test_diagonal_quotient_is_the_smaller_cover(n, m, gamma0, units):
     setup = DiagonalSetup(n, m, gamma0, units)
     small = cover_group(n, m, gamma0, units)
-    assert setup.quotient.elements == small.elements
-    assert setup.quotient.rows == small.rows
-    assert setup.quotient.name == small.name
+    assert setup.quotient is small
     cover = setup.cover
     assert [cover.elements[x] for x in setup.sub] == \
         [(t + (0,), k) for t, k in small.elements]
     assert [small.elements[q] for q in setup.proj] == \
-        [setup.project(g) for g in cover.elements]
+        [(t[:-1], k) for t, k in cover.elements]
+    # sub is a homomorphism onto the M = 0 copy of the (n + 1)-cover
+    assert [[cover.rows[x][y] for y in setup.sub] for x in setup.sub] == \
+        [[setup.sub[q] for q in row] for row in small.rows]
     for d in range(1, m + 1):
         assert [cover.elements[x] for x in power_positions(setup, d)] == \
             [(t[:-1] + (t[-1] * d % m,), k) for t, k in cover.elements]
@@ -1024,13 +1036,6 @@ def test_associativity_check_on_both_sides_of_256(k):
 def test_given_rows_must_be_a_closed_table(rows):
     with pytest.raises(CocycleError, match=r"^T is not closed under product$"):
         FiniteGroup([0, 1], name="T", rows=rows)
-
-
-def test_restriction_must_be_closed():
-    G = cyclic_group(4)
-    assert G.restrict([0, 2], [0, 2]).rows == [[0, 1], [1, 0]]
-    with pytest.raises(CocycleError, match="not closed"):
-        G.restrict([0, 1], [0, 1])
 
 
 def test_check_budget_group_before_coefficients():
