@@ -25,7 +25,7 @@ from .lietorus import lie_torus_check
 from .elemgroup import (factor_loop_series, residual_word, word_parse,
                         word_show, word_residual, depth_bound,
                         depth_conjugation_check, PrecisionExhausted,
-                        RankOneComponent, ElementError, WordSyntaxError)
+                        ElementError, WordSyntaxError)
 from .cocycle import (trivial_group, cyclic_group, symmetric_group_3,
                       direct_product, cover_group, trivial_action,
                       galois_action, h1_enumerate, DiagonalSetup,
@@ -69,9 +69,11 @@ COEFF_GROUPS = {"Z2": (2, lambda: cyclic_group(2)),
                 "Z2xZ2": (4, lambda: direct_product(cyclic_group(2),
                                                     cyclic_group(2))),
                 "S3": (6, symmetric_group_3)}
-# the largest algebra a word file may name, checked before it is built:
-# the Chevalley build grows about as dim^3; a one-letter word on E6 (78)
-# is factored in about 0.3 s, and `depth E 8` (248) takes about 3 s
+# the largest algebra a word file may name, checked before it is built.
+# Measured in one process on a 2-core Xeon VM: the Chevalley build takes
+# 0.02 s on E6 (78) and 0.24 s on E8 (248), growing about as dim^2; a
+# one-letter word on E6 is factored, build included, in 0.05 s, and
+# `depth E 8` takes 0.3-0.4 s
 WORD_DIM_BUDGET = 78
 
 
@@ -184,8 +186,12 @@ def parse_word_file(text: str):
     heads, body = {}, []
     for no, ln in enumerate(text.splitlines(), 1):
         s = ln.split("#", 1)[0].strip()
-        if s.split(" ", 1)[0] in ("algebra", "ground"):
-            heads[s.split()[0]], s = (no, s.split()[1:]), ""
+        key = s.split(" ", 1)[0]
+        if key in ("algebra", "ground"):
+            if key in heads:
+                raise UsageError("word file line %d: repeated %r header"
+                                 % (no, key))
+            heads[key], s = (no, s.split()[1:]), ""
         body.append(s)
     if len(heads) != 2:
         raise UsageError("word file needs 'algebra' and 'ground' headers")
@@ -433,7 +439,7 @@ def main(argv=None):
     except (PrecisionExhausted, BudgetExceeded) as e:
         print("exhausted: %s" % e, file=sys.stderr)
         return EXIT_BUDGET
-    except (ElementError, CocycleError, RankOneComponent) as e:
+    except (ElementError, CocycleError) as e:
         print("failed: %s" % e, file=sys.stderr)
         return EXIT_MATH
     bundle = ReportBundle(

@@ -488,7 +488,7 @@ class DiagonalSetup:
     """
 
     def __init__(self, n: int, m: int, gamma0: FiniteGroup, units: dict):
-        self.n, self.m, self.gamma0, self.units = n, m, gamma0, units
+        self.m, self.gamma0 = m, gamma0
         self.cover = cover_group(n + 1, m, gamma0, units)
         self.quotient = cover_group(n, m, gamma0, units)
         k = len(gamma0)

@@ -456,8 +456,9 @@ def word_show(rg, R, word: RootElementWord) -> str:
 
 
 def word_parse(rg, R, text: str) -> RootElementWord:
-    """A "word ring=<tag>" line, then one "X (root) [p; ...]" line per
-    letter; malformed text raises WordSyntaxError naming its line."""
+    """A "word ring=<tag> letters=<k>" line, then one "X (root) [p; ...]"
+    line per letter, k of them when the header gives k; malformed text
+    raises WordSyntaxError naming its line."""
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines or lines[0][1].split()[0] != "word":
@@ -491,4 +492,9 @@ def word_parse(rg, R, text: str) -> RootElementWord:
         for i, val in zip(idxs, vals):
             v[i] = val
         letters.append((alpha, v))
+    count = next((part[8:] for part in reversed(lines[0][1].split())
+                  if part.startswith("letters=")), str(len(letters)))
+    if count != str(len(letters)):
+        raise WordSyntaxError("line %d: the header gives letters=%s but the "
+                              "word has %d" % (lines[0][0], count, len(letters)))
     return RootElementWord(letters, tag)

@@ -479,6 +479,9 @@ def parse_spec_file(text: str, conductor: int):
         if not eq:
             raise SpecError("spec line %d: bad header token %r"
                             % (hno, part))
+        if key in head or key not in ("type", "rank", "n", "m"):
+            raise SpecError("spec line %d: %s header key %r" % (
+                hno, "repeated" if key in head else "unknown", key))
         head[key] = value
     try:
         tlabel = head["type"]
@@ -524,6 +527,9 @@ def parse_spec_file(text: str, conductor: int):
 
 def _parse_sigma(alg, parts, lno):
     kind = parts[0] if parts else ""
+    if kind in ("identity", "chevalley") and parts[1:]:
+        raise SpecError("spec line %d: sigma %s takes no arguments"
+                        % (lno, kind))
     if kind == "identity":
         return torus_automorphism(alg, QQ, [1] * alg.rank)
     if kind == "torus":

@@ -140,9 +140,6 @@ class RootSystem:
 
     # -- queries -------------------------------------------------------------
 
-    def __contains__(self, v):
-        return tuple(v) in self.root_set
-
     def is_reduced(self) -> bool:
         return all(tuple(2 * x for x in a) not in self.root_set for a in self.roots)
 

@@ -19,6 +19,11 @@ Phi_m, and x^-1 = c / N(x), where c is the product of the other Galois
 conjugates of x and N(x) = x c is rational.  A series has one product
 kernel (`_convolve`) and one normaliser (`_make`).  A rational Cyclotomic
 and a constant LaurentPoly hash as the rational they equal.
+
+Two private bases state what the levels share.  `_Value` (Cyclotomic,
+LaurentPoly, TruncSeries) refuses assignment, so every value is made by
+`_cyc`, `_lp` or `_ts`, and gives x - y as x + (-y).  `_Domain` (the four
+domains) gives ==, hash and repr by `key` and `name`, and from_int by lift.
 """
 
 from __future__ import annotations
@@ -57,6 +62,28 @@ def rat_show(q) -> str:
 
 def rat_parse(s: str):
     return rat_canon(Fraction(s.strip()))
+
+
+# ---------------------------------------------------------------------------
+# the value protocol
+
+class _Value:
+    """An immutable value of the tower: assignment is refused, and x - y is
+    x + (-y) (Cyclotomic subtracts directly, on the hot path of rref)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +132,7 @@ def _modulus(m: int):
     return phi, low, (0,) * (phi - 1)
 
 
-class Cyclotomic:
+class Cyclotomic(_Value):
     """Element of Q(zeta_m) on the power basis 1, z, ..., z^(phi(m)-1):
     phi(m) int numerators `num` over one positive int `den`, with the
     content of num coprime to den (den is 1 for zero), so equal numbers
@@ -117,18 +144,12 @@ class Cyclotomic:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs):
+    def __new__(cls, order: int, coeffs):
         phi = euler_phi(order)
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError("expected %d coefficients for order %d" % (phi, order))
-        num, den = rat_integral(coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cyclotomic is immutable")
+        return _cyc(order, *rat_integral(coeffs))
 
     @property
     def coeffs(self):
@@ -190,9 +211,6 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         return _combine(self, other, _sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         m, xs = self.order, self.num
@@ -301,7 +319,7 @@ def _reduce(raw, m):
     return tuple(raw[:phi])
 
 
-_cyc_new = object.__new__
+_new = object.__new__
 _set_order = Cyclotomic.order.__set__
 _set_cyc_num = Cyclotomic.num.__set__
 _set_cyc_den = Cyclotomic.den.__set__
@@ -311,7 +329,7 @@ def _cyc(order, num, den):
     """The Cyclotomic num / den, unchecked: num must be a tuple of phi(order)
     ints and den a positive int coprime to their content, as every
     arithmetic result is."""
-    x = _cyc_new(Cyclotomic)
+    x = _new(Cyclotomic)
     _set_order(x, order)
     _set_cyc_num(x, num)
     _set_cyc_den(x, den)
@@ -369,7 +387,7 @@ def cyc_parse(s: str) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 # multivariate Laurent polynomials
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """Sparse Laurent polynomial in nvars variables; coefficients live in any
     lower level of the scalar tower (Fraction or Cyclotomic), or are ints in
     the integral numerators of a series.
@@ -380,7 +398,7 @@ class LaurentPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None):
+    def __new__(cls, nvars: int, terms=None):
         clean = {}
         for expo, c in (terms or {}).items():
             expo = tuple(int(e) for e in expo)
@@ -389,11 +407,7 @@ class LaurentPoly:
             if c == 0 if isinstance(c, (int, Fraction)) else not c:
                 continue
             clean[expo] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
+        return _lp(nvars, clean)
 
     @staticmethod
     def constant(nvars: int, c) -> "LaurentPoly":
@@ -432,15 +446,6 @@ class LaurentPoly:
 
     def __neg__(self):
         return _lp(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -497,7 +502,6 @@ class LaurentPoly:
         return lp_show(self)
 
 
-_lp_new = object.__new__
 _set_nvars = LaurentPoly.nvars.__set__
 _set_terms = LaurentPoly.terms.__set__
 
@@ -505,7 +509,7 @@ _set_terms = LaurentPoly.terms.__set__
 def _lp(nvars, terms):
     """The LaurentPoly with these terms, unchecked: terms must map nvars-tuples
     of ints to nonzero coefficients, as every arithmetic result does."""
-    p = _lp_new(LaurentPoly)
+    p = _new(LaurentPoly)
     _set_nvars(p, nvars)
     _set_terms(p, terms)
     return p
@@ -526,7 +530,7 @@ def lp_show(p: LaurentPoly) -> str:
 # ---------------------------------------------------------------------------
 # truncated Laurent series in t
 
-class TruncSeries:
+class TruncSeries(_Value):
     """Laurent series in t over a base ring, known modulo t^prec.
 
     prec is None for exact data (a genuine Laurent polynomial in t).  The
@@ -549,9 +553,6 @@ class TruncSeries:
     def __new__(cls, base, low: int, prec, coeffs):
         num, den = base.integral([base.lift(c) for c in coeffs])
         return _make(base, low, prec, list(num), den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncSeries is immutable")
 
     @property
     def coeffs(self):
@@ -634,15 +635,6 @@ class TruncSeries:
         return _ts(self.base, self.low, self.prec,
                    tuple([-x for x in self.num]), self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             # precision of a product: each factor contributes its valuation
@@ -694,7 +686,6 @@ class TruncSeries:
         return ts_show(self)
 
 
-_ts_new = object.__new__
 _set_base = TruncSeries.base.__set__
 _set_low = TruncSeries.low.__set__
 _set_prec = TruncSeries.prec.__set__
@@ -706,7 +697,7 @@ _set_ts_coeffs = TruncSeries._coeffs.__set__
 def _ts(base, low, prec, num, den):
     """The TruncSeries with these fields, unchecked: they must already be in
     the canonical form (see TruncSeries)."""
-    s = _ts_new(TruncSeries)
+    s = _new(TruncSeries)
     _set_base(s, base)
     _set_low(s, low)
     _set_prec(s, prec)
@@ -809,7 +800,24 @@ def ts_show(s: TruncSeries) -> str:
 # ``content(num, den)`` is the largest int dividing den and every num[i],
 # and ``integral_zero`` is the zero numerator.
 
-class _ExactDomain:
+class _Domain:
+    """Two domains are equal when they are of one class with equal ``key``,
+    which is also what they hash; a domain shows as its ``name``."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return self.name
+
+    def from_int(self, n):
+        return self.lift(n)
+
+
+class _ExactDomain(_Domain):
     """A domain without precision horizons: an element is zero exactly when
     it is falsy, so Python truth testing is the zero test."""
 
@@ -831,6 +839,7 @@ class DomainQ(_ExactDomain):
     an int when it is integral."""
 
     name = "Q"
+    key = ()
     integral_zero = 0
     integral = staticmethod(rat_integral)
     over = staticmethod(rat_over)
@@ -845,9 +854,6 @@ class DomainQ(_ExactDomain):
 
     def one(self):
         return 1
-
-    def from_int(self, n):
-        return int(n)
 
     def lift(self, x):
         if type(x) is int:
@@ -864,21 +870,13 @@ class DomainQ(_ExactDomain):
     show = staticmethod(rat_show)
     parse = staticmethod(rat_parse)
 
-    def __eq__(self, other):
-        return isinstance(other, DomainQ)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "QQ"
-
 
 class DomainCyclotomic(_ExactDomain):
     """Q(zeta_m) on the power basis."""
 
     def __init__(self, order: int):
         self.order = order
+        self.key = (order,)
         self.name = "Q(z%d)" % order
         self._zero = Cyclotomic.from_rational(0, order)
         self._one = Cyclotomic.from_rational(1, order)
@@ -907,9 +905,6 @@ class DomainCyclotomic(_ExactDomain):
     def one(self):
         return self._one
 
-    def from_int(self, n):
-        return Cyclotomic.from_rational(n, self.order)
-
     def lift(self, x):
         if isinstance(x, (int, Fraction)):
             return Cyclotomic.from_rational(x, self.order)
@@ -930,15 +925,6 @@ class DomainCyclotomic(_ExactDomain):
             v = v.embed(self.order)
         return v
 
-    def __eq__(self, other):
-        return isinstance(other, DomainCyclotomic) and other.order == self.order
-
-    def __hash__(self):
-        return hash(("cyc", self.order))
-
-    def __repr__(self):
-        return "DomainCyclotomic(%d)" % self.order
-
 
 class DomainLaurent(_ExactDomain):
     """Laurent polynomials in nvars variables over a ground domain.
@@ -952,6 +938,7 @@ class DomainLaurent(_ExactDomain):
     def __init__(self, nvars: int, ground):
         self.nvars = nvars
         self.ground = ground
+        self.key = (nvars, ground)
         self.name = "%s[x1..x%d^+-1]" % (ground.name, nvars)
         self.integral_zero = _lp(nvars, {})
 
@@ -975,9 +962,6 @@ class DomainLaurent(_ExactDomain):
 
     def one(self):
         return LaurentPoly.constant(self.nvars, self.ground.one())
-
-    def from_int(self, n):
-        return LaurentPoly.constant(self.nvars, self.ground.from_int(n))
 
     def lift(self, x):
         if isinstance(x, LaurentPoly):
@@ -1015,22 +999,13 @@ class DomainLaurent(_ExactDomain):
             terms[expo] = self.ground.parse(c)
         return LaurentPoly(self.nvars, terms)
 
-    def __eq__(self, other):
-        return (isinstance(other, DomainLaurent)
-                and other.nvars == self.nvars and other.ground == self.ground)
 
-    def __hash__(self):
-        return hash(("laurent", self.nvars, self.ground))
-
-    def __repr__(self):
-        return "DomainLaurent(%d, %r)" % (self.nvars, self.ground)
-
-
-class DomainSeries:
+class DomainSeries(_Domain):
     """Truncated Laurent series in t over a base domain."""
 
     def __init__(self, base):
         self.base = base
+        self.key = (base,)
         self.name = "%s((t))" % base.name
 
     def zero(self):
@@ -1038,9 +1013,6 @@ class DomainSeries:
 
     def one(self):
         return TruncSeries.constant(self.base, self.base.one())
-
-    def from_int(self, n):
-        return TruncSeries.constant(self.base, self.base.from_int(n))
 
     def t(self, deg=1):
         return TruncSeries.monomial(self.base, self.base.one(), deg)
@@ -1089,15 +1061,6 @@ class DomainSeries:
         coeffs = [self.base.parse(c) for c in _split_top(inner)] if inner else []
         prec = None if prec_s.strip() == "inf" else int(prec_s)
         return TruncSeries(self.base, int(low_s), prec, coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, DomainSeries) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("series", self.base))
-
-    def __repr__(self):
-        return "DomainSeries(%r)" % (self.base,)
 
 
 def _split_top(s):

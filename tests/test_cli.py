@@ -303,11 +303,21 @@ def test_cartan_eigenvalue_errors(capsys, tmp_path, spec, dim):
       "cartan h -3 1", "cartan h -3 1"],
      "spec lines 4, 5: the cartan rows give no relative root system: "
      "non-integral height for (5, 5)"),
+    # no header key or sigma argument is ignored, and none is read twice
+    (["multiloop type=A rank=2 n=1 m=2 typo=3", "sigma identity"],
+     "spec line 1: unknown header key 'typo'"),
+    (["multiloop type=A rank=2 rank=3 n=1 m=2", "sigma identity"],
+     "spec line 1: repeated header key 'rank'"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma identity junk"],
+     "spec line 2: sigma identity takes no arguments"),
+    (["multiloop type=A rank=2 n=1 m=2", "sigma chevalley junk"],
+     "spec line 2: sigma chevalley takes no arguments"),
 ], ids=["no-header", "unknown-directive", "bad-cartan", "bad-permutation",
         "torus-weights", "sigma-count", "cartan-row-length", "bare-cartan",
         "header-token", "torus-weight-literal", "cartan-coefficient",
         "zero-torus-weight", "permutation-entry", "cartan-projection",
-        "cartan-projection-two-rows"])
+        "cartan-projection-two-rows", "unknown-header-key",
+        "repeated-header-key", "identity-argument", "chevalley-argument"])
 def test_malformed_spec_is_a_usage_error(capsys, tmp_path, lines, message):
     text = "\n".join(lines) + "\n"
     path = tmp_path / "spec.ml"
@@ -719,7 +729,16 @@ def test_malformed_laurent_coefficient_is_a_usage_error(capsys, tmp_path,
     ("algebra A 2\nground Q\n", "word file line 2: expected a 'word' block"),
     ("algebra A\nground Q\nword ring=series letters=0\n",
      "word file line 1: expected 'algebra <type> <rank>'"),
-], ids=["ground-laurentx", "no-word-block", "algebra-without-rank"])
+    # a header is read once, and the letter count it gives must hold
+    ("algebra A 2\nalgebra A 3\nground Q\nword ring=series letters=0\n",
+     "word file line 2: repeated 'algebra' header"),
+    ("algebra A 2\nground Q\nground laurent1\nword ring=series letters=0\n",
+     "word file line 3: repeated 'ground' header"),
+    ("algebra A 2\nground Q\nword ring=series letters=5\n"
+     "X (1,-2) [(-1, inf, [1/1])]\n",
+     "word file line 3: the header gives letters=5 but the word has 1"),
+], ids=["ground-laurentx", "no-word-block", "algebra-without-rank",
+        "repeated-algebra", "repeated-ground", "letter-count"])
 def test_malformed_word_file_is_a_usage_error(capsys, tmp_path, text,
                                               message):
     path = tmp_path / "w.txt"
@@ -727,6 +746,18 @@ def test_malformed_word_file_is_a_usage_error(capsys, tmp_path, text,
     code, out, err = run(capsys, "factor", str(path))
     assert code == 1 and out == ""
     assert err == "usage error: %s\n" % message
+
+
+def test_rank_one_word_file_fails(capsys, tmp_path):
+    # the word is well formed, but A1 has a component of rank 1, where the
+    # factorization method does not apply: a failure, exit 2
+    path = tmp_path / "w.txt"
+    path.write_text("algebra A 1\nground Q\nword ring=series letters=1\n"
+                    "X (2) [(-1, inf, [1/1])]\n")
+    code, out, err = run(capsys, "factor", str(path))
+    assert code == cli.EXIT_MATH == 2 and out == ""
+    assert err == ("failed: irreducible component of rank 1 at (-2,): the "
+                   "factorization method needs rank >= 2\n")
 
 
 @pytest.mark.parametrize("header, message", [

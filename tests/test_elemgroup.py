@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiloop import linalg
+from multiloop import elemgroup, linalg
 from multiloop.chevalley import ChevalleyError, character
 from multiloop.elemgroup import (ElementError, ElementMatrix,
                                  PrecisionExhausted,
@@ -23,8 +23,8 @@ from multiloop.scalars import (QQ, DomainLaurent, DomainSeries,
                                LaurentPoly, TruncSeries, series_split)
 
 from conftest import (FIXTURES, algebra, basis_vector, build_sl3_flip,
-                      exp_ad, identity, is_identity, mat_eq, mat_mul_dense,
-                      place, sparse, variable)
+                      exp_ad, identity, is_identity, load_fixture, mat_eq,
+                      mat_mul_dense, place, sparse, variable)
 
 
 def series(low, coeffs, prec=None):
@@ -392,6 +392,41 @@ def test_factor_precision_exhausted(rg_a2):
     v = place(rg_a2.algebra, R, alpha, series(-1, [1, 1], prec=3))
     with pytest.raises(PrecisionExhausted):
         factor_loop_series(rg_a2, R, RootElementWord([(alpha, v)]), 8)
+
+
+@pytest.mark.parametrize("split, g2_text", [
+    (False, ["X (-1,0) [(-1, inf, [[2; 1/1]]);(0, inf, [])]",
+             "X (-2,0) [(0, inf, [[2; 3/1]])]"]),
+    (True, ["X (-1,0) [(-1, inf, [[2; 1/1]]);(0, inf, [])]",
+            "X (-2,0) [(0, inf, [[2; 2/1]])]",
+            "X (-2,0) [(0, inf, [[2; 3/1]])]"]),
+], ids=["one-coordinate", "two-coordinates"])
+def test_factor_through_the_multiples_of_a_root(monkeypatch, split, g2_text):
+    # sl5 twisted by the flip has relative type BC2: (-1,0) has the multiple
+    # (-2,0), so splitting X_(-1,0)(t^-1 + 2t) runs extract_q_maps, and the
+    # correction, nonzero when the two halves sit on different coordinates
+    # of the piece, is expanded as one more letter
+    g = load_fixture("sl5_flip.ml")
+    rg = relative_roots(g)
+    R = DomainSeries(g.dom)
+    alpha, gamma = (-1, 0), (-2, 0)
+    assert rg.data.multiples(alpha) == [gamma]
+    pole, tail = R.t(-1), R.from_int(2) * R.t(1)
+    v = place(g, R, alpha, [pole, tail] if split else pole + tail)
+    calls, extract = [], elemgroup.extract_q_maps
+    monkeypatch.setattr(elemgroup, "extract_q_maps",
+                        lambda *a: calls.append(extract(*a)) or calls[-1])
+    word = RootElementWord([(alpha, v),
+                            (gamma, place(g, R, gamma, R.from_int(3)))])
+    g1, g2, cert = factor_loop_series(rg, R, word, 6)
+    assert [[root for root, _ in q] for q in calls] == \
+        [[gamma] if split else []]
+    assert cert.precision == 6 and cert.residual_identity
+    assert all(x.valuation() >= 0 for _, w in g1 for x in w if x)
+    assert all(x.is_polynomial() for _, w in g2 for x in w)
+    assert word_show(rg, R, g2).splitlines()[1:] == g2_text
+    # every parameter is exact, so g1 g2 is the word itself
+    assert word_residual(rg, R, residual_word(word, g1, g2)) == (None, None)
 
 
 def test_depth_bound_value(rg_a2):

@@ -152,8 +152,8 @@ def _shared_method_names(defining):
 
 
 # Reviewed by grep: every class that defines one of these names has a
-# caller that reaches it.  The domain members (content, from_int, integral,
-# inv, lift, one, over, parse, t_order, zero) form the protocol that
+# caller that reaches it.  The domain members (content, integral, inv,
+# lift, one, over, parse, t_order, zero) form the protocol that
 # linalg, TruncSeries and LaurentPoly call on whichever domain they are
 # given; DomainSeries.inv is its refusal, and DomainLaurent.inv and the
 # series-base members of DomainCyclotomic serve a ring over Q(zeta_m),
@@ -162,7 +162,6 @@ _SHARED_METHODS = [
     "coeffs",       # Cyclotomic: cyc_show; TruncSeries: ts_show, lift
     "constant",     # LaurentPoly, TruncSeries: their domains' one()
     "content",
-    "from_int",
     "generators",   # ChevalleyAlgebra: the Jacobi proof and generating
                     # columns; FiniteGroup: Light's test, h1_enumerate
     "integral",

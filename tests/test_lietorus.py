@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
+from multiloop import linalg
 from multiloop.chevalley import torus_automorphism
 from multiloop.grading import (GradedBasisVector, GradedLieAlgebra,
                                MultiloopSpec, build_multiloop,
@@ -67,6 +71,19 @@ def test_lt3_fails_on_sublattice():
     g = build_multiloop(MultiloopSpec(alg, [ident], 2))
     ok, witness = check_LT3(g)
     assert not ok
+
+
+def test_smith_invariants_match_sympy():
+    # LT3 reads the cokernel of the degree lattice off these invariants;
+    # small entries make the pivot fail to divide its row or column often,
+    # so both the row and the column reductions run
+    rng = random.Random(3)
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        A = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        S = smith_normal_form(Matrix(A), domain=ZZ)
+        want = [abs(S[i, i]) for i in range(min(n, m)) if S[i, i]]
+        assert linalg.smith_invariants(A) == want, A
 
 
 def test_lt5_fails_on_abelian():

@@ -282,6 +282,60 @@ def test_series_eq_is_congruence_and_series_are_unhashable():
         hash(a)
 
 
+@pytest.mark.parametrize("value, fields", [
+    (Cyclotomic(3, [1, Fraction(2, 3)]), ("order", "num", "den")),
+    (LaurentPoly(1, {(1,): 2}), ("nvars", "terms")),
+    (TruncSeries(QQ, -1, 4, [1, Fraction(1, 2)]),
+     ("base", "low", "prec", "num", "den", "_coeffs")),
+], ids=["Cyclotomic", "LaurentPoly", "TruncSeries"])
+def test_values_refuse_assignment(value, fields):
+    message = "^%s is immutable$" % type(value).__name__
+    for name in fields + ("other",):
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, 0)
+        assert getattr(value, name, None) == before
+
+
+def test_difference_is_the_sum_with_the_negative():
+    x = LaurentPoly(1, {(1,): 2, (0,): Fraction(1, 3)})
+    y = LaurentPoly(1, {(1,): 2, (-1,): 5})
+    assert x - y == x + (-y) == \
+        LaurentPoly(1, {(0,): Fraction(1, 3), (-1,): -5})
+    assert 3 - x == (-x) + 3 == \
+        LaurentPoly(1, {(1,): -2, (0,): Fraction(8, 3)})
+    s = TruncSeries(QQ, -1, 3, [1, 0, 4])
+    d = Fraction(1, 2) - s
+    assert (d.low, d.prec, d.coeffs) == (-1, 3, (-1, Fraction(1, 2), -4))
+    z = Cyclotomic.root(3)
+    assert 2 - z == (-z) + 2 == Cyclotomic(3, [2, -1])
+
+
+def test_domains_compare_by_class_and_key():
+    c3 = DomainCyclotomic(3)
+    for a, b in [(DomainSeries(QQ), DomainSeries(QQ)),
+                 (DomainLaurent(2, c3), DomainLaurent(2, DomainCyclotomic(3))),
+                 (DomainSeries(DomainLaurent(1, c3)),
+                  DomainSeries(DomainLaurent(1, c3)))]:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert c3 != DomainCyclotomic(6)
+    assert DomainLaurent(1, QQ) != DomainLaurent(2, QQ) != \
+        DomainLaurent(2, c3)
+    assert DomainSeries(QQ) != DomainSeries(DomainLaurent(1, QQ)) != QQ
+    assert len({QQ, DomainSeries(QQ), DomainSeries(QQ)}) == 2
+    assert repr(DomainSeries(DomainLaurent(1, c3))) == "Q(z3)[x1..x1^+-1]((t))"
+
+
+@pytest.mark.parametrize("dom", [
+    QQ, DomainCyclotomic(4), DomainLaurent(2, DomainCyclotomic(3)),
+    DomainSeries(DomainLaurent(1, QQ))], ids=repr)
+def test_domain_from_int_is_lift(dom):
+    for n in (-3, 0, 1, 7):
+        x = dom.from_int(n)
+        assert type(x) is type(dom.lift(n)) and x == dom.lift(n)
+    assert dom.from_int(0) == dom.zero() and dom.from_int(1) == dom.one()
+
+
 # A test-local reference for series arithmetic: a series is ({(t-degree,
 # x-exponent): Fraction}, prec), the x-exponent being 0 over Q.  Products
 # and sums follow the same horizon rules as TruncSeries.
